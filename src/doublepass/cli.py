@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -251,6 +252,8 @@ def _parse_config(path: str) -> Dict:
             raise ConfigError("tolerances must be an object")
         _reject_unknown(block, ("slack",), "tolerances")
         slack = _number(block, "slack", "tolerances", default=DEFAULT_SLACK)
+        if not (math.isfinite(slack) and slack >= 0.0):
+            raise ConfigError(f"tolerances.slack must be finite and >= 0, got {slack}")
 
     parsed = {
         "protocol": protocol,
@@ -344,6 +347,8 @@ _INVERT_RELATIONS = {
 
 def _cmd_invert(args) -> int:
     required, formula = _INVERT_RELATIONS[args.relation]
+    if not (math.isfinite(args.slack) and args.slack >= 0.0):
+        raise _UsageError(f"--slack must be finite and >= 0, got {args.slack}")
     supplied = {
         "q_bar": args.q_bar,
         "q_return": args.q_return,

@@ -40,6 +40,14 @@ WINDOW_PAD_FRACTION = 0.1
 ArrayLike = Union[float, np.ndarray]
 
 
+def _check_finite(value: object, what: str, names: Tuple[str, ...]) -> None:
+    """Reject NaN and infinite fields, which no later check would catch."""
+    for name in names:
+        field_value = getattr(value, name)
+        if not math.isfinite(field_value):
+            raise ValueError(f"{what} {name} must be finite, got {field_value}")
+
+
 def _reduce_phase(phi: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
     phi = math.fmod(float(phi), TWO_PI)
@@ -81,6 +89,7 @@ class PulseShape:
     def __post_init__(self) -> None:
         if self.kind not in PULSE_KINDS:
             raise ValueError(f"unknown pulse kind {self.kind!r}")
+        _check_finite(self, "pulse", ("peak", "width", "offset"))
         if not self.peak >= 0.0:
             raise ValueError(f"pulse peak must be >= 0, got {self.peak}")
         if not self.width > 0.0:
@@ -161,6 +170,7 @@ class DetuningShape:
     def __post_init__(self) -> None:
         if self.kind not in DETUNING_KINDS:
             raise ValueError(f"unknown detuning kind {self.kind!r}")
+        _check_finite(self, "detuning", ("magnitude", "rate_or_width"))
         if self.kind == "tanh-chirp" and not self.rate_or_width > 0.0:
             raise ValueError("tanh-chirp width must be > 0")
 
@@ -394,6 +404,7 @@ class DriveProfile3:
     def __post_init__(self) -> None:
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
+        _check_finite(self, "drive", ("pump_phase", "stokes_phase", "two_photon_detuning"))
         object.__setattr__(self, "pump_phase", _reduce_phase(self.pump_phase))
         object.__setattr__(self, "stokes_phase", _reduce_phase(self.stokes_phase))
         window = (
@@ -404,15 +415,6 @@ class DriveProfile3:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.window[0] + self.window[1])
-
-    def pump_at(self, t: ArrayLike) -> ArrayLike:
-        return sample_rabi(self.pump, t)
-
-    def stokes_at(self, t: ArrayLike) -> ArrayLike:
-        return sample_rabi(self.stokes, t)
-
-    def single_detuning_at(self, t: ArrayLike) -> ArrayLike:
-        return sample_detuning(self.single_photon_detuning, t, self.midpoint)
 
     def symmetric_pair(self, tol: float = _PARITY_TOL) -> bool:
         """True iff pump and Stokes share shape, peak and width and differ

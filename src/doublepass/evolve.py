@@ -47,7 +47,7 @@ class CayleyKlein:
 
     def __post_init__(self) -> None:
         defect = abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0)
-        if defect >= UNITARITY_TOL:
+        if not defect < UNITARITY_TOL:
             raise ValueError(f"|a|^2 + |b|^2 deviates from 1 by {defect:.3e}")
 
 
@@ -60,7 +60,7 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 def assert_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
     defect = unitarity_defect(u)
-    if defect >= tol:
+    if not defect < tol:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e} >= {tol:.1e}")
 
 
@@ -72,10 +72,8 @@ def hamiltonian2(profile: DriveProfile2, t) -> np.ndarray:
     Delta.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    omega = profile.rabi_sign * sample_rabi(profile.rabi, t_arr)
-    delta = profile.detuning_sign * sample_detuning(
-        profile.detuning, t_arr, profile.midpoint
-    )
+    omega = profile.rabi_at(t_arr)
+    delta = profile.detuning_at(t_arr)
     h = np.zeros(t_arr.shape + (2, 2), dtype=complex)
     h[..., 0, 0] = -0.5 * delta
     h[..., 1, 1] = 0.5 * delta
@@ -170,7 +168,7 @@ def _sample_hamiltonian(hamiltonian: HamiltonianFn, ts: np.ndarray) -> np.ndarra
         )
     defect = np.abs(h - h.conj().transpose(0, 2, 1)).max()
     scale = max(1.0, np.abs(h).max())
-    if defect > 1e-12 * scale:
+    if not defect <= 1e-12 * scale:
         raise ValueError(f"hamiltonian samples are not Hermitian (defect {defect:.3e})")
     return h.astype(complex, copy=False)
 
@@ -264,12 +262,12 @@ def cayley_klein(u: np.ndarray, tol: float = TEMPLATE_TOL) -> CayleyKlein:
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if defect >= tol:
+    if not defect < tol:
         raise TemplateMismatchError(f"matrix is not unitary (defect {defect:.3e})")
     a = complex(u[0, 0])
     b = complex(u[1, 0])
     residual = max(abs(u[0, 1] + np.conj(b)), abs(u[1, 1] - np.conj(a)))
-    if residual >= tol:
+    if not residual < tol:
         raise TemplateMismatchError(
             f"matrix does not match the (a, b) propagator template "
             f"(residual {residual:.3e})"

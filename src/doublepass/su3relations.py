@@ -68,7 +68,7 @@ class ResonantCK:
 
     def __post_init__(self) -> None:
         defect = abs(self.alpha**2 + self.beta**2 + 2.0 * self.gamma**2 - 1.0)
-        if defect >= _CONSTRAINT_TOL:
+        if not defect < _CONSTRAINT_TOL:
             raise ValueError(
                 f"alpha^2 + beta^2 + 2 gamma^2 deviates from 1 by {defect:.3e}"
             )
@@ -145,7 +145,7 @@ def extract_resonant_ck(u: np.ndarray, tol: float = 1e-7) -> ResonantCK:
     if u.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if defect >= max(tol, 1e-8):
+    if not defect < max(tol, 1e-8):
         raise TemplateMismatchError(f"matrix is not unitary (defect {defect:.3e})")
 
     gg = max((1.0 - u[1, 1].real) / 4.0, 0.0)
@@ -176,7 +176,7 @@ def extract_resonant_ck(u: np.ndarray, tol: float = 1e-7) -> ResonantCK:
     except ValueError as exc:
         raise TemplateMismatchError(str(exc)) from exc
     residual = float(np.abs(u - resonant_propagator(ck3)).max())
-    if residual >= tol:
+    if not residual < tol:
         raise TemplateMismatchError(
             f"matrix does not match the resonant symmetric-pair template "
             f"(residual {residual:.3e} >= {tol:.1e})"

@@ -102,6 +102,59 @@ class TestSimulate:
         assert code == EX_USAGE
 
 
+def _set(config, dotted, value):
+    *path, key = dotted.split(".")
+    block = config
+    for name in path:
+        block = block[name]
+    block[key] = value
+    return config
+
+
+def _detuned_case2():
+    config = case2_config()
+    config["profile"]["detuning"] = {"shape": "constant", "magnitude": 1.0}
+    return config
+
+
+def _windowed_rap():
+    config = rap_config()
+    config["profile"]["window"] = [-0.1, 1.1]
+    return config
+
+
+def _tanh_rap():
+    config = rap_config()
+    config["profile"]["detuning"] = {"shape": "tanh-chirp", "magnitude": 5.0, "width": 0.3}
+    return config
+
+
+@pytest.mark.parametrize(
+    "make_config, field, value",
+    [
+        (_detuned_case2, "profile.detuning.magnitude", float("nan")),
+        (_windowed_rap, "profile.rabi.offset", float("nan")),
+        (case2_config, "tolerances", {"slack": -1.0}),
+        (case2_config, "tolerances", {"slack": float("nan")}),
+        (case2_config, "tolerances", {"slack": float("inf")}),
+        (rap_config, "profile.detuning.rate", float("inf")),
+        (_tanh_rap, "profile.detuning.width", float("nan")),
+        (rap_config, "profile.rabi.peak", float("inf")),
+        (case2_config, "profile.pump_phase", float("nan")),
+        (case2_config, "profile.stokes_phase", float("-inf")),
+        (case2_config, "profile.two_photon_detuning", float("nan")),
+    ],
+)
+def test_non_finite_input_is_a_config_error(tmp_path, capsys, make_config, field, value):
+    config = _set(make_config(), field, value)
+    code = main(["simulate", "--config", write_config(tmp_path, config)])
+    captured = capsys.readouterr()
+    assert code == EX_USAGE
+    assert captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestSweep:
     def sweep_config(self):
         return case2_config(
@@ -284,6 +337,14 @@ class TestInvert:
     def test_unknown_relation(self, capsys):
         code = main(["invert", "--relation", "nope", "--q-bar", "0.9"])
         assert code == EX_USAGE
+
+    @pytest.mark.parametrize("slack", ["-1", "nan", "inf"])
+    def test_slack_flag_must_be_finite_and_nonnegative(self, capsys, slack):
+        code = main(
+            ["invert", "--relation", "stirap-case2", "--q-return", "0.98", "--slack", slack]
+        )
+        assert code == EX_USAGE
+        assert "--slack" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -271,6 +271,11 @@ class TestCayleyKlein:
         with pytest.raises(TemplateMismatchError):
             cayley_klein(np.array([[1.0, 0.0], [0.0, 0.5]], complex))
 
+    def test_nan_matrix_rejected(self):
+        # a NaN defect compares false against any tolerance
+        with pytest.raises(TemplateMismatchError):
+            cayley_klein(np.full((2, 2), np.nan))
+
     def test_normalization_invariant_enforced(self):
         with pytest.raises(ValueError):
             CayleyKlein(1.0, 0.5)

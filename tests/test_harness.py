@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from doublepass.drive import (
     DriveProfile2,
     DriveProfile3,
     PulseShape,
+    backward_profile_3,
 )
 from doublepass.harness import (
     CSV_COLUMNS,
@@ -26,6 +28,7 @@ from doublepass.harness import (
     write_csv,
 )
 from doublepass.drive import pulse_area
+from doublepass.su3relations import PHASE_GRID
 
 
 def chirped_profile(peak=8.0, rate=10.0):
@@ -129,6 +132,12 @@ class TestRunProtocolTwoState:
         run_protocol(ProtocolKind.TWO_STATE_GENERAL, chirped_profile())
         assert counter.calls == 3  # one single pass + two second passes
 
+    def test_preconditions_checked_before_any_pass(self, monkeypatch):
+        counter = CountingPropagator(monkeypatch)
+        with pytest.raises(ProtocolPreconditionError, match="even detuning"):
+            run_protocol(ProtocolKind.TWO_STATE_CONST_DETUNING, chirped_profile())
+        assert counter.calls == 0
+
     def test_pass_count_rap(self, monkeypatch):
         counter = CountingPropagator(monkeypatch)
         run_protocol(ProtocolKind.TWO_STATE_RAP, chirped_profile())
@@ -231,7 +240,7 @@ class TestRunProtocolThreeState:
             grid_points=800,
         )
         run_protocol(ProtocolKind.THREE_STATE_GENERAL, profile)
-        assert counter.calls == 6  # forward + swapped-alone + four phased
+        assert counter.calls == 5  # forward + four phased; r comes from the (0, 0) pass
 
     def test_pass_count_resonant(self, monkeypatch):
         counter = CountingPropagator(monkeypatch)
@@ -239,6 +248,58 @@ class TestRunProtocolThreeState:
             ProtocolKind.STIRAP_RESONANT_CASE2, stirap_profile(grid_points=800)
         )
         assert counter.calls == 2
+
+
+PI = math.pi
+GENERAL_THREE_STATE = DriveProfile3(
+    pump=PulseShape.sin2(9.0, 1.0, offset=0.3),
+    stokes=PulseShape.gaussian(5.0, 0.2, center=0.1),
+    single_photon_detuning=DetuningShape.constant(2.0),
+    two_photon_detuning=1.0,
+    grid_points=400,
+)
+EVEN_DETUNING = DriveProfile2(
+    rabi=PulseShape.sech(6.0, 0.2),
+    detuning=DetuningShape.constant(3.0),
+    grid_points=400,
+)
+
+
+@pytest.mark.parametrize(
+    "kind, profile, second_passes",
+    [
+        (ProtocolKind.TWO_STATE_GENERAL, replace(chirped_profile(), grid_points=400), [(1, 1), (-1, 1)]),
+        (ProtocolKind.TWO_STATE_RAP, replace(chirped_profile(), grid_points=400), [(1, 1)]),
+        (ProtocolKind.TWO_STATE_CONST_DETUNING, EVEN_DETUNING, [(1, -1)]),
+        (ProtocolKind.STIRAP_RESONANT_CASE1, stirap_profile(grid_points=400), [(0.0, 0.0)]),
+        (ProtocolKind.STIRAP_RESONANT_CASE2, stirap_profile(grid_points=400), [(PI, 0.0)]),
+        (ProtocolKind.STIRAP_DETUNED, stirap_profile(detuning=3.0, grid_points=400), list(PHASE_GRID)),
+        (ProtocolKind.THREE_STATE_GENERAL, GENERAL_THREE_STATE, list(PHASE_GRID)),
+    ],
+)
+def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
+    """The forward pass, then exactly the listed second passes, in order:
+    (rabi sign, detuning sign) for two-state drives, (pump phase, Stokes
+    phase) of the role-swapped drive for three-state drives."""
+    from doublepass.evolve import propagate_profile
+
+    seen = []
+
+    def recording(pass_profile, **kwargs):
+        seen.append(pass_profile)
+        return propagate_profile(pass_profile, **kwargs)
+
+    monkeypatch.setattr(harness, "propagate_profile", recording)
+    run_protocol(kind, profile)
+
+    assert seen[0] == profile
+    if isinstance(profile, DriveProfile2):
+        assert [(p.rabi_sign, p.detuning_sign) for p in seen] == [(1, 1)] + second_passes
+        assert all(p.rabi == profile.rabi and p.detuning == profile.detuning for p in seen)
+    else:
+        assert [(p.pump_phase, p.stokes_phase) for p in seen[1:]] == second_passes
+        # every second pass is the role-swapped drive at those phases
+        assert seen[1:] == [backward_profile_3(profile, *phases) for phases in second_passes]
 
 
 class TestSweep:
@@ -380,6 +441,13 @@ class TestVerify:
     def test_draws_validated(self):
         with pytest.raises(ValueError):
             verify("average-return", draws=0, seed=0)
+
+    def test_nan_residual_fails(self, monkeypatch):
+        nan_suite = harness.SuiteDef(1e-9, lambda i, rng: float("nan"), "always NaN")
+        monkeypatch.setitem(SUITES, "nan-suite", nan_suite)
+        report = verify("nan-suite", draws=3, seed=0)
+        assert not report["passed"]
+        assert report["failures"] == 3
 
     @pytest.mark.parametrize(
         "suite",

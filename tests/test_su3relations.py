@@ -126,6 +126,10 @@ class TestExtractResonantCK:
         with pytest.raises(TemplateMismatchError):
             extract_resonant_ck(0.5 * np.eye(3, dtype=complex))
 
+    def test_rejects_nan(self):
+        with pytest.raises(TemplateMismatchError):
+            extract_resonant_ck(np.full((3, 3), np.nan, dtype=complex))
+
 
 class TestBackwardPropagator:
     def test_identity_fixed_point(self):
