@@ -5,8 +5,10 @@ are CSV rows/files and JSON reports.  Identical config and seed produce
 byte-identical outputs.
 
 Exit codes: 0 success, 1 verification failure, 2 protocol precondition
-violation, 3 inversion inconsistency beyond the noise slack, 64 usage or
-malformed config, 74 output I/O failure.
+violation (including a propagator that does not match the template its
+protocol requires), 3 inversion inconsistency beyond the noise slack, 64
+usage or malformed config (including a drive whose step phase the grid
+cannot resolve), 74 output I/O failure.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .drive import (
     DriveProfile3,
     PulseShape,
 )
+from .evolve import StepPhaseError, TemplateMismatchError
 from .harness import (
     MeasurementRecord,
     ProtocolKind,
@@ -441,10 +444,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except ConfigError as exc:
+    except (ConfigError, StepPhaseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except ProtocolPreconditionError as exc:
+    except (ProtocolPreconditionError, TemplateMismatchError) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return EX_PRECONDITION
     except InversionRangeError as exc:

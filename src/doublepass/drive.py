@@ -37,6 +37,10 @@ _PARITY_TOL = 1e-9
 # so compactly supported pulses start and end at exactly zero coupling.
 WINDOW_PAD_FRACTION = 0.1
 
+# Largest number of grid steps of one pass, checked when a profile is
+# built so an oversized grid is rejected before anything is allocated.
+MAX_GRID_POINTS = 2**20
+
 ArrayLike = Union[float, np.ndarray]
 
 
@@ -313,6 +317,13 @@ def _check_window(window: Tuple[float, float]) -> Tuple[float, float]:
     return (lo, hi)
 
 
+def _check_grid(grid_points: int) -> None:
+    if not 2 <= grid_points <= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid_points must be in [2, {MAX_GRID_POINTS}], got {grid_points}"
+        )
+
+
 def _check_sign(sign: int, name: str) -> int:
     if sign not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1, got {sign}")
@@ -339,8 +350,7 @@ class DriveProfile2:
     def __post_init__(self) -> None:
         _check_sign(self.rabi_sign, "rabi_sign")
         _check_sign(self.detuning_sign, "detuning_sign")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
+        _check_grid(self.grid_points)
         window = padded_window(self.rabi) if self.window is None else self.window
         object.__setattr__(self, "window", _check_window(window))
 
@@ -402,8 +412,7 @@ class DriveProfile3:
     grid_points: int = 4000
 
     def __post_init__(self) -> None:
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
+        _check_grid(self.grid_points)
         _check_finite(self, "drive", ("pump_phase", "stokes_phase", "two_photon_detuning"))
         object.__setattr__(self, "pump_phase", _reduce_phase(self.pump_phase))
         object.__setattr__(self, "stokes_phase", _reduce_phase(self.stokes_phase))

@@ -2,8 +2,11 @@
 
 Propagators are plain complex numpy arrays.  The integrator treats the
 Hamiltonian as constant across each grid step, sampled at the step
-midpoint, and applies the exact step exponential (closed form for 2x2,
-eigendecomposition for 3x3).  Every step matrix is therefore unitary to
+midpoint, and applies the exact step exponential.  2x2 passes are
+carried as Cayley-Klein pairs (a, b): each step's pair has a closed
+form, the pairs are reduced with the SU(2) product rule, and the (2, 2)
+matrix is assembled once at the end.  3x3 steps are exponentiated via
+``eigh`` and reduced as matrices.  Every step is therefore unitary to
 rounding regardless of step size: unitarity is structural and the grid
 only controls accuracy.  The midpoint sampling also makes the scheme
 commute exactly with the sign-flip, index-swap and time-reflection
@@ -18,19 +21,31 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .drive import DriveProfile2, DriveProfile3, sample_detuning, sample_rabi
+from .drive import (
+    MAX_GRID_POINTS,
+    DriveProfile2,
+    DriveProfile3,
+    sample_detuning,
+    sample_rabi,
+)
 
 UNITARITY_TOL = 1e-10
 TEMPLATE_TOL = 1e-8
 DEFAULT_GRID_POINTS = 4000
 DEFAULT_REFINE_TOL = 1e-9
-MAX_GRID_POINTS = 2**20
+# Largest step phase dt * max|H| accepted: beyond it float64 resolves
+# the phase of a step to worse than about 1e-4 rad.
+MAX_STEP_PHASE = 1e12
 
 HamiltonianFn = Callable[[np.ndarray], np.ndarray]
 
 
 class ConvergenceError(RuntimeError):
     """Grid refinement hit its cap before the propagator settled."""
+
+
+class StepPhaseError(ValueError):
+    """A grid step's phase dt * max|H| is not finite or too large to resolve."""
 
 
 class TemplateMismatchError(ValueError):
@@ -114,25 +129,6 @@ def hamiltonian3(profile: DriveProfile3, t) -> np.ndarray:
     return h
 
 
-def _step_exponentials_2(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt H) for a batch of 2x2 Hermitian H, in closed form."""
-    c0 = 0.5 * (h[:, 0, 0] + h[:, 1, 1]).real
-    cz = 0.5 * (h[:, 0, 0] - h[:, 1, 1]).real
-    cx = h[:, 0, 1].real
-    cy = -h[:, 0, 1].imag
-    m = np.sqrt(cx * cx + cy * cy + cz * cz)
-    cos = np.cos(dt * m)
-    # sin(dt m)/m without a 0/0 at m = 0
-    snc = dt * np.sinc(dt * m / np.pi)
-    phase = np.exp(-1j * dt * c0)
-    e = np.empty_like(h)
-    e[:, 0, 0] = phase * (cos - 1j * snc * cz)
-    e[:, 1, 1] = phase * (cos + 1j * snc * cz)
-    e[:, 0, 1] = phase * (-1j * snc * (cx - 1j * cy))
-    e[:, 1, 0] = phase * (-1j * snc * (cx + 1j * cy))
-    return e
-
-
 def _step_exponentials_eigh(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i dt H) for a batch of Hermitian H via eigendecomposition."""
     w, v = np.linalg.eigh(h)
@@ -152,7 +148,48 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _sample_hamiltonian(hamiltonian: HamiltonianFn, ts: np.ndarray) -> np.ndarray:
+def _ck_propagator(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt H[n-1]) ... exp(-i dt H[0]) for a batch of 2x2 Hermitian H.
+
+    Writing H = c0 I + cx sx + cy sy + cz sz, a step is exp(-i dt c0)
+    times the SU(2) matrix [[a, -conj(b)], [b, conj(a)]] with
+    a = cos(dt m) - i dt sinc cz, b = -i dt sinc (cx + i cy), where
+    m = |(cx, cy, cz)| and dt sinc = sin(dt m) / m.  The scalar phases
+    commute and are summed into one; the (a, b) pairs are reduced with
+    the same log-depth pairing as ``_ordered_product``.
+    """
+    d0 = h[:, 0, 0].real
+    d1 = h[:, 1, 1].real
+    c0 = 0.5 * (d0 + d1)
+    cz = 0.5 * (d0 - d1)
+    off = h[:, 1, 0]  # cx + i cy
+    x = dt * np.sqrt(cz * cz + off.real * off.real + off.imag * off.imag)
+    snc = dt * np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0.0)
+    a = np.empty(x.shape, dtype=complex)
+    a.real = np.cos(x)
+    a.imag = -snc * cz
+    b = np.empty(x.shape, dtype=complex)
+    b.real = snc * off.imag
+    b.imag = -snc * off.real
+    while a.shape[0] > 1:
+        n = a.shape[0]
+        even = n - (n % 2)
+        a_e, b_e = a[0:even:2], b[0:even:2]
+        a_l, b_l = a[1:even:2], b[1:even:2]
+        a_next = a_l * a_e - b_l.conj() * b_e
+        b_next = b_l * a_e + a_l.conj() * b_e
+        if n % 2:
+            a_next = np.concatenate([a_next, a[-1:]])
+            b_next = np.concatenate([b_next, b[-1:]])
+        a, b = a_next, b_next
+    phase = np.exp(-1j * dt * c0.sum())
+    a0, b0 = a[0], b[0]
+    return phase * np.array([[a0, -b0.conjugate()], [b0, a0.conjugate()]])
+
+
+def _sample_hamiltonian(
+    hamiltonian: HamiltonianFn, ts: np.ndarray, dt: float
+) -> np.ndarray:
     try:
         h = np.asarray(hamiltonian(ts))
     except (TypeError, ValueError):
@@ -166,9 +203,15 @@ def _sample_hamiltonian(hamiltonian: HamiltonianFn, ts: np.ndarray) -> np.ndarra
             f"hamiltonian callable returned shape {h.shape}, "
             f"expected ({ts.shape[0]}, d, d)"
         )
+    h_max = np.abs(h).max()
+    # also catches NaN/inf samples and a non-finite dt
+    if not dt * h_max < MAX_STEP_PHASE:
+        raise StepPhaseError(
+            f"step phase dt * max|H| = {dt * h_max:.3e} is not finite or "
+            f">= {MAX_STEP_PHASE:.0e}; float64 cannot resolve the drive on this grid"
+        )
     defect = np.abs(h - h.conj().transpose(0, 2, 1)).max()
-    scale = max(1.0, np.abs(h).max())
-    if not defect <= 1e-12 * scale:
+    if not defect <= 1e-12 * max(1.0, h_max):
         raise ValueError(f"hamiltonian samples are not Hermitian (defect {defect:.3e})")
     return h.astype(complex, copy=False)
 
@@ -179,12 +222,10 @@ def _fixed_grid_propagator(
     t0, t1 = window
     dt = (t1 - t0) / steps
     ts = t0 + (np.arange(steps) + 0.5) * dt
-    h = _sample_hamiltonian(hamiltonian, ts)
+    h = _sample_hamiltonian(hamiltonian, ts, dt)
     if h.shape[-1] == 2:
-        e = _step_exponentials_2(h, dt)
-    else:
-        e = _step_exponentials_eigh(h, dt)
-    return _ordered_product(e)
+        return _ck_propagator(h, dt)
+    return _ordered_product(_step_exponentials_eigh(h, dt))
 
 
 def propagate(

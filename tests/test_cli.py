@@ -155,6 +155,69 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, make_config, field
     assert captured.out == ""
 
 
+def _general_three_state():
+    return {
+        "protocol": "three-state-general",
+        "profile": {
+            "kind": "three-state",
+            "pump": {"shape": "sin2", "peak": 9.0, "width": 1.0, "offset": 0.3},
+            "stokes": {"shape": "sin2", "peak": 5.0, "width": 1.0, "offset": 0.0},
+            "detuning": {"shape": "constant", "magnitude": 2.0},
+            "two_photon_detuning": 1.0,
+            "grid_points": 300,
+        },
+    }
+
+
+def _general_two_state():
+    config = rap_config()
+    config["protocol"] = "two-state-general"
+    return config
+
+
+@pytest.mark.parametrize(
+    "make_config, field",
+    [(_general_two_state, "profile.rabi.peak"), (_general_three_state, "profile.pump.peak")],
+)
+def test_unresolvable_drive_is_a_config_error(tmp_path, capsys, make_config, field):
+    # the step phase dt * max|H| of a 1e300 peak is far beyond what
+    # float64 resolves
+    config = _set(make_config(), field, 1e300)
+    code = main(["simulate", "--config", write_config(tmp_path, config)])
+    captured = capsys.readouterr()
+    assert code == EX_USAGE
+    assert captured.err.startswith("config error: step phase")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("make_config", [_general_two_state, _general_three_state])
+def test_grid_points_above_cap_is_a_config_error(tmp_path, capsys, make_config):
+    config = _set(make_config(), "profile.grid_points", 2**20 + 1)
+    code = main(["simulate", "--config", write_config(tmp_path, config)])
+    captured = capsys.readouterr()
+    assert code == EX_USAGE
+    assert captured.err.startswith("config error:")
+    assert "grid_points" in captured.err
+    assert captured.out == ""
+
+
+def test_template_mismatch_is_a_precondition_violation(tmp_path, capsys, monkeypatch):
+    import doublepass.harness as harness
+    from doublepass.evolve import TemplateMismatchError
+
+    def mismatch(u):
+        raise TemplateMismatchError("matrix is not unitary (defect nan)")
+
+    monkeypatch.setattr(harness, "cayley_klein", mismatch)
+    code = main(["simulate", "--config", write_config(tmp_path, _general_two_state())])
+    captured = capsys.readouterr()
+    assert code == EX_PRECONDITION
+    assert captured.err.startswith("precondition violation: matrix is not unitary")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestSweep:
     def sweep_config(self):
         return case2_config(
@@ -226,6 +289,19 @@ class TestSweep:
         lines = out_path.read_text().splitlines()
         assert len(lines) == 102
         assert all(line.endswith("ok") for line in lines[1:])
+
+    def test_unresolvable_points_are_error_rows(self, tmp_path):
+        config = _general_two_state()
+        config["sweep"] = {"parameter": "pulse-area", "start": 2.0, "stop": 1e300, "points": 3}
+        out_path = tmp_path / "huge.csv"
+        code = main(
+            ["sweep", "--config", write_config(tmp_path, config), "--out", str(out_path)]
+        )
+        assert code == EX_OK
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+        assert [len(row) for row in rows] == [len(CSV_COLUMNS)] * 3
+        assert rows[0][-1] == "ok"
+        assert all(row[-1].startswith("error: step phase") for row in rows[1:])
 
     def test_requires_sweep_block(self, tmp_path, capsys):
         code = main(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doublepass.drive import (
+    MAX_GRID_POINTS,
     DetuningShape,
     DriveProfile2,
     DriveProfile3,
@@ -194,6 +195,24 @@ class TestDriveProfile2:
         )
         assert profile.rabi_at(0.5) == pytest.approx(-2.0)
         assert profile.detuning_at(0.123) == pytest.approx(-3.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: DriveProfile2(rabi=PulseShape.sin2(1.0, 1.0), grid_points=n),
+        lambda n: DriveProfile3(
+            pump=PulseShape.sin2(1.0, 1.0), stokes=PulseShape.sin2(1.0, 1.0), grid_points=n
+        ),
+    ],
+    ids=["two-state", "three-state"],
+)
+def test_grid_points_capped_at_construction(make):
+    assert MAX_GRID_POINTS == 2**20
+    assert make(MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
+    for n in (MAX_GRID_POINTS + 1, 10**30):
+        with pytest.raises(ValueError, match="grid_points"):
+            make(n)
 
 
 class TestBackwardProfile2:

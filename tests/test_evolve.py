@@ -18,9 +18,14 @@ from doublepass.drive import (
     backward_profile_2,
 )
 from doublepass.evolve import (
+    MAX_STEP_PHASE,
     CayleyKlein,
     ConvergenceError,
+    StepPhaseError,
     TemplateMismatchError,
+    _ck_propagator,
+    _ordered_product,
+    _step_exponentials_eigh,
     cayley_klein,
     hamiltonian2,
     hamiltonian3,
@@ -249,6 +254,78 @@ class TestPropagate:
         profile = DriveProfile2(rabi=PulseShape.sin2(1.0, 1.0), grid_points=2)
         u = propagate_profile(profile)
         assert unitarity_defect(u) < 1e-12
+
+
+def random_hermitian_batch(gen, n):
+    """Random 2x2 Hermitian steps with nonzero trace, complex off-diagonals
+    and about a fifth of the steps exactly zero."""
+    diag = gen.normal(size=(n, 2))
+    off = gen.normal(size=n) + 1j * gen.normal(size=n)
+    h = np.zeros((n, 2, 2), dtype=complex)
+    h[:, 0, 0] = diag[:, 0]
+    h[:, 1, 1] = diag[:, 1]
+    h[:, 0, 1] = np.conj(off)
+    h[:, 1, 0] = off
+    h[gen.random(n) < 0.2] = 0.0
+    return h
+
+
+class TestCayleyKleinKernel:
+    """The 2x2 Cayley-Klein kernel against the eigh + matrix-product path."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 4000])
+    def test_matches_reference_path(self, n):
+        gen = rng(100 + n)
+        for _ in range(5):
+            h = random_hermitian_batch(gen, n)
+            dt = gen.uniform(0.01, 0.5)
+            fast = _ck_propagator(h, dt)
+            reference = _ordered_product(_step_exponentials_eigh(h, dt))
+            assert fast.shape == (2, 2)
+            assert np.abs(fast - reference).max() < 1e-13
+            assert unitarity_defect(fast) < 1e-13
+            assert abs(abs(np.linalg.det(fast)) - 1.0) < 1e-13
+
+    def test_zero_steps_give_identity_exactly(self):
+        assert np.all(_ck_propagator(np.zeros((9, 2, 2), complex), 0.3) == np.eye(2))
+
+    def test_traceful_scalar_phase_is_kept(self):
+        # H = (1 + t) I: U = exp(-i * integral) I, and the midpoint rule
+        # integrates the linear trace exactly
+        h = lambda ts: (1.0 + ts)[:, None, None] * np.eye(2)
+        u = propagate(h, (0.0, 1.0), 16)
+        assert np.abs(u - np.exp(-1.5j) * np.eye(2)).max() < 1e-14
+
+    def test_trace_factors_out_of_a_driven_pass(self):
+        profile = DriveProfile2(
+            rabi=PulseShape.sin2(6.0, 1.0), detuning=DetuningShape.linear_chirp(5.0)
+        )
+        traceless = lambda ts: hamiltonian2(profile, ts)
+        shifted = lambda ts: traceless(ts) + (2.0 * ts)[:, None, None] * np.eye(2)
+        t0, t1 = profile.window
+        u = propagate(shifted, profile.window, 500)
+        expected = np.exp(-1j * (t1**2 - t0**2)) * propagate(traceless, profile.window, 500)
+        assert np.abs(u - expected).max() < 1e-13
+
+
+class TestStepPhaseGuard:
+    def constant(self, value, d=2):
+        return lambda ts: np.full((len(ts), d, d), value, dtype=complex)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_unresolvable_step_phase_rejected(self, d):
+        # 64 steps over a unit window: dt * max|H| = 2 * MAX_STEP_PHASE
+        with pytest.raises(StepPhaseError):
+            propagate(self.constant(128.0 * MAX_STEP_PHASE, d), (0.0, 1.0), 64)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, value):
+        with pytest.raises(StepPhaseError, match="not finite"):
+            propagate(self.constant(value), (0.0, 1.0), 16)
+
+    def test_just_below_the_bound_propagates(self):
+        u = propagate(self.constant(0.5 * MAX_STEP_PHASE), (0.0, 1.0), 2)
+        assert unitarity_defect(u) < 1e-10
 
 
 class TestCayleyKlein:

@@ -346,6 +346,45 @@ class TestSweep:
         assert all(r.status.startswith("error:") for r in records)
         assert all(r.p_estimated is None for r in records)
 
+    def test_unresolvable_point_recorded_others_ok(self):
+        # areas 2 and ~1e300: the huge pulse cannot be resolved on the grid
+        spec = SweepSpec(
+            profile=replace(chirped_profile(), grid_points=400),
+            parameter="pulse-area",
+            start=2.0,
+            stop=1e300,
+            points=3,
+            protocol=ProtocolKind.TWO_STATE_GENERAL,
+        )
+        records = sweep(spec)
+        assert records[0].status == "ok"
+        for record in records[1:]:
+            assert record.status.startswith("error: step phase")
+            assert record.p_estimated is None
+
+    def test_template_mismatch_recorded_others_ok(self, monkeypatch):
+        from doublepass.evolve import TemplateMismatchError, cayley_klein
+
+        calls = []
+
+        def failing_on_second_point(u):
+            calls.append(u)
+            if len(calls) == 2:
+                raise TemplateMismatchError("matrix is not unitary (defect nan)")
+            return cayley_klein(u)
+
+        monkeypatch.setattr(harness, "cayley_klein", failing_on_second_point)
+        spec = SweepSpec(
+            profile=replace(chirped_profile(), grid_points=400),
+            parameter="pulse-area",
+            start=2.0,
+            stop=4.0,
+            points=3,
+            protocol=ProtocolKind.TWO_STATE_GENERAL,
+        )
+        statuses = [r.status for r in sweep(spec)]
+        assert statuses == ["ok", "error: matrix is not unitary (defect nan)", "ok"]
+
     def test_points_validation(self):
         with pytest.raises(ValueError):
             self.spec(points=1)
