@@ -5,8 +5,14 @@ Hamiltonian as constant across each grid step, sampled at the step
 midpoint, and applies the exact step exponential.  2x2 passes are
 carried as Cayley-Klein pairs (a, b): each step's pair has a closed
 form, the pairs are reduced with the SU(2) product rule, and the (2, 2)
-matrix is assembled once at the end.  3x3 steps are exponentiated via
-``eigh`` and reduced as matrices.  Every step is therefore unitary to
+matrix is assembled once at the end.  3x3 steps are built in closed
+form from the trigonometric (Cardano) eigenvalues of their traceless
+part and a Newton divided-difference interpolant of exp(-i dt x); steps
+whose phase spread dt * (lambda_max - lambda_min) exceeds 1 are
+exponentiated via ``eigh`` instead.  The 3x3 steps are reduced
+elementwise in a (3, 3, n) layout as deviations from the identity, so
+their rounding does not grow with the number of steps.  In both
+dimensions the trace is carried as one scalar phase.  Every step is therefore unitary to
 rounding regardless of step size: unitarity is structural and the grid
 only controls accuracy.  The midpoint sampling also makes the scheme
 commute exactly with the sign-flip, index-swap and time-reflection
@@ -16,6 +22,7 @@ hold for the discrete propagators to rounding as well.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -36,6 +43,11 @@ DEFAULT_REFINE_TOL = 1e-9
 # Largest step phase dt * max|H| accepted: beyond it float64 resolves
 # the phase of a step to worse than about 1e-4 rad.
 MAX_STEP_PHASE = 1e12
+# 3x3 closed-form steps: below this eigenvalue span of dt * H the second
+# divided difference takes its series limit (error ~ span^2 there), and
+# above _EIGH_SPAN a step is exponentiated via eigh.
+_SERIES_SPAN = 1e-5
+_EIGH_SPAN = 1.0
 
 HamiltonianFn = Callable[[np.ndarray], np.ndarray]
 
@@ -187,6 +199,105 @@ def _ck_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     return phase * np.array([[a0, -b0.conjugate()], [b0, a0.conjugate()]])
 
 
+def _first_divided_difference(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(f(u) - f(v)) / (u - v) for f(x) = exp(-i x), stable as u -> v."""
+    half = 0.5 * (u - v)
+    snc = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
+    return np.exp(-0.5j * (u + v)) * (-1j * snc)
+
+
+def _su3_propagator(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt H[n-1]) ... exp(-i dt H[0]) for a batch of 3x3 Hermitian H.
+
+    Each step is exp(-i dt c0) exp(-i Y) with c0 = tr(H) / 3 and the
+    traceless Y = dt (H - c0 I).  The eigenvalues hi >= mid >= lo of Y
+    come from the trigonometric Cardano form with p = tr(Y^2) / 6 and
+    q = det(Y) / 2, and exp(-i Y) is their Newton interpolant
+
+        f(hi) I + f[hi, mid] (Y - hi) + f[hi, mid, lo] (Y - hi) (Y - mid),
+
+    collected in powers of Y.  The second divided difference is a
+    quotient over the span hi - lo; below ``_SERIES_SPAN`` it takes its
+    equal-node limit f''(0) / 2 = -1/2 (the nodes sum to zero).  The
+    interpolant tolerates the sqrt(eps) error of Cardano eigenvalues of
+    a near-degenerate pair.  Steps with a span above ``_EIGH_SPAN`` are
+    exponentiated via ``eigh``.
+
+    Each step is carried as D = exp(-i Y) - I, with f(hi) - 1 written as
+    -2i sin(hi/2) exp(-i hi/2), and pairs multiply as D_L + D_E + D_L D_E
+    (the log-depth pairing of ``_ordered_product``, in a (3, 3, n)
+    layout).  Rounding is then relative to the size of each step, not
+    to 1, so it does not build up with the number of steps; a zero step
+    is exactly D = 0.
+    """
+    d0 = h[:, 0, 0].real
+    d1 = h[:, 1, 1].real
+    d2 = h[:, 2, 2].real
+    c0 = (d0 + d1 + d2) / 3.0
+    # Y from the lower triangle, as eigh reads it
+    a, b, c = dt * (d0 - c0), dt * (d1 - c0), dt * (d2 - c0)
+    x10, x20, x21 = dt * h[:, 1, 0], dt * h[:, 2, 0], dt * h[:, 2, 1]
+    n10 = x10.real * x10.real + x10.imag * x10.imag
+    n20 = x20.real * x20.real + x20.imag * x20.imag
+    n21 = x21.real * x21.real + x21.imag * x21.imag
+    p = (a * a + b * b + c * c) / 6.0 + (n10 + n20 + n21) / 3.0
+    q = 0.5 * (a * b * c - a * n21 - b * n20 - c * n10) + (x10 * x21 * x20.conj()).real
+    root = np.sqrt(p)
+    scale = p * root
+    cos3 = np.divide(q, scale, out=np.zeros_like(q), where=scale > 0.0)
+    angle = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0
+    hi = 2.0 * root * np.cos(angle)
+    lo = 2.0 * root * np.cos(angle + 2.0 * np.pi / 3.0)
+    mid = -(hi + lo)
+    span = hi - lo
+
+    f_hm = _first_divided_difference(hi, mid)
+    f_ml = _first_divided_difference(mid, lo)
+    f2 = np.divide(
+        f_hm - f_ml, span, out=np.full(span.shape, -0.5 + 0j), where=span >= _SERIES_SPAN
+    )
+    # D = alpha I + beta Y + f2 Y^2
+    alpha = -2j * np.sin(0.5 * hi) * np.exp(-0.5j * hi) - hi * (f_hm - f2 * mid)
+    beta = f_hm + f2 * lo
+    s10 = x10 * (a + b) + x21.conj() * x20
+    s20 = x20 * (a + c) + x21 * x10
+    s21 = x21 * (b + c) + x20 * x10.conj()
+    dev = np.empty((3, 3, h.shape[0]), dtype=complex)  # D of each step
+    dev[0, 0] = alpha + beta * a + f2 * (a * a + n10 + n20)
+    dev[1, 1] = alpha + beta * b + f2 * (b * b + n10 + n21)
+    dev[2, 2] = alpha + beta * c + f2 * (c * c + n20 + n21)
+    dev[1, 0] = beta * x10 + f2 * s10
+    dev[0, 1] = beta * x10.conj() + f2 * s10.conj()
+    dev[2, 0] = beta * x20 + f2 * s20
+    dev[0, 2] = beta * x20.conj() + f2 * s20.conj()
+    dev[2, 1] = beta * x21 + f2 * s21
+    dev[1, 2] = beta * x21.conj() + f2 * s21.conj()
+    wide = np.flatnonzero(~(span <= _EIGH_SPAN))
+    if wide.size:
+        traceless = h[wide] - c0[wide, None, None] * np.eye(3)
+        dev[:, :, wide] = (_step_exponentials_eigh(traceless, dt) - np.eye(3)).transpose(1, 2, 0)
+
+    while dev.shape[2] > 1:
+        n = dev.shape[2]
+        even = n - (n % 2)
+        late, early = dev[:, :, 1:even:2], dev[:, :, 0:even:2]
+        paired = np.einsum("ikn,kjn->ijn", late, early)
+        paired += late
+        paired += early
+        if n % 2:
+            paired = np.concatenate([paired, dev[:, :, -1:]], axis=2)
+        dev = paired
+    return np.exp(-1j * dt * c0.sum()) * (np.eye(3) + dev[:, :, 0])
+
+
+@functools.lru_cache(maxsize=8)
+def _triangle_indices(d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the upper triangle of a d x d matrix and of its
+    transposed positions."""
+    rows, cols = np.triu_indices(d)
+    return rows * d + cols, cols * d + rows
+
+
 def _sample_hamiltonian(
     hamiltonian: HamiltonianFn, ts: np.ndarray, dt: float
 ) -> np.ndarray:
@@ -194,11 +305,9 @@ def _sample_hamiltonian(
         h = np.asarray(hamiltonian(ts))
     except (TypeError, ValueError):
         h = None  # scalar-only callable
-    if h is not None and h.ndim == 3 and h.shape[0] == ts.shape[0]:
-        pass
-    elif h is None or h.ndim == 2:
+    if h is None or h.ndim == 2:
         h = np.stack([np.asarray(hamiltonian(t)) for t in ts])
-    else:
+    if h.ndim != 3 or h.shape[0] != ts.shape[0] or h.shape[1] != h.shape[2]:
         raise ValueError(
             f"hamiltonian callable returned shape {h.shape}, "
             f"expected ({ts.shape[0]}, d, d)"
@@ -210,7 +319,14 @@ def _sample_hamiltonian(
             f"step phase dt * max|H| = {dt * h_max:.3e} is not finite or "
             f">= {MAX_STEP_PHASE:.0e}; float64 cannot resolve the drive on this grid"
         )
-    defect = np.abs(h - h.conj().transpose(0, 2, 1)).max()
+    # upper triangle against the conjugated lower one; the diagonal
+    # contributes 2 |Im h_ii|, as in the full |H - H^dag|
+    upper, lower = _triangle_indices(h.shape[-1])
+    flat = h.reshape(h.shape[0], -1)
+    diff = flat.take(upper, axis=1)
+    mirror = flat.take(lower, axis=1)
+    diff -= np.conjugate(mirror, out=mirror)
+    defect = np.abs(diff).max()
     if not defect <= 1e-12 * max(1.0, h_max):
         raise ValueError(f"hamiltonian samples are not Hermitian (defect {defect:.3e})")
     return h.astype(complex, copy=False)
@@ -225,6 +341,8 @@ def _fixed_grid_propagator(
     h = _sample_hamiltonian(hamiltonian, ts, dt)
     if h.shape[-1] == 2:
         return _ck_propagator(h, dt)
+    if h.shape[-1] == 3:
+        return _su3_propagator(h, dt)
     return _ordered_product(_step_exponentials_eigh(h, dt))
 
 

@@ -20,6 +20,7 @@ drives and produces a deterministic report.
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -38,7 +39,7 @@ from .drive import (
     backward_profile_3,
     pulse_area,
 )
-from .evolve import cayley_klein, propagate_profile, unitarity_defect
+from .evolve import TemplateMismatchError, cayley_klein, propagate_profile, unitarity_defect
 from .su2relations import (
     InversionRangeError,
     PassProbabilities2,
@@ -147,10 +148,14 @@ def record_to_row(record: MeasurementRecord) -> List[str]:
 
 
 def write_csv(records: Sequence[MeasurementRecord], stream: TextIO) -> None:
-    """Write records in the fixed column layout, 17 significant digits."""
-    stream.write(",".join(CSV_COLUMNS) + "\n")
-    for record in records:
-        stream.write(",".join(record_to_row(record)) + "\n")
+    """Write records in the fixed column layout, 17 significant digits.
+
+    A cell is quoted only when it needs to be, such as an error status
+    that contains a comma.
+    """
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(record_to_row(record) for record in records)
 
 
 def _invert_with_status(inverter: Callable[..., float], *args, **kwargs) -> Tuple[float, str]:
@@ -337,9 +342,11 @@ def run_protocol(
     """Execute one measurement protocol and return its record.
 
     Precondition violations raise ProtocolPreconditionError before any
-    pass is simulated; inversion inconsistencies beyond the slack raise
-    InversionRangeError.  Clamped inversions are reported in the record
-    status, not raised.
+    pass is simulated; passes without the structure the protocol needs
+    (a failed structural check, or an r that varies with the phases)
+    raise TemplateMismatchError; inversion inconsistencies beyond the
+    slack raise InversionRangeError.  Clamped inversions are reported in
+    the record status, not raised.
     """
     kind = ProtocolKind(kind)
     plan = PROTOCOLS[kind]
@@ -365,7 +372,7 @@ def run_protocol(
         # r must not depend on the phases; assert it instead of assuming it
         spread = max(abs(value - alone[0]) for value in alone[1:])
         if not spread <= _R_PHASE_TOL:
-            raise RuntimeError(
+            raise TemplateMismatchError(
                 f"role-swapped return probability varies with the phases "
                 f"(spread {spread:.3e}); the pass is not coherent"
             )

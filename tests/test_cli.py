@@ -1,5 +1,6 @@
 """Tests for the command-line frontend: exit codes, outputs, determinism."""
 
+import csv
 import json
 import math
 
@@ -218,6 +219,18 @@ def test_template_mismatch_is_a_precondition_violation(tmp_path, capsys, monkeyp
     assert captured.out == ""
 
 
+def test_incoherent_pass_is_a_precondition_violation(tmp_path, capsys, monkeypatch):
+    import doublepass.harness as harness
+
+    monkeypatch.setattr(harness, "_R_PHASE_TOL", -1.0)
+    code = main(["simulate", "--config", write_config(tmp_path, _general_three_state())])
+    captured = capsys.readouterr()
+    assert code == EX_PRECONDITION
+    assert captured.err.startswith("precondition violation: role-swapped return probability")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestSweep:
     def sweep_config(self):
         return case2_config(
@@ -302,6 +315,21 @@ class TestSweep:
         assert [len(row) for row in rows] == [len(CSV_COLUMNS)] * 3
         assert rows[0][-1] == "ok"
         assert all(row[-1].startswith("error: step phase") for row in rows[1:])
+
+    def test_error_rows_with_commas_keep_the_columns(self, tmp_path):
+        config = _general_two_state()
+        config["sweep"] = {"parameter": "pulse-area", "start": 1.0, "stop": 1.7e308, "points": 3}
+        out_path = tmp_path / "overflow.csv"
+        code = main(
+            ["sweep", "--config", write_config(tmp_path, config), "--out", str(out_path)]
+        )
+        assert code == EX_OK
+        with open(out_path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == list(CSV_COLUMNS)
+        assert [len(row) for row in rows[1:]] == [len(CSV_COLUMNS)] * 3
+        assert rows[1][-1] == "ok"
+        assert rows[3][-1] == "error: pulse peak must be finite, got inf"
 
     def test_requires_sweep_block(self, tmp_path, capsys):
         code = main(

@@ -26,6 +26,7 @@ from doublepass.evolve import (
     _ck_propagator,
     _ordered_product,
     _step_exponentials_eigh,
+    _su3_propagator,
     cayley_klein,
     hamiltonian2,
     hamiltonian3,
@@ -233,6 +234,11 @@ class TestPropagate:
         with pytest.raises(ValueError, match="Hermitian"):
             propagate(bad, (0.0, 1.0), 16)
 
+    def test_non_square_samples_rejected(self):
+        bad = lambda ts: np.zeros((len(ts), 2, 3), complex)
+        with pytest.raises(ValueError, match="expected"):
+            propagate(bad, (0.0, 1.0), 16)
+
     def test_convergence_error_at_cap(self):
         profile = DriveProfile2(
             rabi=PulseShape.sin2(15.0, 1.0),
@@ -302,6 +308,117 @@ class TestCayleyKleinKernel:
         )
         traceless = lambda ts: hamiltonian2(profile, ts)
         shifted = lambda ts: traceless(ts) + (2.0 * ts)[:, None, None] * np.eye(2)
+        t0, t1 = profile.window
+        u = propagate(shifted, profile.window, 500)
+        expected = np.exp(-1j * (t1**2 - t0**2)) * propagate(traceless, profile.window, 500)
+        assert np.abs(u - expected).max() < 1e-13
+
+
+def random_unitary_batch(gen, n, d=3):
+    z = gen.normal(size=(n, d, d)) + 1j * gen.normal(size=(n, d, d))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+def hermitian_from_spectrum(gen, eigenvalues):
+    v = random_unitary_batch(gen, eigenvalues.shape[0], eigenvalues.shape[1])
+    h = (v * eigenvalues[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return 0.5 * (h + h.conj().transpose(0, 2, 1))
+
+
+def random_hermitian_batch3(gen, n, kind):
+    """Seeded 3x3 Hermitian steps with dt = 1, so H is the step phase.
+
+    Every kind has a nonzero trace and complex entries in all three
+    off-diagonals, the (1,3) corner included.
+      generic      Gaussian entries of scale ~1/4, about a fifth of the steps zero
+      degenerate   exactly degenerate pairs and pairs split by 1e-9
+      near-scalar  c I plus a Hermitian part of size 1e-12 .. 1e-2
+      mixed        eigenvalue spans 0.1 .. 3, so some steps go to eigh
+    """
+    if kind == "generic":
+        a = gen.normal(size=(n, 3, 3)) + 1j * gen.normal(size=(n, 3, 3))
+        h = (a + a.conj().transpose(0, 2, 1)) / 6.0
+        h[gen.random(n) < 0.2] = 0.0
+        return h
+    if kind == "near-scalar":
+        a = gen.normal(size=(n, 3, 3)) + 1j * gen.normal(size=(n, 3, 3))
+        size = np.exp(gen.uniform(np.log(1e-12), np.log(1e-2), size=n))
+        h = size[:, None, None] * (a + a.conj().transpose(0, 2, 1)) / 6.0
+        return h + gen.normal(size=n)[:, None, None] * np.eye(3)
+    lam = gen.uniform(-1.0, 1.0, size=(n, 3))
+    if kind == "degenerate":
+        split = np.where(gen.random(n) < 0.5, 0.0, 1e-9)
+        lam[:, 1] = lam[:, 0] + split
+        return hermitian_from_spectrum(gen, 0.4 * lam)
+    assert kind == "mixed"
+    lam -= lam.min(axis=1, keepdims=True)
+    lam /= lam.max(axis=1, keepdims=True)
+    span = np.exp(gen.uniform(np.log(0.1), np.log(3.0), size=n))
+    return hermitian_from_spectrum(gen, span[:, None] * lam + gen.normal(size=(n, 1)))
+
+
+class TestSu3Kernel:
+    """The 3x3 closed-form kernel against the eigh + matrix-product path."""
+
+    @pytest.mark.parametrize("kind", ["generic", "degenerate", "near-scalar", "mixed"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 4000])
+    def test_matches_reference_path(self, kind, n):
+        gen = rng(200 + n)
+        for _ in range(5):
+            h = random_hermitian_batch3(gen, n, kind)
+            fast = _su3_propagator(h, 1.0)
+            reference = _ordered_product(_step_exponentials_eigh(h, 1.0))
+            assert fast.shape == (3, 3)
+            assert np.abs(fast - reference).max() < 1e-13
+            assert unitarity_defect(fast) < 1e-13
+            assert abs(abs(np.linalg.det(fast)) - 1.0) < 1e-13
+
+    def test_mixed_batch_uses_both_paths(self):
+        h = random_hermitian_batch3(rng(7), 4000, "mixed")
+        spans = np.ptp(np.linalg.eigvalsh(h), axis=1)
+        assert 0.2 < np.mean(spans > 1.0) < 0.8
+
+    def test_zero_steps_give_identity_exactly(self):
+        assert np.all(_su3_propagator(np.zeros((9, 3, 3), complex), 0.3) == np.eye(3))
+
+    @pytest.mark.parametrize("span", [1e2, 1e4, 1e6])
+    def test_wide_steps_stay_unitary(self, span):
+        # the closed form loses the sqrt(eps) Cardano error of a degenerate
+        # pair times the step phase; wide steps must go to eigh
+        gen = rng(31)
+        lam = np.zeros((7, 3))
+        lam[:, 2] = span
+        h = hermitian_from_spectrum(gen, lam + gen.normal(size=(7, 1)))
+        for step in h:
+            u = _su3_propagator(step[None], 1.0)
+            assert unitarity_defect(u) < 1e-13
+            assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-13
+
+    def test_rounding_does_not_build_up_over_steps(self):
+        # a constant H over 2^16 steps must still give exp(-i H) to rounding;
+        # steps rounded as full matrices drift by ~1e-12 here
+        gen = rng(41)
+        a = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
+        h = 0.5 * (a + a.conj().T) + 0.7 * np.eye(3)
+        w, v = np.linalg.eigh(h)
+        exact = (v * np.exp(-1j * w)) @ v.conj().T
+        u = propagate(lambda ts: np.broadcast_to(h, (len(ts), 3, 3)), (0.0, 1.0), 2**16)
+        assert np.abs(u - exact).max() < 1e-14
+
+    def test_traceful_scalar_phase_is_kept(self):
+        h = lambda ts: (1.0 + ts)[:, None, None] * np.eye(3)
+        u = propagate(h, (0.0, 1.0), 16)
+        assert np.abs(u - np.exp(-1.5j) * np.eye(3)).max() < 1e-14
+
+    def test_trace_factors_out_of_a_driven_pass(self):
+        profile = DriveProfile3(
+            pump=PulseShape.sin2(20.0, 1.0, 0.2),
+            stokes=PulseShape.sin2(20.0, 1.0),
+            single_photon_detuning=DetuningShape.constant(5.0),
+        )
+        traceless = lambda ts: hamiltonian3(profile, ts)
+        shifted = lambda ts: traceless(ts) + (2.0 * ts)[:, None, None] * np.eye(3)
         t0, t1 = profile.window
         u = propagate(shifted, profile.window, 500)
         expected = np.exp(-1j * (t1**2 - t0**2)) * propagate(traceless, profile.window, 500)

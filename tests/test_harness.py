@@ -204,6 +204,26 @@ class TestRunProtocolThreeState:
             general_average_return(record.p_direct, record.q, record.r), abs=1e-6
         )
 
+    def test_phase_dependent_r_is_a_template_mismatch(self, monkeypatch):
+        # no spread passes a negative tolerance: the check must fire as a
+        # typed error, and a sweep must record it as an error row
+        from doublepass.evolve import TemplateMismatchError
+
+        monkeypatch.setattr(harness, "_R_PHASE_TOL", -1.0)
+        profile = replace(GENERAL_THREE_STATE, grid_points=200)
+        with pytest.raises(TemplateMismatchError, match="not coherent"):
+            run_protocol(ProtocolKind.THREE_STATE_GENERAL, profile)
+        spec = SweepSpec(
+            profile=profile,
+            parameter="pulse-area",
+            start=5.0,
+            stop=6.0,
+            points=2,
+            protocol=ProtocolKind.THREE_STATE_GENERAL,
+        )
+        statuses = [record.status for record in sweep(spec)]
+        assert all(s.startswith("error: role-swapped return probability") for s in statuses)
+
     def test_general_rejects_chirp_with_two_photon(self):
         profile = DriveProfile3(
             pump=PulseShape.sin2(9.0, 1.0, offset=0.3),
