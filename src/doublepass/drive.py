@@ -13,6 +13,7 @@ shared freely between threads or processes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple, Union
 
@@ -317,11 +318,18 @@ def _check_window(window: Tuple[float, float]) -> Tuple[float, float]:
     return (lo, hi)
 
 
-def _check_grid(grid_points: int) -> None:
-    if not 2 <= grid_points <= MAX_GRID_POINTS:
+def check_grid_points(grid_points: int, max_grid_points: int = MAX_GRID_POINTS) -> int:
+    """Return ``grid_points`` as an int in [2, max_grid_points], or raise
+    ValueError; a float such as 4.5 is rejected, not truncated."""
+    try:
+        steps = operator.index(grid_points)
+    except TypeError:
+        raise ValueError(f"grid_points must be an integer, got {grid_points!r}") from None
+    if not 2 <= steps <= max_grid_points:
         raise ValueError(
-            f"grid_points must be in [2, {MAX_GRID_POINTS}], got {grid_points}"
+            f"grid_points must be in [2, {max_grid_points}], got {grid_points}"
         )
+    return steps
 
 
 def _check_sign(sign: int, name: str) -> int:
@@ -350,7 +358,7 @@ class DriveProfile2:
     def __post_init__(self) -> None:
         _check_sign(self.rabi_sign, "rabi_sign")
         _check_sign(self.detuning_sign, "detuning_sign")
-        _check_grid(self.grid_points)
+        check_grid_points(self.grid_points)
         window = padded_window(self.rabi) if self.window is None else self.window
         object.__setattr__(self, "window", _check_window(window))
 
@@ -412,7 +420,7 @@ class DriveProfile3:
     grid_points: int = 4000
 
     def __post_init__(self) -> None:
-        _check_grid(self.grid_points)
+        check_grid_points(self.grid_points)
         _check_finite(self, "drive", ("pump_phase", "stokes_phase", "two_photon_detuning"))
         object.__setattr__(self, "pump_phase", _reduce_phase(self.pump_phase))
         object.__setattr__(self, "stokes_phase", _reduce_phase(self.stokes_phase))

@@ -12,12 +12,24 @@ whose phase spread dt * (lambda_max - lambda_min) exceeds 1 are
 exponentiated via ``eigh`` instead.  The 3x3 steps are reduced
 elementwise in a (3, 3, n) layout as deviations from the identity, so
 their rounding does not grow with the number of steps.  In both
-dimensions the trace is carried as one scalar phase.  Every step is therefore unitary to
-rounding regardless of step size: unitarity is structural and the grid
-only controls accuracy.  The midpoint sampling also makes the scheme
-commute exactly with the sign-flip, index-swap and time-reflection
-transformations used by the double-pass relations, so those identities
-hold for the discrete propagators to rounding as well.
+dimensions the trace is carried as one scalar phase.  Every step is
+therefore unitary to rounding regardless of step size: unitarity is
+structural and the grid only controls accuracy.  The midpoint sampling
+also makes the scheme commute exactly with the sign-flip, index-swap
+and time-reflection transformations used by the double-pass relations,
+so those identities hold for the discrete propagators to rounding as
+well.
+
+The two kernels read only the real diagonal and the lower-triangle
+couplings of each step, and two samplers feed them those arrays.
+``propagate`` samples a callable into an (n, d, d) batch and checks its
+shape, its step phase and its Hermiticity, because the callable is
+outside input.  ``propagate_profile`` samples a drive profile's
+envelopes straight into the arrays: its Hamiltonian is Hermitian by
+construction (``hamiltonian2``/``hamiltonian3`` assemble theirs from
+the same arrays), so only the step phase is checked and no batch is
+built.  Both samplers give the kernels the same values, so the two
+routes to a profile's propagator agree to the last bit.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from .drive import (
     MAX_GRID_POINTS,
     DriveProfile2,
     DriveProfile3,
+    check_grid_points,
     sample_detuning,
     sample_rabi,
 )
@@ -50,6 +63,7 @@ _SERIES_SPAN = 1e-5
 _EIGH_SPAN = 1.0
 
 HamiltonianFn = Callable[[np.ndarray], np.ndarray]
+Profile = Union[DriveProfile2, DriveProfile3]
 
 
 class ConvergenceError(RuntimeError):
@@ -91,6 +105,53 @@ def assert_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e} >= {tol:.1e}")
 
 
+def _coefficients2(profile: DriveProfile2, ts: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(d0, d1, h10) of 0.5 * [[-Delta, Omega], [Omega, Delta]] at ``ts``."""
+    half_delta = 0.5 * profile.detuning_at(ts)
+    return -half_delta, half_delta, 0.5 * profile.rabi_at(ts)
+
+
+def _coefficients3(profile: DriveProfile3, ts: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(d0, d1, d2, h10, h20, h21) of the lambda-linkage Hamiltonian at ``ts``."""
+    pump = sample_rabi(profile.pump, ts)
+    stokes = sample_rabi(profile.stokes, ts)
+    delta = sample_detuning(profile.single_photon_detuning, ts, profile.midpoint)
+    pump_coupling = 0.5 * pump * np.exp(1j * profile.pump_phase)
+    return (
+        np.zeros(ts.shape),
+        delta,
+        np.full(ts.shape, profile.two_photon_detuning),
+        np.conj(pump_coupling),
+        np.zeros(ts.shape, dtype=complex),
+        0.5 * stokes * np.exp(1j * profile.stokes_phase),
+    )
+
+
+# (row, column) of the couplings the d x d kernels read, below the diagonal
+_LOWER = {2: ((1, 0),), 3: ((1, 0), (2, 0), (2, 1))}
+
+
+def _hermitian_from(d: int, coefficients: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """Hermitian matrices from their real diagonal and lower-triangle
+    couplings, given in the order of ``_coefficients_of``."""
+    h = np.zeros(np.shape(coefficients[0]) + (d, d), dtype=complex)
+    for i in range(d):
+        h[..., i, i] = coefficients[i]
+    for (i, j), coupling in zip(_LOWER[d], coefficients[d:]):
+        h[..., i, j] = coupling
+        h[..., j, i] = np.conj(coupling)
+    return h
+
+
+def _coefficients_of(h: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Real diagonal and lower-triangle couplings of an (n, d, d) batch,
+    d = 2 or 3, row by row: (d0, d1, h10) or (d0, d1, d2, h10, h20, h21).
+    These are the entries the step kernels read."""
+    d = h.shape[-1]
+    diagonal = tuple(h[:, i, i].real for i in range(d))
+    return diagonal + tuple(h[:, i, j] for i, j in _LOWER[d])
+
+
 def hamiltonian2(profile: DriveProfile2, t) -> np.ndarray:
     """Two-state Hamiltonian 0.5 * [[-Delta, Omega], [Omega, Delta]].
 
@@ -99,16 +160,8 @@ def hamiltonian2(profile: DriveProfile2, t) -> np.ndarray:
     Delta.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    omega = profile.rabi_at(t_arr)
-    delta = profile.detuning_at(t_arr)
-    h = np.zeros(t_arr.shape + (2, 2), dtype=complex)
-    h[..., 0, 0] = -0.5 * delta
-    h[..., 1, 1] = 0.5 * delta
-    h[..., 0, 1] = 0.5 * omega
-    h[..., 1, 0] = 0.5 * omega
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return h[0]
-    return h
+    h = _hermitian_from(2, _coefficients2(profile, t_arr))
+    return h[0] if np.ndim(t) == 0 else h
 
 
 def hamiltonian3(profile: DriveProfile3, t) -> np.ndarray:
@@ -124,21 +177,8 @@ def hamiltonian3(profile: DriveProfile3, t) -> np.ndarray:
     directly.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    pump = sample_rabi(profile.pump, t_arr)
-    stokes = sample_rabi(profile.stokes, t_arr)
-    delta = sample_detuning(profile.single_photon_detuning, t_arr, profile.midpoint)
-    pump_coupling = 0.5 * pump * np.exp(1j * profile.pump_phase)
-    stokes_coupling = 0.5 * stokes * np.exp(1j * profile.stokes_phase)
-    h = np.zeros(t_arr.shape + (3, 3), dtype=complex)
-    h[..., 0, 1] = pump_coupling
-    h[..., 1, 0] = np.conj(pump_coupling)
-    h[..., 2, 1] = stokes_coupling
-    h[..., 1, 2] = np.conj(stokes_coupling)
-    h[..., 1, 1] = delta
-    h[..., 2, 2] = profile.two_photon_detuning
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return h[0]
-    return h
+    h = _hermitian_from(3, _coefficients3(profile, t_arr))
+    return h[0] if np.ndim(t) == 0 else h
 
 
 def _step_exponentials_eigh(h: np.ndarray, dt: float) -> np.ndarray:
@@ -160,8 +200,12 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-def _ck_propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt H[n-1]) ... exp(-i dt H[0]) for a batch of 2x2 Hermitian H.
+def _ck_propagator(
+    d0: np.ndarray, d1: np.ndarray, h10: np.ndarray, dt: float
+) -> np.ndarray:
+    """exp(-i dt H[n-1]) ... exp(-i dt H[0]) for a batch of 2x2 Hermitian H
+    given by its real diagonal (d0, d1) and coupling h10 = H[1, 0] =
+    cx + i cy (real or complex).
 
     Writing H = c0 I + cx sx + cy sy + cz sz, a step is exp(-i dt c0)
     times the SU(2) matrix [[a, -conj(b)], [b, conj(a)]] with
@@ -170,19 +214,16 @@ def _ck_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     commute and are summed into one; the (a, b) pairs are reduced with
     the same log-depth pairing as ``_ordered_product``.
     """
-    d0 = h[:, 0, 0].real
-    d1 = h[:, 1, 1].real
     c0 = 0.5 * (d0 + d1)
     cz = 0.5 * (d0 - d1)
-    off = h[:, 1, 0]  # cx + i cy
-    x = dt * np.sqrt(cz * cz + off.real * off.real + off.imag * off.imag)
+    x = dt * np.sqrt(cz * cz + h10.real * h10.real + h10.imag * h10.imag)
     snc = dt * np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0.0)
     a = np.empty(x.shape, dtype=complex)
     a.real = np.cos(x)
     a.imag = -snc * cz
     b = np.empty(x.shape, dtype=complex)
-    b.real = snc * off.imag
-    b.imag = -snc * off.real
+    b.real = snc * h10.imag
+    b.imag = -snc * h10.real
     while a.shape[0] > 1:
         n = a.shape[0]
         even = n - (n % 2)
@@ -206,8 +247,18 @@ def _first_divided_difference(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(-0.5j * (u + v)) * (-1j * snc)
 
 
-def _su3_propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt H[n-1]) ... exp(-i dt H[0]) for a batch of 3x3 Hermitian H.
+def _su3_propagator(
+    d0: np.ndarray,
+    d1: np.ndarray,
+    d2: np.ndarray,
+    h10: np.ndarray,
+    h20: np.ndarray,
+    h21: np.ndarray,
+    dt: float,
+) -> np.ndarray:
+    """exp(-i dt H[n-1]) ... exp(-i dt H[0]) for a batch of 3x3 Hermitian H
+    given by its real diagonal (d0, d1, d2) and lower-triangle couplings
+    (h10, h20, h21).
 
     Each step is exp(-i dt c0) exp(-i Y) with c0 = tr(H) / 3 and the
     traceless Y = dt (H - c0 I).  The eigenvalues hi >= mid >= lo of Y
@@ -230,13 +281,10 @@ def _su3_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     to 1, so it does not build up with the number of steps; a zero step
     is exactly D = 0.
     """
-    d0 = h[:, 0, 0].real
-    d1 = h[:, 1, 1].real
-    d2 = h[:, 2, 2].real
     c0 = (d0 + d1 + d2) / 3.0
     # Y from the lower triangle, as eigh reads it
     a, b, c = dt * (d0 - c0), dt * (d1 - c0), dt * (d2 - c0)
-    x10, x20, x21 = dt * h[:, 1, 0], dt * h[:, 2, 0], dt * h[:, 2, 1]
+    x10, x20, x21 = dt * h10, dt * h20, dt * h21
     n10 = x10.real * x10.real + x10.imag * x10.imag
     n20 = x20.real * x20.real + x20.imag * x20.imag
     n21 = x21.real * x21.real + x21.imag * x21.imag
@@ -262,7 +310,7 @@ def _su3_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     s10 = x10 * (a + b) + x21.conj() * x20
     s20 = x20 * (a + c) + x21 * x10
     s21 = x21 * (b + c) + x20 * x10.conj()
-    dev = np.empty((3, 3, h.shape[0]), dtype=complex)  # D of each step
+    dev = np.empty((3, 3, c0.shape[0]), dtype=complex)  # D of each step
     dev[0, 0] = alpha + beta * a + f2 * (a * a + n10 + n20)
     dev[1, 1] = alpha + beta * b + f2 * (b * b + n10 + n21)
     dev[2, 2] = alpha + beta * c + f2 * (c * c + n20 + n21)
@@ -274,7 +322,8 @@ def _su3_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     dev[1, 2] = beta * x21.conj() + f2 * s21.conj()
     wide = np.flatnonzero(~(span <= _EIGH_SPAN))
     if wide.size:
-        traceless = h[wide] - c0[wide, None, None] * np.eye(3)
+        h = _hermitian_from(3, tuple(x[wide] for x in (d0, d1, d2, h10, h20, h21)))
+        traceless = h - c0[wide, None, None] * np.eye(3)
         dev[:, :, wide] = (_step_exponentials_eigh(traceless, dt) - np.eye(3)).transpose(1, 2, 0)
 
     while dev.shape[2] > 1:
@@ -290,6 +339,10 @@ def _su3_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     return np.exp(-1j * dt * c0.sum()) * (np.eye(3) + dev[:, :, 0])
 
 
+def _eigh_propagator(h: np.ndarray, dt: float) -> np.ndarray:
+    return _ordered_product(_step_exponentials_eigh(h, dt))
+
+
 @functools.lru_cache(maxsize=8)
 def _triangle_indices(d: int) -> Tuple[np.ndarray, np.ndarray]:
     """Flat indices of the upper triangle of a d x d matrix and of its
@@ -298,9 +351,23 @@ def _triangle_indices(d: int) -> Tuple[np.ndarray, np.ndarray]:
     return rows * d + cols, cols * d + rows
 
 
-def _sample_hamiltonian(
-    hamiltonian: HamiltonianFn, ts: np.ndarray, dt: float
-) -> np.ndarray:
+def _check_step_phase(dt: float, h_max) -> None:
+    # also catches NaN/inf samples and a non-finite dt
+    if not dt * h_max < MAX_STEP_PHASE:
+        raise StepPhaseError(
+            f"step phase dt * max|H| = {dt * h_max:.3e} is not finite or "
+            f">= {MAX_STEP_PHASE:.0e}; float64 cannot resolve the drive on this grid"
+        )
+
+
+# A sampler maps the step midpoints ts and the step dt to a step kernel
+# and the arrays that kernel takes before dt.
+Sampler = Callable[[np.ndarray, float], Tuple[Callable[..., np.ndarray], tuple]]
+
+
+def _sample_hamiltonian(hamiltonian: HamiltonianFn, ts: np.ndarray, dt: float):
+    """Sampler of a callable: its samples are outside input, so their
+    shape, step phase and Hermiticity are checked."""
     try:
         h = np.asarray(hamiltonian(ts))
     except (TypeError, ValueError):
@@ -313,12 +380,7 @@ def _sample_hamiltonian(
             f"expected ({ts.shape[0]}, d, d)"
         )
     h_max = np.abs(h).max()
-    # also catches NaN/inf samples and a non-finite dt
-    if not dt * h_max < MAX_STEP_PHASE:
-        raise StepPhaseError(
-            f"step phase dt * max|H| = {dt * h_max:.3e} is not finite or "
-            f">= {MAX_STEP_PHASE:.0e}; float64 cannot resolve the drive on this grid"
-        )
+    _check_step_phase(dt, h_max)
     # upper triangle against the conjugated lower one; the diagonal
     # contributes 2 |Im h_ii|, as in the full |H - H^dag|
     upper, lower = _triangle_indices(h.shape[-1])
@@ -329,21 +391,63 @@ def _sample_hamiltonian(
     defect = np.abs(diff).max()
     if not defect <= 1e-12 * max(1.0, h_max):
         raise ValueError(f"hamiltonian samples are not Hermitian (defect {defect:.3e})")
-    return h.astype(complex, copy=False)
+    h = h.astype(complex, copy=False)
+    if h.shape[-1] == 2:
+        return _ck_propagator, _coefficients_of(h)
+    if h.shape[-1] == 3:
+        return _su3_propagator, _coefficients_of(h)
+    return _eigh_propagator, (h,)
+
+
+def _sample_profile(profile: Profile, ts: np.ndarray, dt: float):
+    """Sampler of a drive profile: its Hamiltonian is Hermitian by
+    construction, so only the step phase is checked."""
+    if isinstance(profile, DriveProfile2):
+        kernel, coefficients = _ck_propagator, _coefficients2(profile, ts)
+    else:
+        kernel, coefficients = _su3_propagator, _coefficients3(profile, ts)
+    # max|H_ij| over the whole matrix in one NaN-propagating reduction
+    _check_step_phase(dt, np.abs(np.concatenate(coefficients)).max())
+    return kernel, coefficients
 
 
 def _fixed_grid_propagator(
-    hamiltonian: HamiltonianFn, window: Tuple[float, float], steps: int
+    sample: Sampler, window: Tuple[float, float], steps: int
 ) -> np.ndarray:
     t0, t1 = window
     dt = (t1 - t0) / steps
     ts = t0 + (np.arange(steps) + 0.5) * dt
-    h = _sample_hamiltonian(hamiltonian, ts, dt)
-    if h.shape[-1] == 2:
-        return _ck_propagator(h, dt)
-    if h.shape[-1] == 3:
-        return _su3_propagator(h, dt)
-    return _ordered_product(_step_exponentials_eigh(h, dt))
+    kernel, arrays = sample(ts, dt)
+    return kernel(*arrays, dt)
+
+
+def _propagate(
+    sample: Sampler,
+    window: Tuple[float, float],
+    grid_points: int,
+    refine_tol: Optional[float],
+    max_grid_points: int,
+) -> np.ndarray:
+    """Fixed-grid propagator, or grid refinement, on one sampler.  The
+    grid and the tolerance are checked before anything is sampled."""
+    steps = check_grid_points(grid_points, max_grid_points)
+    if refine_tol is not None and not 0.0 < refine_tol < np.inf:
+        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
+    u = _fixed_grid_propagator(sample, window, steps)
+    if refine_tol is None:
+        return u
+    delta = np.inf
+    while steps < max_grid_points:
+        steps *= 2
+        refined = _fixed_grid_propagator(sample, window, steps)
+        delta = float(np.abs(refined - u).max())
+        u = refined
+        if delta < refine_tol:
+            return u
+    raise ConvergenceError(
+        f"propagator not converged at {steps} steps "
+        f"(last entrywise change {delta:.3e} >= {refine_tol:.1e})"
+    )
 
 
 def propagate(
@@ -360,54 +464,44 @@ def propagate(
     ----------
     hamiltonian : callable
         Maps a 1-d array of sample times to an (n, d, d) Hermitian
-        batch; a scalar-to-(d, d) callable also works (slower).
+        batch; a scalar-to-(d, d) callable also works (slower).  Every
+        batch is checked for its shape, its step phase and Hermiticity.
     window : (float, float)
         Integration interval.
     grid_points : int
-        Number of piecewise-constant steps (>= 2).
+        Number of piecewise-constant steps, an integer in
+        [2, max_grid_points].
     refine_tol : float, optional
-        When given, the grid is doubled until the largest entrywise
-        change between successive resolutions drops below this value.
-        Raises ConvergenceError if ``max_grid_points`` is reached first.
+        When given (finite and > 0), the grid is doubled until the
+        largest entrywise change between successive resolutions drops
+        below this value.  Raises ConvergenceError if the grid reaches
+        ``max_grid_points`` first (the last doubling may end above it).
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise ValueError("window must have positive length")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    u = _fixed_grid_propagator(hamiltonian, (t0, t1), grid_points)
-    if refine_tol is None:
-        return u
-    steps = grid_points
-    delta = np.inf
-    while steps < max_grid_points:
-        steps *= 2
-        refined = _fixed_grid_propagator(hamiltonian, (t0, t1), steps)
-        delta = float(np.abs(refined - u).max())
-        u = refined
-        if delta < refine_tol:
-            return u
-    raise ConvergenceError(
-        f"propagator not converged at {steps} steps "
-        f"(last entrywise change {delta:.3e} >= {refine_tol:.1e})"
-    )
+    sample = functools.partial(_sample_hamiltonian, hamiltonian)
+    return _propagate(sample, (t0, t1), grid_points, refine_tol, max_grid_points)
 
 
 def propagate_profile(
-    profile: Union[DriveProfile2, DriveProfile3],
+    profile: Profile,
     *,
     grid_points: Optional[int] = None,
     refine_tol: Optional[float] = None,
 ) -> np.ndarray:
-    """Propagator of one interaction pass described by a drive profile."""
-    if isinstance(profile, DriveProfile2):
-        h: HamiltonianFn = lambda ts: hamiltonian2(profile, ts)
-    elif isinstance(profile, DriveProfile3):
-        h = lambda ts: hamiltonian3(profile, ts)
-    else:
+    """Propagator of one interaction pass described by a drive profile.
+
+    Equal, to the last bit, to ``propagate`` of ``hamiltonian2`` or
+    ``hamiltonian3`` of the profile over its window, but the kernels are
+    fed straight from the sampled envelopes: no (n, d, d) batch is built
+    and no Hermiticity check runs.
+    """
+    if not isinstance(profile, (DriveProfile2, DriveProfile3)):
         raise TypeError(f"unsupported profile type {type(profile).__name__}")
     steps = profile.grid_points if grid_points is None else grid_points
-    return propagate(h, profile.window, steps, refine_tol=refine_tol)
+    sample = functools.partial(_sample_profile, profile)
+    return _propagate(sample, profile.window, steps, refine_tol, MAX_GRID_POINTS)
 
 
 def cayley_klein(u: np.ndarray, tol: float = TEMPLATE_TOL) -> CayleyKlein:

@@ -231,6 +231,85 @@ def test_incoherent_pass_is_a_precondition_violation(tmp_path, capsys, monkeypat
     assert captured.out == ""
 
 
+def _golden_configs():
+    """One fixed drive per protocol, at the default grid of 4000 steps."""
+    const_detuning = rap_config()
+    const_detuning["protocol"] = "two-state-const-detuning"
+    const_detuning["profile"]["detuning"] = {"shape": "constant", "magnitude": 4.0}
+    detuned = _detuned_case2()
+    detuned["protocol"] = "stirap-detuned"
+    configs = {
+        "two-state-general": _general_two_state(),
+        "two-state-rap": rap_config(),
+        "two-state-const-detuning": const_detuning,
+        "stirap-resonant-case1": case2_config(protocol="stirap-resonant-case1"),
+        "stirap-resonant-case2": case2_config(),
+        "stirap-detuned": detuned,
+        "three-state-general": _general_three_state(),
+    }
+    for config in configs.values():
+        del config["profile"]["grid_points"]
+    return configs
+
+
+# `doublepass simulate` rows of the _golden_configs drives, as written at
+# the commit that introduced this test; None marks an empty cell
+GOLDEN_ROWS = {
+    "two-state-general": (
+        None, 0.86575350523241879, 0.13424649476758549, None, 0.53510250635919765,
+        1.0000000000000084, None, None, 0.76755125317960304, 0.86575350523241945,
+        0.87610002464307868, 6.6613381477509392e-16, "ok",
+    ),
+    "two-state-rap": (
+        None, 0.86575350523241879, 0.13424649476758549, None, 0.53510250635919765, None, None,
+        None, None, 0.86575350523241656, 0.73150701046483324, 2.2204460492503131e-15, "ok",
+    ),
+    "two-state-const-detuning": (
+        None, 0.39976571949732292, 0.60023428050266858, None, None, None, 0.040187643951554025,
+        None, None, 0.60023428050267291, 0.20046856100534574, 0.20046856100534999, "ok",
+    ),
+    "stirap-resonant-case1": (
+        None, 0.93339856105462526, 0.012882798407312473, None, 0.79666820721278142, None, None,
+        None, None, 0.93339856105462538, 0.89256271892387562, 1.1102230246251565e-16, "ok",
+    ),
+    "stirap-resonant-case2": (
+        None, 0.93339856105462526, 0.012882798407312473, None, None, 0.75133725089687919, None,
+        None, None, 0.93339856105462538, 0.86679712210925064, 1.1102230246251565e-16, "ok",
+    ),
+    "stirap-detuned": (
+        None, 0.93489252672679335, 0.012314675975922439, None, 0.8274932136213714,
+        0.79460007830339363, 0.92386017757756644, 0.9618975993795591, 0.87696276722047273,
+        0.93489252672679368, 0.93646290221261452, 3.3306690738754696e-16, "ok",
+    ),
+    "three-state-general": (
+        None, 0.086450467573506828, 0.42135676236523911, 0.18989587587370682,
+        0.49745595725187414, 0.37876268540419716, 0.60291395296875661, 0.29552617466319409,
+        0.44366469257200553, 0.60792321330702004, 0.66608159603160144, 0.52147274573351321,
+        "ok",
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_ROWS))
+def test_simulate_golden_row(tmp_path, capsys, protocol):
+    # columns and statuses exactly; values within 1e-11, which admits
+    # another libm's last digits but not a change of the physics (>= 1e-9)
+    config = _golden_configs()[protocol]
+    code = main(["simulate", "--config", write_config(tmp_path, config)])
+    header, row = capsys.readouterr().out.splitlines()
+    assert code == EX_OK
+    assert header == ",".join(CSV_COLUMNS)
+    cells = row.split(",")
+    expected = GOLDEN_ROWS[protocol]
+    assert len(cells) == len(expected) == len(CSV_COLUMNS)
+    assert cells[-1] == expected[-1]
+    for column, cell, value in zip(CSV_COLUMNS[:-1], cells, expected):
+        if value is None:
+            assert cell == "", column
+        else:
+            assert abs(float(cell) - value) <= 1e-11, column
+
+
 class TestSweep:
     def sweep_config(self):
         return case2_config(

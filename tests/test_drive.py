@@ -215,6 +215,12 @@ def test_grid_points_capped_at_construction(make):
             make(n)
 
 
+@pytest.mark.parametrize("grid_points", [4.5, 4000.0, "4000"])
+def test_non_integer_grid_points_rejected(grid_points):
+    with pytest.raises(ValueError, match="integer"):
+        DriveProfile2(rabi=PulseShape.sin2(1.0, 1.0), grid_points=grid_points)
+
+
 class TestBackwardProfile2:
     def base(self):
         return DriveProfile2(

@@ -10,12 +10,16 @@ import math
 import numpy as np
 import pytest
 
+import doublepass.drive
+import doublepass.evolve
 from doublepass.drive import (
+    MAX_GRID_POINTS,
     DetuningShape,
     DriveProfile2,
     DriveProfile3,
     PulseShape,
     backward_profile_2,
+    backward_profile_3,
 )
 from doublepass.evolve import (
     MAX_STEP_PHASE,
@@ -24,6 +28,7 @@ from doublepass.evolve import (
     StepPhaseError,
     TemplateMismatchError,
     _ck_propagator,
+    _coefficients_of,
     _ordered_product,
     _step_exponentials_eigh,
     _su3_propagator,
@@ -35,7 +40,12 @@ from doublepass.evolve import (
     sign_flip_transform,
     unitarity_defect,
 )
-from doublepass.harness import random_two_state_profile
+from doublepass.harness import (
+    random_general_three_state_profile,
+    random_resonant_pair_profile,
+    random_symmetric_pair_profile,
+    random_two_state_profile,
+)
 
 
 def rng(seed=0):
@@ -285,7 +295,7 @@ class TestCayleyKleinKernel:
         for _ in range(5):
             h = random_hermitian_batch(gen, n)
             dt = gen.uniform(0.01, 0.5)
-            fast = _ck_propagator(h, dt)
+            fast = _ck_propagator(*_coefficients_of(h), dt)
             reference = _ordered_product(_step_exponentials_eigh(h, dt))
             assert fast.shape == (2, 2)
             assert np.abs(fast - reference).max() < 1e-13
@@ -293,7 +303,8 @@ class TestCayleyKleinKernel:
             assert abs(abs(np.linalg.det(fast)) - 1.0) < 1e-13
 
     def test_zero_steps_give_identity_exactly(self):
-        assert np.all(_ck_propagator(np.zeros((9, 2, 2), complex), 0.3) == np.eye(2))
+        zero = _coefficients_of(np.zeros((9, 2, 2), complex))
+        assert np.all(_ck_propagator(*zero, 0.3) == np.eye(2))
 
     def test_traceful_scalar_phase_is_kept(self):
         # H = (1 + t) I: U = exp(-i * integral) I, and the midpoint rule
@@ -367,7 +378,7 @@ class TestSu3Kernel:
         gen = rng(200 + n)
         for _ in range(5):
             h = random_hermitian_batch3(gen, n, kind)
-            fast = _su3_propagator(h, 1.0)
+            fast = _su3_propagator(*_coefficients_of(h), 1.0)
             reference = _ordered_product(_step_exponentials_eigh(h, 1.0))
             assert fast.shape == (3, 3)
             assert np.abs(fast - reference).max() < 1e-13
@@ -380,7 +391,8 @@ class TestSu3Kernel:
         assert 0.2 < np.mean(spans > 1.0) < 0.8
 
     def test_zero_steps_give_identity_exactly(self):
-        assert np.all(_su3_propagator(np.zeros((9, 3, 3), complex), 0.3) == np.eye(3))
+        zero = _coefficients_of(np.zeros((9, 3, 3), complex))
+        assert np.all(_su3_propagator(*zero, 0.3) == np.eye(3))
 
     @pytest.mark.parametrize("span", [1e2, 1e4, 1e6])
     def test_wide_steps_stay_unitary(self, span):
@@ -391,7 +403,7 @@ class TestSu3Kernel:
         lam[:, 2] = span
         h = hermitian_from_spectrum(gen, lam + gen.normal(size=(7, 1)))
         for step in h:
-            u = _su3_propagator(step[None], 1.0)
+            u = _su3_propagator(*_coefficients_of(step[None]), 1.0)
             assert unitarity_defect(u) < 1e-13
             assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-13
 
@@ -443,6 +455,149 @@ class TestStepPhaseGuard:
     def test_just_below_the_bound_propagates(self):
         u = propagate(self.constant(0.5 * MAX_STEP_PHASE), (0.0, 1.0), 2)
         assert unitarity_defect(u) < 1e-10
+
+
+def callable_path(profile):
+    """The same pass through ``propagate`` of the profile's Hamiltonian."""
+    hamiltonian = hamiltonian2 if isinstance(profile, DriveProfile2) else hamiltonian3
+    return propagate(lambda ts: hamiltonian(profile, ts), profile.window, profile.grid_points)
+
+
+def two_state_family(gen, symmetry):
+    profile = random_two_state_profile(gen, symmetry=symmetry)
+    flips = ((True, False), (False, True), (True, True))
+    return [profile] + [backward_profile_2(profile, *pair) for pair in flips]
+
+
+def three_state_family(gen, make):
+    profile = make(gen)
+    phases = [(math.pi, 0.0), (0.0, math.pi), tuple(gen.uniform(0.0, 2.0 * math.pi, size=2))]
+    return [profile] + [backward_profile_3(profile, *pair) for pair in phases]
+
+
+class TestProfilePath:
+    """propagate_profile feeds the kernels from the envelopes; it must give
+    the callable path's propagator to the last bit."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            lambda gen: two_state_family(gen, None),
+            lambda gen: two_state_family(gen, "chirp"),
+            lambda gen: two_state_family(gen, "even"),
+            lambda gen: three_state_family(gen, random_symmetric_pair_profile),
+            lambda gen: three_state_family(gen, random_resonant_pair_profile),
+            # two-photon detuned; the role swap moves it onto the single-photon one
+            lambda gen: three_state_family(gen, random_general_three_state_profile),
+        ],
+        ids=["two-state", "chirp", "even", "symmetric-pair", "resonant-pair", "general"],
+    )
+    def test_bit_identical_to_callable_path(self, family):
+        gen = rng(61)
+        for _ in range(4):
+            for profile in family(gen):
+                assert np.array_equal(propagate_profile(profile), callable_path(profile))
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            DriveProfile2(rabi=PulseShape.sin2(3.0, 1.0), grid_points=500),
+            DriveProfile3(
+                pump=PulseShape.sin2(9.0, 1.0, 0.2),
+                stokes=PulseShape.sin2(9.0, 1.0),
+                grid_points=500,
+            ),
+        ],
+        ids=["two-state", "three-state"],
+    )
+    def test_exactly_zero_steps(self, profile):
+        # the padded window leaves the first and last steps undriven
+        hamiltonian = hamiltonian2 if isinstance(profile, DriveProfile2) else hamiltonian3
+        assert np.all(hamiltonian(profile, profile.window[0] + 1e-3) == 0.0)
+        assert np.array_equal(propagate_profile(profile), callable_path(profile))
+
+    def test_wide_steps(self):
+        profile = DriveProfile3(
+            pump=PulseShape.sin2(400.0, 1.0, 0.2),
+            stokes=PulseShape.sin2(300.0, 1.0),
+            pump_phase=1.3,
+            stokes_phase=4.0,
+            single_photon_detuning=DetuningShape.constant(20.0),
+            two_photon_detuning=-10.0,
+            grid_points=200,
+        )
+        t0, t1 = profile.window
+        dt = (t1 - t0) / profile.grid_points
+        ts = t0 + (np.arange(profile.grid_points) + 0.5) * dt
+        spans = dt * np.ptp(np.linalg.eigvalsh(hamiltonian3(profile, ts)), axis=1)
+        assert 0.2 < np.mean(spans > 1.0) < 0.8  # both the closed form and eigh
+        assert np.array_equal(propagate_profile(profile), callable_path(profile))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            DriveProfile2(rabi=PulseShape.sin2(3.0, 1.0), grid_points=64),
+            DriveProfile3(pump=PulseShape.sin2(9.0, 1.0, 0.2), stokes=PulseShape.sin2(9.0, 1.0)),
+        ],
+        ids=["two-state", "three-state"],
+    )
+    def test_non_finite_envelope_rejected(self, monkeypatch, profile, value):
+        # one bad sample mid-pass, in the coupling: a reduction that
+        # dropped NaN unless it came first would let it through
+        sample_rabi = doublepass.drive.sample_rabi
+
+        def spoiled(shape, t):
+            out = np.array(sample_rabi(shape, t), dtype=float)
+            out[len(out) // 2] = value
+            return out
+
+        monkeypatch.setattr(doublepass.drive, "sample_rabi", spoiled)
+        monkeypatch.setattr(doublepass.evolve, "sample_rabi", spoiled)
+        # inf times the phase factor warns "invalid value" before the guard
+        with np.errstate(invalid="ignore"), pytest.raises(StepPhaseError, match="not finite"):
+            propagate_profile(profile)
+
+
+def recording_hamiltonian():
+    calls = []
+
+    def h(ts):
+        calls.append(len(ts))
+        return np.zeros((len(ts), 2, 2), complex)
+
+    return h, calls
+
+
+class TestGridArguments:
+    @pytest.mark.parametrize("grid_points", [4.5, MAX_GRID_POINTS + 1, 1])
+    def test_bad_grid_rejected_before_sampling(self, grid_points):
+        h, calls = recording_hamiltonian()
+        with pytest.raises(ValueError, match="grid_points"):
+            propagate(h, (0.0, 1.0), grid_points)
+        assert calls == []
+
+    def test_numpy_integer_grid_accepted(self):
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]], complex)
+        h = lambda ts: np.broadcast_to(sx, (len(ts), 2, 2))
+        u = propagate(h, (0.0, 1.0), np.int64(5))
+        assert np.abs(u - (math.cos(1.0) * np.eye(2) - 1j * math.sin(1.0) * sx)).max() < 1e-14
+
+    @pytest.mark.parametrize("grid_points", [4.5, MAX_GRID_POINTS + 1, 1])
+    def test_profile_grid_override_checked(self, monkeypatch, grid_points):
+        profile = DriveProfile2(rabi=PulseShape.sin2(3.0, 1.0))
+        sampled = []
+        monkeypatch.setattr(doublepass.evolve, "_coefficients2", lambda *a: sampled.append(a))
+        with pytest.raises(ValueError, match="grid_points"):
+            propagate_profile(profile, grid_points=grid_points)
+        assert sampled == []
+
+    @pytest.mark.parametrize("refine_tol", [0.0, -1.0, np.nan, np.inf])
+    def test_unreachable_refine_tol_rejected(self, refine_tol):
+        h, calls = recording_hamiltonian()
+        with pytest.raises(ValueError, match="refine_tol"):
+            propagate(h, (0.0, 1.0), 16, refine_tol=refine_tol)
+        assert calls == []
 
 
 class TestCayleyKlein:
