@@ -10,8 +10,8 @@ form from the trigonometric (Cardano) eigenvalues of their traceless
 part and a Newton divided-difference interpolant of exp(-i dt x); steps
 whose phase spread dt * (lambda_max - lambda_min) exceeds 1 are
 exponentiated via ``eigh`` instead.  The 3x3 steps are reduced
-elementwise in a (3, 3, n) layout as deviations from the identity, so
-their rounding does not grow with the number of steps.  In both
+elementwise in a (3, 3, ..., n) layout as deviations from the identity,
+so their rounding does not grow with the number of steps.  In both
 dimensions the trace is carried as one scalar phase.  Every step is
 therefore unitary to rounding regardless of step size: unitarity is
 structural and the grid only controls accuracy.  The midpoint sampling
@@ -30,13 +30,21 @@ construction (``hamiltonian2``/``hamiltonian3`` assemble theirs from
 the same arrays), so only the step phase is checked and no batch is
 built.  Both samplers give the kernels the same values, so the two
 routes to a profile's propagator agree to the last bit.
+
+Both kernels reduce along the last axis and take any leading batch
+axes.  ``propagate_passes`` samples each of many passes on its own and
+propagates those that share a dimension, a window and a step count in
+one kernel call, up to ``BATCH_ROWS`` step rows per call.  On short
+grids that removes most of the per-call numpy overhead; a long pass
+runs alone, as 1-d arrays, and a batched pass equals the same pass
+propagated alone to the last bit.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,6 +69,17 @@ MAX_STEP_PHASE = 1e12
 # above _EIGH_SPAN a step is exponentiated via eigh.
 _SERIES_SPAN = 1e-5
 _EIGH_SPAN = 1.0
+# Most step rows (passes x steps) that ``propagate_passes`` gives one
+# kernel call.  Per 128-step pass, batching 32 passes cuts a 2x2 pass
+# from ~83 to ~9 us and a 3x3 pass from ~340 to ~90 us, and larger
+# batches gain little (2-CPU x86-64 host, numpy 2.4).  A 4000-step pass
+# exceeds half the budget and so always runs alone: batched 4000-step
+# passes are slower than looped ones, because their working set spills
+# the cache.  The budget also keeps every complex temporary of a batched
+# call (64 KiB) below numpy's 256 KiB threshold for reusing temporaries
+# in place, whose loops round differently; that is what keeps a batched
+# pass bit-identical to the same pass propagated alone.
+BATCH_ROWS = 2**12
 
 HamiltonianFn = Callable[[np.ndarray], np.ndarray]
 Profile = Union[DriveProfile2, DriveProfile3]
@@ -97,12 +116,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     u = np.asarray(u)
     eye = np.eye(u.shape[-1])
     return float(np.abs(u.conj().T @ u - eye).max())
-
-
-def assert_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
-    defect = unitarity_defect(u)
-    if not defect < tol:
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e} >= {tol:.1e}")
 
 
 def _coefficients2(profile: DriveProfile2, ts: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -188,31 +201,21 @@ def _step_exponentials_eigh(h: np.ndarray, dt: float) -> np.ndarray:
     return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """mats[n-1] @ ... @ mats[0] by pairwise reduction (log-depth)."""
-    while mats.shape[0] > 1:
-        n = mats.shape[0]
-        even = n - (n % 2)
-        paired = mats[1:even:2] @ mats[0:even:2]
-        if n % 2:
-            paired = np.concatenate([paired, mats[-1:]], axis=0)
-        mats = paired
-    return mats[0]
-
-
 def _ck_propagator(
     d0: np.ndarray, d1: np.ndarray, h10: np.ndarray, dt: float
 ) -> np.ndarray:
-    """exp(-i dt H[n-1]) ... exp(-i dt H[0]) for a batch of 2x2 Hermitian H
-    given by its real diagonal (d0, d1) and coupling h10 = H[1, 0] =
-    cx + i cy (real or complex).
+    """exp(-i dt H[n-1]) ... exp(-i dt H[0]) for 2x2 Hermitian steps H
+    given by their real diagonal (d0, d1) and coupling h10 = H[1, 0] =
+    cx + i cy (real or complex), the steps along the last axis.  Arrays
+    of shape (..., n) give propagators of shape (..., 2, 2): any leading
+    axes are a batch of passes on one grid.
 
     Writing H = c0 I + cx sx + cy sy + cz sz, a step is exp(-i dt c0)
     times the SU(2) matrix [[a, -conj(b)], [b, conj(a)]] with
     a = cos(dt m) - i dt sinc cz, b = -i dt sinc (cx + i cy), where
     m = |(cx, cy, cz)| and dt sinc = sin(dt m) / m.  The scalar phases
-    commute and are summed into one; the (a, b) pairs are reduced with
-    the same log-depth pairing as ``_ordered_product``.
+    commute and are summed into one; the (a, b) pairs are reduced by
+    log-depth pairing of neighbouring steps.
     """
     c0 = 0.5 * (d0 + d1)
     cz = 0.5 * (d0 - d1)
@@ -224,20 +227,24 @@ def _ck_propagator(
     b = np.empty(x.shape, dtype=complex)
     b.real = snc * h10.imag
     b.imag = -snc * h10.real
-    while a.shape[0] > 1:
-        n = a.shape[0]
+    while a.shape[-1] > 1:
+        n = a.shape[-1]
         even = n - (n % 2)
-        a_e, b_e = a[0:even:2], b[0:even:2]
-        a_l, b_l = a[1:even:2], b[1:even:2]
+        a_e, b_e = a[..., 0:even:2], b[..., 0:even:2]
+        a_l, b_l = a[..., 1:even:2], b[..., 1:even:2]
         a_next = a_l * a_e - b_l.conj() * b_e
         b_next = b_l * a_e + a_l.conj() * b_e
         if n % 2:
-            a_next = np.concatenate([a_next, a[-1:]])
-            b_next = np.concatenate([b_next, b[-1:]])
+            a_next = np.concatenate([a_next, a[..., -1:]], axis=-1)
+            b_next = np.concatenate([b_next, b[..., -1:]], axis=-1)
         a, b = a_next, b_next
-    phase = np.exp(-1j * dt * c0.sum())
-    a0, b0 = a[0], b[0]
-    return phase * np.array([[a0, -b0.conjugate()], [b0, a0.conjugate()]])
+    a, b = a[..., 0], b[..., 0]
+    u = np.empty(a.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = a
+    u[..., 0, 1] = -b.conj()
+    u[..., 1, 0] = b
+    u[..., 1, 1] = a.conj()
+    return np.exp(-1j * dt * c0.sum(axis=-1))[..., None, None] * u
 
 
 def _first_divided_difference(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -256,9 +263,11 @@ def _su3_propagator(
     h21: np.ndarray,
     dt: float,
 ) -> np.ndarray:
-    """exp(-i dt H[n-1]) ... exp(-i dt H[0]) for a batch of 3x3 Hermitian H
-    given by its real diagonal (d0, d1, d2) and lower-triangle couplings
-    (h10, h20, h21).
+    """exp(-i dt H[n-1]) ... exp(-i dt H[0]) for 3x3 Hermitian steps H
+    given by their real diagonal (d0, d1, d2) and lower-triangle couplings
+    (h10, h20, h21), the steps along the last axis.  As for
+    ``_ck_propagator``, arrays of shape (..., n) give propagators of
+    shape (..., 3, 3).
 
     Each step is exp(-i dt c0) exp(-i Y) with c0 = tr(H) / 3 and the
     traceless Y = dt (H - c0 I).  The eigenvalues hi >= mid >= lo of Y
@@ -272,11 +281,11 @@ def _su3_propagator(
     equal-node limit f''(0) / 2 = -1/2 (the nodes sum to zero).  The
     interpolant tolerates the sqrt(eps) error of Cardano eigenvalues of
     a near-degenerate pair.  Steps with a span above ``_EIGH_SPAN`` are
-    exponentiated via ``eigh``.
+    exponentiated via ``eigh``, all of a batch's in one call.
 
     Each step is carried as D = exp(-i Y) - I, with f(hi) - 1 written as
     -2i sin(hi/2) exp(-i hi/2), and pairs multiply as D_L + D_E + D_L D_E
-    (the log-depth pairing of ``_ordered_product``, in a (3, 3, n)
+    (log-depth pairing of neighbouring steps, in a (3, 3, ..., n)
     layout).  Rounding is then relative to the size of each step, not
     to 1, so it does not build up with the number of steps; a zero step
     is exactly D = 0.
@@ -310,7 +319,7 @@ def _su3_propagator(
     s10 = x10 * (a + b) + x21.conj() * x20
     s20 = x20 * (a + c) + x21 * x10
     s21 = x21 * (b + c) + x20 * x10.conj()
-    dev = np.empty((3, 3, c0.shape[0]), dtype=complex)  # D of each step
+    dev = np.empty((3, 3) + c0.shape, dtype=complex)  # D of each step
     dev[0, 0] = alpha + beta * a + f2 * (a * a + n10 + n20)
     dev[1, 1] = alpha + beta * b + f2 * (b * b + n10 + n21)
     dev[2, 2] = alpha + beta * c + f2 * (c * c + n20 + n21)
@@ -320,27 +329,27 @@ def _su3_propagator(
     dev[0, 2] = beta * x20.conj() + f2 * s20.conj()
     dev[2, 1] = beta * x21 + f2 * s21
     dev[1, 2] = beta * x21.conj() + f2 * s21.conj()
+    # wide steps, indexed over the flattened batch and steps
     wide = np.flatnonzero(~(span <= _EIGH_SPAN))
     if wide.size:
-        h = _hermitian_from(3, tuple(x[wide] for x in (d0, d1, d2, h10, h20, h21)))
-        traceless = h - c0[wide, None, None] * np.eye(3)
-        dev[:, :, wide] = (_step_exponentials_eigh(traceless, dt) - np.eye(3)).transpose(1, 2, 0)
+        *coefficients, shift = (np.ravel(x)[wide] for x in (d0, d1, d2, h10, h20, h21, c0))
+        traceless = _hermitian_from(3, tuple(coefficients)) - shift[:, None, None] * np.eye(3)
+        dev.reshape(3, 3, -1)[:, :, wide] = (
+            _step_exponentials_eigh(traceless, dt) - np.eye(3)
+        ).transpose(1, 2, 0)
 
-    while dev.shape[2] > 1:
-        n = dev.shape[2]
+    while dev.shape[-1] > 1:
+        n = dev.shape[-1]
         even = n - (n % 2)
-        late, early = dev[:, :, 1:even:2], dev[:, :, 0:even:2]
-        paired = np.einsum("ikn,kjn->ijn", late, early)
+        late, early = dev[..., 1:even:2], dev[..., 0:even:2]
+        paired = np.einsum("ik...n,kj...n->ij...n", late, early)
         paired += late
         paired += early
         if n % 2:
-            paired = np.concatenate([paired, dev[:, :, -1:]], axis=2)
+            paired = np.concatenate([paired, dev[..., -1:]], axis=-1)
         dev = paired
-    return np.exp(-1j * dt * c0.sum()) * (np.eye(3) + dev[:, :, 0])
-
-
-def _eigh_propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    return _ordered_product(_step_exponentials_eigh(h, dt))
+    u = np.eye(3) + np.moveaxis(dev[..., 0], (0, 1), (-2, -1))
+    return np.exp(-1j * dt * c0.sum(axis=-1))[..., None, None] * u
 
 
 @functools.lru_cache(maxsize=8)
@@ -365,19 +374,43 @@ def _check_step_phase(dt: float, h_max) -> None:
 Sampler = Callable[[np.ndarray, float], Tuple[Callable[..., np.ndarray], tuple]]
 
 
+def _takes_scalars(hamiltonian: HamiltonianFn, ts: np.ndarray, error: Exception) -> bool:
+    """Whether a callable that failed on the grid takes one time at a
+    time: it fails the same way on a one-point grid (or returns a single
+    matrix for it, as numpy < 2 converts a one-element array to a float)
+    and returns a (d, d) matrix for a scalar time."""
+    try:
+        probe = np.asarray(hamiltonian(ts[:1]))
+    except (TypeError, ValueError) as probe_error:
+        if not isinstance(probe_error, type(error)):
+            return False
+    else:
+        if probe.ndim != 2:
+            return False
+    try:
+        single = np.asarray(hamiltonian(ts[0]))
+    except (TypeError, ValueError):
+        return False
+    return single.ndim == 2 and single.shape[0] == single.shape[1]
+
+
 def _sample_hamiltonian(hamiltonian: HamiltonianFn, ts: np.ndarray, dt: float):
     """Sampler of a callable: its samples are outside input, so their
-    shape, step phase and Hermiticity are checked."""
+    shape, step phase and Hermiticity are checked.  A callable that fails
+    on the grid is sampled point by point only if it takes scalar times
+    (``_takes_scalars``); otherwise its own error is raised."""
     try:
         h = np.asarray(hamiltonian(ts))
-    except (TypeError, ValueError):
-        h = None  # scalar-only callable
+    except (TypeError, ValueError) as error:
+        if not _takes_scalars(hamiltonian, ts, error):
+            raise
+        h = None
     if h is None or h.ndim == 2:
         h = np.stack([np.asarray(hamiltonian(t)) for t in ts])
-    if h.ndim != 3 or h.shape[0] != ts.shape[0] or h.shape[1] != h.shape[2]:
+    if h.ndim != 3 or h.shape[0] != ts.shape[0] or h.shape[1:] not in ((2, 2), (3, 3)):
         raise ValueError(
             f"hamiltonian callable returned shape {h.shape}, "
-            f"expected ({ts.shape[0]}, d, d)"
+            f"expected ({ts.shape[0]}, d, d) with d = 2 or 3"
         )
     h_max = np.abs(h).max()
     _check_step_phase(dt, h_max)
@@ -391,12 +424,8 @@ def _sample_hamiltonian(hamiltonian: HamiltonianFn, ts: np.ndarray, dt: float):
     defect = np.abs(diff).max()
     if not defect <= 1e-12 * max(1.0, h_max):
         raise ValueError(f"hamiltonian samples are not Hermitian (defect {defect:.3e})")
-    h = h.astype(complex, copy=False)
-    if h.shape[-1] == 2:
-        return _ck_propagator, _coefficients_of(h)
-    if h.shape[-1] == 3:
-        return _su3_propagator, _coefficients_of(h)
-    return _eigh_propagator, (h,)
+    kernel = _ck_propagator if h.shape[-1] == 2 else _su3_propagator
+    return kernel, _coefficients_of(h.astype(complex, copy=False))
 
 
 def _sample_profile(profile: Profile, ts: np.ndarray, dt: float):
@@ -411,12 +440,17 @@ def _sample_profile(profile: Profile, ts: np.ndarray, dt: float):
     return kernel, coefficients
 
 
+def _grid(window: Tuple[float, float], steps: int) -> Tuple[np.ndarray, float]:
+    """Step midpoints and step length of a fixed grid over ``window``."""
+    t0, t1 = window
+    dt = (t1 - t0) / steps
+    return t0 + (np.arange(steps) + 0.5) * dt, dt
+
+
 def _fixed_grid_propagator(
     sample: Sampler, window: Tuple[float, float], steps: int
 ) -> np.ndarray:
-    t0, t1 = window
-    dt = (t1 - t0) / steps
-    ts = t0 + (np.arange(steps) + 0.5) * dt
+    ts, dt = _grid(window, steps)
     kernel, arrays = sample(ts, dt)
     return kernel(*arrays, dt)
 
@@ -502,6 +536,59 @@ def propagate_profile(
     steps = profile.grid_points if grid_points is None else grid_points
     sample = functools.partial(_sample_profile, profile)
     return _propagate(sample, profile.window, steps, refine_tol, MAX_GRID_POINTS)
+
+
+def propagate_passes(
+    points: Sequence[Sequence[Profile]],
+) -> List[Union[List[np.ndarray], ValueError]]:
+    """Fixed-grid propagators of the passes of several measurement points.
+
+    ``points`` holds each point's pass profiles.  Every pass is sampled
+    on its own, with its own step-phase guard.  Passes that share a
+    dimension, a window and a step count then go to the kernel together,
+    in batches of at most ``BATCH_ROWS`` step rows; a pass alone in its
+    batch reaches the kernel as 1-d arrays, exactly as in
+    ``propagate_profile``, whose propagator every pass equals to the
+    last bit.  Returns per point its propagators in pass order, or the
+    ValueError (such as a StepPhaseError) of its first failing pass, so
+    a failure stays with its own point.
+    """
+    groups: Dict[tuple, List[Tuple[int, int, Profile]]] = {}
+    for i, passes in enumerate(points):
+        for j, profile in enumerate(passes):
+            if not isinstance(profile, (DriveProfile2, DriveProfile3)):
+                raise TypeError(f"unsupported profile type {type(profile).__name__}")
+            key = (type(profile), profile.window, profile.grid_points)
+            groups.setdefault(key, []).append((i, j, profile))
+    results: List[list] = [[None] * len(passes) for passes in points]
+    failed: Dict[int, Tuple[int, ValueError]] = {}
+    for (_, window, steps), members in groups.items():
+        ts, dt = _grid(window, check_grid_points(steps))
+        size = max(1, BATCH_ROWS // len(ts))
+        for start in range(0, len(members), size):
+            slots, sampled = [], []
+            for i, j, profile in members[start : start + size]:
+                if i in failed and failed[i][0] < j:
+                    continue  # a point's passes after its first failure
+                try:
+                    sampled.append(_sample_profile(profile, ts, dt))
+                except ValueError as error:
+                    failed[i] = (j, error)
+                    continue
+                slots.append((i, j))
+            for (i, j), u in zip(slots, _propagate_batch(sampled, dt)):
+                results[i][j] = u
+    return [failed[i][1] if i in failed else passes for i, passes in enumerate(results)]
+
+
+def _propagate_batch(sampled: list, dt: float) -> List[np.ndarray]:
+    """Propagators of sampled (kernel, arrays) passes that share a kernel
+    and a grid, in one kernel call; a single pass keeps its 1-d arrays."""
+    if len(sampled) <= 1:
+        return [kernel(*arrays, dt) for kernel, arrays in sampled]
+    kernel = sampled[0][0]
+    columns = zip(*(arrays for _, arrays in sampled))
+    return list(kernel(*(np.stack(column) for column in columns), dt))
 
 
 def cayley_klein(u: np.ndarray, tol: float = TEMPLATE_TOL) -> CayleyKlein:

@@ -8,12 +8,18 @@ preconditions, the structural check of the forward pass, the
 second-pass variants, whether the averaged return Q_bar and the
 role-swapped return r are recorded, the inversion formula and the
 record fields it reads.  ``run_protocol`` runs any entry and simulates
-exactly the passes it lists.  ``double_pass`` (forward pass plus second
-passes) is the one place passes are composed; the protocol runner and
-the verification suites share it.
+exactly the passes it lists.  A measurement point is prepared (its
+preconditions checked and its pass profiles listed), its passes are
+propagated by ``evolve.propagate_passes``, and it is finished (the
+structural and r checks, validation and inversion).  ``run_protocol``,
+``double_pass`` (which the verification suites use) and ``sweep`` all
+propagate through that one batched entry.
 
-Sweeps repeat a protocol over a parameter grid; per-point inversion
-failures are recorded in the row status instead of aborting the sweep.
+Sweeps repeat a protocol over a parameter grid.  They measure
+consecutive points in chunks of at most ``evolve.BATCH_ROWS`` step rows,
+so a chunk's passes share kernel calls, and each point is still
+finished on its own: per-point failures are recorded in the row status
+instead of aborting the sweep.
 ``verify`` replays the package's numeric invariants over seeded random
 drives and produces a deterministic report.
 """
@@ -22,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
@@ -39,11 +44,17 @@ from .drive import (
     backward_profile_3,
     pulse_area,
 )
-from .evolve import TemplateMismatchError, cayley_klein, propagate_profile, unitarity_defect
+from .evolve import (
+    BATCH_ROWS,
+    TemplateMismatchError,
+    cayley_klein,
+    propagate_passes,
+    propagate_profile,
+    unitarity_defect,
+)
 from .su2relations import (
     InversionRangeError,
     PassProbabilities2,
-    RadicandClampWarning,
     average_return,
     invert_p_const_detuning,
     invert_p_general,
@@ -158,15 +169,6 @@ def write_csv(records: Sequence[MeasurementRecord], stream: TextIO) -> None:
     writer.writerows(record_to_row(record) for record in records)
 
 
-def _invert_with_status(inverter: Callable[..., float], *args, **kwargs) -> Tuple[float, str]:
-    """Run an inversion formula, translating clamp warnings into a status."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RadicandClampWarning)
-        value = inverter(*args, **kwargs)
-    clamped = any(issubclass(w.category, RadicandClampWarning) for w in caught)
-    return value, ("clamped" if clamped else "ok")
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ProtocolPreconditionError(message)
@@ -203,6 +205,23 @@ def _second_pass(profile: Profile, variant: Variant) -> Profile:
     return backward_profile_3(profile, xi, eta)
 
 
+def _passes(profile: Profile, variants: Sequence[Variant]) -> List[Profile]:
+    """The forward pass, then one second pass per variant."""
+    return [profile] + [_second_pass(profile, v) for v in variants]
+
+
+def _returns(u: np.ndarray, backs: Sequence[np.ndarray]) -> List[float]:
+    """Double-pass return probabilities |(V U)_11|^2."""
+    return [_population(back @ u, 0) for back in backs]
+
+
+def _propagated(result: Union[List[np.ndarray], ValueError]) -> List[np.ndarray]:
+    """One point's propagators from ``propagate_passes``, or its error raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def double_pass(
     profile: Profile, variants: Sequence[Variant]
 ) -> Tuple[np.ndarray, List[np.ndarray], List[float]]:
@@ -211,9 +230,9 @@ def double_pass(
     Returns the forward propagator U, the second-pass propagators V and
     the double-pass return probabilities |(V U)_11|^2, in variant order.
     """
-    u = propagate_profile(profile)
-    backs = [propagate_profile(_second_pass(profile, v)) for v in variants]
-    return u, backs, [_population(back @ u, 0) for back in backs]
+    [result] = propagate_passes([_passes(profile, variants)])
+    u, *backs = _propagated(result)
+    return u, backs, _returns(u, backs)
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +351,13 @@ PROTOCOLS: Dict[ProtocolKind, Protocol] = {
 }
 
 
-def run_protocol(
-    kind: Union[ProtocolKind, str],
-    profile: Profile,
-    *,
-    slack: float = su2relations.DEFAULT_SLACK,
-    swept_value: Optional[float] = None,
-) -> MeasurementRecord:
-    """Execute one measurement protocol and return its record.
+# A measurement point ready to propagate: its protocol entry and passes.
+_Point = Tuple[Protocol, List[Profile]]
 
-    Precondition violations raise ProtocolPreconditionError before any
-    pass is simulated; passes without the structure the protocol needs
-    (a failed structural check, or an r that varies with the phases)
-    raise TemplateMismatchError; inversion inconsistencies beyond the
-    slack raise InversionRangeError.  Clamped inversions are reported in
-    the record status, not raised.
-    """
+
+def _prepare(kind: Union[ProtocolKind, str], profile: Profile) -> _Point:
+    """Check a point's preconditions and list its passes; nothing is
+    propagated, so a precondition failure simulates no pass."""
     kind = ProtocolKind(kind)
     plan = PROTOCOLS[kind]
     profile_type, dimension_name = _PROFILE_TYPES[plan.dimension]
@@ -357,8 +367,19 @@ def run_protocol(
     )
     for holds, message in plan.preconditions:
         _require(holds(profile), message)
+    return plan, _passes(profile, plan.variants)
 
-    u, backs, returns = double_pass(profile, plan.variants)
+
+def _finish(
+    plan: Protocol,
+    result: Union[List[np.ndarray], ValueError],
+    slack: float,
+    swept_value: Optional[float],
+) -> MeasurementRecord:
+    """A point's record from its propagated passes: the structural check,
+    the r check, validation and inversion."""
+    u, *backs = _propagated(result)
+    returns = _returns(u, backs)
     if plan.check is not None:
         globals()[plan.check](u)
     fields = {"p_direct": _population(u, plan.dimension - 1), "q": _population(u, 0)}
@@ -393,14 +414,36 @@ def run_protocol(
         PassProbabilities3(p=p, q=q, r=fields.get("r"), q_set=q_set, q_bar=fields.get("q_bar"))
 
     args = [fields[name] for name in plan.reads]
-    p_est, status = _invert_with_status(globals()[plan.inverter], *args, slack=slack)
+    clamps: List[str] = []
+    p_est = globals()[plan.inverter](*args, slack=slack, clamps=clamps)
     return MeasurementRecord(
         swept_value=swept_value,
         **fields,
         p_estimated=p_est,
         classical_estimate=math.sqrt(args[0]),
-        status=status,
+        status="clamped" if clamps else "ok",
     )
+
+
+def run_protocol(
+    kind: Union[ProtocolKind, str],
+    profile: Profile,
+    *,
+    slack: float = su2relations.DEFAULT_SLACK,
+    swept_value: Optional[float] = None,
+) -> MeasurementRecord:
+    """Execute one measurement protocol and return its record.
+
+    Precondition violations raise ProtocolPreconditionError before any
+    pass is simulated; passes without the structure the protocol needs
+    (a failed structural check, or an r that varies with the phases)
+    raise TemplateMismatchError; inversion inconsistencies beyond the
+    slack raise InversionRangeError.  Clamped inversions are reported in
+    the record status, not raised.
+    """
+    plan, passes = _prepare(kind, profile)
+    [result] = propagate_passes([passes])
+    return _finish(plan, result, slack, swept_value)
 
 
 # ---------------------------------------------------------------------------
@@ -482,27 +525,63 @@ def apply_sweep_parameter(profile: Profile, parameter: str, value: float) -> Pro
     )
 
 
+# Failures that become a sweep point's error row instead of ending the sweep.
+_POINT_ERRORS = (ProtocolPreconditionError, InversionRangeError, ValueError)
+
+
+def _measure_chunk(
+    chunk: Sequence[Tuple[float, Union[_Point, Exception]]], slack: float
+) -> List[MeasurementRecord]:
+    """Records of consecutive sweep points, each a prepared point or the
+    error that preparing it raised.  The passes of all prepared points
+    are propagated together; each point is then finished on its own."""
+    prepared = [point for _, point in chunk if not isinstance(point, Exception)]
+    results = iter(propagate_passes([passes for _, passes in prepared]))
+    records = []
+    for value, point in chunk:
+        try:
+            if isinstance(point, Exception):
+                raise point
+            record = _finish(point[0], next(results), slack, value)
+        except _POINT_ERRORS as exc:
+            record = MeasurementRecord(swept_value=value, status=f"error: {exc}")
+        records.append(record)
+    return records
+
+
 def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List[MeasurementRecord]:
     """One record per grid point, ordered by swept value.
 
     A zero-length range collapses to a single point.  Per-point
     precondition or inversion failures are recorded in the row status
     and the sweep continues.
+
+    Consecutive points are measured in chunks of at most ``BATCH_ROWS``
+    step rows (a point with more rows is a chunk of its own), so the
+    passes of a chunk share kernel calls while only one chunk is
+    sampled at a time.  Every record equals that of ``run_protocol`` on
+    its point.
     """
     if spec.start == spec.stop:
         values = [spec.start]
     else:
         values = list(np.linspace(spec.start, spec.stop, spec.points))
-    records = []
-    for value in values:
-        value = float(value)
+    records: List[MeasurementRecord] = []
+    chunk: List[Tuple[float, Union[_Point, Exception]]] = []
+    rows = 0
+    for value in map(float, values):
         try:
             point = apply_sweep_parameter(spec.profile, spec.parameter, value)
-            record = run_protocol(spec.protocol, point, slack=slack, swept_value=value)
-        except (ProtocolPreconditionError, InversionRangeError, ValueError) as exc:
-            record = MeasurementRecord(swept_value=value, status=f"error: {exc}")
-        records.append(record)
-    return records
+            prepared = _prepare(spec.protocol, point)
+            point_rows = sum(p.grid_points for p in prepared[1])
+        except _POINT_ERRORS as exc:
+            prepared, point_rows = exc, 0
+        if chunk and rows + point_rows > BATCH_ROWS:
+            records += _measure_chunk(chunk, slack)
+            chunk, rows = [], 0
+        chunk.append((value, prepared))
+        rows += point_rows
+    return records + _measure_chunk(chunk, slack)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,11 @@ state after a forward pass followed by a (possibly sign-flipped) second
 pass, and Q_bar the average of the unflipped and coupling-flipped Q,
 which removes the dependence on the phase of the propagator and obeys
 Q_bar = p^2 + (1 - p)^2 >= 1/2 for any drive.
+
+Noisy inputs within the slack are clamped and reported.  By default a
+clamp emits RadicandClampWarning; an inverter given a ``clamps`` list
+appends the clamp's message to it instead, so a caller gets the clamp as
+a value without touching the process-global warnings state.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -36,11 +41,22 @@ class RadicandClampWarning(UserWarning):
     """A slightly negative radicand (within the slack) was clamped to 0."""
 
 
-def clamped_sqrt(radicand: float, slack: float, label: str) -> float:
+def _report_clamp(message: str, clamps: Optional[List[str]]) -> None:
+    """Append a clamp to ``clamps``, or warn when no list is given."""
+    if clamps is None:
+        warnings.warn(message, RadicandClampWarning, stacklevel=2)
+    else:
+        clamps.append(message)
+
+
+def clamped_sqrt(
+    radicand: float, slack: float, label: str, clamps: Optional[List[str]] = None
+) -> float:
     """sqrt with the shared clamp-and-report policy for noisy inputs.
 
-    Values in [-slack, 0) clamp to zero and emit RadicandClampWarning;
-    anything below -slack raises InversionRangeError.
+    Values in [-slack, 0) clamp to zero and emit RadicandClampWarning, or
+    append its message to ``clamps`` when a list is given; anything below
+    -slack raises InversionRangeError.
     """
     if radicand < -slack:
         raise InversionRangeError(
@@ -48,21 +64,20 @@ def clamped_sqrt(radicand: float, slack: float, label: str) -> float:
             "inputs are inconsistent with the relation"
         )
     if radicand < 0.0:
-        warnings.warn(
-            f"{label}: radicand {radicand:.6e} clamped to 0", RadicandClampWarning
-        )
+        _report_clamp(f"{label}: radicand {radicand:.6e} clamped to 0", clamps)
         return 0.0
     return math.sqrt(radicand)
 
 
-def checked_probability(value: float, name: str, slack: float = DEFAULT_SLACK) -> float:
-    """Validate a probability, clamping slack-sized excursions into [0, 1]."""
+def checked_probability(
+    value: float, name: str, slack: float = DEFAULT_SLACK, clamps: Optional[List[str]] = None
+) -> float:
+    """Validate a probability, clamping slack-sized excursions into [0, 1]
+    and reporting each clamp as ``clamped_sqrt`` does."""
     if not (-slack <= value <= 1.0 + slack):
         raise InversionRangeError(f"{name} = {value!r} is not a probability")
     if value < 0.0 or value > 1.0:
-        warnings.warn(
-            f"{name} = {value:.6e} clamped into [0, 1]", RadicandClampWarning
-        )
+        _report_clamp(f"{name} = {value:.6e} clamped into [0, 1]", clamps)
         return min(max(value, 0.0), 1.0)
     return value
 
@@ -171,7 +186,11 @@ def average_return(q_same: float, q_flip_rabi: float) -> float:
 
 
 def invert_p_general(
-    q_bar: float, *, slack: float = DEFAULT_SLACK, branch: str = "upper"
+    q_bar: float,
+    *,
+    slack: float = DEFAULT_SLACK,
+    branch: str = "upper",
+    clamps: Optional[List[str]] = None,
 ) -> float:
     """Single-pass p from the averaged return probability,
     p = (1 + sqrt(2 Q_bar - 1)) / 2.
@@ -181,13 +200,17 @@ def invert_p_general(
     Q_bar slightly below 1/2 (within ``slack``) clamp to the degenerate
     root p = 1/2 with a RadicandClampWarning.
     """
-    q_bar = checked_probability(q_bar, "q_bar", slack)
-    root = clamped_sqrt(2.0 * q_bar - 1.0, slack, "average-return inversion")
+    q_bar = checked_probability(q_bar, "q_bar", slack, clamps)
+    root = clamped_sqrt(2.0 * q_bar - 1.0, slack, "average-return inversion", clamps)
     return _pick_branch(0.5 * (1.0 - root), 0.5 * (1.0 + root), branch)
 
 
 def invert_p_rap(
-    q_same: float, *, slack: float = DEFAULT_SLACK, branch: str = "upper"
+    q_same: float,
+    *,
+    slack: float = DEFAULT_SLACK,
+    branch: str = "upper",
+    clamps: Optional[List[str]] = None,
 ) -> float:
     """p = (1 + sqrt(Q_same)) / 2 for drives with an even coupling and an
     odd detuning about the window midpoint (swept-crossing passage).
@@ -195,17 +218,21 @@ def invert_p_rap(
     Callers are expected to have asserted the parity preconditions via
     the drive predicates; the formula is silently wrong without them.
     """
-    q_same = checked_probability(q_same, "q_same", slack)
-    root = clamped_sqrt(q_same, slack, "chirp-symmetric inversion")
+    q_same = checked_probability(q_same, "q_same", slack, clamps)
+    root = clamped_sqrt(q_same, slack, "chirp-symmetric inversion", clamps)
     return _pick_branch(0.5 * (1.0 - root), 0.5 * (1.0 + root), branch)
 
 
 def invert_p_const_detuning(
-    q_flip_detuning: float, *, slack: float = DEFAULT_SLACK, branch: str = "upper"
+    q_flip_detuning: float,
+    *,
+    slack: float = DEFAULT_SLACK,
+    branch: str = "upper",
+    clamps: Optional[List[str]] = None,
 ) -> float:
     """p = (1 + sqrt(Q_flip_detuning)) / 2 for drives with an even coupling
     and an even detuning about the window midpoint (e.g. constant
     detuning), where the second pass flips the detuning sign."""
-    q_flip = checked_probability(q_flip_detuning, "q_flip_detuning", slack)
-    root = clamped_sqrt(q_flip, slack, "even-detuning inversion")
+    q_flip = checked_probability(q_flip_detuning, "q_flip_detuning", slack, clamps)
+    root = clamped_sqrt(q_flip, slack, "even-detuning inversion", clamps)
     return _pick_branch(0.5 * (1.0 - root), 0.5 * (1.0 + root), branch)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -222,14 +222,19 @@ def case1_return_probability(p: float, q: float) -> float:
 
 
 def invert_case1(
-    q_return: float, q: float, *, slack: float = DEFAULT_SLACK, branch: str = "upper"
+    q_return: float,
+    q: float,
+    *,
+    slack: float = DEFAULT_SLACK,
+    branch: str = "upper",
+    clamps: Optional[List[str]] = None,
 ) -> float:
     """p = (1 + sqrt(Q)) / 2 - q for the unchanged-sign resonant double
     pass.  Requires the separately measured single-pass q; Q alone does
     not determine p in this arrangement."""
-    q_return = checked_probability(q_return, "q_return", slack)
-    q = checked_probability(q, "q", slack)
-    root = clamped_sqrt(q_return, slack, "resonant case-1 inversion")
+    q_return = checked_probability(q_return, "q_return", slack, clamps)
+    q = checked_probability(q, "q", slack, clamps)
+    root = clamped_sqrt(q_return, slack, "resonant case-1 inversion", clamps)
     return _pick_branch(0.5 * (1.0 - root) - q, 0.5 * (1.0 + root) - q, branch)
 
 
@@ -239,14 +244,18 @@ def case2_return_probability(p: float) -> float:
 
 
 def invert_case2(
-    q_return: float, *, slack: float = DEFAULT_SLACK, branch: str = "upper"
+    q_return: float,
+    *,
+    slack: float = DEFAULT_SLACK,
+    branch: str = "upper",
+    clamps: Optional[List[str]] = None,
 ) -> float:
     """p = (1 + sqrt(Q)) / 2 for the pump-flipped resonant double pass.
 
     Q and p are linked directly here, and the result always exceeds the
     interference-blind estimate sqrt(Q)."""
-    q_return = checked_probability(q_return, "q_return", slack)
-    root = clamped_sqrt(q_return, slack, "resonant case-2 inversion")
+    q_return = checked_probability(q_return, "q_return", slack, clamps)
+    root = clamped_sqrt(q_return, slack, "resonant case-2 inversion", clamps)
     return _pick_branch(0.5 * (1.0 - root), 0.5 * (1.0 + root), branch)
 
 
@@ -265,14 +274,19 @@ def detuned_average_return(p: float, q: float) -> float:
 
 
 def invert_detuned(
-    q_bar: float, q: float, *, slack: float = DEFAULT_SLACK, branch: str = "upper"
+    q_bar: float,
+    q: float,
+    *,
+    slack: float = DEFAULT_SLACK,
+    branch: str = "upper",
+    clamps: Optional[List[str]] = None,
 ) -> float:
     """p = (1 - q + sqrt(2 Q_bar - 3 q^2 + 2 q - 1)) / 2 for symmetric-pair
     passes, from the four-phase average and the single-pass q."""
-    q_bar = checked_probability(q_bar, "q_bar", slack)
-    q = checked_probability(q, "q", slack)
+    q_bar = checked_probability(q_bar, "q_bar", slack, clamps)
+    q = checked_probability(q, "q", slack, clamps)
     root = clamped_sqrt(
-        2.0 * q_bar - 3.0 * q * q + 2.0 * q - 1.0, slack, "symmetric-pair inversion"
+        2.0 * q_bar - 3.0 * q * q + 2.0 * q - 1.0, slack, "symmetric-pair inversion", clamps
     )
     return _pick_branch(0.5 * (1.0 - q - root), 0.5 * (1.0 - q + root), branch)
 
@@ -295,18 +309,19 @@ def invert_general(
     *,
     slack: float = DEFAULT_SLACK,
     branch: str = "upper",
+    clamps: Optional[List[str]] = None,
 ) -> float:
     """p from (Q_bar, q, r), all three measured on the initial state:
 
     p = (2 - q - r + sqrt(8 Q_bar - 4 + 4q + 4r + q^2 + r^2 - 14 q r)) / 4
     """
-    q_bar = checked_probability(q_bar, "q_bar", slack)
-    q = checked_probability(q, "q", slack)
-    r = checked_probability(r, "r", slack)
+    q_bar = checked_probability(q_bar, "q_bar", slack, clamps)
+    q = checked_probability(q, "q", slack, clamps)
+    r = checked_probability(r, "r", slack, clamps)
     radicand = (
         8.0 * q_bar - 4.0 + 4.0 * q + 4.0 * r + q * q + r * r - 14.0 * q * r
     )
-    root = clamped_sqrt(radicand, slack, "general three-state inversion")
+    root = clamped_sqrt(radicand, slack, "general three-state inversion", clamps)
     return _pick_branch(
         0.25 * (2.0 - q - r - root), 0.25 * (2.0 - q - r + root), branch
     )

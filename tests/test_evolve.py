@@ -6,6 +6,7 @@ from the integrator under test.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from doublepass.drive import (
     backward_profile_3,
 )
 from doublepass.evolve import (
+    BATCH_ROWS,
     MAX_STEP_PHASE,
     CayleyKlein,
     ConvergenceError,
@@ -29,13 +31,13 @@ from doublepass.evolve import (
     TemplateMismatchError,
     _ck_propagator,
     _coefficients_of,
-    _ordered_product,
     _step_exponentials_eigh,
     _su3_propagator,
     cayley_klein,
     hamiltonian2,
     hamiltonian3,
     propagate,
+    propagate_passes,
     propagate_profile,
     sign_flip_transform,
     unitarity_defect,
@@ -50,6 +52,24 @@ from doublepass.harness import (
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _ordered_product(mats):
+    """mats[n-1] @ ... @ mats[0] by pairwise reduction (log-depth)."""
+    while mats.shape[0] > 1:
+        n = mats.shape[0]
+        even = n - (n % 2)
+        paired = mats[1:even:2] @ mats[0:even:2]
+        if n % 2:
+            paired = np.concatenate([paired, mats[-1:]], axis=0)
+        mats = paired
+    return mats[0]
+
+
+def _eigh_propagator(h, dt):
+    """Reference propagator of an (n, d, d) Hermitian batch: eigh step
+    exponentials and their matrix product."""
+    return _ordered_product(_step_exponentials_eigh(h, dt))
 
 
 class TestHamiltonian2:
@@ -249,6 +269,39 @@ class TestPropagate:
         with pytest.raises(ValueError, match="expected"):
             propagate(bad, (0.0, 1.0), 16)
 
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_dimension_outside_two_and_three_rejected(self, d):
+        h = lambda ts: np.zeros((len(ts), d, d), complex)
+        with pytest.raises(ValueError, match=r"shape .* with d = 2 or 3"):
+            propagate(h, (0.0, 1.0), 16)
+
+    def test_failing_vectorised_callable_is_not_retried_point_by_point(self):
+        # a callable that takes arrays and rejects part of the grid: its
+        # own error surfaces after one grid call and one one-point probe
+        calls = []
+
+        def h(ts):
+            calls.append(np.shape(ts))
+            if np.any(np.asarray(ts) > 0.5):
+                raise ValueError("drive undefined after t = 0.5")
+            return np.zeros(np.shape(ts) + (2, 2), complex)
+
+        with pytest.raises(ValueError, match="undefined after") as caught:
+            propagate(h, (0.0, 1.0), 16)
+        assert calls == [(16,), (1,)]
+        assert caught.value.__cause__ is None
+
+    def test_callable_failing_everywhere_raises_its_grid_error(self):
+        calls = []
+
+        def h(ts):
+            calls.append(np.shape(ts))
+            raise TypeError(f"bad call {len(calls)}")
+
+        with pytest.raises(TypeError, match="bad call 1$"):
+            propagate(h, (0.0, 1.0), 16)
+        assert calls == [(16,), (1,), ()]
+
     def test_convergence_error_at_cap(self):
         profile = DriveProfile2(
             rabi=PulseShape.sin2(15.0, 1.0),
@@ -296,7 +349,7 @@ class TestCayleyKleinKernel:
             h = random_hermitian_batch(gen, n)
             dt = gen.uniform(0.01, 0.5)
             fast = _ck_propagator(*_coefficients_of(h), dt)
-            reference = _ordered_product(_step_exponentials_eigh(h, dt))
+            reference = _eigh_propagator(h, dt)
             assert fast.shape == (2, 2)
             assert np.abs(fast - reference).max() < 1e-13
             assert unitarity_defect(fast) < 1e-13
@@ -379,7 +432,7 @@ class TestSu3Kernel:
         for _ in range(5):
             h = random_hermitian_batch3(gen, n, kind)
             fast = _su3_propagator(*_coefficients_of(h), 1.0)
-            reference = _ordered_product(_step_exponentials_eigh(h, 1.0))
+            reference = _eigh_propagator(h, 1.0)
             assert fast.shape == (3, 3)
             assert np.abs(fast - reference).max() < 1e-13
             assert unitarity_defect(fast) < 1e-13
@@ -435,6 +488,145 @@ class TestSu3Kernel:
         u = propagate(shifted, profile.window, 500)
         expected = np.exp(-1j * (t1**2 - t0**2)) * propagate(traceless, profile.window, 500)
         assert np.abs(u - expected).max() < 1e-13
+
+
+def kernel_spy(monkeypatch, name):
+    """Record (array shapes, dt) of every call to a step kernel."""
+    calls = []
+    kernel = getattr(doublepass.evolve, name)
+
+    def spy(*args):
+        calls.append(([np.shape(a) for a in args[:-1]], args[-1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(doublepass.evolve, name, spy)
+    return calls
+
+
+class TestBatchedKernels:
+    """A batch of passes on one grid, reduced along the last axis, equals
+    the same passes propagated one at a time as 1-d arrays, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 128])
+    def test_ck_batch_equals_single_passes(self, n):
+        gen = rng(300 + n)
+        passes = [random_hermitian_batch(gen, n) for _ in range(6)]
+        passes[2][:] = 0.0  # a pass of exactly-zero steps
+        dt = 0.37
+        columns = [np.stack(c) for c in zip(*(_coefficients_of(h) for h in passes))]
+        batched = _ck_propagator(*columns, dt)
+        assert batched.shape == (6, 2, 2)
+        for u, h in zip(batched, passes):
+            assert np.array_equal(u, _ck_propagator(*_coefficients_of(h), dt))
+        assert np.array_equal(batched[2], np.exp(0j) * np.eye(2))
+        # two leading axes reduce the same way
+        grid = _ck_propagator(*(c.reshape(2, 3, n) for c in columns), dt)
+        assert np.array_equal(grid.reshape(6, 2, 2), batched)
+
+    @pytest.mark.parametrize("kind", ["generic", "degenerate", "near-scalar", "mixed"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 128])
+    def test_su3_batch_equals_single_passes(self, kind, n):
+        gen = rng(400 + n)
+        passes = [random_hermitian_batch3(gen, n, kind) for _ in range(5)]
+        passes[1][: n // 2] = 0.0
+        columns = [np.stack(c) for c in zip(*(_coefficients_of(h) for h in passes))]
+        batched = _su3_propagator(*columns, 1.0)
+        assert batched.shape == (5, 3, 3)
+        for u, h in zip(batched, passes):
+            assert np.array_equal(u, _su3_propagator(*_coefficients_of(h), 1.0))
+
+    def test_su3_batch_mixes_wide_and_closed_form_steps(self):
+        gen = rng(9)
+        passes = [random_hermitian_batch3(gen, 128, "mixed") for _ in range(4)]
+        spans = np.ptp(np.linalg.eigvalsh(np.stack(passes)), axis=-1)
+        assert 0.2 < np.mean(spans > 1.0) < 0.8
+        columns = [np.stack(c) for c in zip(*(_coefficients_of(h) for h in passes))]
+        batched = _su3_propagator(*columns, 1.0)
+        for u, h in zip(batched, passes):
+            assert np.array_equal(u, _su3_propagator(*_coefficients_of(h), 1.0))
+            assert np.abs(u - _eigh_propagator(h, 1.0)).max() < 1e-13
+
+
+def coarse_points(gen, steps):
+    """Pass families of random two- and three-state drives on one grid size."""
+    points = []
+    for _ in range(4):
+        family = two_state_family(gen, None)
+        points.append([replace(p, grid_points=steps) for p in family])
+        family = three_state_family(gen, random_general_three_state_profile)
+        points.append([replace(p, grid_points=steps) for p in family])
+    return points
+
+
+class TestPropagatePasses:
+    def test_equals_propagate_profile_pass_by_pass(self):
+        points = coarse_points(rng(51), 128)
+        for passes, propagators in zip(points, propagate_passes(points)):
+            assert len(propagators) == len(passes)
+            for profile, u in zip(passes, propagators):
+                assert np.array_equal(u, propagate_profile(profile))
+
+    def test_long_passes_reach_the_kernel_alone_as_1d_arrays(self, monkeypatch):
+        calls = kernel_spy(monkeypatch, "_ck_propagator")
+        family = two_state_family(rng(52), None)[:3]
+        assert family[0].grid_points == 4000 > BATCH_ROWS // 2
+        propagate_passes([family])
+        assert [shapes for shapes, _ in calls] == [[(4000,)] * 3] * 3
+        assert all(isinstance(dt, float) for _, dt in calls)
+
+    def test_short_passes_share_one_kernel_call(self, monkeypatch):
+        calls = kernel_spy(monkeypatch, "_ck_propagator")
+        # one window and grid, as on a pulse-area sweep
+        points = []
+        for peak in np.linspace(1.0, 20.0, 10):
+            profile = DriveProfile2(
+                rabi=PulseShape.gaussian(peak, 0.25),
+                detuning=DetuningShape.linear_chirp(15.0),
+                window=(-1.2, 0.8),
+                grid_points=128,
+            )
+            points.append([profile, backward_profile_2(profile), backward_profile_2(profile, True)])
+        propagate_passes(points)
+        assert [shapes for shapes, _ in calls] == [[(30, 128)] * 3]
+
+    def test_batches_stay_within_the_row_budget(self, monkeypatch):
+        calls = kernel_spy(monkeypatch, "_su3_propagator")
+        gen = rng(54)
+        points = [
+            [
+                replace(p, grid_points=1000, window=(-0.5, 2.0))
+                for p in three_state_family(gen, random_symmetric_pair_profile)
+            ]
+            for _ in range(3)
+        ]
+        propagate_passes(points)
+        # 12 passes on one grid, at most BATCH_ROWS // 1000 = 4 per call
+        rows = [shapes[0] for shapes, _ in calls]
+        assert rows == [(4, 1000), (4, 1000), (4, 1000)]
+        assert all(np.prod(r) <= BATCH_ROWS for r in rows)
+
+    def test_a_failing_pass_stays_with_its_point(self):
+        gen = rng(55)
+        points = [[replace(p, grid_points=64) for p in two_state_family(gen, None)] for _ in range(3)]
+        huge = replace(points[1][0].rabi, peak=1e300)
+        points[1] = [replace(p, rabi=huge) for p in points[1]]
+        results = propagate_passes(points)
+        assert isinstance(results[1], StepPhaseError)
+        for i in (0, 2):
+            assert [np.array_equal(u, propagate_profile(p)) for p, u in zip(points[i], results[i])] == [True] * 4
+
+    def test_first_failing_pass_is_reported(self):
+        profile = DriveProfile2(rabi=PulseShape.sin2(3.0, 1.0), grid_points=64)
+        bad = replace(profile, rabi=PulseShape.sin2(1e300, 1.0))
+        worse = replace(profile, rabi=PulseShape.sin2(1e305, 1.0))
+        [result] = propagate_passes([[profile, bad, worse]])
+        with pytest.raises(StepPhaseError) as first:
+            propagate_profile(bad)
+        assert isinstance(result, StepPhaseError) and str(result) == str(first.value)
+
+    def test_non_profile_rejected(self):
+        with pytest.raises(TypeError, match="unsupported profile type"):
+            propagate_passes([[object()]])
 
 
 class TestStepPhaseGuard:

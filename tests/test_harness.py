@@ -2,9 +2,13 @@
 
 import io
 import math
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
+
+import doublepass.evolve
 
 import doublepass.harness as harness
 from doublepass.drive import (
@@ -48,19 +52,20 @@ def stirap_profile(peak=12.0 * math.pi, delay=0.2, detuning=0.0, grid_points=400
 
 
 class CountingPropagator:
-    """Wraps the propagator entry point to count pass simulations."""
+    """Wraps the batched propagator entry point to count the pass
+    profiles it is given to simulate."""
 
     def __init__(self, monkeypatch):
-        from doublepass.evolve import propagate_profile
+        from doublepass.evolve import propagate_passes
 
         self.calls = 0
-        inner = propagate_profile
+        inner = propagate_passes
 
-        def counted(profile, **kwargs):
-            self.calls += 1
-            return inner(profile, **kwargs)
+        def counted(points):
+            self.calls += sum(len(passes) for passes in points)
+            return inner(points)
 
-        monkeypatch.setattr(harness, "propagate_profile", counted)
+        monkeypatch.setattr(harness, "propagate_passes", counted)
 
 
 class TestRunProtocolTwoState:
@@ -301,15 +306,15 @@ def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
     """The forward pass, then exactly the listed second passes, in order:
     (rabi sign, detuning sign) for two-state drives, (pump phase, Stokes
     phase) of the role-swapped drive for three-state drives."""
-    from doublepass.evolve import propagate_profile
+    from doublepass.evolve import propagate_passes
 
     seen = []
 
-    def recording(pass_profile, **kwargs):
-        seen.append(pass_profile)
-        return propagate_profile(pass_profile, **kwargs)
+    def recording(points):
+        seen.extend(profile for passes in points for profile in passes)
+        return propagate_passes(points)
 
-    monkeypatch.setattr(harness, "propagate_profile", recording)
+    monkeypatch.setattr(harness, "propagate_passes", recording)
     run_protocol(kind, profile)
 
     assert seen[0] == profile
@@ -320,6 +325,131 @@ def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
         assert [(p.pump_phase, p.stokes_phase) for p in seen[1:]] == second_passes
         # every second pass is the role-swapped drive at those phases
         assert seen[1:] == [backward_profile_3(profile, *phases) for phases in second_passes]
+
+
+PROTOCOL_DRIVES = {
+    ProtocolKind.TWO_STATE_GENERAL: chirped_profile(),
+    ProtocolKind.TWO_STATE_RAP: chirped_profile(),
+    ProtocolKind.TWO_STATE_CONST_DETUNING: EVEN_DETUNING,
+    ProtocolKind.STIRAP_RESONANT_CASE1: stirap_profile(),
+    ProtocolKind.STIRAP_RESONANT_CASE2: stirap_profile(),
+    ProtocolKind.STIRAP_DETUNED: stirap_profile(detuning=3.0),
+    ProtocolKind.THREE_STATE_GENERAL: GENERAL_THREE_STATE,
+}
+
+
+def point_by_point(spec, slack=harness.su2relations.DEFAULT_SLACK):
+    """The sweep as a loop of run_protocol calls, one point at a time."""
+    values = [spec.start] if spec.start == spec.stop else np.linspace(spec.start, spec.stop, spec.points)
+    records = []
+    for value in map(float, values):
+        try:
+            point = harness.apply_sweep_parameter(spec.profile, spec.parameter, value)
+            record = run_protocol(spec.protocol, point, slack=slack, swept_value=value)
+        except ValueError as exc:
+            record = MeasurementRecord(swept_value=value, status=f"error: {exc}")
+        records.append(record)
+    return records
+
+
+class TestBatchedSweep:
+    """Sweeps propagate chunks of points together; every record must
+    still equal the one run_protocol gives for its point, field by field."""
+
+    @pytest.mark.parametrize("kind", list(PROTOCOL_DRIVES))
+    def test_records_equal_point_by_point(self, kind):
+        # 128-step passes: several points per chunk, and several chunks
+        profile = replace(PROTOCOL_DRIVES[kind], grid_points=128)
+        spec = SweepSpec(profile, "pulse-area", 0.5, 12.0 * math.pi, 23, kind)
+        records = sweep(spec)
+        assert records == point_by_point(spec)
+        assert sum(r.status == "ok" for r in records) >= 20
+
+    def test_short_points_share_kernel_calls(self, monkeypatch):
+        shapes = []
+        kernel = doublepass.evolve._ck_propagator
+
+        def spy(*args):
+            shapes.append(np.shape(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(doublepass.evolve, "_ck_propagator", spy)
+        profile = replace(chirped_profile(), grid_points=128)
+        sweep(SweepSpec(profile, "pulse-area", 1.0, 20.0, 10, ProtocolKind.TWO_STATE_GENERAL))
+        assert shapes == [(30, 128)]  # ten points, three passes each, one call
+
+    def test_points_are_measured_in_chunks_under_the_budget(self, monkeypatch):
+        counter = CountingPropagator(monkeypatch)
+        chunks = []
+        counted = harness.propagate_passes
+
+        def chunked(points):
+            chunks.append(sum(p.grid_points for passes in points for p in passes))
+            return counted(points)
+
+        monkeypatch.setattr(harness, "propagate_passes", chunked)
+        profile = replace(chirped_profile(), grid_points=128)
+        sweep(SweepSpec(profile, "pulse-area", 1.0, 20.0, 23, ProtocolKind.TWO_STATE_GENERAL))
+        # 384 step rows per point: ten points fit under 4096
+        assert chunks == [3840, 3840, 1152] and counter.calls == 69
+
+    def test_failures_in_a_chunk_stay_with_their_points(self, monkeypatch):
+        profile = replace(chirped_profile(), grid_points=64)
+        spec = SweepSpec(profile, "pulse-area", 1.0, 20.0, 12, ProtocolKind.TWO_STATE_RAP)
+        values = list(np.linspace(spec.start, spec.stop, spec.points))
+        apply = harness.apply_sweep_parameter
+        inverter = harness.invert_p_rap
+        target = run_protocol(spec.protocol, apply(profile, "pulse-area", values[8])).q00
+
+        def spoiled_point(base, parameter, value):
+            point = apply(base, parameter, value)
+            if value == values[3]:  # unresolvable: StepPhaseError
+                return replace(point, rabi=replace(point.rabi, peak=1e300))
+            if value == values[5]:  # breaks the parity precondition
+                return replace(point, window=(-0.1, 1.3))
+            return point
+
+        def spoiled_inversion(q_same, *, slack, clamps):
+            # a negative slack admits no probability: InversionRangeError
+            return inverter(q_same, slack=-1.0 if q_same == target else slack, clamps=clamps)
+
+        monkeypatch.setattr(harness, "apply_sweep_parameter", spoiled_point)
+        monkeypatch.setattr(harness, "invert_p_rap", spoiled_inversion)
+        records = sweep(spec)
+        assert records == point_by_point(spec)
+        statuses = [r.status for r in records]
+        assert statuses[3].startswith("error: step phase")
+        assert statuses[5].startswith("error: swept-crossing protocol needs")
+        assert statuses[8].startswith("error: q_same")
+        assert sum(s == "ok" for s in statuses) == 9
+
+    def test_delay_sweep_groups_nothing_across_points(self, monkeypatch):
+        # the window moves with the delay, so each point is its own batch
+        shapes = []
+        kernel = doublepass.evolve._su3_propagator
+
+        def spy(*args):
+            shapes.append(np.shape(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(doublepass.evolve, "_su3_propagator", spy)
+        profile = stirap_profile(detuning=3.0, grid_points=128)
+        spec = SweepSpec(profile, "delay", -0.2, 0.4, 7, ProtocolKind.STIRAP_DETUNED)
+        records = sweep(spec)
+        assert shapes == [(5, 128)] * 7
+        monkeypatch.setattr(doublepass.evolve, "_su3_propagator", kernel)
+        assert records == point_by_point(spec)
+
+    def test_clamps_are_recorded_with_warnings_as_errors(self, monkeypatch):
+        # an averaged return just below its floor of 1/2, within the slack
+        monkeypatch.setattr(harness, "average_return", lambda q_same, q_flip: 0.5 - 1e-10)
+        profile = replace(chirped_profile(), grid_points=64)
+        spec = SweepSpec(profile, "pulse-area", 1.0, 20.0, 4, ProtocolKind.TWO_STATE_GENERAL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = sweep(spec)
+        assert [r.status for r in records] == ["clamped"] * 4
+        assert all(r.p_estimated == 0.5 for r in records)
 
 
 class TestSweep:

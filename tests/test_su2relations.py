@@ -6,6 +6,7 @@ and against brute-force two-pass propagation.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,17 @@ class TestInvertPGeneral:
         with pytest.warns(RadicandClampWarning):
             p = invert_p_general(0.5 - 1e-8)
         assert p == pytest.approx(0.5)
+
+    def test_clamps_list_collects_instead_of_warning(self):
+        clamps = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invert_p_general(0.5 - 1e-8, clamps=clamps) == 0.5
+            assert invert_p_general(1.0 + 1e-8, clamps=clamps) == 1.0
+        assert clamps == [
+            "average-return inversion: radicand -2.000000e-08 clamped to 0",
+            "q_bar = 1.000000e+00 clamped into [0, 1]",
+        ]
 
     def test_out_of_range_raises(self):
         with pytest.raises(InversionRangeError):
