@@ -574,21 +574,6 @@ class TestPropagatePasses:
         assert [shapes for shapes, _ in calls] == [[(4000,)] * 3] * 3
         assert all(isinstance(dt, float) for _, dt in calls)
 
-    def test_short_passes_share_one_kernel_call(self, monkeypatch):
-        calls = kernel_spy(monkeypatch, "_ck_propagator")
-        # one window and grid, as on a pulse-area sweep
-        points = []
-        for peak in np.linspace(1.0, 20.0, 10):
-            profile = DriveProfile2(
-                rabi=PulseShape.gaussian(peak, 0.25),
-                detuning=DetuningShape.linear_chirp(15.0),
-                window=(-1.2, 0.8),
-                grid_points=128,
-            )
-            points.append([profile, backward_profile_2(profile), backward_profile_2(profile, True)])
-        propagate_passes(points)
-        assert [shapes for shapes, _ in calls] == [[(30, 128)] * 3]
-
     def test_batches_stay_within_the_row_budget(self, monkeypatch):
         calls = kernel_spy(monkeypatch, "_su3_propagator")
         gen = rng(54)

@@ -352,6 +352,19 @@ def point_by_point(spec, slack=harness.su2relations.DEFAULT_SLACK):
     return records
 
 
+def kernel_shapes(monkeypatch, name):
+    """Record the shape of the first array of every call to a step kernel."""
+    shapes = []
+    kernel = getattr(doublepass.evolve, name)
+
+    def spy(*args):
+        shapes.append(np.shape(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(doublepass.evolve, name, spy)
+    return shapes
+
+
 class TestBatchedSweep:
     """Sweeps propagate chunks of points together; every record must
     still equal the one run_protocol gives for its point, field by field."""
@@ -366,14 +379,7 @@ class TestBatchedSweep:
         assert sum(r.status == "ok" for r in records) >= 20
 
     def test_short_points_share_kernel_calls(self, monkeypatch):
-        shapes = []
-        kernel = doublepass.evolve._ck_propagator
-
-        def spy(*args):
-            shapes.append(np.shape(args[0]))
-            return kernel(*args)
-
-        monkeypatch.setattr(doublepass.evolve, "_ck_propagator", spy)
+        shapes = kernel_shapes(monkeypatch, "_ck_propagator")
         profile = replace(chirped_profile(), grid_points=128)
         sweep(SweepSpec(profile, "pulse-area", 1.0, 20.0, 10, ProtocolKind.TWO_STATE_GENERAL))
         assert shapes == [(30, 128)]  # ten points, three passes each, one call
@@ -425,19 +431,11 @@ class TestBatchedSweep:
 
     def test_delay_sweep_groups_nothing_across_points(self, monkeypatch):
         # the window moves with the delay, so each point is its own batch
-        shapes = []
-        kernel = doublepass.evolve._su3_propagator
-
-        def spy(*args):
-            shapes.append(np.shape(args[0]))
-            return kernel(*args)
-
-        monkeypatch.setattr(doublepass.evolve, "_su3_propagator", spy)
+        shapes = kernel_shapes(monkeypatch, "_su3_propagator")
         profile = stirap_profile(detuning=3.0, grid_points=128)
         spec = SweepSpec(profile, "delay", -0.2, 0.4, 7, ProtocolKind.STIRAP_DETUNED)
         records = sweep(spec)
         assert shapes == [(5, 128)] * 7
-        monkeypatch.setattr(doublepass.evolve, "_su3_propagator", kernel)
         assert records == point_by_point(spec)
 
     def test_clamps_are_recorded_with_warnings_as_errors(self, monkeypatch):
