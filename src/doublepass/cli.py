@@ -166,11 +166,7 @@ def _parse_profile(block: Dict):
         )
         if "rabi" not in block:
             raise ConfigError("profile: missing required key 'rabi'")
-        detuning = (
-            _parse_detuning(block["detuning"], "profile.detuning")
-            if "detuning" in block
-            else DetuningShape.zero()
-        )
+        detuning = _parse_detuning(block.get("detuning", {"shape": "zero"}), "profile.detuning")
         return DriveProfile2(
             rabi=_parse_pulse(block["rabi"], "profile.rabi"),
             detuning=detuning,
@@ -198,11 +194,7 @@ def _parse_profile(block: Dict):
         for key in ("pump", "stokes"):
             if key not in block:
                 raise ConfigError(f"profile: missing required key {key!r}")
-        detuning = (
-            _parse_detuning(block["detuning"], "profile.detuning")
-            if "detuning" in block
-            else DetuningShape.zero()
-        )
+        detuning = _parse_detuning(block.get("detuning", {"shape": "zero"}), "profile.detuning")
         return DriveProfile3(
             pump=_parse_pulse(block["pump"], "profile.pump"),
             stokes=_parse_pulse(block["stokes"], "profile.stokes"),
@@ -325,46 +317,28 @@ def _cmd_sweep(args) -> int:
     return EX_OK
 
 
+# relation -> (inverter, the flags whose values it takes, in order)
 _INVERT_RELATIONS = {
-    "two-state-general": (("q_bar",), lambda a, s: invert_p_general(a["q_bar"], slack=s)),
-    "two-state-rap": (("q_return",), lambda a, s: invert_p_rap(a["q_return"], slack=s)),
-    "two-state-const-detuning": (
-        ("q_return",),
-        lambda a, s: invert_p_const_detuning(a["q_return"], slack=s),
-    ),
-    "stirap-case1": (
-        ("q_return", "q"),
-        lambda a, s: invert_case1(a["q_return"], a["q"], slack=s),
-    ),
-    "stirap-case2": (("q_return",), lambda a, s: invert_case2(a["q_return"], slack=s)),
-    "stirap-detuned": (
-        ("q_bar", "q"),
-        lambda a, s: invert_detuned(a["q_bar"], a["q"], slack=s),
-    ),
-    "three-state-general": (
-        ("q_bar", "q", "r"),
-        lambda a, s: invert_general(a["q_bar"], a["q"], a["r"], slack=s),
-    ),
+    "two-state-general": (invert_p_general, ("q_bar",)),
+    "two-state-rap": (invert_p_rap, ("q_return",)),
+    "two-state-const-detuning": (invert_p_const_detuning, ("q_return",)),
+    "stirap-case1": (invert_case1, ("q_return", "q")),
+    "stirap-case2": (invert_case2, ("q_return",)),
+    "stirap-detuned": (invert_detuned, ("q_bar", "q")),
+    "three-state-general": (invert_general, ("q_bar", "q", "r")),
 }
 
 
 def _cmd_invert(args) -> int:
-    required, formula = _INVERT_RELATIONS[args.relation]
+    inverter, names = _INVERT_RELATIONS[args.relation]
     if not (math.isfinite(args.slack) and args.slack >= 0.0):
         raise _UsageError(f"--slack must be finite and >= 0, got {args.slack}")
-    supplied = {
-        "q_bar": args.q_bar,
-        "q_return": args.q_return,
-        "q": args.q,
-        "r": args.r,
-    }
-    values = {}
-    for name in required:
-        if supplied[name] is None:
+    values = [getattr(args, name) for name in names]
+    for name, value in zip(names, values):
+        if value is None:
             flag = "--" + name.replace("_", "-")
             raise _UsageError(f"relation {args.relation!r} requires {flag}")
-        values[name] = supplied[name]
-    p = formula(values, args.slack)
+    p = inverter(*values, slack=args.slack)
     print(format(p, ".17g"))
     return EX_OK
 

@@ -284,7 +284,15 @@ def pulse_area(shape: PulseShape, window: Tuple[float, float]) -> float:
     # sech: the antiderivative is the gudermannian atan(sinh x)
     lo = (t0 - shape.offset) / shape.width
     hi = (t1 - shape.offset) / shape.width
-    return shape.peak * shape.width * (math.atan(math.sinh(hi)) - math.atan(math.sinh(lo)))
+    return shape.peak * shape.width * (_gudermannian(hi) - _gudermannian(lo))
+
+
+def _gudermannian(x: float) -> float:
+    """atan(sinh x); sinh overflows from |x| ~ 710 on, where atan(sinh x)
+    has long rounded to +-pi/2."""
+    if abs(x) >= 710.0:
+        return math.copysign(0.5 * math.pi, x)
+    return math.atan(math.sinh(x))
 
 
 def padded_window(
@@ -313,7 +321,8 @@ def padded_window(
 
 def _check_window(window: Tuple[float, float]) -> Tuple[float, float]:
     lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+    # a length that overflows would give every grid step an infinite time
+    if not (math.isfinite(hi - lo) and hi > lo):
         raise ValueError(f"window must be finite with positive length, got {window}")
     return (lo, hi)
 
@@ -364,7 +373,8 @@ class DriveProfile2:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.window[0] + self.window[1])
+        # halved first, so that the sum cannot overflow
+        return 0.5 * self.window[0] + 0.5 * self.window[1]
 
     def rabi_at(self, t: ArrayLike) -> ArrayLike:
         return self.rabi_sign * sample_rabi(self.rabi, t)
@@ -431,7 +441,8 @@ class DriveProfile3:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.window[0] + self.window[1])
+        # halved first, so that the sum cannot overflow
+        return 0.5 * self.window[0] + 0.5 * self.window[1]
 
     def symmetric_pair(self, tol: float = _PARITY_TOL) -> bool:
         """True iff pump and Stokes share shape, peak and width and differ

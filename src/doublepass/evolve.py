@@ -60,7 +60,6 @@ from .drive import (
 UNITARITY_TOL = 1e-10
 TEMPLATE_TOL = 1e-8
 DEFAULT_GRID_POINTS = 4000
-DEFAULT_REFINE_TOL = 1e-9
 # Largest step phase dt * max|H| accepted: beyond it float64 resolves
 # the phase of a step to worse than about 1e-4 rad.
 MAX_STEP_PHASE = 1e12
@@ -69,6 +68,10 @@ MAX_STEP_PHASE = 1e12
 # above _EIGH_SPAN a step is exponentiated via eigh.
 _SERIES_SPAN = 1e-5
 _EIGH_SPAN = 1.0
+# A step depends on dt * H alone.  The kernels square entries of H, which
+# under- or overflow beyond about 1e+-154 while the step-phase guard
+# bounds only dt * max|H|, so a dt outside this range is folded into H.
+_DT_RANGE = (1e-140, 1e140)
 # Most step rows (passes x steps) that ``propagate_passes`` gives one
 # kernel call.  Per 128-step pass, batching 32 passes cuts a 2x2 pass
 # from ~83 to ~9 us and a 3x3 pass from ~340 to ~90 us, and larger
@@ -217,6 +220,8 @@ def _ck_propagator(
     commute and are summed into one; the (a, b) pairs are reduced by
     log-depth pairing of neighbouring steps.
     """
+    if not _DT_RANGE[0] < dt < _DT_RANGE[1]:
+        return _ck_propagator(dt * d0, dt * d1, dt * h10, 1.0)
     c0 = 0.5 * (d0 + d1)
     cz = 0.5 * (d0 - d1)
     x = dt * np.sqrt(cz * cz + h10.real * h10.real + h10.imag * h10.imag)
@@ -290,6 +295,8 @@ def _su3_propagator(
     to 1, so it does not build up with the number of steps; a zero step
     is exactly D = 0.
     """
+    if not _DT_RANGE[0] < dt < _DT_RANGE[1]:
+        return _su3_propagator(*(dt * x for x in (d0, d1, d2, h10, h20, h21)), 1.0)
     c0 = (d0 + d1 + d2) / 3.0
     # Y from the lower triangle, as eigh reads it
     a, b, c = dt * (d0 - c0), dt * (d1 - c0), dt * (d2 - c0)
@@ -361,10 +368,12 @@ def _triangle_indices(d: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _check_step_phase(dt: float, h_max) -> None:
-    # also catches NaN/inf samples and a non-finite dt
-    if not dt * h_max < MAX_STEP_PHASE:
+    # a Python float product overflows to inf without a warning; the
+    # check also catches NaN/inf samples and a non-finite dt
+    phase = float(dt) * float(h_max)
+    if not phase < MAX_STEP_PHASE:
         raise StepPhaseError(
-            f"step phase dt * max|H| = {dt * h_max:.3e} is not finite or "
+            f"step phase dt * max|H| = {phase:.3e} is not finite or "
             f">= {MAX_STEP_PHASE:.0e}; float64 cannot resolve the drive on this grid"
         )
 
@@ -535,7 +544,10 @@ def propagate_profile(
         raise TypeError(f"unsupported profile type {type(profile).__name__}")
     steps = profile.grid_points if grid_points is None else grid_points
     sample = functools.partial(_sample_profile, profile)
-    return _propagate(sample, profile.window, steps, refine_tol, MAX_GRID_POINTS)
+    # envelope tails and chirps may overflow to their limits, 0 or inf;
+    # the step-phase guard rejects an infinite sample
+    with np.errstate(over="ignore"):
+        return _propagate(sample, profile.window, steps, refine_tol, MAX_GRID_POINTS)
 
 
 def propagate_passes(
@@ -562,22 +574,24 @@ def propagate_passes(
             groups.setdefault(key, []).append((i, j, profile))
     results: List[list] = [[None] * len(passes) for passes in points]
     failed: Dict[int, Tuple[int, ValueError]] = {}
-    for (_, window, steps), members in groups.items():
-        ts, dt = _grid(window, check_grid_points(steps))
-        size = max(1, BATCH_ROWS // len(ts))
-        for start in range(0, len(members), size):
-            slots, sampled = [], []
-            for i, j, profile in members[start : start + size]:
-                if i in failed and failed[i][0] < j:
-                    continue  # a point's passes after its first failure
-                try:
-                    sampled.append(_sample_profile(profile, ts, dt))
-                except ValueError as error:
-                    failed[i] = (j, error)
-                    continue
-                slots.append((i, j))
-            for (i, j), u in zip(slots, _propagate_batch(sampled, dt)):
-                results[i][j] = u
+    # samples may overflow, as in propagate_profile
+    with np.errstate(over="ignore"):
+        for (_, window, steps), members in groups.items():
+            ts, dt = _grid(window, check_grid_points(steps))
+            size = max(1, BATCH_ROWS // len(ts))
+            for start in range(0, len(members), size):
+                slots, sampled = [], []
+                for i, j, profile in members[start : start + size]:
+                    if i in failed and failed[i][0] < j:
+                        continue  # a point's passes after its first failure
+                    try:
+                        sampled.append(_sample_profile(profile, ts, dt))
+                    except ValueError as error:
+                        failed[i] = (j, error)
+                        continue
+                    slots.append((i, j))
+                for (i, j), u in zip(slots, _propagate_batch(sampled, dt)):
+                    results[i][j] = u
     return [failed[i][1] if i in failed else passes for i, passes in enumerate(results)]
 
 

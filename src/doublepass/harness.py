@@ -15,11 +15,11 @@ structural and r checks, validation and inversion).  ``run_protocol``,
 ``double_pass`` (which the verification suites use) and ``sweep`` all
 propagate through that one batched entry.
 
-Sweeps repeat a protocol over a parameter grid.  They measure
-consecutive points in chunks of at most ``evolve.BATCH_ROWS`` step rows,
-so a chunk's passes share kernel calls, and each point is still
-finished on its own: per-point failures are recorded in the row status
-instead of aborting the sweep.
+Sweeps repeat a protocol over a parameter grid.  They prepare every
+point, propagate the passes of all points in one ``propagate_passes``
+call, whose step-row budget decides which passes share a kernel call,
+and finish each point on its own: per-point failures are recorded in
+the row status instead of aborting the sweep.
 ``verify`` replays the package's numeric invariants over seeded random
 drives and produces a deterministic report.
 """
@@ -45,7 +45,6 @@ from .drive import (
     pulse_area,
 )
 from .evolve import (
-    BATCH_ROWS,
     TemplateMismatchError,
     cayley_klein,
     propagate_passes,
@@ -62,8 +61,12 @@ from .su2relations import (
 )
 from .su3relations import (
     PassProbabilities3,
+    case1_return_probability,
+    case2_return_probability,
+    detuned_average_return,
     extract_resonant_ck,
     four_phase_average,
+    general_average_return,
     invert_case1,
     invert_case2,
     invert_detuned,
@@ -480,6 +483,10 @@ class SweepSpec:
             raise ValueError("points must be >= 2")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("sweep range must be finite")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(
+                f"sweep range from {self.start} to {self.stop} is too wide: stop - start overflows"
+            )
         object.__setattr__(self, "protocol", ProtocolKind(self.protocol))
 
 
@@ -529,16 +536,33 @@ def apply_sweep_parameter(profile: Profile, parameter: str, value: float) -> Pro
 _POINT_ERRORS = (ProtocolPreconditionError, InversionRangeError, ValueError)
 
 
-def _measure_chunk(
-    chunk: Sequence[Tuple[float, Union[_Point, Exception]]], slack: float
-) -> List[MeasurementRecord]:
-    """Records of consecutive sweep points, each a prepared point or the
-    error that preparing it raised.  The passes of all prepared points
-    are propagated together; each point is then finished on its own."""
-    prepared = [point for _, point in chunk if not isinstance(point, Exception)]
+def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List[MeasurementRecord]:
+    """One record per grid point, ordered by swept value.
+
+    A zero-length range collapses to a single point.  Per-point
+    precondition or inversion failures are recorded in the row status
+    and the sweep continues.
+
+    Every point is prepared, the passes of all prepared points go to one
+    ``propagate_passes`` call (which batches them under its step-row
+    budget), and each point is then finished on its own.  Every record
+    equals that of ``run_protocol`` on its point.
+    """
+    if spec.start == spec.stop:
+        values = [float(spec.start)]
+    else:
+        values = [float(value) for value in np.linspace(spec.start, spec.stop, spec.points)]
+    points: List[Union[_Point, Exception]] = []
+    for value in values:
+        try:
+            point = apply_sweep_parameter(spec.profile, spec.parameter, value)
+            points.append(_prepare(spec.protocol, point))
+        except _POINT_ERRORS as exc:
+            points.append(exc)
+    prepared = [point for point in points if not isinstance(point, Exception)]
     results = iter(propagate_passes([passes for _, passes in prepared]))
     records = []
-    for value, point in chunk:
+    for value, point in zip(values, points):
         try:
             if isinstance(point, Exception):
                 raise point
@@ -547,41 +571,6 @@ def _measure_chunk(
             record = MeasurementRecord(swept_value=value, status=f"error: {exc}")
         records.append(record)
     return records
-
-
-def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List[MeasurementRecord]:
-    """One record per grid point, ordered by swept value.
-
-    A zero-length range collapses to a single point.  Per-point
-    precondition or inversion failures are recorded in the row status
-    and the sweep continues.
-
-    Consecutive points are measured in chunks of at most ``BATCH_ROWS``
-    step rows (a point with more rows is a chunk of its own), so the
-    passes of a chunk share kernel calls while only one chunk is
-    sampled at a time.  Every record equals that of ``run_protocol`` on
-    its point.
-    """
-    if spec.start == spec.stop:
-        values = [spec.start]
-    else:
-        values = list(np.linspace(spec.start, spec.stop, spec.points))
-    records: List[MeasurementRecord] = []
-    chunk: List[Tuple[float, Union[_Point, Exception]]] = []
-    rows = 0
-    for value in map(float, values):
-        try:
-            point = apply_sweep_parameter(spec.profile, spec.parameter, value)
-            prepared = _prepare(spec.protocol, point)
-            point_rows = sum(p.grid_points for p in prepared[1])
-        except _POINT_ERRORS as exc:
-            prepared, point_rows = exc, 0
-        if chunk and rows + point_rows > BATCH_ROWS:
-            records += _measure_chunk(chunk, slack)
-            chunk, rows = [], 0
-        chunk.append((value, prepared))
-        rows += point_rows
-    return records + _measure_chunk(chunk, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -785,10 +774,12 @@ def _suite_even_detuning_return(i: int, rng: np.random.Generator) -> float:
 
 
 def _suite_degradation(i: int, rng: np.random.Generator) -> float:
-    # near-complete transfer: Q_bar = 1 - 2 eps + 2 eps^2 exactly
+    # near-complete transfer p = 1 - eps: Q_bar = 1 - 2 eps + 2 eps^2
+    # exactly, and the inversion must give p back
     eps = rng.uniform(0.0, 1e-2)
     q_bar = (1.0 - eps) ** 2 + eps**2
-    return max(0.0, abs(q_bar - (1.0 - 2.0 * eps)) - 2.0 * eps**2)
+    identity = max(0.0, abs(q_bar - (1.0 - 2.0 * eps)) - 2.0 * eps**2)
+    return max(identity, abs(invert_p_general(q_bar) - (1.0 - eps)))
 
 
 def _suite_swap_unitarity(i: int, rng: np.random.Generator) -> float:
@@ -820,15 +811,13 @@ def _suite_resonant_template(i: int, rng: np.random.Generator) -> float:
 def _suite_resonant_case1(i: int, rng: np.random.Generator) -> float:
     profile = random_resonant_pair_profile(rng)
     u, (q_ret,) = _protocol_passes(ProtocolKind.STIRAP_RESONANT_CASE1, profile)
-    p = _population(u, 2)
-    q = _population(u, 0)
-    return abs(q_ret - (2.0 * p + 2.0 * q - 1.0) ** 2)
+    return abs(q_ret - case1_return_probability(_population(u, 2), _population(u, 0)))
 
 
 def _suite_resonant_case2(i: int, rng: np.random.Generator) -> float:
     profile = random_resonant_pair_profile(rng)
     u, (q_ret,) = _protocol_passes(ProtocolKind.STIRAP_RESONANT_CASE2, profile)
-    return abs(q_ret - (1.0 - 2.0 * _population(u, 2)) ** 2)
+    return abs(q_ret - case2_return_probability(_population(u, 2)))
 
 
 def _suite_four_phase_product(i: int, rng: np.random.Generator) -> float:
@@ -849,19 +838,15 @@ def _suite_detuned_average(i: int, rng: np.random.Generator) -> float:
     delta = _DETUNINGS[i % len(_DETUNINGS)]
     profile = random_symmetric_pair_profile(rng, detuning=delta)
     u, q_set = _protocol_passes(ProtocolKind.STIRAP_DETUNED, profile)
-    p = _population(u, 2)
-    q = _population(u, 0)
-    expected = p * p + q * q + (1.0 - p - q) ** 2
+    expected = detuned_average_return(_population(u, 2), _population(u, 0))
     return abs(four_phase_average(q_set) - expected)
 
 
 def _suite_general_average(i: int, rng: np.random.Generator) -> float:
     profile = random_general_three_state_profile(rng)
     u, q_set = _protocol_passes(ProtocolKind.THREE_STATE_GENERAL, profile)
-    p = _population(u, 2)
-    q = _population(u, 0)
     r = float(abs(u[2, 2]) ** 2)
-    expected = p * p + q * r + (1.0 - p - q) * (1.0 - p - r)
+    expected = general_average_return(_population(u, 2), _population(u, 0), r)
     return abs(four_phase_average(q_set) - expected)
 
 
@@ -885,7 +870,7 @@ SUITES: Dict[str, SuiteDef] = {
     "mirror-branch": SuiteDef(1e-7, _suite_mirror_branch, "upper-branch inversion recovers p or its mirror"),
     "chirp-return": SuiteDef(1e-7, _suite_chirp_return, "chirp-symmetric drives: flipped return is 1, unflipped is (1-2p)^2"),
     "even-detuning-return": SuiteDef(1e-7, _suite_even_detuning_return, "even-detuning drives: detuning-flipped return is (1-2p)^2"),
-    "degradation": SuiteDef(1e-12, _suite_degradation, "near-complete transfer degrades as 1 - 2 eps + O(eps^2)"),
+    "degradation": SuiteDef(1e-12, _suite_degradation, "near-complete transfer degrades as 1 - 2 eps + O(eps^2) and inverts back to p"),
     "swap-unitarity": SuiteDef(1e-12, _suite_swap_unitarity, "role-swapped propagators stay unitary"),
     "element-pairs": SuiteDef(1e-7, _suite_element_pairs, "symmetric pairs give three equal element pairs"),
     "resonant-template": SuiteDef(1e-7, _suite_resonant_template, "resonant symmetric pairs fit the real-triple template"),

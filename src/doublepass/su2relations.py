@@ -24,10 +24,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .evolve import CayleyKlein
+from .evolve import CayleyKlein, sign_flip_transform
 
-VARIANTS = ("same", "flip_rabi", "flip_detuning", "flip_both")
-
+_FLIPS = {"same": (False, False), "flip_rabi": (True, False), "flip_detuning": (False, True), "flip_both": (True, True)}
+VARIANTS = tuple(_FLIPS)
 DEFAULT_SLACK = 1e-6
 _PROB_TOL = 1e-9
 
@@ -122,39 +122,17 @@ class PassProbabilities2:
 
 
 def double_pass_propagator(ck: CayleyKlein, variant: str) -> np.ndarray:
-    """Closed-form product of the second-pass and first-pass propagators.
+    """Product of the second-pass and first-pass propagators, both in
+    closed form from the first pass's (a, b).
 
     ``variant`` names the sign changes applied to the second pass
     relative to the first: "same", "flip_rabi", "flip_detuning" or
-    "flip_both".
+    "flip_both"; ``_FLIPS`` maps it to the (coupling, detuning) flips
+    that ``sign_flip_transform`` applies to the pair.
     """
-    a, b = ck.a, ck.b
-    ac, bc = np.conj(a), np.conj(b)
-    if variant == "same":
-        return np.array(
-            [[a * a - abs(b) ** 2, -2.0 * bc * a.real],
-             [2.0 * b * a.real, ac * ac - abs(b) ** 2]],
-            dtype=complex,
-        )
-    if variant == "flip_rabi":
-        return np.array(
-            [[a * a + abs(b) ** 2, -2j * bc * a.imag],
-             [-2j * b * a.imag, ac * ac + abs(b) ** 2]],
-            dtype=complex,
-        )
-    if variant == "flip_detuning":
-        return np.array(
-            [[abs(a) ** 2 + b * b, 2j * ac * b.imag],
-             [2j * a * b.imag, abs(a) ** 2 + bc * bc]],
-            dtype=complex,
-        )
-    if variant == "flip_both":
-        return np.array(
-            [[abs(a) ** 2 - b * b, -2.0 * ac * b.real],
-             [2.0 * a * b.real, abs(a) ** 2 - bc * bc]],
-            dtype=complex,
-        )
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant not in _FLIPS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return sign_flip_transform(ck, *_FLIPS[variant]) @ sign_flip_transform(ck)
 
 
 def return_probability(ck: CayleyKlein, variant: str) -> float:
@@ -170,9 +148,7 @@ def return_probability(ck: CayleyKlein, variant: str) -> float:
         return 1.0 - 4.0 * p * ck.a.real**2
     if variant == "flip_rabi":
         return 1.0 - 4.0 * p * ck.a.imag**2
-    if variant in ("flip_detuning", "flip_both"):
-        return float(abs(double_pass_propagator(ck, variant)[0, 0]) ** 2)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return float(abs(double_pass_propagator(ck, variant)[0, 0]) ** 2)
 
 
 def average_return(q_same: float, q_flip_rabi: float) -> float:

@@ -22,8 +22,7 @@ from .drive import _reduce_phase
 from .evolve import TemplateMismatchError, unitarity_defect
 from .su2relations import (
     DEFAULT_SLACK,
-    InversionRangeError,
-    RadicandClampWarning,
+    InversionRangeError,  # raised by the inverters below; re-exported
     checked_probability,
     clamped_sqrt,
     _pick_branch,

@@ -580,3 +580,74 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert main(["simulate"]) == EX_USAGE
+
+
+def _two_state(rabi, **profile):
+    return {
+        "protocol": "two-state-general",
+        "profile": {"kind": "two-state", "rabi": rabi, "grid_points": 64, **profile},
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "config, code, stderr",
+    [
+        # the pulse lies 4000 widths beyond the window: zero area, error rows
+        (
+            {
+                **_two_state({"shape": "sech", "peak": 1.0, "offset": 4000.0}, window=[1.0, 20.0]),
+                "sweep": {"parameter": "pulse-area", "start": 1.0, "stop": 3.0, "points": 3},
+            },
+            EX_OK,
+            "",
+        ),
+        (
+            {
+                **_two_state({"shape": "sin2", "peak": 1.0}),
+                "sweep": {"parameter": "detuning", "start": -1e308, "stop": 1e308, "points": 3},
+            },
+            EX_USAGE,
+            "config error: invalid sweep block: sweep range from -1e+308 to 1e+308 is too wide",
+        ),
+        (
+            _two_state({"shape": "constant", "peak": 1e300}, window=[-24.8, 1e300]),
+            EX_USAGE,
+            "config error: step phase dt * max|H| = inf is not finite",
+        ),
+        (
+            _two_state(
+                {"shape": "sin2", "peak": 1.0},
+                window=[-10.0, 10.0],
+                detuning={"shape": "linear-chirp", "rate": 1e308},
+            ),
+            EX_USAGE,
+            "config error: step phase dt * max|H| = inf is not finite",
+        ),
+        (_two_state({"shape": "sech", "peak": 3.0, "width": 0.1}, window=[-200.0, 200.0]), EX_OK, ""),
+        (_two_state({"shape": "gaussian", "peak": 3.0, "width": 1e-160}, window=[-1.0, 1.0]), EX_OK, ""),
+        (
+            _two_state({"shape": "zero"}, window=[-1e308, 1.0], detuning={"shape": "constant", "magnitude": 1e-300}),
+            EX_OK,
+            "",
+        ),
+        (
+            _two_state({"shape": "constant", "peak": 1.0}, window=[-1e308, 1e308]),
+            EX_USAGE,
+            "config error: invalid profile: window must be finite with positive length",
+        ),
+    ],
+    ids=["sech-area", "sweep-range", "phase-product", "chirp", "sech-tail", "gaussian-tail", "long-step", "long-window"],
+)
+def test_float_range_ends_in_a_documented_exit(tmp_path, capsys, config, code, stderr):
+    argv = ["simulate", "--config", write_config(tmp_path, config)]
+    if "sweep" in config:
+        argv = ["sweep", "--config", argv[-1], "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(stderr) and (stderr or not captured.err)
+    rows = captured.out if "sweep" not in config or code else (tmp_path / "out.csv").read_text()
+    for row in list(csv.reader(rows.splitlines()))[1:]:
+        assert row[-1] in ("ok", "clamped") or row[-1].startswith("error: ")
+        if row[-1] == "ok":
+            assert all(math.isfinite(float(cell)) for cell in row[:-1] if cell)

@@ -367,3 +367,29 @@ class TestPaddedWindow:
     def test_requires_finite_support(self):
         with pytest.raises(ValueError):
             padded_window(PulseShape.constant(1.0))
+
+
+@pytest.mark.filterwarnings("error")
+class TestFloatRange:
+    """Inputs at the ends of the float64 range end in a value or a
+    ValueError, never in an OverflowError or a warning."""
+
+    def test_sech_area_beyond_the_sinh_range(self):
+        # sinh overflows from |x| ~ 710; its gudermannian is pi/2 there
+        assert pulse_area(PulseShape.sech(1.0, 1.0, 0.0), (-800.0, 800.0)) == math.pi
+        assert pulse_area(PulseShape.sech(1.0, 1.0, 4000.0), (1.0, 20.0)) == 0.0
+        assert pulse_area(PulseShape.sech(2.0, 1.0, 0.0), (0.0, 1e300)) == math.pi
+
+    def test_sech_area_below_the_cut_is_unchanged(self):
+        shape = PulseShape.sech(1.0, 1.0, 0.0)
+        expected = math.atan(math.sinh(709.0)) - math.atan(math.sinh(-3.0))
+        assert pulse_area(shape, (-3.0, 709.0)) == expected
+
+    def test_window_whose_length_overflows_is_rejected(self):
+        with pytest.raises(ValueError, match="window must be finite"):
+            DriveProfile2(rabi=PulseShape.constant(1.0), window=(-1e308, 1e308))
+
+    def test_midpoint_near_the_largest_float(self):
+        profile = DriveProfile2(rabi=PulseShape.constant(1.0), window=(1e308, 1.5e308))
+        assert profile.midpoint == 1.25e308
+        assert DriveProfile2(rabi=PulseShape.constant(1.0), window=(0.1, 0.3)).midpoint == 0.5 * (0.1 + 0.3)

@@ -31,7 +31,6 @@ from doublepass.evolve import (
     TemplateMismatchError,
     _ck_propagator,
     _coefficients_of,
-    _step_exponentials_eigh,
     _su3_propagator,
     cayley_klein,
     hamiltonian2,
@@ -66,10 +65,26 @@ def _ordered_product(mats):
     return mats[0]
 
 
-def _eigh_propagator(h, dt):
-    """Reference propagator of an (n, d, d) Hermitian batch: eigh step
-    exponentials and their matrix product."""
-    return _ordered_product(_step_exponentials_eigh(h, dt))
+def _longdouble_propagator(h, dt):
+    """Reference propagator of an (n, d, d) Hermitian batch in extended
+    precision: each step's exp(-i dt H) by a Taylor series on dt H scaled
+    to norm <= 1/2, squared back up, and the ordered product of the steps,
+    all in np.clongdouble.  Its own rounding (~1e-19 per operation) stays
+    far below the float64 kernels' errors it is compared with."""
+    # where longdouble is only float64 the reference would check nothing
+    assert np.finfo(np.longdouble).eps < 1e-18
+    a = -1j * np.longdouble(dt) * np.asarray(h).astype(np.clongdouble)
+    norm = np.abs(a).sum(axis=-1).max(axis=-1).astype(float)
+    squarings = np.maximum(0, np.ceil(np.log2(np.maximum(norm, 1e-300) / 0.5))).astype(int)
+    a = a / (2.0 ** squarings)[:, None, None].astype(np.longdouble)
+    eye = np.eye(a.shape[-1], dtype=np.clongdouble)
+    step = eye + a / 24
+    for k in range(23, 0, -1):  # Horner: I + A (I + A/2 (I + ...)), to A^24 / 24!
+        step = eye + (a @ step) / k
+    for level in range(squarings.max(initial=0)):
+        wide = squarings > level
+        step[wide] = step[wide] @ step[wide]
+    return _ordered_product(step)
 
 
 class TestHamiltonian2:
@@ -340,7 +355,7 @@ def random_hermitian_batch(gen, n):
 
 
 class TestCayleyKleinKernel:
-    """The 2x2 Cayley-Klein kernel against the eigh + matrix-product path."""
+    """The 2x2 Cayley-Klein kernel against the extended-precision path."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 4000])
     def test_matches_reference_path(self, n):
@@ -349,9 +364,10 @@ class TestCayleyKleinKernel:
             h = random_hermitian_batch(gen, n)
             dt = gen.uniform(0.01, 0.5)
             fast = _ck_propagator(*_coefficients_of(h), dt)
-            reference = _eigh_propagator(h, dt)
+            reference = _longdouble_propagator(h, dt)
             assert fast.shape == (2, 2)
-            assert np.abs(fast - reference).max() < 1e-13
+            # worst 1.0e-14 at 4000 steps against the longdouble reference
+            assert np.abs(fast - reference).max() < 5e-14
             assert unitarity_defect(fast) < 1e-13
             assert abs(abs(np.linalg.det(fast)) - 1.0) < 1e-13
 
@@ -423,7 +439,7 @@ def random_hermitian_batch3(gen, n, kind):
 
 
 class TestSu3Kernel:
-    """The 3x3 closed-form kernel against the eigh + matrix-product path."""
+    """The 3x3 closed-form kernel against the extended-precision path."""
 
     @pytest.mark.parametrize("kind", ["generic", "degenerate", "near-scalar", "mixed"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 4000])
@@ -432,7 +448,7 @@ class TestSu3Kernel:
         for _ in range(5):
             h = random_hermitian_batch3(gen, n, kind)
             fast = _su3_propagator(*_coefficients_of(h), 1.0)
-            reference = _eigh_propagator(h, 1.0)
+            reference = _longdouble_propagator(h, 1.0)
             assert fast.shape == (3, 3)
             assert np.abs(fast - reference).max() < 1e-13
             assert unitarity_defect(fast) < 1e-13
@@ -544,7 +560,8 @@ class TestBatchedKernels:
         batched = _su3_propagator(*columns, 1.0)
         for u, h in zip(batched, passes):
             assert np.array_equal(u, _su3_propagator(*_coefficients_of(h), 1.0))
-            assert np.abs(u - _eigh_propagator(h, 1.0)).max() < 1e-13
+            # worst 7.2e-15 against the longdouble reference
+            assert np.abs(u - _longdouble_propagator(h, 1.0)).max() < 5e-14
 
 
 def coarse_points(gen, steps):
@@ -632,6 +649,80 @@ class TestStepPhaseGuard:
     def test_just_below_the_bound_propagates(self):
         u = propagate(self.constant(0.5 * MAX_STEP_PHASE), (0.0, 1.0), 2)
         assert unitarity_defect(u) < 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+class TestFloatRange:
+    """Samples and steps at the ends of the float64 range: a finite
+    propagator or a StepPhaseError, never a warning."""
+
+    def test_guard_of_an_overflowing_phase(self):
+        # dt * max|H| overflows the product itself
+        profile = DriveProfile2(rabi=PulseShape.constant(1e300), window=(-24.8, 1e300), grid_points=64)
+        with pytest.raises(StepPhaseError, match="not finite"):
+            propagate_profile(profile)
+        [result] = propagate_passes([[profile]])
+        assert isinstance(result, StepPhaseError)
+
+    @pytest.mark.parametrize(
+        "rabi",
+        [
+            PulseShape.sech(3.0, 0.1, 0.0),  # cosh overflows in the far tail
+            PulseShape.gaussian(3.0, 1e-160, 0.5),  # so does the square
+        ],
+    )
+    def test_tails_overflow_to_zero(self, rabi):
+        profile = DriveProfile2(rabi=rabi, window=(-200.0, 200.0), grid_points=64)
+        u = propagate_profile(profile)
+        [[batched]] = propagate_passes([[profile]])
+        assert np.array_equal(u, batched) and unitarity_defect(u) < 1e-12
+
+    def test_chirp_samples_overflow_to_a_guard(self):
+        profile = DriveProfile2(
+            rabi=PulseShape.sin2(3.0, 1.0),
+            detuning=DetuningShape.linear_chirp(1e308),
+            window=(-10.0, 10.0),
+        )
+        with pytest.raises(StepPhaseError, match="not finite"):
+            propagate_profile(profile)
+        [result] = propagate_passes([[profile]])
+        assert isinstance(result, StepPhaseError)
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600], ids=["short", "long"])
+    def test_extreme_step_length_is_folded_into_h(self, scale):
+        # stretching the window by s and dividing every field by s leaves
+        # the propagator unchanged; at 2^+-600 the squares of H under- or
+        # overflow unless dt * H is formed first
+        two = DriveProfile2(
+            rabi=PulseShape.constant(3.0),
+            detuning=DetuningShape.constant(2.0),
+            window=(0.0, 1.0),
+            grid_points=64,
+        )
+        three = DriveProfile3(
+            pump=PulseShape.constant(3.0),
+            stokes=PulseShape.constant(5.0),
+            single_photon_detuning=DetuningShape.constant(2.0),
+            two_photon_detuning=1.0,
+            window=(0.0, 1.0),
+            grid_points=64,
+        )
+        stretched_two = replace(
+            two,
+            rabi=PulseShape.constant(3.0 / scale),
+            detuning=DetuningShape.constant(2.0 / scale),
+            window=(0.0, scale),
+        )
+        stretched_three = replace(
+            three,
+            pump=PulseShape.constant(3.0 / scale),
+            stokes=PulseShape.constant(5.0 / scale),
+            single_photon_detuning=DetuningShape.constant(2.0 / scale),
+            two_photon_detuning=1.0 / scale,
+            window=(0.0, scale),
+        )
+        for profile, stretched in ((two, stretched_two), (three, stretched_three)):
+            assert np.abs(propagate_profile(stretched) - propagate_profile(profile)).max() < 1e-14
 
 
 def callable_path(profile):

@@ -386,18 +386,21 @@ class TestBatchedSweep:
 
     def test_points_are_measured_in_chunks_under_the_budget(self, monkeypatch):
         counter = CountingPropagator(monkeypatch)
-        chunks = []
+        calls = []
         counted = harness.propagate_passes
 
-        def chunked(points):
-            chunks.append(sum(p.grid_points for passes in points for p in passes))
+        def recorded(points):
+            calls.append(sum(len(passes) for passes in points))
             return counted(points)
 
-        monkeypatch.setattr(harness, "propagate_passes", chunked)
+        monkeypatch.setattr(harness, "propagate_passes", recorded)
+        shapes = kernel_shapes(monkeypatch, "_ck_propagator")
         profile = replace(chirped_profile(), grid_points=128)
         sweep(SweepSpec(profile, "pulse-area", 1.0, 20.0, 23, ProtocolKind.TWO_STATE_GENERAL))
-        # 384 step rows per point: ten points fit under 4096
-        assert chunks == [3840, 3840, 1152] and counter.calls == 69
+        # the sweep hands all 69 passes to propagate_passes at once, and
+        # its budget of 4096 step rows splits them into 32 + 32 + 5
+        assert calls == [69] and counter.calls == 69
+        assert shapes == [(32, 128), (32, 128), (5, 128)]
 
     def test_failures_in_a_chunk_stay_with_their_points(self, monkeypatch):
         profile = replace(chirped_profile(), grid_points=64)
@@ -540,6 +543,22 @@ class TestSweep:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             self.spec(parameter="phase")
+
+
+@pytest.mark.filterwarnings("error")
+class TestSweepFloatRange:
+    def test_range_whose_width_overflows_is_rejected(self):
+        # np.linspace would fill the grid with inf and nan
+        with pytest.raises(ValueError, match="too wide"):
+            SweepSpec(chirped_profile(), "detuning", -1e308, 1e308, 3, ProtocolKind.TWO_STATE_GENERAL)
+        spec = SweepSpec(chirped_profile(), "detuning", -1e308, 0.0, 3, ProtocolKind.TWO_STATE_GENERAL)
+        assert [r.swept_value for r in sweep(spec)] == [-1e308, -5e307, 0.0]
+
+    def test_sech_pulse_far_outside_the_window_has_no_area(self):
+        profile = DriveProfile2(rabi=PulseShape.sech(1.0, 1.0, 4000.0), window=(1.0, 20.0), grid_points=64)
+        spec = SweepSpec(profile, "pulse-area", 1.0, 3.0, 3, ProtocolKind.TWO_STATE_GENERAL)
+        statuses = [r.status for r in sweep(spec)]
+        assert statuses == ["error: cannot scale a 'sech' pulse to a target area"] * 3
 
 
 class TestApplySweepParameter:
