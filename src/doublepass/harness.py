@@ -7,13 +7,18 @@ entry of ``PROTOCOLS``.  The entry fixes the dimension, the
 preconditions, the structural check of the forward pass, the
 second-pass variants, whether the averaged return Q_bar and the
 role-swapped return r are recorded, the inversion formula and the
-record fields it reads.  ``run_protocol`` runs any entry and simulates
+record fields it reads.  ``run_protocol`` runs any entry and measures
 exactly the passes it lists.  A measurement point is prepared (its
-preconditions checked and its pass profiles listed), its passes are
-propagated by ``evolve.propagate_passes``, and it is finished (the
-structural and r checks, validation and inversion).  ``run_protocol``,
-``double_pass`` (which the verification suites use) and ``sweep`` all
-propagate through that one batched entry.
+preconditions checked and the profiles of the passes it simulates
+listed), those passes are propagated by ``evolve.propagate_passes``,
+and it is finished (the structural check, the two-state second passes,
+the r check, validation and inversion).  A two-state point simulates
+only its forward pass: its sign-flipped second passes are rearrangements
+of the forward Cayley-Klein pair, equal to propagated ones to the last
+bit.  A three-state point simulates every pass, because its derived
+passes would differ in the last bits.  ``run_protocol``, ``double_pass``
+(which simulates every pass and which the verification suites use) and
+``sweep`` all propagate through that one batched entry.
 
 Sweeps repeat a protocol over a parameter grid.  They prepare every
 point, propagate the passes of all points in one ``propagate_passes``
@@ -49,6 +54,7 @@ from .evolve import (
     cayley_klein,
     propagate_passes,
     propagate_profile,
+    sign_flip_transform,
     unitarity_defect,
 )
 from .su2relations import (
@@ -84,8 +90,9 @@ class ProtocolKind(str, Enum):
     """The supported measurement protocols.
 
     Each kind is one PROTOCOLS entry, which fixes the exact set of
-    passes, sign flips and phases that are simulated and which inversion
-    formula is applied.
+    passes, sign flips and phases that are measured and which inversion
+    formula is applied.  Two-state kinds simulate the forward pass and
+    derive their second passes from it; three-state kinds simulate all.
     """
 
     TWO_STATE_GENERAL = "two-state-general"
@@ -251,7 +258,10 @@ class Protocol:
 
     ``preconditions`` are (predicate, message) pairs checked in order
     before any pass is simulated; ``check`` is the structural check of
-    the forward propagator.  ``q_bar`` and ``r`` say whether the averaged
+    the forward propagator, and of a two-state entry it is
+    ``cayley_klein``, whose pair (a, b) gives the second passes of the
+    ``variants``: the ``dimension`` decides whether they are derived (2)
+    or simulated (3).  ``q_bar`` and ``r`` say whether the averaged
     return and the role-swapped return r (read from the (0, 0) second
     pass) are recorded.  ``inverter`` receives the record fields named by
     ``reads``; the classical estimate is the square root of the first.
@@ -370,7 +380,8 @@ def _prepare(kind: Union[ProtocolKind, str], profile: Profile) -> _Point:
     )
     for holds, message in plan.preconditions:
         _require(holds(profile), message)
-    return plan, _passes(profile, plan.variants)
+    # two-state second passes are derived from the forward pass in _finish
+    return plan, _passes(profile, () if plan.dimension == 2 else plan.variants)
 
 
 def _finish(
@@ -380,11 +391,18 @@ def _finish(
     swept_value: Optional[float],
 ) -> MeasurementRecord:
     """A point's record from its propagated passes: the structural check,
-    the r check, validation and inversion."""
+    the two-state second passes, the r check, validation and inversion.
+
+    A sign-flipped two-state pass is an exact rearrangement of the
+    forward pair (a, b) that the structural check returns, equal to the
+    directly propagated pass to the last bit: the kernel only negates
+    and conjugates under the flips, which round symmetrically.
+    """
     u, *backs = _propagated(result)
+    structure = globals()[plan.check](u) if plan.check is not None else None
+    if plan.dimension == 2:
+        backs = [sign_flip_transform(structure, *v) for v in plan.variants]
     returns = _returns(u, backs)
-    if plan.check is not None:
-        globals()[plan.check](u)
     fields = {"p_direct": _population(u, plan.dimension - 1), "q": _population(u, 0)}
     fields.update(zip((VARIANT_COLUMNS[v] for v in plan.variants), returns))
     if plan.q_bar:
@@ -436,6 +454,11 @@ def run_protocol(
     swept_value: Optional[float] = None,
 ) -> MeasurementRecord:
     """Execute one measurement protocol and return its record.
+
+    Only the forward pass of a two-state protocol is simulated; its
+    second passes are ``sign_flip_transform`` of the forward pair, which
+    equals the directly propagated passes of ``double_pass`` to the last
+    bit.  A three-state protocol simulates every pass.
 
     Precondition violations raise ProtocolPreconditionError before any
     pass is simulated; passes without the structure the protocol needs
@@ -722,8 +745,6 @@ def _suite_composition(i: int, rng: np.random.Generator) -> float:
 
 
 def _suite_sign_flips(i: int, rng: np.random.Generator) -> float:
-    from .evolve import sign_flip_transform
-
     profile = random_two_state_profile(rng)
     ck = cayley_klein(propagate_profile(profile))
     worst = 0.0

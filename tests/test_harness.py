@@ -135,7 +135,7 @@ class TestRunProtocolTwoState:
     def test_pass_count_general(self, monkeypatch):
         counter = CountingPropagator(monkeypatch)
         run_protocol(ProtocolKind.TWO_STATE_GENERAL, chirped_profile())
-        assert counter.calls == 3  # one single pass + two second passes
+        assert counter.calls == 1  # the forward pass; both second passes are derived from it
 
     def test_preconditions_checked_before_any_pass(self, monkeypatch):
         counter = CountingPropagator(monkeypatch)
@@ -146,7 +146,7 @@ class TestRunProtocolTwoState:
     def test_pass_count_rap(self, monkeypatch):
         counter = CountingPropagator(monkeypatch)
         run_protocol(ProtocolKind.TWO_STATE_RAP, chirped_profile())
-        assert counter.calls == 2
+        assert counter.calls == 1  # the forward pass; the second pass is derived from it
 
 
 class TestRunProtocolThreeState:
@@ -303,9 +303,12 @@ EVEN_DETUNING = DriveProfile2(
     ],
 )
 def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
-    """The forward pass, then exactly the listed second passes, in order:
-    (rabi sign, detuning sign) for two-state drives, (pump phase, Stokes
-    phase) of the role-swapped drive for three-state drives."""
+    """``double_pass`` propagates the forward pass, then exactly the listed
+    second passes, in order: (rabi sign, detuning sign) for two-state
+    drives, (pump phase, Stokes phase) of the role-swapped drive for
+    three-state drives.  ``run_protocol`` propagates the same passes for
+    three-state drives, but only the forward pass for two-state drives,
+    whose second passes it derives from the forward pair (a, b)."""
     from doublepass.evolve import propagate_passes
 
     seen = []
@@ -316,12 +319,17 @@ def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
 
     monkeypatch.setattr(harness, "propagate_passes", recording)
     run_protocol(kind, profile)
+    simulated = list(seen)
+    seen.clear()
+    harness.double_pass(profile, harness.PROTOCOLS[kind].variants)
 
     assert seen[0] == profile
     if isinstance(profile, DriveProfile2):
+        assert simulated == [profile]
         assert [(p.rabi_sign, p.detuning_sign) for p in seen] == [(1, 1)] + second_passes
         assert all(p.rabi == profile.rabi and p.detuning == profile.detuning for p in seen)
     else:
+        assert simulated == seen
         assert [(p.pump_phase, p.stokes_phase) for p in seen[1:]] == second_passes
         # every second pass is the role-swapped drive at those phases
         assert seen[1:] == [backward_profile_3(profile, *phases) for phases in second_passes]
@@ -382,7 +390,7 @@ class TestBatchedSweep:
         shapes = kernel_shapes(monkeypatch, "_ck_propagator")
         profile = replace(chirped_profile(), grid_points=128)
         sweep(SweepSpec(profile, "pulse-area", 1.0, 20.0, 10, ProtocolKind.TWO_STATE_GENERAL))
-        assert shapes == [(30, 128)]  # ten points, three passes each, one call
+        assert shapes == [(10, 128)]  # ten points, one propagated pass each, one call
 
     def test_points_are_measured_in_chunks_under_the_budget(self, monkeypatch):
         counter = CountingPropagator(monkeypatch)
@@ -396,9 +404,10 @@ class TestBatchedSweep:
         monkeypatch.setattr(harness, "propagate_passes", recorded)
         shapes = kernel_shapes(monkeypatch, "_ck_propagator")
         profile = replace(chirped_profile(), grid_points=128)
-        sweep(SweepSpec(profile, "pulse-area", 1.0, 20.0, 23, ProtocolKind.TWO_STATE_GENERAL))
-        # the sweep hands all 69 passes to propagate_passes at once, and
-        # its budget of 4096 step rows splits them into 32 + 32 + 5
+        sweep(SweepSpec(profile, "pulse-area", 1.0, 20.0, 69, ProtocolKind.TWO_STATE_GENERAL))
+        # the sweep hands the forward passes of all 69 points to
+        # propagate_passes at once, and its budget of 4096 step rows
+        # splits them into 32 + 32 + 5
         assert calls == [69] and counter.calls == 69
         assert shapes == [(32, 128), (32, 128), (5, 128)]
 
