@@ -595,6 +595,15 @@ def propagate_passes(
     return [failed[i][1] if i in failed else passes for i, passes in enumerate(results)]
 
 
+def check_profile_step_phase(profile: Profile) -> None:
+    """Raise the StepPhaseError that propagating ``profile`` on its grid
+    would raise, without propagating it: the drive is sampled and guarded
+    as in ``propagate_passes``, and nothing else is done."""
+    ts, dt = _grid(profile.window, check_grid_points(profile.grid_points))
+    with np.errstate(over="ignore"):
+        _sample_profile(profile, ts, dt)
+
+
 def _propagate_batch(sampled: list, dt: float) -> List[np.ndarray]:
     """Propagators of sampled (kernel, arrays) passes that share a kernel
     and a grid, in one kernel call; a single pass keeps its 1-d arrays."""

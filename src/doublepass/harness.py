@@ -8,23 +8,24 @@ preconditions, the structural check of the forward pass, the
 second-pass variants, whether the averaged return Q_bar and the
 role-swapped return r are recorded, the inversion formula and the
 record fields it reads.  ``run_protocol`` runs any entry and measures
-exactly the passes it lists.  A measurement point is prepared (its
-preconditions checked and the profiles of the passes it simulates
-listed), those passes are propagated by ``evolve.propagate_passes``,
-and it is finished (the structural check, the two-state second passes,
-the r check, validation and inversion).  A two-state point simulates
-only its forward pass: its sign-flipped second passes are rearrangements
-of the forward Cayley-Klein pair, equal to propagated ones to the last
-bit.  A three-state point simulates every pass, because its derived
-passes would differ in the last bits.  ``run_protocol``, ``double_pass``
-(which simulates every pass and which the verification suites use) and
-``sweep`` all propagate through that one batched entry.
+the passes it lists, but simulates only the forward pass.  A
+measurement point is prepared (its preconditions checked), its forward
+pass is propagated by ``evolve.propagate_passes``, and it is finished
+(the structural check, the second passes, validation and inversion).
+The second passes are derived from the forward propagator: a two-state
+sign flip is a rearrangement of the forward Cayley-Klein pair, equal to
+a propagated pass to the last bit, and a three-state role swap is the
+forward propagator with indices 1 and 3 swapped and phases attached
+(``su3relations.backward_propagator``), equal to a propagated pass up
+to rounding.  ``run_protocol``, ``double_pass`` (which simulates every
+pass and which the verification suites and the tests use as the
+reference) and ``sweep`` all propagate through that one batched entry.
 
 Sweeps repeat a protocol over a parameter grid.  They prepare every
-point, propagate the passes of all points in one ``propagate_passes``
-call, whose step-row budget decides which passes share a kernel call,
-and finish each point on its own: per-point failures are recorded in
-the row status instead of aborting the sweep.
+point, propagate the forward passes of all points in one
+``propagate_passes`` call, whose step-row budget decides which passes
+share a kernel call, and finish each point on its own: per-point
+failures are recorded in the row status instead of aborting the sweep.
 ``verify`` replays the package's numeric invariants over seeded random
 drives and produces a deterministic report.
 """
@@ -50,8 +51,8 @@ from .drive import (
     pulse_area,
 )
 from .evolve import (
-    TemplateMismatchError,
     cayley_klein,
+    check_profile_step_phase,
     propagate_passes,
     propagate_profile,
     sign_flip_transform,
@@ -67,6 +68,7 @@ from .su2relations import (
 )
 from .su3relations import (
     PassProbabilities3,
+    backward_propagator,
     case1_return_probability,
     case2_return_probability,
     detuned_average_return,
@@ -81,18 +83,14 @@ from .su3relations import (
 
 Profile = Union[DriveProfile2, DriveProfile3]
 
-# Spread beyond which the role-swapped return probability is considered
-# phase dependent (it must not be; see run_protocol).
-_R_PHASE_TOL = 1e-9
-
 
 class ProtocolKind(str, Enum):
     """The supported measurement protocols.
 
     Each kind is one PROTOCOLS entry, which fixes the exact set of
     passes, sign flips and phases that are measured and which inversion
-    formula is applied.  Two-state kinds simulate the forward pass and
-    derive their second passes from it; three-state kinds simulate all.
+    formula is applied.  Every kind simulates the forward pass and
+    derives its second passes from it.
     """
 
     TWO_STATE_GENERAL = "two-state-general"
@@ -206,18 +204,18 @@ VARIANT_COLUMNS: Dict[Variant, str] = {V00: "q00", VPI0: "qpi0", V0PI: "q0pi", V
 FOUR_VARIANTS = (V00, VPI0, V0PI, VPIPI)
 
 
+def _phases(variant: Variant) -> Tuple[float, float]:
+    """Pump and Stokes phases (xi, eta) of a three-state variant."""
+    xi, eta = (math.pi if flip else 0.0 for flip in variant)
+    return xi, eta
+
+
 def _second_pass(profile: Profile, variant: Variant) -> Profile:
     """Second-pass drive of one variant: the sign-flipped two-state drive,
     or the role-swapped three-state drive at pump/Stokes phases 0 or pi."""
     if isinstance(profile, DriveProfile2):
         return backward_profile_2(profile, *variant)
-    xi, eta = (math.pi if flip else 0.0 for flip in variant)
-    return backward_profile_3(profile, xi, eta)
-
-
-def _passes(profile: Profile, variants: Sequence[Variant]) -> List[Profile]:
-    """The forward pass, then one second pass per variant."""
-    return [profile] + [_second_pass(profile, v) for v in variants]
+    return backward_profile_3(profile, *_phases(variant))
 
 
 def _returns(u: np.ndarray, backs: Sequence[np.ndarray]) -> List[float]:
@@ -240,7 +238,8 @@ def double_pass(
     Returns the forward propagator U, the second-pass propagators V and
     the double-pass return probabilities |(V U)_11|^2, in variant order.
     """
-    [result] = propagate_passes([_passes(profile, variants)])
+    passes = [profile] + [_second_pass(profile, v) for v in variants]
+    [result] = propagate_passes([passes])
     u, *backs = _propagated(result)
     return u, backs, _returns(u, backs)
 
@@ -260,10 +259,11 @@ class Protocol:
     before any pass is simulated; ``check`` is the structural check of
     the forward propagator, and of a two-state entry it is
     ``cayley_klein``, whose pair (a, b) gives the second passes of the
-    ``variants``: the ``dimension`` decides whether they are derived (2)
-    or simulated (3).  ``q_bar`` and ``r`` say whether the averaged
-    return and the role-swapped return r (read from the (0, 0) second
-    pass) are recorded.  ``inverter`` receives the record fields named by
+    ``variants``.  The second passes of a three-state entry are
+    ``backward_propagator`` of the forward propagator at the variants'
+    phases.  ``q_bar`` and ``r`` say whether the averaged return and the
+    role-swapped return r (read from the (0, 0) second pass) are
+    recorded.  ``inverter`` receives the record fields named by
     ``reads``; the classical estimate is the square root of the first.
     Functions are named, not held, and looked up in this module at run
     time, so a wrapper installed at the module attribute sees each call.
@@ -364,13 +364,14 @@ PROTOCOLS: Dict[ProtocolKind, Protocol] = {
 }
 
 
-# A measurement point ready to propagate: its protocol entry and passes.
-_Point = Tuple[Protocol, List[Profile]]
+# A measurement point ready to propagate: its protocol entry and its
+# forward pass, the only pass it simulates.
+_Point = Tuple[Protocol, Profile]
 
 
 def _prepare(kind: Union[ProtocolKind, str], profile: Profile) -> _Point:
-    """Check a point's preconditions and list its passes; nothing is
-    propagated, so a precondition failure simulates no pass."""
+    """Check a point's preconditions; nothing is propagated, so a
+    precondition failure simulates no pass."""
     kind = ProtocolKind(kind)
     plan = PROTOCOLS[kind]
     profile_type, dimension_name = _PROFILE_TYPES[plan.dimension]
@@ -380,28 +381,39 @@ def _prepare(kind: Union[ProtocolKind, str], profile: Profile) -> _Point:
     )
     for holds, message in plan.preconditions:
         _require(holds(profile), message)
-    # two-state second passes are derived from the forward pass in _finish
-    return plan, _passes(profile, () if plan.dimension == 2 else plan.variants)
+    return plan, profile
 
 
 def _finish(
-    plan: Protocol,
+    point: _Point,
     result: Union[List[np.ndarray], ValueError],
     slack: float,
     swept_value: Optional[float],
 ) -> MeasurementRecord:
-    """A point's record from its propagated passes: the structural check,
-    the two-state second passes, the r check, validation and inversion.
+    """A point's record from its propagated forward pass: the structural
+    check, the second passes, validation and inversion.
 
     A sign-flipped two-state pass is an exact rearrangement of the
     forward pair (a, b) that the structural check returns, equal to the
     directly propagated pass to the last bit: the kernel only negates
-    and conjugates under the flips, which round symmetrically.
+    and conjugates under the flips, which round symmetrically.  A
+    role-swapped three-state pass is ``backward_propagator`` of the
+    forward propagator, equal to the propagated pass up to rounding and,
+    with a two-photon detuning, a global phase, which no return
+    probability sees.
     """
-    u, *backs = _propagated(result)
+    plan, profile = point
+    [u] = _propagated(result)
+    if plan.dimension == 3 and profile.two_photon_detuning != 0.0:
+        # the role swap puts |delta - delta2| on the diagonal, which can
+        # exceed every entry of the forward H: the second pass must pass
+        # the step-phase guard that propagating it would apply
+        check_profile_step_phase(_second_pass(profile, V00))
     structure = globals()[plan.check](u) if plan.check is not None else None
     if plan.dimension == 2:
         backs = [sign_flip_transform(structure, *v) for v in plan.variants]
+    else:
+        backs = [backward_propagator(u, _phases(v)) for v in plan.variants]
     returns = _returns(u, backs)
     fields = {"p_direct": _population(u, plan.dimension - 1), "q": _population(u, 0)}
     fields.update(zip((VARIANT_COLUMNS[v] for v in plan.variants), returns))
@@ -410,15 +422,7 @@ def _finish(
             average_return(*returns) if plan.dimension == 2 else four_phase_average(returns)
         )
     if plan.r:
-        alone = [float(abs(back[0, 0]) ** 2) for back in backs]
-        # r must not depend on the phases; assert it instead of assuming it
-        spread = max(abs(value - alone[0]) for value in alone[1:])
-        if not spread <= _R_PHASE_TOL:
-            raise TemplateMismatchError(
-                f"role-swapped return probability varies with the phases "
-                f"(spread {spread:.3e}); the pass is not coherent"
-            )
-        fields["r"] = alone[0]
+        fields["r"] = float(abs(backs[0][0, 0]) ** 2)
 
     p, q = fields["p_direct"], fields["q"]
     if plan.dimension == 2:
@@ -455,21 +459,24 @@ def run_protocol(
 ) -> MeasurementRecord:
     """Execute one measurement protocol and return its record.
 
-    Only the forward pass of a two-state protocol is simulated; its
-    second passes are ``sign_flip_transform`` of the forward pair, which
-    equals the directly propagated passes of ``double_pass`` to the last
-    bit.  A three-state protocol simulates every pass.
+    Only the forward pass is simulated.  Two-state second passes are
+    ``sign_flip_transform`` of the forward pair, equal to the directly
+    propagated passes of ``double_pass`` to the last bit; three-state
+    ones are ``backward_propagator`` of the forward propagator, whose
+    records stay within 1e-13 of those of ``double_pass``.  A second pass
+    that propagation would reject for its step phase is rejected all the
+    same.
 
     Precondition violations raise ProtocolPreconditionError before any
-    pass is simulated; passes without the structure the protocol needs
-    (a failed structural check, or an r that varies with the phases)
-    raise TemplateMismatchError; inversion inconsistencies beyond the
-    slack raise InversionRangeError.  Clamped inversions are reported in
-    the record status, not raised.
+    pass is simulated; a forward propagator without the structure the
+    protocol needs raises TemplateMismatchError; an unresolvable pass
+    raises StepPhaseError; inversion inconsistencies beyond the slack
+    raise InversionRangeError.  Clamped inversions are reported in the
+    record status, not raised.
     """
-    plan, passes = _prepare(kind, profile)
-    [result] = propagate_passes([passes])
-    return _finish(plan, result, slack, swept_value)
+    point = _prepare(kind, profile)
+    [result] = propagate_passes([[profile]])
+    return _finish(point, result, slack, swept_value)
 
 
 # ---------------------------------------------------------------------------
@@ -566,8 +573,8 @@ def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List
     precondition or inversion failures are recorded in the row status
     and the sweep continues.
 
-    Every point is prepared, the passes of all prepared points go to one
-    ``propagate_passes`` call (which batches them under its step-row
+    Every point is prepared, the forward passes of all prepared points go
+    to one ``propagate_passes`` call (which batches them under its step-row
     budget), and each point is then finished on its own.  Every record
     equals that of ``run_protocol`` on its point.
     """
@@ -583,13 +590,13 @@ def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List
         except _POINT_ERRORS as exc:
             points.append(exc)
     prepared = [point for point in points if not isinstance(point, Exception)]
-    results = iter(propagate_passes([passes for _, passes in prepared]))
+    results = iter(propagate_passes([[forward] for _, forward in prepared]))
     records = []
     for value, point in zip(values, points):
         try:
             if isinstance(point, Exception):
                 raise point
-            record = _finish(point[0], next(results), slack, value)
+            record = _finish(point, next(results), slack, value)
         except _POINT_ERRORS as exc:
             record = MeasurementRecord(swept_value=value, status=f"error: {exc}")
         records.append(record)
@@ -804,8 +811,6 @@ def _suite_degradation(i: int, rng: np.random.Generator) -> float:
 
 
 def _suite_swap_unitarity(i: int, rng: np.random.Generator) -> float:
-    from .su3relations import backward_propagator
-
     u = propagate_profile(random_general_three_state_profile(rng))
     xi, eta = rng.uniform(0.0, 2.0 * math.pi, size=2)
     return unitarity_defect(backward_propagator(u, (xi, eta)))

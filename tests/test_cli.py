@@ -219,16 +219,32 @@ def test_template_mismatch_is_a_precondition_violation(tmp_path, capsys, monkeyp
     assert captured.out == ""
 
 
-def test_incoherent_pass_is_a_precondition_violation(tmp_path, capsys, monkeypatch):
-    import doublepass.harness as harness
+def _off_centre_resonant_pair():
+    # a symmetric pair on a window not centred on it: on 64 steps the grid
+    # breaks the symmetry the resonant template needs
+    config = case2_config()
+    config["profile"].update(window=[0.0, 1.5], grid_points=64)
+    config["profile"]["pump"]["peak"] = config["profile"]["stokes"]["peak"] = 20.0
+    return config
 
-    monkeypatch.setattr(harness, "_R_PHASE_TOL", -1.0)
-    code = main(["simulate", "--config", write_config(tmp_path, _general_three_state())])
+
+def test_three_state_template_mismatch_is_a_precondition_violation(tmp_path, capsys):
+    code = main(["simulate", "--config", write_config(tmp_path, _off_centre_resonant_pair())])
     captured = capsys.readouterr()
     assert code == EX_PRECONDITION
-    assert captured.err.startswith("precondition violation: role-swapped return probability")
+    assert captured.err.startswith("precondition violation: alpha^2 + beta^2 + 2 gamma^2 deviates")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+    # in a sweep it is an error row of its point, and the sweep exits 0
+    config = _off_centre_resonant_pair()
+    config["sweep"] = {"parameter": "pulse-area", "start": 5.0, "stop": 20.0, "points": 4}
+    out = tmp_path / "out.csv"
+    code = main(["sweep", "--config", write_config(tmp_path, config), "--out", str(out)])
+    assert code == EX_OK
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert len(rows) == 4
+    assert all(row[-1].startswith("error: alpha^2 + beta^2 + 2 gamma^2 deviates") for row in rows)
 
 
 def _golden_configs():

@@ -1,15 +1,21 @@
-"""Two-state second passes derived from the forward pass equal directly
-propagated ones to the last bit.
+"""Second passes derived from the forward pass against directly
+propagated ones.
 
 ``run_protocol`` and ``sweep`` propagate only the forward pass of a
-two-state point and take its sign-flipped second passes from the forward
-Cayley-Klein pair with ``sign_flip_transform``.  These tests pin that the
-derived passes, the records and CSV bytes built from them, and the error
-rows and exit codes of the CLI equal those of the reference path, which
-propagates every second pass (``double_pass``).  The claim rests on the
-kernel only negating and conjugating under the flips; a numpy whose
-complex loops round asymmetrically would break it, which is why tier-1
-also runs on the oldest supported numpy.
+point.  A two-state point takes its sign-flipped second passes from the
+forward Cayley-Klein pair with ``sign_flip_transform``, and these tests
+pin that the derived passes, the records and CSV bytes built from them,
+and the error rows and exit codes of the CLI equal those of the
+reference path, which propagates every second pass (``double_pass``).
+That claim rests on the kernel only negating and conjugating under the
+flips; a numpy whose complex loops round asymmetrically would break it,
+which is why tier-1 also runs on the oldest supported numpy.
+
+A three-state point takes its role-swapped second passes from the
+forward propagator with ``su3relations.backward_propagator``.  They
+differ from propagated passes by rounding, so its records are pinned
+within 1e-13 of the reference, and its statuses, error rows, stderr and
+exit codes equal to it.
 """
 
 import csv
@@ -25,7 +31,13 @@ import pytest
 import doublepass.cli as cli
 import doublepass.harness as harness
 from doublepass import evolve
-from doublepass.drive import DetuningShape, DriveProfile2, PulseShape, backward_profile_2
+from doublepass.drive import (
+    DetuningShape,
+    DriveProfile2,
+    DriveProfile3,
+    PulseShape,
+    backward_profile_2,
+)
 from doublepass.evolve import (
     StepPhaseError,
     cayley_klein,
@@ -35,6 +47,7 @@ from doublepass.evolve import (
 )
 from doublepass.harness import MeasurementRecord, ProtocolKind, SweepSpec, run_protocol, sweep
 from doublepass.su2relations import DEFAULT_SLACK, PassProbabilities2
+from doublepass.su3relations import PassProbabilities3, four_phase_average
 
 # (flip rabi, flip detuning): all four, the unflipped pass included
 FLIPS = list(itertools.product((False, True), repeat=2))
@@ -106,23 +119,32 @@ TWO_STATE_KINDS = {
 
 
 def direct_record(kind, profile, *, slack=DEFAULT_SLACK, swept_value=None):
-    """The record of a two-state point whose second passes are propagated
-    by ``double_pass``, not derived: the reference for ``run_protocol``."""
+    """The record of a point whose second passes are propagated by
+    ``double_pass``, not derived: the reference for ``run_protocol``."""
     plan, _ = harness._prepare(kind, profile)  # its preconditions
-    u, _, returns = harness.double_pass(profile, plan.variants)
-    cayley_klein(u)
-    fields = {"p_direct": float(abs(u[1, 0]) ** 2), "q": float(abs(u[0, 0]) ** 2)}
+    u, backs, returns = harness.double_pass(profile, plan.variants)
+    if plan.check is not None:
+        getattr(harness, plan.check)(u)
+    fields = {"p_direct": float(abs(u[plan.dimension - 1, 0]) ** 2), "q": float(abs(u[0, 0]) ** 2)}
     fields.update(zip((harness.VARIANT_COLUMNS[v] for v in plan.variants), returns))
     if plan.q_bar:
-        fields["q_bar"] = harness.average_return(*returns)
-    PassProbabilities2(
-        p=fields["p_direct"],
-        q=fields["q"],
-        q_same=fields.get("q00"),
-        q_flip_rabi=fields.get("qpi0"),
-        q_flip_detuning=fields.get("q0pi"),
-        q_bar=fields.get("q_bar"),
-    )
+        fields["q_bar"] = harness.average_return(*returns) if plan.dimension == 2 else four_phase_average(returns)
+    if plan.r:
+        fields["r"] = float(abs(backs[0][0, 0]) ** 2)
+    if plan.dimension == 2:
+        PassProbabilities2(
+            p=fields["p_direct"],
+            q=fields["q"],
+            q_same=fields.get("q00"),
+            q_flip_rabi=fields.get("qpi0"),
+            q_flip_detuning=fields.get("q0pi"),
+            q_bar=fields.get("q_bar"),
+        )
+    else:
+        q_set = tuple(returns) if plan.q_bar else None
+        PassProbabilities3(
+            p=fields["p_direct"], q=fields["q"], r=fields.get("r"), q_set=q_set, q_bar=fields.get("q_bar")
+        )
     args = [fields[name] for name in plan.reads]
     clamps = []
     p_estimated = getattr(harness, plan.inverter)(*args, slack=slack, clamps=clamps)
@@ -323,3 +345,346 @@ def test_no_point_fails_on_a_derived_pass_alone(signs):
                 assert np.array_equal(result[0], sign_flip_transform(cayley_klein(forward[0]), *flips))
         outcomes.add(type(forward).__name__)
     assert outcomes == {"list", "StepPhaseError"}
+
+
+# ---------------------------------------------------------------------------
+# three-state: role-swapped passes from backward_propagator
+# ---------------------------------------------------------------------------
+
+CASE1 = ProtocolKind.STIRAP_RESONANT_CASE1
+CASE2 = ProtocolKind.STIRAP_RESONANT_CASE2
+DETUNED = ProtocolKind.STIRAP_DETUNED
+GENERAL = ProtocolKind.THREE_STATE_GENERAL
+# derived and propagated role-swapped passes differ by rounding, and the
+# returns and r built from them by at most a few 1e-15
+CLOSE = 1e-13
+
+
+def radicand(kind, record):
+    """What the inverter of ``kind`` takes the square root of."""
+    q, r, q_bar = record.q, record.r, record.q_bar
+    if kind is CASE1:
+        return record.q00
+    if kind is CASE2:
+        return record.qpi0
+    if kind is DETUNED:
+        return 2.0 * q_bar - 3.0 * q * q + 2.0 * q - 1.0
+    return 8.0 * q_bar - 4.0 + 4.0 * q + 4.0 * r + q * q + r * r - 14.0 * q * r
+
+
+def root_change(value):
+    """How far sqrt(value) may move when value moves by CLOSE, and at least
+    CLOSE.  A square root magnifies a change near 0, so an inversion whose
+    radicand is small moves more than its inputs: by CLOSE / sqrt(value),
+    and never by more than sqrt(CLOSE)."""
+    if value <= CLOSE:
+        return math.sqrt(CLOSE)
+    return max(CLOSE, min(math.sqrt(CLOSE), CLOSE / math.sqrt(value)))
+
+
+def at_a_clamp_edge(kind, reference):
+    """Whether rounding alone can decide between "ok" and "clamped": the
+    radicand, or a probability the inverter reads, is within CLOSE of the
+    bound at which it is clamped."""
+    read = [getattr(reference, name) for name in harness.PROTOCOLS[kind].reads]
+    return abs(radicand(kind, reference)) <= CLOSE or any(
+        min(abs(value), abs(1.0 - value)) <= CLOSE for value in read
+    )
+
+
+def assert_close_to_reference(kind, record, reference):
+    """A three-state record against its ``double_pass`` reference: the
+    forward-pass fields equal, every second-pass field within CLOSE, the
+    estimates within CLOSE or what the square root makes of it, and the
+    statuses equal, except "ok" against "clamped" at a clamp edge."""
+    assert (record.swept_value, record.p_direct, record.q) == (
+        reference.swept_value,
+        reference.p_direct,
+        reference.q,
+    )
+    for name in ("q00", "qpi0", "q0pi", "qpipi", "q_bar", "r"):
+        value, expected = getattr(record, name), getattr(reference, name)
+        assert (value is None) == (expected is None), name
+        if expected is not None:
+            assert abs(value - expected) <= CLOSE, (name, value, expected)
+    if reference.status.startswith("error"):
+        assert record.status == reference.status
+        assert record.p_estimated is None
+        return
+    read = getattr(reference, harness.PROTOCOLS[kind].reads[0])
+    assert abs(record.classical_estimate - reference.classical_estimate) <= root_change(read)
+    change = root_change(radicand(kind, reference))
+    assert abs(record.p_estimated - reference.p_estimated) <= change, (record, reference)
+    if record.status != reference.status:
+        assert {record.status, reference.status} == {"ok", "clamped"}
+        assert at_a_clamp_edge(kind, reference), (record, reference)
+
+
+def outcome(run, kind, profile, **options):
+    """A record, or the error it raised."""
+    try:
+        return run(kind, profile, **options)
+    except ValueError as exc:
+        return exc
+
+
+def assert_outcome_close_to_reference(kind, profile, **options):
+    """``run_protocol`` of a three-state point against ``direct_record``:
+    the same error, or close records.  Returns whether it is a record."""
+    record = outcome(run_protocol, kind, profile, **options)
+    reference = outcome(direct_record, kind, profile, **options)
+    if isinstance(reference, Exception):
+        assert type(record) is type(reference) and str(record) == str(reference)
+        return False
+    assert isinstance(record, MeasurementRecord), record
+    assert_close_to_reference(kind, record, reference)
+    return True
+
+
+def three_state_drives(grid):
+    """(kind, drive) over every random drive family on one grid:
+    symmetric pairs at each verify detuning, resonant pairs and general
+    drives with a two-photon detuning, each under every kind it admits."""
+    rng = drive_rng(3, grid)
+    for delta in harness._DETUNINGS:
+        for _ in range(2):
+            profile = replace(harness.random_symmetric_pair_profile(rng, delta), grid_points=grid)
+            yield from ((kind, profile) for kind in (DETUNED, GENERAL))
+    for _ in range(3):
+        profile = replace(harness.random_resonant_pair_profile(rng), grid_points=grid)
+        yield from ((kind, profile) for kind in (CASE1, CASE2, DETUNED, GENERAL))
+    for _ in range(5):
+        profile = harness.random_general_three_state_profile(rng)
+        assert profile.two_photon_detuning != 0.0
+        yield GENERAL, replace(profile, grid_points=grid)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_three_state_records_are_close_to_the_direct_reference(grid):
+    # 7 x 2 symmetric pairs under 2 kinds, 3 resonant pairs under 4, 5
+    # general drives: 45 points per grid
+    kinds = set()
+    for kind, profile in three_state_drives(grid):
+        if assert_outcome_close_to_reference(kind, profile):
+            kinds.add(kind)
+    assert kinds == {CASE1, CASE2, DETUNED, GENERAL}
+
+
+def test_radicands_near_zero_move_the_estimate_by_its_square_root():
+    """Where a drive barely transfers, p ~ 0 and q ~ 1, the symmetric-pair
+    radicand is 0 up to rounding.  Its square root, and so the estimate,
+    then moves by up to sqrt(CLOSE), and rounding alone decides whether
+    the point is clamped: with numpy 2.4 this point is "ok" with derived
+    passes and "clamped" with propagated ones, and the estimates differ
+    by 1.5e-8.  Both are limits of the inversion, not of the passes,
+    whose returns stay within CLOSE."""
+    pulse = PulseShape.gaussian(4.0532406591857075, 0.25688457441954415)
+    profile = DriveProfile3(
+        pump=replace(pulse, offset=0.19503910220490367),
+        stokes=pulse,
+        single_photon_detuning=DetuningShape.constant(20.0),
+        grid_points=2,
+    )
+    record, reference = run_protocol(DETUNED, profile), direct_record(DETUNED, profile)
+    assert reference.p_direct < 1e-15 and reference.q > 1.0 - 1e-8
+    assert abs(radicand(DETUNED, reference)) < 1e-14
+    assert_close_to_reference(DETUNED, record, reference)
+
+
+THREE_STATE_BASES = {
+    CASE1: DriveProfile3(pump=PulseShape.sin2(20.0, 1.0, offset=0.2), stokes=PulseShape.sin2(20.0, 1.0)),
+    CASE2: DriveProfile3(pump=PulseShape.sin2(20.0, 1.0, offset=0.2), stokes=PulseShape.sin2(20.0, 1.0)),
+    DETUNED: DriveProfile3(
+        pump=PulseShape.gaussian(12.0, 0.25, center=0.3),
+        stokes=PulseShape.gaussian(12.0, 0.25),
+        single_photon_detuning=DetuningShape.constant(4.0),
+    ),
+    GENERAL: DriveProfile3(
+        pump=PulseShape.sin2(9.0, 1.1, offset=0.3),
+        stokes=PulseShape.gaussian(14.0, 0.2, center=0.3),
+        single_photon_detuning=DetuningShape.constant(4.0),
+        two_photon_detuning=2.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("grid, points", [(128, 23), (4000, 3)])
+@pytest.mark.parametrize("kind", list(THREE_STATE_BASES))
+def test_three_state_sweep_records_are_close_to_the_direct_reference(kind, grid, points):
+    profile = replace(THREE_STATE_BASES[kind], grid_points=grid)
+    specs = [
+        SweepSpec(profile, "pulse-area", 0.0, 12.0 * math.pi, points, kind),
+        SweepSpec(profile, "delay", -0.3, 0.5, points, kind),
+    ]
+    if kind in (DETUNED, GENERAL):
+        specs.append(SweepSpec(profile, "detuning", -15.0, 15.0, points, kind))
+    for spec in specs:
+        records, expected = sweep(spec), direct_sweep(spec)
+        assert len(records) == len(expected) == points
+        for record, reference in zip(records, expected):
+            assert_close_to_reference(kind, record, reference)
+
+
+# sin2 pump at offset 0.3, gaussian Stokes, on the window (0, 1) at 4000
+# steps: the forward H stays below 3e15, but the role-swapped pass puts
+# |delta - delta2| = 6e15 on its diagonal, a step phase of 1.5e12
+TWO_PHOTON_UNRESOLVABLE = DriveProfile3(
+    pump=PulseShape.sin2(9.0, 1.0, offset=0.3),
+    stokes=PulseShape.gaussian(5.0, 0.2),
+    single_photon_detuning=DetuningShape.constant(3e15),
+    two_photon_detuning=-3e15,
+    window=(0.0, 1.0),
+)
+
+
+def test_second_pass_step_phase_error_is_kept():
+    """The (0, 0) second pass is not propagated, but it is guarded: a point
+    whose role-swapped pass propagation would reject is rejected with the
+    same error, though its forward pass is resolvable."""
+    profile = TWO_PHOTON_UNRESOLVABLE
+    [[_]] = propagate_passes([[profile]])  # the forward pass alone is fine
+    with pytest.raises(StepPhaseError, match=r"= 1\.500e\+12 is not finite") as derived:
+        run_protocol(GENERAL, profile)
+    with pytest.raises(StepPhaseError) as direct:
+        direct_record(GENERAL, profile)
+    assert str(derived.value) == str(direct.value)
+
+
+def test_second_passes_are_guarded_only_with_a_two_photon_detuning(monkeypatch):
+    guarded = []
+    check = harness.check_profile_step_phase
+    monkeypatch.setattr(harness, "check_profile_step_phase", lambda p: guarded.append(p) or check(p))
+    for kind, base in THREE_STATE_BASES.items():
+        sweep(SweepSpec(replace(base, grid_points=64), "pulse-area", 1.0, 9.0, 3, kind))
+    # only the general drive has a two-photon detuning: its three (0, 0) passes
+    profile = replace(THREE_STATE_BASES[GENERAL], grid_points=64)
+    assert [(p.pump_phase, p.stokes_phase) for p in guarded] == [(0.0, 0.0)] * 3
+    assert guarded == [
+        harness.backward_profile_3(harness.apply_sweep_parameter(profile, "pulse-area", v), 0.0, 0.0)
+        for v in (1.0, 5.0, 9.0)
+    ]
+
+
+def three_state_config(protocol, base, *, sweep_block=None, slack=None, **profile):
+    pump, stokes = base.pump, base.stokes
+    config = {
+        "protocol": protocol,
+        "profile": {
+            "kind": "three-state",
+            "pump": {"shape": pump.kind, "peak": pump.peak, "width": pump.width, "offset": pump.offset},
+            "stokes": {"shape": stokes.kind, "peak": stokes.peak, "width": stokes.width, "offset": stokes.offset},
+            "detuning": {"shape": "constant", "magnitude": base.single_photon_detuning.magnitude},
+            "two_photon_detuning": base.two_photon_detuning,
+            **profile,
+        },
+    }
+    if sweep_block is not None:
+        config["sweep"] = sweep_block
+    if slack is not None:
+        config["tolerances"] = {"slack": slack}
+    return config
+
+
+# a symmetric pair on a window not centred on it: a coarse grid breaks the
+# symmetry, so the resonant template fails (exit 2), and the detuned
+# radicand at area 4 is -5.8e-5: beyond the default slack (exit 3), within
+# a slack of 1e-4 (clamped)
+OFF_CENTRE = {"window": [0.0, 1.5], "grid_points": 16}
+RESONANT = THREE_STATE_BASES[CASE1]
+PAIR = replace(
+    RESONANT,
+    pump=replace(RESONANT.pump, peak=8.0),
+    stokes=replace(RESONANT.stokes, peak=8.0),
+    single_photon_detuning=DetuningShape.constant(3.0),
+)
+SMALL_AREAS = {"parameter": "pulse-area", "start": 0.0, "stop": 6.0, "points": 13}
+HUGE_AREAS = {"parameter": "pulse-area", "start": -1e300, "stop": 1e300, "points": 5}
+DETUNINGS_3 = {"parameter": "detuning", "start": -2.0, "stop": 2.0, "points": 5}
+# the role-swapped pass of the last three points fails the step-phase guard
+TWO_PHOTON_DETUNINGS = {"parameter": "detuning", "start": 0.0, "stop": 3e15, "points": 5}
+# (protocol, base drive, profile options, sweep block, slack)
+THREE_STATE_CLI_CASES = [
+    ("stirap-detuned", PAIR, OFF_CENTRE, SMALL_AREAS, None),
+    ("stirap-detuned", PAIR, OFF_CENTRE, SMALL_AREAS, 1e-4),
+    ("stirap-detuned", PAIR, OFF_CENTRE, HUGE_AREAS, None),
+    ("stirap-resonant-case1", RESONANT, {"grid_points": 64}, DETUNINGS_3, None),
+    ("stirap-resonant-case2", RESONANT, {"grid_points": 64}, HUGE_AREAS, 0.0),
+    ("stirap-resonant-case1", RESONANT, {"window": [0.0, 1.5], "grid_points": 64}, SMALL_AREAS, None),
+    ("stirap-detuned", THREE_STATE_BASES[DETUNED], {"grid_points": 128}, DETUNINGS_3, 0.0),
+    ("three-state-general", THREE_STATE_BASES[GENERAL], {"grid_points": 128}, DETUNINGS_3, None),
+    ("three-state-general", TWO_PHOTON_UNRESOLVABLE, {"window": [0.0, 1.0]}, TWO_PHOTON_DETUNINGS, None),
+]
+
+
+def csv_records(text):
+    """MeasurementRecords back from CSV text."""
+    rows = list(csv.reader(io.StringIO(text)))
+    assert tuple(rows[0]) == harness.CSV_COLUMNS
+    records = []
+    for row in rows[1:]:
+        cells = dict(zip(harness.CSV_COLUMNS, row))
+        del cells["residual"]
+        status = cells.pop("status")
+        fields = {name.lower(): float(cell) if cell else None for name, cell in cells.items()}
+        records.append(MeasurementRecord(**fields, status=status))
+    return records
+
+
+def test_three_state_cli_runs_match_the_direct_reference(tmp_path, capsys, monkeypatch):
+    """`simulate` and `sweep` of three-state drives exit with the same
+    codes and write the same stderr as with propagated second passes, and
+    their rows are close to those, over sweeps that mix every kind of
+    three-state row."""
+    runs = []
+    for protocol, base, options, sweep_block, slack in THREE_STATE_CLI_CASES:
+        runs.append((protocol, "simulate", three_state_config(protocol, base, slack=slack, **options)))
+        config = three_state_config(protocol, base, sweep_block=sweep_block, slack=slack, **options)
+        runs.append((protocol, "sweep", config))
+    derived = [run_cli(tmp_path, capsys, config, command) for _, command, config in runs]
+    monkeypatch.setattr(cli, "run_protocol", direct_record)
+    monkeypatch.setattr(cli, "sweep", direct_sweep)
+    direct = [run_cli(tmp_path, capsys, config, command) for _, command, config in runs]
+
+    statuses = []
+    for (protocol, command, _), outcome_, reference in zip(runs, derived, direct):
+        (code, rows, err), (code_ref, rows_ref, err_ref) = outcome_, reference
+        assert (code, err) == (code_ref, err_ref), (protocol, command)
+        if code != cli.EX_OK:
+            assert rows == rows_ref == ""
+            continue
+        records, expected = csv_records(rows), csv_records(rows_ref)
+        assert len(records) == len(expected)
+        for record, reference_record in zip(records, expected):
+            assert_close_to_reference(ProtocolKind(protocol), record, reference_record)
+        statuses += [record.status for record in records]
+
+    codes = {code for code, _, _ in derived}
+    assert codes == {cli.EX_OK, cli.EX_PRECONDITION, cli.EX_INCONSISTENT, cli.EX_USAGE}
+    for status in (
+        "ok",
+        "clamped",
+        "error: pulse area must be >= 0",
+        "error: step phase dt * max|H| = 2.250e+298",
+        "error: step phase dt * max|H| = 1.500e+12",
+        "error: resonant protocol requires zero detunings",
+        "error: alpha^2 + beta^2 + 2 gamma^2 deviates",
+        "error: symmetric-pair inversion: radicand",
+    ):
+        assert any(s.startswith(status) for s in statuses), status
+
+
+def test_second_pass_step_phase_error_through_the_cli(tmp_path, capsys):
+    config = three_state_config("three-state-general", TWO_PHOTON_UNRESOLVABLE, window=[0.0, 1.0])
+    code, rows, err = run_cli(tmp_path, capsys, config, "simulate")
+    assert code == cli.EX_USAGE
+    assert err.startswith("config error: step phase dt * max|H| = 1.500e+12 is not finite")
+    assert rows == ""
+
+    config["sweep"] = TWO_PHOTON_DETUNINGS
+    code, rows, err = run_cli(tmp_path, capsys, config, "sweep")
+    assert (code, err) == (cli.EX_OK, "")
+    statuses = [record.status for record in csv_records(rows)]
+    assert len(statuses) == 5
+    assert not any(s.startswith("error") for s in statuses[:2])
+    for status, phase in zip(statuses[2:], ("1.125e+12", "1.312e+12", "1.500e+12")):
+        assert status.startswith(f"error: step phase dt * max|H| = {phase} is not finite")

@@ -209,25 +209,24 @@ class TestRunProtocolThreeState:
             general_average_return(record.p_direct, record.q, record.r), abs=1e-6
         )
 
-    def test_phase_dependent_r_is_a_template_mismatch(self, monkeypatch):
-        # no spread passes a negative tolerance: the check must fire as a
-        # typed error, and a sweep must record it as an error row
+    def test_resonant_template_mismatch_is_a_typed_error(self):
+        # a symmetric pair on a window not centred on it: the coarse grid
+        # breaks the time-reflection symmetry the resonant template needs,
+        # so the structural check of the forward pass fails as a typed
+        # error, and a sweep records it as an error row
         from doublepass.evolve import TemplateMismatchError
 
-        monkeypatch.setattr(harness, "_R_PHASE_TOL", -1.0)
-        profile = replace(GENERAL_THREE_STATE, grid_points=200)
-        with pytest.raises(TemplateMismatchError, match="not coherent"):
-            run_protocol(ProtocolKind.THREE_STATE_GENERAL, profile)
-        spec = SweepSpec(
-            profile=profile,
-            parameter="pulse-area",
-            start=5.0,
-            stop=6.0,
-            points=2,
-            protocol=ProtocolKind.THREE_STATE_GENERAL,
+        profile = DriveProfile3(
+            pump=PulseShape.sin2(20.0, 1.0, offset=0.2),
+            stokes=PulseShape.sin2(20.0, 1.0),
+            window=(0.0, 1.5),
+            grid_points=64,
         )
+        with pytest.raises(TemplateMismatchError, match="deviates from 1"):
+            run_protocol(ProtocolKind.STIRAP_RESONANT_CASE1, profile)
+        spec = SweepSpec(profile, "pulse-area", 5.0, 20.0, 4, ProtocolKind.STIRAP_RESONANT_CASE2)
         statuses = [record.status for record in sweep(spec)]
-        assert all(s.startswith("error: role-swapped return probability") for s in statuses)
+        assert all(s.startswith("error: alpha^2 + beta^2 + 2 gamma^2 deviates") for s in statuses)
 
     def test_general_rejects_chirp_with_two_photon(self):
         profile = DriveProfile3(
@@ -254,7 +253,7 @@ class TestRunProtocolThreeState:
         run_protocol(
             ProtocolKind.STIRAP_DETUNED, stirap_profile(detuning=3.0, grid_points=800)
         )
-        assert counter.calls == 5  # forward + four phased second passes
+        assert counter.calls == 1  # the forward pass; the four phased passes are derived from it
 
     def test_pass_count_general(self, monkeypatch):
         counter = CountingPropagator(monkeypatch)
@@ -265,14 +264,14 @@ class TestRunProtocolThreeState:
             grid_points=800,
         )
         run_protocol(ProtocolKind.THREE_STATE_GENERAL, profile)
-        assert counter.calls == 5  # forward + four phased; r comes from the (0, 0) pass
+        assert counter.calls == 1  # the forward pass; r comes from the derived (0, 0) pass
 
     def test_pass_count_resonant(self, monkeypatch):
         counter = CountingPropagator(monkeypatch)
         run_protocol(
             ProtocolKind.STIRAP_RESONANT_CASE2, stirap_profile(grid_points=800)
         )
-        assert counter.calls == 2
+        assert counter.calls == 1  # the forward pass; the second pass is derived from it
 
 
 PI = math.pi
@@ -306,9 +305,8 @@ def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
     """``double_pass`` propagates the forward pass, then exactly the listed
     second passes, in order: (rabi sign, detuning sign) for two-state
     drives, (pump phase, Stokes phase) of the role-swapped drive for
-    three-state drives.  ``run_protocol`` propagates the same passes for
-    three-state drives, but only the forward pass for two-state drives,
-    whose second passes it derives from the forward pair (a, b)."""
+    three-state drives.  ``run_protocol`` propagates only the forward
+    pass, and derives the second passes from its propagator."""
     from doublepass.evolve import propagate_passes
 
     seen = []
@@ -323,13 +321,12 @@ def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
     seen.clear()
     harness.double_pass(profile, harness.PROTOCOLS[kind].variants)
 
+    assert simulated == [profile]
     assert seen[0] == profile
     if isinstance(profile, DriveProfile2):
-        assert simulated == [profile]
         assert [(p.rabi_sign, p.detuning_sign) for p in seen] == [(1, 1)] + second_passes
         assert all(p.rabi == profile.rabi and p.detuning == profile.detuning for p in seen)
     else:
-        assert simulated == seen
         assert [(p.pump_phase, p.stokes_phase) for p in seen[1:]] == second_passes
         # every second pass is the role-swapped drive at those phases
         assert seen[1:] == [backward_profile_3(profile, *phases) for phases in second_passes]
@@ -392,6 +389,12 @@ class TestBatchedSweep:
         sweep(SweepSpec(profile, "pulse-area", 1.0, 20.0, 10, ProtocolKind.TWO_STATE_GENERAL))
         assert shapes == [(10, 128)]  # ten points, one propagated pass each, one call
 
+    def test_short_three_state_points_share_kernel_calls(self, monkeypatch):
+        shapes = kernel_shapes(monkeypatch, "_su3_propagator")
+        profile = stirap_profile(detuning=3.0, grid_points=128)
+        sweep(SweepSpec(profile, "pulse-area", 1.0, 20.0, 10, ProtocolKind.STIRAP_DETUNED))
+        assert shapes == [(10, 128)]  # ten points, one propagated pass each, one call
+
     def test_points_are_measured_in_chunks_under_the_budget(self, monkeypatch):
         counter = CountingPropagator(monkeypatch)
         calls = []
@@ -442,12 +445,13 @@ class TestBatchedSweep:
         assert sum(s == "ok" for s in statuses) == 9
 
     def test_delay_sweep_groups_nothing_across_points(self, monkeypatch):
-        # the window moves with the delay, so each point is its own batch
+        # the window moves with the delay, so each point is its own batch,
+        # and its one pass reaches the kernel as 1-d arrays
         shapes = kernel_shapes(monkeypatch, "_su3_propagator")
         profile = stirap_profile(detuning=3.0, grid_points=128)
         spec = SweepSpec(profile, "delay", -0.2, 0.4, 7, ProtocolKind.STIRAP_DETUNED)
         records = sweep(spec)
-        assert shapes == [(5, 128)] * 7
+        assert shapes == [(128,)] * 7
         assert records == point_by_point(spec)
 
     def test_clamps_are_recorded_with_warnings_as_errors(self, monkeypatch):
