@@ -351,6 +351,8 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EX_USAGE
+    if args.draws < 1:
+        raise _UsageError(f"--draws must be >= 1, got {args.draws}")
     report = verify(args.suite, args.draws, args.seed)
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:

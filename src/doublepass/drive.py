@@ -295,10 +295,9 @@ def _gudermannian(x: float) -> float:
     return math.atan(math.sinh(x))
 
 
-def padded_window(
-    *shapes: PulseShape, pad_fraction: float = WINDOW_PAD_FRACTION
-) -> Tuple[float, float]:
-    """Window covering the joint support of ``shapes``, padded on each side.
+def padded_window(*shapes: PulseShape) -> Tuple[float, float]:
+    """Window covering the joint support of ``shapes``, padded on each side
+    by ``WINDOW_PAD_FRACTION`` of its length.
 
     Raises ValueError if no shape has a finite support (``constant`` and
     ``zero`` drives need an explicit window).
@@ -313,7 +312,7 @@ def padded_window(
     if not los:
         raise ValueError("no finite pulse support; give an explicit window")
     lo, hi = min(los), max(his)
-    pad = pad_fraction * (hi - lo)
+    pad = WINDOW_PAD_FRACTION * (hi - lo)
     if pad <= 0.0:
         raise ValueError("degenerate pulse support")
     return (lo - pad, hi + pad)

@@ -37,7 +37,8 @@ propagates those that share a dimension, a window and a step count in
 one kernel call, up to ``BATCH_ROWS`` step rows per call.  On short
 grids that removes most of the per-call numpy overhead; a long pass
 runs alone, as 1-d arrays, and a batched pass equals the same pass
-propagated alone to the last bit.
+propagated alone to the last bit.  ``harness.double_pass``, the
+reference the batches are checked against, uses ``propagate_profile``.
 """
 
 from __future__ import annotations
@@ -550,30 +551,24 @@ def propagate_profile(
         return _propagate(sample, profile.window, steps, refine_tol, MAX_GRID_POINTS)
 
 
-def propagate_passes(
-    points: Sequence[Sequence[Profile]],
-) -> List[Union[List[np.ndarray], ValueError]]:
-    """Fixed-grid propagators of the passes of several measurement points.
+def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, ValueError]]:
+    """Fixed-grid propagators of many passes, one slot per pass in input
+    order.
 
-    ``points`` holds each point's pass profiles.  Every pass is sampled
-    on its own, with its own step-phase guard.  Passes that share a
-    dimension, a window and a step count then go to the kernel together,
-    in batches of at most ``BATCH_ROWS`` step rows; a pass alone in its
-    batch reaches the kernel as 1-d arrays, exactly as in
-    ``propagate_profile``, whose propagator every pass equals to the
-    last bit.  Returns per point its propagators in pass order, or the
-    ValueError (such as a StepPhaseError) of its first failing pass, so
-    a failure stays with its own point.
+    Every pass is sampled on its own, with its own step-phase guard.
+    Passes that share a dimension, a window and a step count then go to
+    the kernel together, in batches of at most ``BATCH_ROWS`` step rows;
+    a pass alone in its batch reaches the kernel as 1-d arrays, exactly
+    as in ``propagate_profile``, whose propagator every pass equals to
+    the last bit.  A pass's slot holds its propagator, or the ValueError
+    (such as a StepPhaseError) that sampling it raised.
     """
-    groups: Dict[tuple, List[Tuple[int, int, Profile]]] = {}
-    for i, passes in enumerate(points):
-        for j, profile in enumerate(passes):
-            if not isinstance(profile, (DriveProfile2, DriveProfile3)):
-                raise TypeError(f"unsupported profile type {type(profile).__name__}")
-            key = (type(profile), profile.window, profile.grid_points)
-            groups.setdefault(key, []).append((i, j, profile))
-    results: List[list] = [[None] * len(passes) for passes in points]
-    failed: Dict[int, Tuple[int, ValueError]] = {}
+    groups: Dict[tuple, List[int]] = {}
+    for i, profile in enumerate(profiles):
+        if not isinstance(profile, (DriveProfile2, DriveProfile3)):
+            raise TypeError(f"unsupported profile type {type(profile).__name__}")
+        groups.setdefault((type(profile), profile.window, profile.grid_points), []).append(i)
+    results: List[Union[np.ndarray, ValueError]] = [None] * len(profiles)
     # samples may overflow, as in propagate_profile
     with np.errstate(over="ignore"):
         for (_, window, steps), members in groups.items():
@@ -581,18 +576,16 @@ def propagate_passes(
             size = max(1, BATCH_ROWS // len(ts))
             for start in range(0, len(members), size):
                 slots, sampled = [], []
-                for i, j, profile in members[start : start + size]:
-                    if i in failed and failed[i][0] < j:
-                        continue  # a point's passes after its first failure
+                for i in members[start : start + size]:
                     try:
-                        sampled.append(_sample_profile(profile, ts, dt))
+                        sampled.append(_sample_profile(profiles[i], ts, dt))
                     except ValueError as error:
-                        failed[i] = (j, error)
+                        results[i] = error
                         continue
-                    slots.append((i, j))
-                for (i, j), u in zip(slots, _propagate_batch(sampled, dt)):
-                    results[i][j] = u
-    return [failed[i][1] if i in failed else passes for i, passes in enumerate(results)]
+                    slots.append(i)
+                for i, u in zip(slots, _propagate_batch(sampled, dt)):
+                    results[i] = u
+    return results
 
 
 def check_profile_step_phase(profile: Profile) -> None:

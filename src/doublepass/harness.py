@@ -17,9 +17,10 @@ sign flip is a rearrangement of the forward Cayley-Klein pair, equal to
 a propagated pass to the last bit, and a three-state role swap is the
 forward propagator with indices 1 and 3 swapped and phases attached
 (``su3relations.backward_propagator``), equal to a propagated pass up
-to rounding.  ``run_protocol``, ``double_pass`` (which simulates every
-pass and which the verification suites and the tests use as the
-reference) and ``sweep`` all propagate through that one batched entry.
+to rounding.  ``run_protocol`` and ``sweep`` propagate through that one
+batched entry.  ``double_pass``, which simulates every pass and which
+the verification suites and the tests use as the reference, propagates
+each pass on its own with ``propagate_profile`` instead.
 
 Sweeps repeat a protocol over a parameter grid.  They prepare every
 point, propagate the forward passes of all points in one
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
@@ -223,13 +225,6 @@ def _returns(u: np.ndarray, backs: Sequence[np.ndarray]) -> List[float]:
     return [_population(back @ u, 0) for back in backs]
 
 
-def _propagated(result: Union[List[np.ndarray], ValueError]) -> List[np.ndarray]:
-    """One point's propagators from ``propagate_passes``, or its error raised."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def double_pass(
     profile: Profile, variants: Sequence[Variant]
 ) -> Tuple[np.ndarray, List[np.ndarray], List[float]]:
@@ -237,10 +232,12 @@ def double_pass(
 
     Returns the forward propagator U, the second-pass propagators V and
     the double-pass return probabilities |(V U)_11|^2, in variant order.
+    Each pass is propagated on its own by ``propagate_profile``, so this
+    reference never reaches the batches of ``propagate_passes``; the
+    first failing pass raises its error.
     """
     passes = [profile] + [_second_pass(profile, v) for v in variants]
-    [result] = propagate_passes([passes])
-    u, *backs = _propagated(result)
+    u, *backs = [propagate_profile(p) for p in passes]
     return u, backs, _returns(u, backs)
 
 
@@ -261,10 +258,10 @@ class Protocol:
     ``cayley_klein``, whose pair (a, b) gives the second passes of the
     ``variants``.  The second passes of a three-state entry are
     ``backward_propagator`` of the forward propagator at the variants'
-    phases.  ``q_bar`` and ``r`` say whether the averaged return and the
-    role-swapped return r (read from the (0, 0) second pass) are
-    recorded.  ``inverter`` receives the record fields named by
-    ``reads``; the classical estimate is the square root of the first.
+    phases.  ``inverter`` receives the record fields named by ``reads``;
+    the classical estimate is the square root of the first.  The
+    averaged return Q_bar and the role-swapped return r (read from the
+    (0, 0) second pass) are recorded only where ``reads`` names them.
     Functions are named, not held, and looked up in this module at run
     time, so a wrapper installed at the module attribute sees each call.
     """
@@ -275,8 +272,6 @@ class Protocol:
     variants: Tuple[Variant, ...]
     inverter: str
     reads: Tuple[str, ...]
-    q_bar: bool = False
-    r: bool = False
 
 
 _PROFILE_TYPES = {2: (DriveProfile2, "two-state"), 3: (DriveProfile3, "three-state")}
@@ -334,7 +329,7 @@ _SWAPPABLE_DETUNINGS = (
 # Protocol(dimension, preconditions, check, variants, inverter, reads)
 PROTOCOLS: Dict[ProtocolKind, Protocol] = {
     ProtocolKind.TWO_STATE_GENERAL: Protocol(
-        2, (), "cayley_klein", (V00, VPI0), "invert_p_general", ("q_bar",), q_bar=True
+        2, (), "cayley_klein", (V00, VPI0), "invert_p_general", ("q_bar",)
     ),
     ProtocolKind.TWO_STATE_RAP: Protocol(
         2, (_CROSSING,), "cayley_klein", (V00,), "invert_p_rap", ("q00",)
@@ -349,17 +344,10 @@ PROTOCOLS: Dict[ProtocolKind, Protocol] = {
         3, _RESONANT, "extract_resonant_ck", (VPI0,), "invert_case2", ("qpi0",)
     ),
     ProtocolKind.STIRAP_DETUNED: Protocol(
-        3, _SYMMETRIC_PAIR, None, FOUR_VARIANTS, "invert_detuned", ("q_bar", "q"), q_bar=True
+        3, _SYMMETRIC_PAIR, None, FOUR_VARIANTS, "invert_detuned", ("q_bar", "q")
     ),
     ProtocolKind.THREE_STATE_GENERAL: Protocol(
-        3,
-        _SWAPPABLE_DETUNINGS,
-        None,
-        FOUR_VARIANTS,
-        "invert_general",
-        ("q_bar", "q", "r"),
-        q_bar=True,
-        r=True,
+        3, _SWAPPABLE_DETUNINGS, None, FOUR_VARIANTS, "invert_general", ("q_bar", "q", "r")
     ),
 }
 
@@ -386,11 +374,12 @@ def _prepare(kind: Union[ProtocolKind, str], profile: Profile) -> _Point:
 
 def _finish(
     point: _Point,
-    result: Union[List[np.ndarray], ValueError],
+    u: Union[np.ndarray, ValueError],
     slack: float,
     swept_value: Optional[float],
 ) -> MeasurementRecord:
-    """A point's record from its propagated forward pass: the structural
+    """A point's record from its slot of ``propagate_passes``, the forward
+    propagator or the error that propagating it raised: the structural
     check, the second passes, validation and inversion.
 
     A sign-flipped two-state pass is an exact rearrangement of the
@@ -403,7 +392,8 @@ def _finish(
     probability sees.
     """
     plan, profile = point
-    [u] = _propagated(result)
+    if isinstance(u, ValueError):
+        raise u
     if plan.dimension == 3 and profile.two_photon_detuning != 0.0:
         # the role swap puts |delta - delta2| on the diagonal, which can
         # exceed every entry of the forward H: the second pass must pass
@@ -417,11 +407,11 @@ def _finish(
     returns = _returns(u, backs)
     fields = {"p_direct": _population(u, plan.dimension - 1), "q": _population(u, 0)}
     fields.update(zip((VARIANT_COLUMNS[v] for v in plan.variants), returns))
-    if plan.q_bar:
+    if "q_bar" in plan.reads:
         fields["q_bar"] = (
             average_return(*returns) if plan.dimension == 2 else four_phase_average(returns)
         )
-    if plan.r:
+    if "r" in plan.reads:
         fields["r"] = float(abs(backs[0][0, 0]) ** 2)
 
     p, q = fields["p_direct"], fields["q"]
@@ -435,7 +425,7 @@ def _finish(
             q_bar=fields.get("q_bar"),
         )
     else:
-        q_set = tuple(returns) if plan.q_bar else None
+        q_set = tuple(returns) if "q_bar" in plan.reads else None
         PassProbabilities3(p=p, q=q, r=fields.get("r"), q_set=q_set, q_bar=fields.get("q_bar"))
 
     args = [fields[name] for name in plan.reads]
@@ -455,7 +445,6 @@ def run_protocol(
     profile: Profile,
     *,
     slack: float = su2relations.DEFAULT_SLACK,
-    swept_value: Optional[float] = None,
 ) -> MeasurementRecord:
     """Execute one measurement protocol and return its record.
 
@@ -475,8 +464,8 @@ def run_protocol(
     record status, not raised.
     """
     point = _prepare(kind, profile)
-    [result] = propagate_passes([[profile]])
-    return _finish(point, result, slack, swept_value)
+    [result] = propagate_passes([profile])
+    return _finish(point, result, slack, None)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +473,8 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 
 SWEEP_PARAMETERS = ("pulse-area", "delay", "detuning")
+# Most grid points of one sweep: every point is held in memory at once.
+MAX_SWEEP_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -509,14 +500,19 @@ class SweepSpec:
                 f"unknown sweep parameter {self.parameter!r}; "
                 f"expected one of {SWEEP_PARAMETERS}"
             )
-        if self.points < 2:
-            raise ValueError("points must be >= 2")
+        try:
+            points = operator.index(self.points)
+        except TypeError:
+            raise ValueError(f"points must be an integer, got {self.points!r}") from None
+        if not 2 <= points <= MAX_SWEEP_POINTS:
+            raise ValueError(f"points must be in [2, {MAX_SWEEP_POINTS}], got {points}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("sweep range must be finite")
         if not math.isfinite(self.stop - self.start):
             raise ValueError(
                 f"sweep range from {self.start} to {self.stop} is too wide: stop - start overflows"
             )
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "protocol", ProtocolKind(self.protocol))
 
 
@@ -590,7 +586,7 @@ def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List
         except _POINT_ERRORS as exc:
             points.append(exc)
     prepared = [point for point in points if not isinstance(point, Exception)]
-    results = iter(propagate_passes([[forward] for _, forward in prepared]))
+    results = iter(propagate_passes([forward for _, forward in prepared]))
     records = []
     for value, point in zip(values, points):
         try:

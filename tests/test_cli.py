@@ -586,6 +586,14 @@ class TestVerify:
         assert code == EX_USAGE
         assert "registered" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_draws_below_one_is_a_usage_error(self, capsys, draws):
+        # exit 1 means "verify failed" and nothing else
+        assert main(["verify", "--suite", "degradation", "--draws", draws]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: --draws must be >= 1, got {draws}\n"
+        assert captured.out == ""
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -652,8 +660,27 @@ def _two_state(rabi, **profile):
             EX_USAGE,
             "config error: invalid profile: window must be finite with positive length",
         ),
+        # np.linspace would try to allocate petabytes
+        (
+            {
+                **_two_state({"shape": "sin2", "peak": 1.0}),
+                "sweep": {"parameter": "detuning", "start": -1.0, "stop": 1.0, "points": 10**15},
+            },
+            EX_USAGE,
+            "config error: invalid sweep block: points must be in [2, 1048576], got 1000000000000000\n",
+        ),
     ],
-    ids=["sech-area", "sweep-range", "phase-product", "chirp", "sech-tail", "gaussian-tail", "long-step", "long-window"],
+    ids=[
+        "sech-area",
+        "sweep-range",
+        "phase-product",
+        "chirp",
+        "sech-tail",
+        "gaussian-tail",
+        "long-step",
+        "long-window",
+        "sweep-points",
+    ],
 )
 def test_float_range_ends_in_a_documented_exit(tmp_path, capsys, config, code, stderr):
     argv = ["simulate", "--config", write_config(tmp_path, config)]
@@ -662,6 +689,7 @@ def test_float_range_ends_in_a_documented_exit(tmp_path, capsys, config, code, s
     assert main(argv) == code
     captured = capsys.readouterr()
     assert captured.err.startswith(stderr) and (stderr or not captured.err)
+    assert captured.err.count("\n") == (1 if code else 0)  # one line, no traceback
     rows = captured.out if "sweep" not in config or code else (tmp_path / "out.csv").read_text()
     for row in list(csv.reader(rows.splitlines()))[1:]:
         assert row[-1] in ("ok", "clamped") or row[-1].startswith("error: ")

@@ -118,7 +118,7 @@ TWO_STATE_KINDS = {
 }
 
 
-def direct_record(kind, profile, *, slack=DEFAULT_SLACK, swept_value=None):
+def direct_record(kind, profile, *, slack=DEFAULT_SLACK):
     """The record of a point whose second passes are propagated by
     ``double_pass``, not derived: the reference for ``run_protocol``."""
     plan, _ = harness._prepare(kind, profile)  # its preconditions
@@ -127,9 +127,9 @@ def direct_record(kind, profile, *, slack=DEFAULT_SLACK, swept_value=None):
         getattr(harness, plan.check)(u)
     fields = {"p_direct": float(abs(u[plan.dimension - 1, 0]) ** 2), "q": float(abs(u[0, 0]) ** 2)}
     fields.update(zip((harness.VARIANT_COLUMNS[v] for v in plan.variants), returns))
-    if plan.q_bar:
+    if "q_bar" in plan.reads:
         fields["q_bar"] = harness.average_return(*returns) if plan.dimension == 2 else four_phase_average(returns)
-    if plan.r:
+    if "r" in plan.reads:
         fields["r"] = float(abs(backs[0][0, 0]) ** 2)
     if plan.dimension == 2:
         PassProbabilities2(
@@ -141,7 +141,7 @@ def direct_record(kind, profile, *, slack=DEFAULT_SLACK, swept_value=None):
             q_bar=fields.get("q_bar"),
         )
     else:
-        q_set = tuple(returns) if plan.q_bar else None
+        q_set = tuple(returns) if "q_bar" in plan.reads else None
         PassProbabilities3(
             p=fields["p_direct"], q=fields["q"], r=fields.get("r"), q_set=q_set, q_bar=fields.get("q_bar")
         )
@@ -149,7 +149,6 @@ def direct_record(kind, profile, *, slack=DEFAULT_SLACK, swept_value=None):
     clamps = []
     p_estimated = getattr(harness, plan.inverter)(*args, slack=slack, clamps=clamps)
     return MeasurementRecord(
-        swept_value=swept_value,
         **fields,
         p_estimated=p_estimated,
         classical_estimate=math.sqrt(args[0]),
@@ -167,7 +166,7 @@ def direct_sweep(spec, *, slack=DEFAULT_SLACK):
     for value in values:
         try:
             point = harness.apply_sweep_parameter(spec.profile, spec.parameter, value)
-            record = direct_record(spec.protocol, point, slack=slack, swept_value=value)
+            record = replace(direct_record(spec.protocol, point, slack=slack), swept_value=value)
         except ValueError as exc:
             record = MeasurementRecord(swept_value=value, status=f"error: {exc}")
         records.append(record)
@@ -180,6 +179,40 @@ def csv_text(records):
     return buffer.getvalue()
 
 
+@pytest.mark.parametrize("grid", [7, 128, 4000])
+def test_the_reference_never_reaches_the_batches(monkeypatch, grid):
+    """``double_pass`` propagates each pass with ``propagate_profile``, so
+    a fault in the batched entry cannot show on both sides of the
+    comparisons above.  On short grids its passes would share a batch."""
+    rng = drive_rng(5, grid)
+    drives = {
+        kind: replace(harness.random_two_state_profile(rng, symmetry), grid_points=grid)
+        for kind, symmetry in TWO_STATE_KINDS.items()
+    }
+    drives[ProtocolKind.STIRAP_DETUNED] = replace(harness.random_symmetric_pair_profile(rng), grid_points=grid)
+    drives[ProtocolKind.THREE_STATE_GENERAL] = replace(
+        harness.random_general_three_state_profile(rng), grid_points=grid
+    )
+    expected = {}
+    for kind, profile in drives.items():
+        variants = harness.PROTOCOLS[kind].variants
+        passes = [profile] + [harness._second_pass(profile, v) for v in variants]
+        expected[kind] = propagate_passes(passes)
+
+    def batched(*args):
+        raise AssertionError("the reference reached the batched entry")
+
+    monkeypatch.setattr(harness, "propagate_passes", batched)
+    monkeypatch.setattr(evolve, "_propagate_batch", batched)
+    for kind, profile in drives.items():
+        u, backs, returns = harness.double_pass(profile, harness.PROTOCOLS[kind].variants)
+        assert len(backs) == len(expected[kind]) - 1
+        for direct, batch in zip([u] + backs, expected[kind]):
+            assert np.array_equal(direct, batch)
+        assert returns == [float(abs((back @ u)[0, 0]) ** 2) for back in backs]
+        assert isinstance(direct_record(kind, profile), MeasurementRecord)
+
+
 @pytest.mark.parametrize("kind", list(TWO_STATE_KINDS))
 def test_run_protocol_records_equal_the_direct_reference(kind):
     rng = drive_rng(list(TWO_STATE_KINDS).index(kind))
@@ -187,8 +220,8 @@ def test_run_protocol_records_equal_the_direct_reference(kind):
     for grid, signs in itertools.product(GRIDS, SIGNS):
         for _ in range(2):
             profile = signed(harness.random_two_state_profile(rng, TWO_STATE_KINDS[kind]), grid, signs)
-            records.append(run_protocol(kind, profile, swept_value=float(grid)))
-            expected.append(direct_record(kind, profile, swept_value=float(grid)))
+            records.append(replace(run_protocol(kind, profile), swept_value=float(grid)))
+            expected.append(replace(direct_record(kind, profile), swept_value=float(grid)))
     assert records == expected
     assert csv_text(records) == csv_text(expected)
 
@@ -332,19 +365,19 @@ def test_no_point_fails_on_a_derived_pass_alone(signs):
         for detuning in (DetuningShape.constant(-3e13), DetuningShape.linear_chirp(1e308))
     ]
     for profile in (signed(drive, 64, signs) for drive in drives):
-        [forward] = propagate_passes([[profile]])
+        [forward] = propagate_passes([profile])
         for flips in FLIPS:
             flipped = backward_profile_2(profile, *flips)
             with np.errstate(over="ignore"):
                 h_max = [np.abs(np.concatenate(evolve._coefficients2(p, ts))).max() for p in (profile, flipped)]
             assert h_max[0] == h_max[1]
-            [result] = propagate_passes([[flipped]])
+            [result] = propagate_passes([flipped])
             if isinstance(forward, StepPhaseError):
                 assert type(result) is StepPhaseError and str(result) == str(forward)
             else:
-                assert np.array_equal(result[0], sign_flip_transform(cayley_klein(forward[0]), *flips))
+                assert np.array_equal(result, sign_flip_transform(cayley_klein(forward), *flips))
         outcomes.add(type(forward).__name__)
-    assert outcomes == {"list", "StepPhaseError"}
+    assert outcomes == {"ndarray", "StepPhaseError"}
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +575,8 @@ def test_second_pass_step_phase_error_is_kept():
     whose role-swapped pass propagation would reject is rejected with the
     same error, though its forward pass is resolvable."""
     profile = TWO_PHOTON_UNRESOLVABLE
-    [[_]] = propagate_passes([[profile]])  # the forward pass alone is fine
+    [forward] = propagate_passes([profile])
+    assert isinstance(forward, np.ndarray)  # the forward pass alone is fine
     with pytest.raises(StepPhaseError, match=r"= 1\.500e\+12 is not finite") as derived:
         run_protocol(GENERAL, profile)
     with pytest.raises(StepPhaseError) as direct:

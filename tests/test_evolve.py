@@ -564,71 +564,105 @@ class TestBatchedKernels:
             assert np.abs(u - _longdouble_propagator(h, 1.0)).max() < 5e-14
 
 
-def coarse_points(gen, steps):
-    """Pass families of random two- and three-state drives on one grid size."""
-    points = []
+def coarse_passes(gen, steps):
+    """Pass families of random two- and three-state drives on one grid
+    size, one after the other."""
+    passes = []
     for _ in range(4):
-        family = two_state_family(gen, None)
-        points.append([replace(p, grid_points=steps) for p in family])
-        family = three_state_family(gen, random_general_three_state_profile)
-        points.append([replace(p, grid_points=steps) for p in family])
-    return points
+        for family in (
+            two_state_family(gen, None),
+            three_state_family(gen, random_general_three_state_profile),
+        ):
+            passes += [replace(p, grid_points=steps) for p in family]
+    return passes
 
 
 class TestPropagatePasses:
     def test_equals_propagate_profile_pass_by_pass(self):
-        points = coarse_points(rng(51), 128)
-        for passes, propagators in zip(points, propagate_passes(points)):
-            assert len(propagators) == len(passes)
-            for profile, u in zip(passes, propagators):
-                assert np.array_equal(u, propagate_profile(profile))
+        passes = coarse_passes(rng(51), 128)
+        propagators = propagate_passes(passes)
+        assert len(propagators) == len(passes)
+        for profile, u in zip(passes, propagators):
+            assert np.array_equal(u, propagate_profile(profile))
 
     def test_long_passes_reach_the_kernel_alone_as_1d_arrays(self, monkeypatch):
         calls = kernel_spy(monkeypatch, "_ck_propagator")
         family = two_state_family(rng(52), None)[:3]
         assert family[0].grid_points == 4000 > BATCH_ROWS // 2
-        propagate_passes([family])
+        propagate_passes(family)
         assert [shapes for shapes, _ in calls] == [[(4000,)] * 3] * 3
         assert all(isinstance(dt, float) for _, dt in calls)
 
     def test_batches_stay_within_the_row_budget(self, monkeypatch):
         calls = kernel_spy(monkeypatch, "_su3_propagator")
         gen = rng(54)
-        points = [
-            [
-                replace(p, grid_points=1000, window=(-0.5, 2.0))
-                for p in three_state_family(gen, random_symmetric_pair_profile)
-            ]
+        passes = [
+            replace(p, grid_points=1000, window=(-0.5, 2.0))
             for _ in range(3)
+            for p in three_state_family(gen, random_symmetric_pair_profile)
         ]
-        propagate_passes(points)
+        propagate_passes(passes)
         # 12 passes on one grid, at most BATCH_ROWS // 1000 = 4 per call
         rows = [shapes[0] for shapes, _ in calls]
         assert rows == [(4, 1000), (4, 1000), (4, 1000)]
         assert all(np.prod(r) <= BATCH_ROWS for r in rows)
 
-    def test_a_failing_pass_stays_with_its_point(self):
+    def test_a_failing_pass_fills_only_its_own_slot(self):
         gen = rng(55)
-        points = [[replace(p, grid_points=64) for p in two_state_family(gen, None)] for _ in range(3)]
-        huge = replace(points[1][0].rabi, peak=1e300)
-        points[1] = [replace(p, rabi=huge) for p in points[1]]
-        results = propagate_passes(points)
-        assert isinstance(results[1], StepPhaseError)
-        for i in (0, 2):
-            assert [np.array_equal(u, propagate_profile(p)) for p, u in zip(points[i], results[i])] == [True] * 4
+        passes = [replace(p, grid_points=64) for _ in range(3) for p in two_state_family(gen, None)]
+        huge = replace(passes[4].rabi, peak=1e300)
+        passes[4:8] = [replace(p, rabi=huge) for p in passes[4:8]]
+        results = propagate_passes(passes)
+        assert len(results) == 12
+        assert all(isinstance(result, StepPhaseError) for result in results[4:8])
+        for p, u in zip(passes[:4] + passes[8:], results[:4] + results[8:]):
+            assert np.array_equal(u, propagate_profile(p))
 
-    def test_first_failing_pass_is_reported(self):
+    def test_every_failing_pass_reports_its_own_error(self):
         profile = DriveProfile2(rabi=PulseShape.sin2(3.0, 1.0), grid_points=64)
         bad = replace(profile, rabi=PulseShape.sin2(1e300, 1.0))
         worse = replace(profile, rabi=PulseShape.sin2(1e305, 1.0))
-        [result] = propagate_passes([[profile, bad, worse]])
-        with pytest.raises(StepPhaseError) as first:
-            propagate_profile(bad)
-        assert isinstance(result, StepPhaseError) and str(result) == str(first.value)
+        good, *errors = propagate_passes([profile, bad, worse])
+        assert np.array_equal(good, propagate_profile(profile))
+        for failing, result in zip((bad, worse), errors):
+            with pytest.raises(StepPhaseError) as direct:
+                propagate_profile(failing)
+            assert isinstance(result, StepPhaseError) and str(result) == str(direct.value)
+        assert str(errors[0]) != str(errors[1])
+
+    def test_interleaved_passes_keep_their_input_order(self, monkeypatch):
+        """2- and 3-state passes on two windows at 128 and 4000 steps, given
+        interleaved, with one failing pass in the middle of a batch: each
+        slot holds what ``propagate_profile`` gives its own pass."""
+        gen = rng(56)
+        two = [replace(p, grid_points=128, window=(-1.0, 1.5)) for p in two_state_family(gen, None)]
+        other_window = [replace(p, window=(-2.0, 2.0)) for p in two[:2]]
+        three = [replace(p, grid_points=128) for p in three_state_family(gen, random_symmetric_pair_profile)]
+        long = two_state_family(gen, None)[:2]
+        failing = replace(two[1], rabi=replace(two[1].rabi, peak=1e300))
+        passes = [
+            two[0], three[0], failing, long[0], other_window[0], two[2], three[1],
+            long[1], three[2], other_window[1], two[3], three[3],
+        ]
+        calls = kernel_spy(monkeypatch, "_ck_propagator")
+        calls3 = kernel_spy(monkeypatch, "_su3_propagator")
+        results = propagate_passes(passes)
+        # groups in the order of their first pass; the failing pass leaves
+        # its batch of four 128-step passes, and a 4000-step pass runs alone
+        assert [shapes[0] for shapes, _ in calls] == [(3, 128), (4000,), (4000,), (2, 128)]
+        assert [shapes[0] for shapes, _ in calls3] == [(4, 128)]
+        assert len(results) == len(passes)
+        for profile, result in zip(passes, results):
+            if profile is failing:
+                with pytest.raises(StepPhaseError) as direct:
+                    propagate_profile(profile)
+                assert type(result) is StepPhaseError and str(result) == str(direct.value)
+            else:
+                assert np.array_equal(result, propagate_profile(profile))
 
     def test_non_profile_rejected(self):
         with pytest.raises(TypeError, match="unsupported profile type"):
-            propagate_passes([[object()]])
+            propagate_passes([object()])
 
 
 class TestStepPhaseGuard:
@@ -661,7 +695,7 @@ class TestFloatRange:
         profile = DriveProfile2(rabi=PulseShape.constant(1e300), window=(-24.8, 1e300), grid_points=64)
         with pytest.raises(StepPhaseError, match="not finite"):
             propagate_profile(profile)
-        [result] = propagate_passes([[profile]])
+        [result] = propagate_passes([profile])
         assert isinstance(result, StepPhaseError)
 
     @pytest.mark.parametrize(
@@ -674,7 +708,7 @@ class TestFloatRange:
     def test_tails_overflow_to_zero(self, rabi):
         profile = DriveProfile2(rabi=rabi, window=(-200.0, 200.0), grid_points=64)
         u = propagate_profile(profile)
-        [[batched]] = propagate_passes([[profile]])
+        [batched] = propagate_passes([profile])
         assert np.array_equal(u, batched) and unitarity_defect(u) < 1e-12
 
     def test_chirp_samples_overflow_to_a_guard(self):
@@ -685,7 +719,7 @@ class TestFloatRange:
         )
         with pytest.raises(StepPhaseError, match="not finite"):
             propagate_profile(profile)
-        [result] = propagate_passes([[profile]])
+        [result] = propagate_passes([profile])
         assert isinstance(result, StepPhaseError)
 
     @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600], ids=["short", "long"])

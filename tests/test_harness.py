@@ -61,9 +61,9 @@ class CountingPropagator:
         self.calls = 0
         inner = propagate_passes
 
-        def counted(points):
-            self.calls += sum(len(passes) for passes in points)
-            return inner(points)
+        def counted(profiles):
+            self.calls += len(profiles)
+            return inner(profiles)
 
         monkeypatch.setattr(harness, "propagate_passes", counted)
 
@@ -305,20 +305,25 @@ def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
     """``double_pass`` propagates the forward pass, then exactly the listed
     second passes, in order: (rabi sign, detuning sign) for two-state
     drives, (pump phase, Stokes phase) of the role-swapped drive for
-    three-state drives.  ``run_protocol`` propagates only the forward
-    pass, and derives the second passes from its propagator."""
-    from doublepass.evolve import propagate_passes
+    three-state drives, each propagated on its own.  ``run_protocol``
+    propagates only the forward pass, and derives the second passes from
+    its propagator."""
+    from doublepass.evolve import propagate_passes, propagate_profile
 
-    seen = []
+    simulated, seen = [], []
 
-    def recording(points):
-        seen.extend(profile for passes in points for profile in passes)
-        return propagate_passes(points)
+    def recording(profiles):
+        simulated.extend(profiles)
+        return propagate_passes(profiles)
+
+    def recording_one(profile):
+        seen.append(profile)
+        return propagate_profile(profile)
 
     monkeypatch.setattr(harness, "propagate_passes", recording)
+    monkeypatch.setattr(harness, "propagate_profile", recording_one)
     run_protocol(kind, profile)
-    simulated = list(seen)
-    seen.clear()
+    assert simulated == [profile] and seen == []
     harness.double_pass(profile, harness.PROTOCOLS[kind].variants)
 
     assert simulated == [profile]
@@ -350,7 +355,7 @@ def point_by_point(spec, slack=harness.su2relations.DEFAULT_SLACK):
     for value in map(float, values):
         try:
             point = harness.apply_sweep_parameter(spec.profile, spec.parameter, value)
-            record = run_protocol(spec.protocol, point, slack=slack, swept_value=value)
+            record = replace(run_protocol(spec.protocol, point, slack=slack), swept_value=value)
         except ValueError as exc:
             record = MeasurementRecord(swept_value=value, status=f"error: {exc}")
         records.append(record)
@@ -400,9 +405,9 @@ class TestBatchedSweep:
         calls = []
         counted = harness.propagate_passes
 
-        def recorded(points):
-            calls.append(sum(len(passes) for passes in points))
-            return counted(points)
+        def recorded(profiles):
+            calls.append(len(profiles))
+            return counted(profiles)
 
         monkeypatch.setattr(harness, "propagate_passes", recorded)
         shapes = kernel_shapes(monkeypatch, "_ck_propagator")
@@ -552,6 +557,14 @@ class TestSweep:
     def test_points_validation(self):
         with pytest.raises(ValueError):
             self.spec(points=1)
+        with pytest.raises(ValueError, match=r"points must be an integer, got 2\.5"):
+            self.spec(points=2.5)
+        with pytest.raises(ValueError, match=r"points must be in \[2, 1048576\], got 10{15}$"):
+            self.spec(points=10**15)
+        with pytest.raises(ValueError, match="points must be in"):
+            self.spec(points=harness.MAX_SWEEP_POINTS + 1)
+        at_cap = self.spec(points=np.int64(harness.MAX_SWEEP_POINTS))
+        assert at_cap.points == 2**20 and type(at_cap.points) is int
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
