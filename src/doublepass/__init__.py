@@ -52,7 +52,6 @@ from .su2relations import (
 )
 from .su3relations import (
     PassProbabilities3,
-    PhasePair,
     ResonantCK,
     backward_propagator,
     case1_return_probability,

@@ -338,7 +338,10 @@ def _cmd_invert(args) -> int:
         if value is None:
             flag = "--" + name.replace("_", "-")
             raise _UsageError(f"relation {args.relation!r} requires {flag}")
-    p = inverter(*values, slack=args.slack)
+    clamps: List[str] = []
+    p = inverter(*values, slack=args.slack, clamps=clamps)
+    for message in clamps:
+        print(f"clamped: {message}", file=sys.stderr)
     print(format(p, ".17g"))
     return EX_OK
 
@@ -353,6 +356,8 @@ def _cmd_verify(args) -> int:
         return EX_USAGE
     if args.draws < 1:
         raise _UsageError(f"--draws must be >= 1, got {args.draws}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     report = verify(args.suite, args.draws, args.seed)
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:

@@ -149,11 +149,11 @@ class PulseShape:
             return (self.offset - reach, self.offset + reach)
         return None
 
-    def is_even_about(self, t: float, tol: float = _PARITY_TOL) -> bool:
+    def is_even_about(self, t: float) -> bool:
         """True if the envelope is an even function of time about ``t``."""
         if self.kind in ("constant", "zero"):
             return True
-        return abs(self.center - t) <= tol * max(1.0, self.width)
+        return abs(self.center - t) <= _PARITY_TOL * max(1.0, self.width)
 
 
 @dataclass(frozen=True)
@@ -443,7 +443,7 @@ class DriveProfile3:
         # halved first, so that the sum cannot overflow
         return 0.5 * self.window[0] + 0.5 * self.window[1]
 
-    def symmetric_pair(self, tol: float = _PARITY_TOL) -> bool:
+    def symmetric_pair(self) -> bool:
         """True iff pump and Stokes share shape, peak and width and differ
         only by a time delay."""
         p, s = self.pump, self.stokes
@@ -451,8 +451,8 @@ class DriveProfile3:
             return False
         scale = max(1.0, abs(p.peak), abs(s.peak))
         return (
-            abs(p.peak - s.peak) <= tol * scale
-            and abs(p.width - s.width) <= tol * max(1.0, p.width)
+            abs(p.peak - s.peak) <= _PARITY_TOL * scale
+            and abs(p.width - s.width) <= _PARITY_TOL * max(1.0, p.width)
         )
 
     def delay(self) -> float:

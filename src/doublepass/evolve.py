@@ -607,23 +607,23 @@ def _propagate_batch(sampled: list, dt: float) -> List[np.ndarray]:
     return list(kernel(*(np.stack(column) for column in columns), dt))
 
 
-def cayley_klein(u: np.ndarray, tol: float = TEMPLATE_TOL) -> CayleyKlein:
+def cayley_klein(u: np.ndarray) -> CayleyKlein:
     """Extract (a, b) from a two-state propagator.
 
     Checks that ``u`` matches the [[a, -conj(b)], [b, conj(a)]] template
-    within ``tol``; dynamics that do not reduce to this form are
+    within TEMPLATE_TOL; dynamics that do not reduce to this form are
     rejected with TemplateMismatchError.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if not defect < tol:
+    if not defect < TEMPLATE_TOL:
         raise TemplateMismatchError(f"matrix is not unitary (defect {defect:.3e})")
     a = complex(u[0, 0])
     b = complex(u[1, 0])
     residual = max(abs(u[0, 1] + np.conj(b)), abs(u[1, 1] - np.conj(a)))
-    if not residual < tol:
+    if not residual < TEMPLATE_TOL:
         raise TemplateMismatchError(
             f"matrix does not match the (a, b) propagator template "
             f"(residual {residual:.3e})"

@@ -61,7 +61,6 @@ from .evolve import (
     unitarity_defect,
 )
 from .su2relations import (
-    InversionRangeError,
     PassProbabilities2,
     average_return,
     invert_p_const_detuning,
@@ -558,16 +557,12 @@ def apply_sweep_parameter(profile: Profile, parameter: str, value: float) -> Pro
     )
 
 
-# Failures that become a sweep point's error row instead of ending the sweep.
-_POINT_ERRORS = (ProtocolPreconditionError, InversionRangeError, ValueError)
-
-
 def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List[MeasurementRecord]:
     """One record per grid point, ordered by swept value.
 
-    A zero-length range collapses to a single point.  Per-point
-    precondition or inversion failures are recorded in the row status
-    and the sweep continues.
+    A zero-length range collapses to a single point.  A point that raises
+    a ValueError (precondition and inversion errors are ones) is recorded
+    in the row status and the sweep continues.
 
     Every point is prepared, the forward passes of all prepared points go
     to one ``propagate_passes`` call (which batches them under its step-row
@@ -583,7 +578,7 @@ def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List
         try:
             point = apply_sweep_parameter(spec.profile, spec.parameter, value)
             points.append(_prepare(spec.protocol, point))
-        except _POINT_ERRORS as exc:
+        except ValueError as exc:
             points.append(exc)
     prepared = [point for point in points if not isinstance(point, Exception)]
     results = iter(propagate_passes([forward for _, forward in prepared]))
@@ -593,7 +588,7 @@ def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List
             if isinstance(point, Exception):
                 raise point
             record = _finish(point, next(results), slack, value)
-        except _POINT_ERRORS as exc:
+        except ValueError as exc:
             record = MeasurementRecord(swept_value=value, status=f"error: {exc}")
         records.append(record)
     return records
@@ -917,6 +912,8 @@ def verify(suite: str, draws: int, seed: int) -> Dict[str, object]:
         )
     if draws < 1:
         raise ValueError("draws must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     definition = SUITES[suite]
     rng = _rng(seed)
     residuals = np.array([definition.fn(i, rng) for i in range(draws)], dtype=float)

@@ -82,14 +82,6 @@ def checked_probability(
     return value
 
 
-def _pick_branch(lower: float, upper: float, branch: str) -> float:
-    if branch == "upper":
-        return upper
-    if branch == "lower":
-        return lower
-    raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
-
-
 @dataclass(frozen=True)
 class PassProbabilities2:
     """Single- and double-pass probabilities of one two-state protocol run.
@@ -165,27 +157,25 @@ def invert_p_general(
     q_bar: float,
     *,
     slack: float = DEFAULT_SLACK,
-    branch: str = "upper",
     clamps: Optional[List[str]] = None,
 ) -> float:
     """Single-pass p from the averaged return probability,
     p = (1 + sqrt(2 Q_bar - 1)) / 2.
 
-    The two roots are mirror images about 1/2; the upper branch is the
-    default since the protocols target p near 1.  Measured values with
-    Q_bar slightly below 1/2 (within ``slack``) clamp to the degenerate
-    root p = 1/2 with a RadicandClampWarning.
+    The two roots are mirror images about 1/2; this is the upper one,
+    since the protocols target p near 1, and 1 - p is the other.
+    Measured values with Q_bar slightly below 1/2 (within ``slack``)
+    clamp to the degenerate root p = 1/2 with a RadicandClampWarning.
     """
     q_bar = checked_probability(q_bar, "q_bar", slack, clamps)
     root = clamped_sqrt(2.0 * q_bar - 1.0, slack, "average-return inversion", clamps)
-    return _pick_branch(0.5 * (1.0 - root), 0.5 * (1.0 + root), branch)
+    return 0.5 * (1.0 + root)
 
 
 def invert_p_rap(
     q_same: float,
     *,
     slack: float = DEFAULT_SLACK,
-    branch: str = "upper",
     clamps: Optional[List[str]] = None,
 ) -> float:
     """p = (1 + sqrt(Q_same)) / 2 for drives with an even coupling and an
@@ -196,14 +186,13 @@ def invert_p_rap(
     """
     q_same = checked_probability(q_same, "q_same", slack, clamps)
     root = clamped_sqrt(q_same, slack, "chirp-symmetric inversion", clamps)
-    return _pick_branch(0.5 * (1.0 - root), 0.5 * (1.0 + root), branch)
+    return 0.5 * (1.0 + root)
 
 
 def invert_p_const_detuning(
     q_flip_detuning: float,
     *,
     slack: float = DEFAULT_SLACK,
-    branch: str = "upper",
     clamps: Optional[List[str]] = None,
 ) -> float:
     """p = (1 + sqrt(Q_flip_detuning)) / 2 for drives with an even coupling
@@ -211,4 +200,4 @@ def invert_p_const_detuning(
     detuning), where the second pass flips the detuning sign."""
     q_flip = checked_probability(q_flip_detuning, "q_flip_detuning", slack, clamps)
     root = clamped_sqrt(q_flip, slack, "even-detuning inversion", clamps)
-    return _pick_branch(0.5 * (1.0 - root), 0.5 * (1.0 + root), branch)
+    return 0.5 * (1.0 + root)

@@ -14,22 +14,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .drive import _reduce_phase
 from .evolve import TemplateMismatchError, unitarity_defect
 from .su2relations import (
     DEFAULT_SLACK,
     InversionRangeError,  # raised by the inverters below; re-exported
     checked_probability,
     clamped_sqrt,
-    _pick_branch,
 )
 
 _CONSTRAINT_TOL = 1e-9
 _PROB_TOL = 1e-9
+# extract_resonant_ck accepts a matrix whose unitarity defect and template
+# residual are both below this.
+_RESONANT_TOL = 1e-7
 
 # The four second-pass phase pairs whose return probabilities are averaged.
 PHASE_GRID: Tuple[Tuple[float, float], ...] = (
@@ -38,18 +39,6 @@ PHASE_GRID: Tuple[Tuple[float, float], ...] = (
     (0.0, math.pi),
     (math.pi, math.pi),
 )
-
-
-@dataclass(frozen=True)
-class PhasePair:
-    """Pump and Stokes phase shifts of the second pass, in [0, 2*pi)."""
-
-    xi: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xi", _reduce_phase(self.xi))
-        object.__setattr__(self, "eta", _reduce_phase(self.eta))
 
 
 @dataclass(frozen=True)
@@ -129,14 +118,14 @@ def resonant_propagator(ck3: ResonantCK) -> np.ndarray:
     )
 
 
-def extract_resonant_ck(u: np.ndarray, tol: float = 1e-7) -> ResonantCK:
+def extract_resonant_ck(u: np.ndarray) -> ResonantCK:
     """Recover (alpha, beta, gamma) from a resonant symmetric-pair
     propagator, up to the global sign of the triple.
 
     The pairwise products of the triple are read off the matrix elements
     and the triple is reconstructed by dividing through its largest
     component, which fixes the sign class canonically.  The matrix
-    resynthesized from the result must match ``u`` within ``tol``;
+    resynthesized from the result must match ``u`` within 1e-7;
     propagators of other dynamics (detuned, asymmetric pulses) are
     rejected with TemplateMismatchError and the residual is reported.
     """
@@ -144,7 +133,7 @@ def extract_resonant_ck(u: np.ndarray, tol: float = 1e-7) -> ResonantCK:
     if u.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {u.shape}")
     defect = unitarity_defect(u)
-    if not defect < max(tol, 1e-8):
+    if not defect < _RESONANT_TOL:
         raise TemplateMismatchError(f"matrix is not unitary (defect {defect:.3e})")
 
     gg = max((1.0 - u[1, 1].real) / 4.0, 0.0)
@@ -175,17 +164,15 @@ def extract_resonant_ck(u: np.ndarray, tol: float = 1e-7) -> ResonantCK:
     except ValueError as exc:
         raise TemplateMismatchError(str(exc)) from exc
     residual = float(np.abs(u - resonant_propagator(ck3)).max())
-    if not residual < tol:
+    if not residual < _RESONANT_TOL:
         raise TemplateMismatchError(
             f"matrix does not match the resonant symmetric-pair template "
-            f"(residual {residual:.3e} >= {tol:.1e})"
+            f"(residual {residual:.3e} >= {_RESONANT_TOL:.1e})"
         )
     return ck3
 
 
-def backward_propagator(
-    u: np.ndarray, phases: Union[PhasePair, Tuple[float, float]]
-) -> np.ndarray:
+def backward_propagator(u: np.ndarray, phases: Tuple[float, float]) -> np.ndarray:
     """Propagator of the role-swapped second pass with phases attached.
 
     Indices 1 and 3 of the forward propagator are swapped (transpose
@@ -197,13 +184,12 @@ def backward_propagator(
          [u23 e^{-i xi},  u22,            u21 e^{-i eta}  ],
          [u13 e^{i(eta-xi)}, u12 e^{i eta}, u11           ]]
     """
-    if not isinstance(phases, PhasePair):
-        phases = PhasePair(*phases)
     u = np.asarray(u, dtype=complex)
     if u.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {u.shape}")
-    exi = np.exp(1j * phases.xi)
-    eeta = np.exp(1j * phases.eta)
+    xi, eta = phases
+    exi = np.exp(1j * xi)
+    eeta = np.exp(1j * eta)
     return np.array(
         [
             [u[2, 2], u[2, 1] * exi, u[2, 0] * exi / eeta],
@@ -225,7 +211,6 @@ def invert_case1(
     q: float,
     *,
     slack: float = DEFAULT_SLACK,
-    branch: str = "upper",
     clamps: Optional[List[str]] = None,
 ) -> float:
     """p = (1 + sqrt(Q)) / 2 - q for the unchanged-sign resonant double
@@ -234,7 +219,7 @@ def invert_case1(
     q_return = checked_probability(q_return, "q_return", slack, clamps)
     q = checked_probability(q, "q", slack, clamps)
     root = clamped_sqrt(q_return, slack, "resonant case-1 inversion", clamps)
-    return _pick_branch(0.5 * (1.0 - root) - q, 0.5 * (1.0 + root) - q, branch)
+    return 0.5 * (1.0 + root) - q
 
 
 def case2_return_probability(p: float) -> float:
@@ -246,7 +231,6 @@ def invert_case2(
     q_return: float,
     *,
     slack: float = DEFAULT_SLACK,
-    branch: str = "upper",
     clamps: Optional[List[str]] = None,
 ) -> float:
     """p = (1 + sqrt(Q)) / 2 for the pump-flipped resonant double pass.
@@ -255,7 +239,7 @@ def invert_case2(
     interference-blind estimate sqrt(Q)."""
     q_return = checked_probability(q_return, "q_return", slack, clamps)
     root = clamped_sqrt(q_return, slack, "resonant case-2 inversion", clamps)
-    return _pick_branch(0.5 * (1.0 - root), 0.5 * (1.0 + root), branch)
+    return 0.5 * (1.0 + root)
 
 
 def four_phase_average(q_set: Sequence[float]) -> float:
@@ -277,7 +261,6 @@ def invert_detuned(
     q: float,
     *,
     slack: float = DEFAULT_SLACK,
-    branch: str = "upper",
     clamps: Optional[List[str]] = None,
 ) -> float:
     """p = (1 - q + sqrt(2 Q_bar - 3 q^2 + 2 q - 1)) / 2 for symmetric-pair
@@ -287,7 +270,7 @@ def invert_detuned(
     root = clamped_sqrt(
         2.0 * q_bar - 3.0 * q * q + 2.0 * q - 1.0, slack, "symmetric-pair inversion", clamps
     )
-    return _pick_branch(0.5 * (1.0 - q - root), 0.5 * (1.0 - q + root), branch)
+    return 0.5 * (1.0 - q + root)
 
 
 def general_average_return(p: float, q: float, r: float) -> float:
@@ -307,7 +290,6 @@ def invert_general(
     r: float,
     *,
     slack: float = DEFAULT_SLACK,
-    branch: str = "upper",
     clamps: Optional[List[str]] = None,
 ) -> float:
     """p from (Q_bar, q, r), all three measured on the initial state:
@@ -321,6 +303,4 @@ def invert_general(
         8.0 * q_bar - 4.0 + 4.0 * q + 4.0 * r + q * q + r * r - 14.0 * q * r
     )
     root = clamped_sqrt(radicand, slack, "general three-state inversion", clamps)
-    return _pick_branch(
-        0.25 * (2.0 - q - r - root), 0.25 * (2.0 - q - r + root), branch
-    )
+    return 0.25 * (2.0 - q - r + root)

@@ -511,13 +511,19 @@ class TestInvert:
         )
         assert code == EX_INCONSISTENT
 
-    def test_slack_clamps_borderline_input(self, capsys, recwarn):
-        # just below the exact floor but within the slack: clamped, exit 0
+    @pytest.mark.filterwarnings("error")
+    def test_slack_clamps_borderline_input(self, capsys):
+        # just below the exact floor but within the slack: clamped, exit 0,
+        # and the clamp is one stderr line rather than a warning
         code = main(
             ["invert", "--relation", "two-state-general", "--q-bar", "0.4999996"]
         )
         assert code == EX_OK
-        assert float(capsys.readouterr().out) == pytest.approx(0.5)
+        captured = capsys.readouterr()
+        assert float(captured.out) == pytest.approx(0.5)
+        assert captured.err == (
+            "clamped: average-return inversion: radicand -8.000000e-07 clamped to 0\n"
+        )
 
     def test_slack_flag_tightens_policy(self, capsys):
         code = main(
@@ -586,12 +592,18 @@ class TestVerify:
         assert code == EX_USAGE
         assert "registered" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("draws", ["0", "-3"])
-    def test_draws_below_one_is_a_usage_error(self, capsys, draws):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "flag, value, bound",
+        [("--draws", "0", ">= 1"), ("--draws", "-3", ">= 1"), ("--seed", "-1", ">= 0")],
+    )
+    def test_draws_or_seed_out_of_range_is_a_usage_error(self, capsys, flag, value, bound):
         # exit 1 means "verify failed" and nothing else
-        assert main(["verify", "--suite", "degradation", "--draws", draws]) == EX_USAGE
+        flags = {"--draws": "1", flag: value}
+        argv = ["verify", "--suite", "unitarity"] + [arg for pair in flags.items() for arg in pair]
+        assert main(argv) == EX_USAGE
         captured = capsys.readouterr()
-        assert captured.err == f"usage error: --draws must be >= 1, got {draws}\n"
+        assert captured.err == f"usage error: {flag} must be {bound}, got {value}\n"
         assert captured.out == ""
 
 

@@ -674,6 +674,11 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify("average-return", draws=0, seed=0)
 
+    def test_seed_validated_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(harness, "_rng", lambda seed: pytest.fail("drew with a negative seed"))
+        with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
+            verify("average-return", draws=1, seed=-1)
+
     def test_nan_residual_fails(self, monkeypatch):
         nan_suite = harness.SuiteDef(1e-9, lambda i, rng: float("nan"), "always NaN")
         monkeypatch.setitem(SUITES, "nan-suite", nan_suite)

@@ -1,6 +1,7 @@
-"""Property gate: any JSON config run through ``cli.main`` ends in a
-documented exit code, never in a traceback or a leaked warning, and every
-``ok`` or ``clamped`` row it writes is finite."""
+"""Property gate: any JSON config, ``invert`` or ``verify`` run through
+``cli.main`` ends in a documented exit code, never in a traceback or a
+leaked warning, and every ``ok`` or ``clamped`` row and every inverted p
+it writes is finite."""
 
 import contextlib
 import csv
@@ -13,11 +14,13 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from doublepass.cli import main
+from doublepass.cli import _INVERT_RELATIONS, main
 from doublepass.drive import DETUNING_KINDS, PULSE_KINDS
 from doublepass.harness import PROTOCOLS, SWEEP_PARAMETERS, ProtocolKind
 
 EXIT_CODES = {0, 2, 3, 64, 74}
+# invert and verify write no file and read no config
+COMMAND_EXIT_CODES = {0, 1, 3, 64}
 
 extremes = st.sampled_from(
     [1e308, -1e308, 1e300, -1e300, 1e-300, -1e-300, 0.0, math.nan, math.inf, -math.inf]
@@ -113,9 +116,18 @@ def configs_of(profiles, dimension):
 configs = st.one_of(configs_of(two_state, 2), configs_of(three_state, 3))
 
 
+def run_main(argv: list):
+    """``cli.main(argv)`` with every warning an error; its exit code,
+    stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_config(config: dict) -> None:
-    """Run one config through ``cli.main`` with every warning an error
-    and check how it ends."""
+    """Run one config through ``cli.main`` and check how it ends."""
     with tempfile.TemporaryDirectory() as workdir:
         config_path = Path(workdir) / "config.json"
         config_path.write_text(json.dumps(config))
@@ -123,13 +135,10 @@ def run_config(config: dict) -> None:
         argv = ["simulate", "--config", str(config_path)]
         if "sweep" in config:
             argv = ["sweep", "--config", str(config_path), "--out", str(csv_path)]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = main(argv)
-        written = csv_path.read_text() if csv_path.exists() else out.getvalue()
-    assert code in EXIT_CODES, (code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+        code, out, err = run_main(argv)
+        written = csv_path.read_text() if csv_path.exists() else out
+    assert code in EXIT_CODES, (code, err)
+    assert "Traceback" not in err
     rows = list(csv.reader(io.StringIO(written)))
     for row in rows[1:]:
         if row[-1] in ("ok", "clamped"):
@@ -149,3 +158,48 @@ def run_config(config: dict) -> None:
 )
 def test_cli_ends_in_a_documented_exit_code(config):
     run_config(config)
+
+
+# A flag is missing with odds 1/8; present, it is a number, an extreme
+# (NaN and +-inf included) or a probability near [0, 1].  ``--flag=value``
+# keeps a negative value from reading as a flag.
+def flags(names):
+    present = st.tuples(st.integers(0, 7), st.one_of(numbers, extremes, st.floats(-1e-3, 1.0 + 1e-3)))
+    return st.tuples(*(present for _ in names)).map(
+        lambda drawn: [
+            f"--{name.replace('_', '-')}={value!r}"
+            for name, (keep, value) in zip(names, drawn)
+            if keep
+        ]
+    )
+
+
+invert_argvs = st.sampled_from(sorted(_INVERT_RELATIONS)).flatmap(
+    lambda relation: st.builds(
+        lambda values, slack: ["invert", "--relation", relation, *values, *slack],
+        flags(_INVERT_RELATIONS[relation][1]),
+        st.one_of(st.just([]), numbers.map(lambda value: [f"--slack={value!r}"])),
+    )
+)
+# suites that take milliseconds a draw
+CHEAP_SUITES = ["unitarity", "composition", "sign-flips", "mirror-branch", "degradation"]
+verify_argvs = st.builds(
+    lambda suite, draws, seed: ["verify", "--suite", suite, "--draws", str(draws), "--seed", str(seed)],
+    st.sampled_from(CHEAP_SUITES + ["unknown"]),
+    st.integers(-1, 2),
+    st.integers(-3, 3),
+)
+
+
+@given(st.one_of(invert_argvs, verify_argvs))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_invert_and_verify_end_in_a_documented_exit_code(argv):
+    code, out, err = run_main(argv)
+    assert code in COMMAND_EXIT_CODES, (code, err)
+    lines = err.splitlines()
+    if code in (3, 64):
+        assert len(lines) == 1, err  # one line, no traceback
+    else:
+        assert all(line.startswith("clamped: ") for line in lines), err
+        if argv[0] == "invert":
+            assert math.isfinite(float(out))

@@ -163,11 +163,6 @@ class TestInvertPGeneral:
     def test_upper_branch_default(self):
         assert invert_p_general(0.9802) > 0.5
 
-    def test_lower_branch_mirror(self):
-        upper = invert_p_general(0.9802)
-        lower = invert_p_general(0.9802, branch="lower")
-        assert lower == pytest.approx(1.0 - upper, abs=1e-12)
-
     def test_clamp_within_slack_warns(self):
         with pytest.warns(RadicandClampWarning):
             p = invert_p_general(0.5 - 1e-8)
@@ -189,10 +184,6 @@ class TestInvertPGeneral:
             invert_p_general(0.5 - 1e-3)
         with pytest.raises(InversionRangeError):
             invert_p_general(1.5)
-
-    def test_bad_branch_name(self):
-        with pytest.raises(ValueError):
-            invert_p_general(0.9, branch="middle")
 
 
 class TestSpecialCaseInverters:

@@ -5,6 +5,7 @@ role-swapped drives; algebraic identities are exercised on random
 parameter triples and random unitaries.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -12,17 +13,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doublepass.drive import DriveProfile3, PulseShape, backward_profile_3
-from doublepass.evolve import TemplateMismatchError, propagate_profile, unitarity_defect
+from doublepass.evolve import (
+    CayleyKlein,
+    TemplateMismatchError,
+    propagate_profile,
+    unitarity_defect,
+)
 from doublepass.harness import (
     random_general_three_state_profile,
     random_resonant_pair_profile,
     random_symmetric_pair_profile,
 )
+from doublepass.su2relations import (
+    average_return,
+    invert_p_const_detuning,
+    invert_p_general,
+    invert_p_rap,
+    return_probability,
+)
 from doublepass.su3relations import (
     PHASE_GRID,
     InversionRangeError,
     PassProbabilities3,
-    PhasePair,
     ResonantCK,
     backward_propagator,
     case1_return_probability,
@@ -149,6 +161,14 @@ class TestBackwardPropagator:
             ]
         )
         assert swapped == pytest.approx(expected)
+
+    def test_unreduced_phases_match_reduced_ones(self):
+        gen = rng(37)
+        u = propagate_profile(random_general_three_state_profile(gen))
+        for _ in range(8):
+            xi, eta = gen.uniform(0.0, 2.0 * math.pi, size=2)
+            unreduced = backward_propagator(u, (xi + 2.0 * math.pi, eta - 4.0 * math.pi))
+            assert np.abs(unreduced - backward_propagator(u, (xi, eta))).max() <= 1e-15
 
     def test_unitarity_preserved_exactly(self):
         gen = rng(34)
@@ -368,13 +388,6 @@ class TestGeneralRelations:
             invert_general(0.1, 0.0, 0.0)
 
 
-class TestPhasePair:
-    def test_reduction(self):
-        pair = PhasePair(2.5 * math.pi, -0.5 * math.pi)
-        assert pair.xi == pytest.approx(0.5 * math.pi)
-        assert pair.eta == pytest.approx(1.5 * math.pi)
-
-
 class TestPassProbabilities3:
     def test_valid(self):
         record = PassProbabilities3(
@@ -393,3 +406,61 @@ class TestPassProbabilities3:
     def test_range(self):
         with pytest.raises(ValueError):
             PassProbabilities3(p=-0.2, q=0.1)
+
+
+def two_state_average(p):
+    """Q_bar of a two-state pass with transfer p, through its two returns."""
+    ck = CayleyKlein(math.sqrt(1.0 - p) * cmath.exp(0.7j), math.sqrt(p) * cmath.exp(-0.3j))
+    return average_return(return_probability(ck, "same"), return_probability(ck, "flip_rabi"))
+
+
+def one_minus(p, q, r):
+    return 1.0 - p
+
+
+def two_state_return(p, q, r):
+    return ((1.0 - 2.0 * p) ** 2,)
+
+
+# relation -> (inverter, its inputs measured on a pass of transfer p, the
+# mirror of a root p: the other root, which gives the same inputs)
+ROOTS = {
+    "two-state-general": (invert_p_general, lambda p, q, r: (two_state_average(p),), one_minus),
+    "two-state-rap": (invert_p_rap, two_state_return, one_minus),
+    "two-state-const-detuning": (invert_p_const_detuning, two_state_return, one_minus),
+    "stirap-case1": (
+        invert_case1,
+        lambda p, q, r: (case1_return_probability(p, q), q),
+        lambda p, q, r: 1.0 - 2.0 * q - p,
+    ),
+    "stirap-case2": (invert_case2, lambda p, q, r: (case2_return_probability(p),), one_minus),
+    "stirap-detuned": (
+        invert_detuned,
+        lambda p, q, r: (detuned_average_return(p, q), q),
+        lambda p, q, r: 1.0 - q - p,
+    ),
+    "three-state-general": (
+        invert_general,
+        lambda p, q, r: (general_average_return(p, q, r), q, r),
+        lambda p, q, r: 0.5 * (2.0 - q - r) - p,
+    ),
+}
+
+
+@pytest.mark.parametrize("relation", sorted(ROOTS))
+def test_upper_root_and_its_mirror_reproduce_the_input(relation):
+    inverter, measure, mirror = ROOTS[relation]
+    gen = rng(41)
+    for _ in range(50):
+        p, q, _ = gen.dirichlet((1.0, 1.0, 1.0))
+        r = gen.uniform(0.0, 1.0 - p)
+        measured = measure(p, q, r)
+        clamps = []
+        upper = inverter(*measured, clamps=clamps)
+        lower = mirror(upper, q, r)
+        assert clamps == []
+        assert upper >= lower
+        for root in (upper, lower):
+            assert measure(root, q, r) == pytest.approx(measured, rel=0.0, abs=1e-12)
+        # the p that made the inputs is one of the two roots
+        assert min(abs(upper - p), abs(lower - p)) < 1e-9
