@@ -41,7 +41,6 @@ from .harness import (
 )
 from .su2relations import (
     InversionRangeError,
-    PassProbabilities2,
     RadicandClampWarning,
     average_return,
     double_pass_propagator,
@@ -51,7 +50,6 @@ from .su2relations import (
     return_probability,
 )
 from .su3relations import (
-    PassProbabilities3,
     ResonantCK,
     backward_propagator,
     case1_return_probability,

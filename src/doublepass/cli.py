@@ -14,6 +14,7 @@ cannot resolve), 74 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -218,7 +219,8 @@ def _parse_config(path: str) -> Dict:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # not UTF-8, or nested deeper than the parser recurses
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -285,10 +287,26 @@ def _parse_config(path: str) -> Dict:
     return parsed
 
 
-def _emit_records(records: List[MeasurementRecord], stream) -> None:
+def _csv_text(records: List[MeasurementRecord]) -> str:
     buffer = io.StringIO()
     write_csv(records, buffer)
-    stream.write(buffer.getvalue())
+    return buffer.getvalue()
+
+
+def _write_stdout(text: str, code: int) -> int:
+    """Write and flush ``text`` and return ``code``.  A failed write is
+    reported here and returns EX_IOERR, not raised at interpreter shutdown."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        # closing drops the unwritten buffer, which shutdown would flush
+        # again and report as an ignored exception
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        return EX_IOERR
+    return code
 
 
 def _cmd_simulate(args) -> int:
@@ -296,8 +314,7 @@ def _cmd_simulate(args) -> int:
     if config["sweep"] is not None:
         raise ConfigError("simulate does not accept a sweep block; use `sweep`")
     record = run_protocol(config["protocol"], config["profile"], slack=config["slack"])
-    _emit_records([record], sys.stdout)
-    return EX_OK
+    return _write_stdout(_csv_text([record]), EX_OK)
 
 
 def _cmd_sweep(args) -> int:
@@ -310,7 +327,7 @@ def _cmd_sweep(args) -> int:
     records = sweep(config["sweep"], slack=config["slack"])
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            _emit_records(records, handle)
+            handle.write(_csv_text(records))
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return EX_IOERR
@@ -342,8 +359,7 @@ def _cmd_invert(args) -> int:
     p = inverter(*values, slack=args.slack, clamps=clamps)
     for message in clamps:
         print(f"clamped: {message}", file=sys.stderr)
-    print(format(p, ".17g"))
-    return EX_OK
+    return _write_stdout(format(p, ".17g") + "\n", EX_OK)
 
 
 def _cmd_verify(args) -> int:
@@ -360,16 +376,16 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     report = verify(args.suite, args.draws, args.seed)
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EX_IOERR
-    else:
-        sys.stdout.write(payload)
-    return EX_OK if report["passed"] else EX_VERIFY_FAILED
+    code = EX_OK if report["passed"] else EX_VERIFY_FAILED
+    if not args.out:
+        return _write_stdout(payload, code)
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(payload)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return EX_IOERR
+    return code
 
 
 def _build_parser() -> _Parser:

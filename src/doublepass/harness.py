@@ -11,7 +11,7 @@ record fields it reads.  ``run_protocol`` runs any entry and measures
 the passes it lists, but simulates only the forward pass.  A
 measurement point is prepared (its preconditions checked), its forward
 pass is propagated by ``evolve.propagate_passes``, and it is finished
-(the structural check, the second passes, validation and inversion).
+(the structural check, the second passes and inversion).
 The second passes are derived from the forward propagator: a two-state
 sign flip is a rearrangement of the forward Cayley-Klein pair, equal to
 a propagated pass to the last bit, and a three-state role swap is the
@@ -61,14 +61,12 @@ from .evolve import (
     unitarity_defect,
 )
 from .su2relations import (
-    PassProbabilities2,
     average_return,
     invert_p_const_detuning,
     invert_p_general,
     invert_p_rap,
 )
 from .su3relations import (
-    PassProbabilities3,
     backward_propagator,
     case1_return_probability,
     case2_return_probability,
@@ -379,7 +377,7 @@ def _finish(
 ) -> MeasurementRecord:
     """A point's record from its slot of ``propagate_passes``, the forward
     propagator or the error that propagating it raised: the structural
-    check, the second passes, validation and inversion.
+    check, the second passes and inversion.
 
     A sign-flipped two-state pass is an exact rearrangement of the
     forward pair (a, b) that the structural check returns, equal to the
@@ -412,20 +410,6 @@ def _finish(
         )
     if "r" in plan.reads:
         fields["r"] = float(abs(backs[0][0, 0]) ** 2)
-
-    p, q = fields["p_direct"], fields["q"]
-    if plan.dimension == 2:
-        PassProbabilities2(
-            p=p,
-            q=q,
-            q_same=fields.get("q00"),
-            q_flip_rabi=fields.get("qpi0"),
-            q_flip_detuning=fields.get("q0pi"),
-            q_bar=fields.get("q_bar"),
-        )
-    else:
-        q_set = tuple(returns) if "q_bar" in plan.reads else None
-        PassProbabilities3(p=p, q=q, r=fields.get("r"), q_set=q_set, q_bar=fields.get("q_bar"))
 
     args = [fields[name] for name in plan.reads]
     clamps: List[str] = []

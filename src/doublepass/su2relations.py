@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -29,7 +28,6 @@ from .evolve import CayleyKlein, sign_flip_transform
 _FLIPS = {"same": (False, False), "flip_rabi": (True, False), "flip_detuning": (False, True), "flip_both": (True, True)}
 VARIANTS = tuple(_FLIPS)
 DEFAULT_SLACK = 1e-6
-_PROB_TOL = 1e-9
 
 
 class InversionRangeError(ValueError):
@@ -80,37 +78,6 @@ def checked_probability(
         _report_clamp(f"{name} = {value:.6e} clamped into [0, 1]", clamps)
         return min(max(value, 0.0), 1.0)
     return value
-
-
-@dataclass(frozen=True)
-class PassProbabilities2:
-    """Single- and double-pass probabilities of one two-state protocol run.
-
-    Unmeasured double-pass variants are None.  The fields are validated
-    against the lossless-system constraints: everything lies in [0, 1],
-    p + q = 1, and the average return probability is at least 1/2.
-    """
-
-    p: float
-    q: float
-    q_same: Optional[float] = None
-    q_flip_rabi: Optional[float] = None
-    q_flip_detuning: Optional[float] = None
-    q_bar: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        for name in ("p", "q", "q_same", "q_flip_rabi", "q_flip_detuning", "q_bar"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not -_PROB_TOL <= value <= 1.0 + _PROB_TOL:
-                raise ValueError(f"{name} = {value!r} is not a probability")
-        if abs(self.p + self.q - 1.0) >= _PROB_TOL:
-            raise ValueError(
-                f"p + q = {self.p + self.q!r} deviates from 1 (lossless two-state)"
-            )
-        if self.q_bar is not None and self.q_bar < 0.5 - _PROB_TOL:
-            raise ValueError(f"q_bar = {self.q_bar!r} below the universal floor 1/2")
 
 
 def double_pass_propagator(ck: CayleyKlein, variant: str) -> np.ndarray:

@@ -27,7 +27,6 @@ from .su2relations import (
 )
 
 _CONSTRAINT_TOL = 1e-9
-_PROB_TOL = 1e-9
 # extract_resonant_ck accepts a matrix whose unitarity defect and template
 # residual are both below this.
 _RESONANT_TOL = 1e-7
@@ -68,36 +67,6 @@ class ResonantCK:
     def single_pass_p(self) -> float:
         """1->3 probability of the forward pass, ((alpha - beta)^2 - 1)^2."""
         return ((self.alpha - self.beta) ** 2 - 1.0) ** 2
-
-
-@dataclass(frozen=True)
-class PassProbabilities3:
-    """Probabilities collected by one three-state protocol run.
-
-    ``q_set`` holds the four double-pass return probabilities at the
-    PHASE_GRID phase pairs, in that order.  p + q may fall short of 1;
-    the remainder is the transition probability into the middle state.
-    """
-
-    p: float
-    q: float
-    r: Optional[float] = None
-    q_set: Optional[Tuple[float, float, float, float]] = None
-    q_bar: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        values = [("p", self.p), ("q", self.q), ("r", self.r), ("q_bar", self.q_bar)]
-        if self.q_set is not None:
-            if len(self.q_set) != 4:
-                raise ValueError("q_set must hold exactly four probabilities")
-            values += [(f"q_set[{i}]", v) for i, v in enumerate(self.q_set)]
-        for name, value in values:
-            if value is None:
-                continue
-            if not -_PROB_TOL <= value <= 1.0 + _PROB_TOL:
-                raise ValueError(f"{name} = {value!r} is not a probability")
-        if self.p + self.q > 1.0 + _PROB_TOL:
-            raise ValueError(f"p + q = {self.p + self.q!r} exceeds 1")
 
 
 def resonant_propagator(ck3: ResonantCK) -> np.ndarray:

@@ -1,13 +1,21 @@
 """Tests for the command-line frontend: exit codes, outputs, determinism."""
 
 import csv
+import errno
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import doublepass
 from doublepass.cli import (
     EX_INCONSISTENT,
+    EX_IOERR,
     EX_OK,
     EX_PRECONDITION,
     EX_USAGE,
@@ -91,11 +99,16 @@ class TestSimulate:
         code = main(["simulate", "--config", str(tmp_path / "absent.json")])
         assert code == EX_USAGE
 
-    def test_invalid_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content", [b"{not json", b"\xff\xfe{}", b"[" * 100000], ids=["syntax", "not-utf8", "too-deep"]
+    )
+    def test_invalid_json(self, tmp_path, capsys, content):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_bytes(content)
         code = main(["simulate", "--config", str(path)])
         assert code == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
 
     def test_unknown_protocol(self, tmp_path, capsys):
         config = case2_config(protocol="warp-drive")
@@ -443,8 +456,6 @@ class TestSweep:
         assert code == EX_USAGE
 
     def test_unwritable_output_exits_74(self, tmp_path, capsys):
-        from doublepass.cli import EX_IOERR
-
         code = main(
             [
                 "sweep",
@@ -605,6 +616,47 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.err == f"usage error: {flag} must be {bound}, got {value}\n"
         assert captured.out == ""
+
+
+class _FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _stdout_argvs(tmp_path):
+    return {
+        "simulate": ["simulate", "--config", write_config(tmp_path, rap_config())],
+        "invert": ["invert", "--relation", "two-state-general", "--q-bar", "0.9802"],
+        # a passing suite: exit 1 would misreport it as failed
+        "verify": ["verify", "--suite", "unitarity", "--draws", "1"],
+    }
+
+
+class TestStdoutFailure:
+    @pytest.mark.parametrize("command", ["simulate", "invert", "verify"])
+    def test_failed_write_exits_74(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(sys, "stdout", _FullStream())
+        code = main(_stdout_argvs(tmp_path)[command])
+        assert code == EX_IOERR
+        assert capsys.readouterr().err == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_74_without_shutdown_noise(self, tmp_path):
+        # buffered stdout, as for a user: the write fills the buffer and
+        # fails only when flushed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(doublepass.__file__).parents[1])
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "doublepass.cli", *_stdout_argvs(tmp_path)["verify"]],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        assert done.returncode == EX_IOERR
+        assert done.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
 
 
 class TestUsage:

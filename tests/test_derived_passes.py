@@ -46,8 +46,8 @@ from doublepass.evolve import (
     sign_flip_transform,
 )
 from doublepass.harness import MeasurementRecord, ProtocolKind, SweepSpec, run_protocol, sweep
-from doublepass.su2relations import DEFAULT_SLACK, PassProbabilities2
-from doublepass.su3relations import PassProbabilities3, four_phase_average
+from doublepass.su2relations import DEFAULT_SLACK
+from doublepass.su3relations import four_phase_average
 
 # (flip rabi, flip detuning): all four, the unflipped pass included
 FLIPS = list(itertools.product((False, True), repeat=2))
@@ -131,20 +131,6 @@ def direct_record(kind, profile, *, slack=DEFAULT_SLACK):
         fields["q_bar"] = harness.average_return(*returns) if plan.dimension == 2 else four_phase_average(returns)
     if "r" in plan.reads:
         fields["r"] = float(abs(backs[0][0, 0]) ** 2)
-    if plan.dimension == 2:
-        PassProbabilities2(
-            p=fields["p_direct"],
-            q=fields["q"],
-            q_same=fields.get("q00"),
-            q_flip_rabi=fields.get("qpi0"),
-            q_flip_detuning=fields.get("q0pi"),
-            q_bar=fields.get("q_bar"),
-        )
-    else:
-        q_set = tuple(returns) if "q_bar" in plan.reads else None
-        PassProbabilities3(
-            p=fields["p_direct"], q=fields["q"], r=fields.get("r"), q_set=q_set, q_bar=fields.get("q_bar")
-        )
     args = [fields[name] for name in plan.reads]
     clamps = []
     p_estimated = getattr(harness, plan.inverter)(*args, slack=slack, clamps=clamps)

@@ -1,7 +1,8 @@
 """Property gate: any JSON config, ``invert`` or ``verify`` run through
 ``cli.main`` ends in a documented exit code, never in a traceback or a
 leaked warning, and every ``ok`` or ``clamped`` row and every inverted p
-it writes is finite."""
+it writes is finite.  Every measured probability of such a row obeys the
+bounds of a lossless system."""
 
 import contextlib
 import csv
@@ -19,6 +20,9 @@ from doublepass.drive import DETUNING_KINDS, PULSE_KINDS
 from doublepass.harness import PROTOCOLS, SWEEP_PARAMETERS, ProtocolKind
 
 EXIT_CODES = {0, 2, 3, 64, 74}
+# rounding allowance of the lossless bounds on a measured row
+PROB_TOL = 1e-9
+MEASURED = ("p_direct", "q", "r", "Q00", "Qpi0", "Q0pi", "Qpipi", "Q_bar")
 # invert and verify write no file and read no config
 COMMAND_EXIT_CODES = {0, 1, 3, 64}
 
@@ -139,11 +143,26 @@ def run_config(config: dict) -> None:
         written = csv_path.read_text() if csv_path.exists() else out
     assert code in EXIT_CODES, (code, err)
     assert "Traceback" not in err
-    rows = list(csv.reader(io.StringIO(written)))
-    for row in rows[1:]:
-        if row[-1] in ("ok", "clamped"):
-            cells = [float(cell) for cell in row[:-1] if cell]
-            assert all(math.isfinite(cell) for cell in cells), row
+    for row in csv.DictReader(io.StringIO(written)):
+        if row["status"] in ("ok", "clamped"):
+            cells = {name: float(cell) for name, cell in row.items() if cell and name != "status"}
+            assert all(math.isfinite(cell) for cell in cells.values()), row
+            assert_lossless(cells, PROTOCOLS[config["protocol"]].dimension)
+
+
+def assert_lossless(cells: dict, dimension: int) -> None:
+    """Each measured probability lies in [0, 1]; a two-state pass has
+    p + q = 1 and Q_bar >= 1/2, a three-state pass p + q <= 1."""
+    for name in MEASURED:
+        if name in cells:
+            assert -PROB_TOL <= cells[name] <= 1.0 + PROB_TOL, (name, cells)
+    p_plus_q = cells["p_direct"] + cells["q"]
+    if dimension == 2:
+        assert abs(p_plus_q - 1.0) < PROB_TOL, cells
+        if "Q_bar" in cells:
+            assert cells["Q_bar"] >= 0.5 - PROB_TOL, cells
+    else:
+        assert p_plus_q <= 1.0 + PROB_TOL, cells
 
 
 # No shrink phase: shrinking a failing config ran for minutes and grew

@@ -18,7 +18,6 @@ from doublepass.harness import random_two_state_profile
 from doublepass.su2relations import (
     VARIANTS,
     InversionRangeError,
-    PassProbabilities2,
     RadicandClampWarning,
     average_return,
     double_pass_propagator,
@@ -228,21 +227,3 @@ class TestSpecialCaseInverters:
             recovered = invert_p_const_detuning(q_flip)
             expected = p_direct if p_direct >= 0.5 else 1.0 - p_direct
             assert recovered == pytest.approx(expected, abs=1e-6)
-
-
-class TestPassProbabilities2:
-    def test_valid_record(self):
-        record = PassProbabilities2(p=0.99, q=0.01, q_same=0.9604, q_flip_rabi=1.0, q_bar=0.9802)
-        assert record.q_bar == 0.9802
-
-    def test_probability_sum_enforced(self):
-        with pytest.raises(ValueError, match="p \\+ q"):
-            PassProbabilities2(p=0.9, q=0.2)
-
-    def test_average_floor_enforced(self):
-        with pytest.raises(ValueError, match="floor"):
-            PassProbabilities2(p=0.5, q=0.5, q_bar=0.4)
-
-    def test_range_enforced(self):
-        with pytest.raises(ValueError, match="probability"):
-            PassProbabilities2(p=1.2, q=-0.2)

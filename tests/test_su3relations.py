@@ -34,7 +34,6 @@ from doublepass.su2relations import (
 from doublepass.su3relations import (
     PHASE_GRID,
     InversionRangeError,
-    PassProbabilities3,
     ResonantCK,
     backward_propagator,
     case1_return_probability,
@@ -386,26 +385,6 @@ class TestGeneralRelations:
     def test_inconsistent_inputs_raise(self):
         with pytest.raises(InversionRangeError):
             invert_general(0.1, 0.0, 0.0)
-
-
-class TestPassProbabilities3:
-    def test_valid(self):
-        record = PassProbabilities3(
-            p=0.9, q=0.05, r=0.04, q_set=(0.8, 0.7, 0.6, 0.9), q_bar=0.75
-        )
-        assert record.q_bar == 0.75
-
-    def test_p_plus_q_bounded(self):
-        with pytest.raises(ValueError):
-            PassProbabilities3(p=0.8, q=0.3)
-
-    def test_q_set_length(self):
-        with pytest.raises(ValueError):
-            PassProbabilities3(p=0.5, q=0.2, q_set=(1.0, 0.5))
-
-    def test_range(self):
-        with pytest.raises(ValueError):
-            PassProbabilities3(p=-0.2, q=0.1)
 
 
 def two_state_average(p):
