@@ -11,13 +11,18 @@ import json
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from doublepass.cli import _INVERT_RELATIONS, main
 from doublepass.drive import DETUNING_KINDS, PULSE_KINDS
-from doublepass.harness import PROTOCOLS, SWEEP_PARAMETERS, ProtocolKind
+from doublepass import harness
+from doublepass.harness import CSV_COLUMNS, PROTOCOLS, SWEEP_PARAMETERS, ProtocolKind, SweepSpec
 
 EXIT_CODES = {0, 2, 3, 64, 74}
 # rounding allowance of the lossless bounds on a measured row
@@ -163,6 +168,36 @@ def assert_lossless(cells: dict, dimension: int) -> None:
             assert cells["Q_bar"] >= 0.5 - PROB_TOL, cells
     else:
         assert p_plus_q <= 1.0 + PROB_TOL, cells
+
+
+# The random drive family each protocol admits.
+DRIVES = {
+    ProtocolKind.TWO_STATE_GENERAL: lambda rng: harness.random_two_state_profile(rng),
+    ProtocolKind.TWO_STATE_RAP: lambda rng: harness.random_two_state_profile(rng, "chirp"),
+    ProtocolKind.TWO_STATE_CONST_DETUNING: lambda rng: harness.random_two_state_profile(rng, "even"),
+    ProtocolKind.STIRAP_RESONANT_CASE1: harness.random_resonant_pair_profile,
+    ProtocolKind.STIRAP_RESONANT_CASE2: harness.random_resonant_pair_profile,
+    ProtocolKind.STIRAP_DETUNED: harness.random_symmetric_pair_profile,
+    ProtocolKind.THREE_STATE_GENERAL: harness.random_general_three_state_profile,
+}
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_measured_rows_are_lossless(kind):
+    """Seeded drives of one protocol, swept over pulse area on a coarse
+    and a fine grid: every measured row keeps the lossless bounds."""
+    rng = np.random.Generator(np.random.Philox(list(ProtocolKind).index(kind)))
+    measured = 0
+    for grid in (16, 256):
+        for _ in range(4):
+            profile = replace(DRIVES[kind](rng), grid_points=grid)
+            for record in harness.sweep(SweepSpec(profile, "pulse-area", 0.0, 8.0 * math.pi, 12, kind)):
+                if record.status in ("ok", "clamped"):
+                    row = dict(zip(CSV_COLUMNS, harness.record_to_row(record)))
+                    cells = {name: float(cell) for name, cell in row.items() if cell and name != "status"}
+                    assert_lossless(cells, PROTOCOLS[kind].dimension)
+                    measured += 1
+    assert measured >= 72, measured
 
 
 # No shrink phase: shrinking a failing config ran for minutes and grew
