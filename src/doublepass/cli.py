@@ -148,13 +148,6 @@ def _parse_grid(block: Dict, where: str) -> int:
     return value
 
 
-def _parse_sign(block: Dict, key: str, where: str) -> int:
-    value = block.get(key, 1)
-    if value not in (1, -1):
-        raise ConfigError(f"{where}.{key} must be 1 or -1")
-    return value
-
-
 def _parse_profile(block: Dict):
     if not isinstance(block, dict):
         raise ConfigError("profile must be an object")
@@ -171,8 +164,8 @@ def _parse_profile(block: Dict):
         return DriveProfile2(
             rabi=_parse_pulse(block["rabi"], "profile.rabi"),
             detuning=detuning,
-            rabi_sign=_parse_sign(block, "rabi_sign", "profile"),
-            detuning_sign=_parse_sign(block, "detuning_sign", "profile"),
+            rabi_sign=block.get("rabi_sign", 1),
+            detuning_sign=block.get("detuning_sign", 1),
             window=_parse_window(block, "profile"),
             grid_points=_parse_grid(block, "profile"),
         )
@@ -293,18 +286,25 @@ def _csv_text(records: List[MeasurementRecord]) -> str:
     return buffer.getvalue()
 
 
-def _write_stdout(text: str, code: int) -> int:
-    """Write and flush ``text`` and return ``code``.  A failed write is
-    reported here and returns EX_IOERR, not raised at interpreter shutdown."""
+def _write_output(text: str, code: int, path: Optional[str] = None) -> int:
+    """Write ``text`` to the file ``path``, or write and flush it to
+    stdout, and return ``code``.  A failed write is reported here as one
+    stderr line and returns EX_IOERR, not raised at interpreter shutdown."""
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
     except OSError as exc:
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-        # closing drops the unwritten buffer, which shutdown would flush
-        # again and report as an ignored exception
-        with contextlib.suppress(OSError):
-            sys.stdout.close()
+        target = "stdout" if path is None else path
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
+        if path is None:
+            # closing drops the unwritten buffer, which shutdown would
+            # flush again and report as an ignored exception
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
         return EX_IOERR
     return code
 
@@ -314,7 +314,7 @@ def _cmd_simulate(args) -> int:
     if config["sweep"] is not None:
         raise ConfigError("simulate does not accept a sweep block; use `sweep`")
     record = run_protocol(config["protocol"], config["profile"], slack=config["slack"])
-    return _write_stdout(_csv_text([record]), EX_OK)
+    return _write_output(_csv_text([record]), EX_OK)
 
 
 def _cmd_sweep(args) -> int:
@@ -325,13 +325,7 @@ def _cmd_sweep(args) -> int:
     if not out_path:
         raise ConfigError("sweep needs an output path (--out or config 'output')")
     records = sweep(config["sweep"], slack=config["slack"])
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(_csv_text(records))
-    except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return EX_IOERR
-    return EX_OK
+    return _write_output(_csv_text(records), EX_OK, out_path)
 
 
 # relation -> (inverter, the flags whose values it takes, in order)
@@ -359,7 +353,7 @@ def _cmd_invert(args) -> int:
     p = inverter(*values, slack=args.slack, clamps=clamps)
     for message in clamps:
         print(f"clamped: {message}", file=sys.stderr)
-    return _write_stdout(format(p, ".17g") + "\n", EX_OK)
+    return _write_output(format(p, ".17g") + "\n", EX_OK)
 
 
 def _cmd_verify(args) -> int:
@@ -377,15 +371,7 @@ def _cmd_verify(args) -> int:
     report = verify(args.suite, args.draws, args.seed)
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     code = EX_OK if report["passed"] else EX_VERIFY_FAILED
-    if not args.out:
-        return _write_stdout(payload, code)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EX_IOERR
-    return code
+    return _write_output(payload, code, args.out or None)
 
 
 def _build_parser() -> _Parser:

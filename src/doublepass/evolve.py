@@ -176,9 +176,7 @@ def hamiltonian2(profile: DriveProfile2, t) -> np.ndarray:
     (n, 2, 2)).  The profile's sign fields are applied to Omega and
     Delta.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    h = _hermitian_from(2, _coefficients2(profile, t_arr))
-    return h[0] if np.ndim(t) == 0 else h
+    return _hermitian_from(2, _coefficients2(profile, np.asarray(t, dtype=float)))
 
 
 def hamiltonian3(profile: DriveProfile3, t) -> np.ndarray:
@@ -193,9 +191,7 @@ def hamiltonian3(profile: DriveProfile3, t) -> np.ndarray:
     The (1,3) corners are zero: the two outer states are never coupled
     directly.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    h = _hermitian_from(3, _coefficients3(profile, t_arr))
-    return h[0] if np.ndim(t) == 0 else h
+    return _hermitian_from(3, _coefficients3(profile, np.asarray(t, dtype=float)))
 
 
 def _step_exponentials_eigh(h: np.ndarray, dt: float) -> np.ndarray:
@@ -384,39 +380,12 @@ def _check_step_phase(dt: float, h_max) -> None:
 Sampler = Callable[[np.ndarray, float], Tuple[Callable[..., np.ndarray], tuple]]
 
 
-def _takes_scalars(hamiltonian: HamiltonianFn, ts: np.ndarray, error: Exception) -> bool:
-    """Whether a callable that failed on the grid takes one time at a
-    time: it fails the same way on a one-point grid (or returns a single
-    matrix for it, as numpy < 2 converts a one-element array to a float)
-    and returns a (d, d) matrix for a scalar time."""
-    try:
-        probe = np.asarray(hamiltonian(ts[:1]))
-    except (TypeError, ValueError) as probe_error:
-        if not isinstance(probe_error, type(error)):
-            return False
-    else:
-        if probe.ndim != 2:
-            return False
-    try:
-        single = np.asarray(hamiltonian(ts[0]))
-    except (TypeError, ValueError):
-        return False
-    return single.ndim == 2 and single.shape[0] == single.shape[1]
-
-
 def _sample_hamiltonian(hamiltonian: HamiltonianFn, ts: np.ndarray, dt: float):
-    """Sampler of a callable: its samples are outside input, so their
-    shape, step phase and Hermiticity are checked.  A callable that fails
-    on the grid is sampled point by point only if it takes scalar times
-    (``_takes_scalars``); otherwise its own error is raised."""
-    try:
-        h = np.asarray(hamiltonian(ts))
-    except (TypeError, ValueError) as error:
-        if not _takes_scalars(hamiltonian, ts, error):
-            raise
-        h = None
-    if h is None or h.ndim == 2:
-        h = np.stack([np.asarray(hamiltonian(t)) for t in ts])
+    """Sampler of a callable, called once on the 1-d array of step
+    midpoints: its samples are outside input, so their shape, step phase
+    and Hermiticity are checked.  An error the callable raises propagates
+    unchanged."""
+    h = np.asarray(hamiltonian(ts))
     if h.ndim != 3 or h.shape[0] != ts.shape[0] or h.shape[1:] not in ((2, 2), (3, 3)):
         raise ValueError(
             f"hamiltonian callable returned shape {h.shape}, "
@@ -508,8 +477,9 @@ def propagate(
     ----------
     hamiltonian : callable
         Maps a 1-d array of sample times to an (n, d, d) Hermitian
-        batch; a scalar-to-(d, d) callable also works (slower).  Every
-        batch is checked for its shape, its step phase and Hermiticity.
+        batch.  It is called once per grid, on the step midpoints, and
+        every batch is checked for its shape, its step phase and
+        Hermiticity.
     window : (float, float)
         Integration interval.
     grid_points : int
@@ -628,7 +598,12 @@ def cayley_klein(u: np.ndarray) -> CayleyKlein:
             f"matrix does not match the (a, b) propagator template "
             f"(residual {residual:.3e})"
         )
-    return CayleyKlein(a, b)
+    # the pair's normalization is held to UNITARITY_TOL, tighter than
+    # the template's unitarity check
+    try:
+        return CayleyKlein(a, b)
+    except ValueError as exc:
+        raise TemplateMismatchError(str(exc)) from exc
 
 
 def sign_flip_transform(

@@ -110,6 +110,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
 
+    @pytest.mark.parametrize("key", ["rabi_sign", "detuning_sign"])
+    @pytest.mark.parametrize("value", [True, False, 0, 2, "1"])
+    def test_sign_other_than_one_or_minus_one_rejected(self, tmp_path, capsys, key, value):
+        # JSON true equals 1 in Python, so it needs rejecting by type
+        config = rap_config()
+        config["profile"][key] = value
+        code = main(["simulate", "--config", write_config(tmp_path, config)])
+        assert code == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: invalid profile: ")
+        assert key in captured.err and len(captured.err.splitlines()) == 1, captured.err
+        assert captured.out == ""
+
     def test_unknown_protocol(self, tmp_path, capsys):
         config = case2_config(protocol="warp-drive")
         code = main(["simulate", "--config", write_config(tmp_path, config)])
@@ -466,6 +479,9 @@ class TestSweep:
             ]
         )
         assert code == EX_IOERR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / 'missing-dir' / 'out.csv'}: ")
+        assert len(err.splitlines()) == 1, err
 
 
 class TestInvert:
@@ -597,6 +613,15 @@ class TestVerify:
         assert main(args + ["--out", str(a)]) == EX_OK
         assert main(args + ["--out", str(b)]) == EX_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_output_exits_74(self, tmp_path, capsys):
+        out_path = tmp_path / "missing-dir" / "report.json"
+        code = main(["verify", "--suite", "unitarity", "--draws", "1", "--out", str(out_path)])
+        assert code == EX_IOERR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out_path}: ")
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert captured.out == ""
 
     def test_unknown_suite(self, capsys):
         code = main(["verify", "--suite", "nonsense"])

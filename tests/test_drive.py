@@ -169,6 +169,13 @@ class TestDriveProfile2:
         with pytest.raises(ValueError):
             DriveProfile2(rabi=PulseShape.sin2(1.0, 1.0), rabi_sign=0)
 
+    @pytest.mark.parametrize("sign", [True, False, np.True_])
+    @pytest.mark.parametrize("key", ["rabi_sign", "detuning_sign"])
+    def test_boolean_sign_rejected(self, key, sign):
+        # True == 1, but a sign is an integer
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            DriveProfile2(rabi=PulseShape.sin2(1.0, 1.0), **{key: sign})
+
     def test_parity_predicates(self):
         centered = DriveProfile2(
             rabi=PulseShape.sin2(1.0, 1.0, offset=0.0),

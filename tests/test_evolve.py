@@ -264,13 +264,19 @@ class TestPropagate:
         assert 3.0 < err[0] / err[1] < 5.0
         assert 3.0 < err[1] / err[2] < 5.0
 
-    def test_scalar_callable_fallback(self):
-        h_batched = lambda ts: hamiltonian2(profile, ts)
+    def test_scalar_only_callable_raises_its_own_error_after_one_call(self):
+        # a callable is sampled once, on the grid; one that takes a single
+        # time at a time must be wrapped to take the array
         profile = DriveProfile2(rabi=PulseShape.sin2(3.0, 1.0), grid_points=40)
-        h_scalar = lambda t: hamiltonian2(profile, float(t))
-        u_batched = propagate(h_batched, profile.window, 40)
-        u_scalar = propagate(h_scalar, profile.window, 40)
-        assert u_scalar == pytest.approx(u_batched, abs=1e-15)
+        calls = []
+
+        def h_scalar(t):
+            calls.append(np.shape(t))
+            return hamiltonian2(profile, float(t))
+
+        with pytest.raises(TypeError, match="array"):
+            propagate(h_scalar, profile.window, 40)
+        assert calls == [(40,)]
 
     def test_non_hermitian_rejected(self):
         bad = lambda ts: np.broadcast_to(
@@ -292,7 +298,7 @@ class TestPropagate:
 
     def test_failing_vectorised_callable_is_not_retried_point_by_point(self):
         # a callable that takes arrays and rejects part of the grid: its
-        # own error surfaces after one grid call and one one-point probe
+        # own error surfaces after the one grid call
         calls = []
 
         def h(ts):
@@ -303,7 +309,7 @@ class TestPropagate:
 
         with pytest.raises(ValueError, match="undefined after") as caught:
             propagate(h, (0.0, 1.0), 16)
-        assert calls == [(16,), (1,)]
+        assert calls == [(16,)]
         assert caught.value.__cause__ is None
 
     def test_callable_failing_everywhere_raises_its_grid_error(self):
@@ -315,7 +321,7 @@ class TestPropagate:
 
         with pytest.raises(TypeError, match="bad call 1$"):
             propagate(h, (0.0, 1.0), 16)
-        assert calls == [(16,), (1,), ()]
+        assert calls == [(16,)]
 
     def test_convergence_error_at_cap(self):
         profile = DriveProfile2(
@@ -926,6 +932,11 @@ class TestCayleyKlein:
         # a NaN defect compares false against any tolerance
         with pytest.raises(TemplateMismatchError):
             cayley_klein(np.full((2, 2), np.nan))
+
+    def test_pair_off_normalization_is_a_template_mismatch(self):
+        # within the template's unitarity tolerance, outside the pair's
+        with pytest.raises(TemplateMismatchError, match="deviates from 1"):
+            cayley_klein((1 + 3e-9) * np.eye(2))
 
     def test_normalization_invariant_enforced(self):
         with pytest.raises(ValueError):
