@@ -341,8 +341,8 @@ def check_grid_points(grid_points: int, max_grid_points: int = MAX_GRID_POINTS) 
 
 
 def _check_sign(sign: int, name: str) -> int:
-    # True == 1, so a boolean would pass the membership test
-    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):
+    # True == 1 and -1.0 == -1, so a bool or a float would pass the membership test
+    if not isinstance(sign, (int, np.integer)) or isinstance(sign, bool) or sign not in (1, -1):
         raise ValueError(f"{name} must be +1 or -1, got {sign!r}")
     return sign
 

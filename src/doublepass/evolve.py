@@ -5,11 +5,10 @@ Hamiltonian as constant across each grid step, sampled at the step
 midpoint, and applies the exact step exponential.  2x2 passes are
 carried as Cayley-Klein pairs (a, b): each step's pair has a closed
 form, the pairs are reduced with the SU(2) product rule, and the (2, 2)
-matrix is assembled once at the end.  3x3 steps are built in closed
-form from the trigonometric (Cardano) eigenvalues of their traceless
-part and a Newton divided-difference interpolant of exp(-i dt x); steps
-whose phase spread dt * (lambda_max - lambda_min) exceeds 1 are
-exponentiated via ``eigh`` instead.  The 3x3 steps are reduced
+matrix is assembled once at the end.  3x3 steps are the Taylor series
+of exp(-i Y), Y their traceless part, summed to a fixed order in the
+basis (I, Y, Y^2) that Cayley-Hamilton reduces every power of Y to
+(steps whose eigenvalue bound exceeds 1 go to ``eigh``), and reduced
 elementwise in a (3, 3, ..., n) layout as deviations from the identity,
 so their rounding does not grow with the number of steps.  In both
 dimensions the trace is carried as one scalar phase.  Every step is
@@ -44,6 +43,7 @@ reference the batches are checked against, uses ``propagate_profile``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -64,11 +64,12 @@ DEFAULT_GRID_POINTS = 4000
 # Largest step phase dt * max|H| accepted: beyond it float64 resolves
 # the phase of a step to worse than about 1e-4 rad.
 MAX_STEP_PHASE = 1e12
-# 3x3 closed-form steps: below this eigenvalue span of dt * H the second
-# divided difference takes its series limit (error ~ span^2 there), and
-# above _EIGH_SPAN a step is exponentiated via eigh.
-_SERIES_SPAN = 1e-5
-_EIGH_SPAN = 1.0
+# 3x3 steps: exp(-i Y) is summed to Y^_SERIES_ORDER where sqrt(4 s / 3)
+# <= _SERIES_RADIUS bounds the eigenvalues of Y (truncation error 1 / 19!
+# ~ 8e-18), via eigh elsewhere.  The series of the widest step that the
+# step-phase guard admits stays below 1e210 until eigh overwrites it.
+_SERIES_ORDER = 18
+_SERIES_RADIUS = 1.0
 # A step depends on dt * H alone.  The kernels square entries of H, which
 # under- or overflow beyond about 1e+-154 while the step-phase guard
 # bounds only dt * max|H|, so a dt outside this range is folded into H.
@@ -249,11 +250,24 @@ def _ck_propagator(
     return np.exp(-1j * dt * c0.sum(axis=-1))[..., None, None] * u
 
 
-def _first_divided_difference(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(f(u) - f(v)) / (u - v) for f(x) = exp(-i x), stable as u -> v."""
-    half = 0.5 * (u - v)
-    snc = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
-    return np.exp(-0.5j * (u + v)) * (-1j * snc)
+@functools.lru_cache(maxsize=4)
+def _taylor_coefficients(order: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Coefficients, highest first, of P and Q in cos Y - I = Z P(Z) and
+    sin Y = Y Q(Z), Z = Y^2, both series cut after Y^order."""
+    powers = range(order, 0, -1)
+    cos = tuple((-1.0) ** (k // 2) / math.factorial(k) for k in powers if k % 2 == 0)
+    sin = tuple((-1.0) ** (k // 2) / math.factorial(k) for k in powers if k % 2 == 1)
+    return cos, sin
+
+
+def _power_series(coefficients: Tuple[float, ...], s: np.ndarray, d: np.ndarray):
+    """(I, Y, Y^2) coordinates (a, b, g) of sum_k c_k Z^k, c_k highest
+    first, by Horner in Z = Y^2: for traceless 3x3 Y, Y^3 = s Y + d I
+    and multiplying by Z maps them to (b d, b s + g d, a + g s)."""
+    a, b, g = coefficients[1], 0.0, coefficients[0]
+    for c in coefficients[2:]:
+        a, b, g = b * d + c, b * s + g * d, a + g * s
+    return a, b, g
 
 
 def _su3_propagator(
@@ -272,25 +286,21 @@ def _su3_propagator(
     shape (..., 3, 3).
 
     Each step is exp(-i dt c0) exp(-i Y) with c0 = tr(H) / 3 and the
-    traceless Y = dt (H - c0 I).  The eigenvalues hi >= mid >= lo of Y
-    come from the trigonometric Cardano form with p = tr(Y^2) / 6 and
-    q = det(Y) / 2, and exp(-i Y) is their Newton interpolant
+    traceless Y = dt (H - c0 I).  By Cayley-Hamilton Y^3 = s Y + d I with
+    s = tr(Y^2) / 2 and d = det(Y), so the Taylor series of cos Y - I and
+    sin Y, cut after the power ``_SERIES_ORDER``, sum to A I + B Y + C Y^2
+    with real arithmetic alone.  Nothing divides by an eigenvalue gap, so
+    degenerate and near-scalar steps need no special case.  Steps whose
+    eigenvalue bound sqrt(4 s / 3) exceeds ``_SERIES_RADIUS`` are
+    exponentiated via ``eigh``, all of a batch's in one call.  The order
+    and the radius are constants, never chosen from the data, so that a
+    batched pass equals the same pass propagated alone.
 
-        f(hi) I + f[hi, mid] (Y - hi) + f[hi, mid, lo] (Y - hi) (Y - mid),
-
-    collected in powers of Y.  The second divided difference is a
-    quotient over the span hi - lo; below ``_SERIES_SPAN`` it takes its
-    equal-node limit f''(0) / 2 = -1/2 (the nodes sum to zero).  The
-    interpolant tolerates the sqrt(eps) error of Cardano eigenvalues of
-    a near-degenerate pair.  Steps with a span above ``_EIGH_SPAN`` are
-    exponentiated via ``eigh``, all of a batch's in one call.
-
-    Each step is carried as D = exp(-i Y) - I, with f(hi) - 1 written as
-    -2i sin(hi/2) exp(-i hi/2), and pairs multiply as D_L + D_E + D_L D_E
-    (log-depth pairing of neighbouring steps, in a (3, 3, ..., n)
-    layout).  Rounding is then relative to the size of each step, not
-    to 1, so it does not build up with the number of steps; a zero step
-    is exactly D = 0.
+    Each step is carried as D = exp(-i Y) - I, and pairs multiply as
+    D_L + D_E + D_L D_E (log-depth pairing of neighbouring steps, in a
+    (3, 3, ..., n) layout).  Rounding is then relative to the size of
+    each step, not to 1, so it does not build up with the number of
+    steps; a zero step is exactly D = 0.
     """
     if not _DT_RANGE[0] < dt < _DT_RANGE[1]:
         return _su3_propagator(*(dt * x for x in (d0, d1, d2, h10, h20, h21)), 1.0)
@@ -301,40 +311,30 @@ def _su3_propagator(
     n10 = x10.real * x10.real + x10.imag * x10.imag
     n20 = x20.real * x20.real + x20.imag * x20.imag
     n21 = x21.real * x21.real + x21.imag * x21.imag
-    p = (a * a + b * b + c * c) / 6.0 + (n10 + n20 + n21) / 3.0
-    q = 0.5 * (a * b * c - a * n21 - b * n20 - c * n10) + (x10 * x21 * x20.conj()).real
-    root = np.sqrt(p)
-    scale = p * root
-    cos3 = np.divide(q, scale, out=np.zeros_like(q), where=scale > 0.0)
-    angle = np.arccos(np.clip(cos3, -1.0, 1.0)) / 3.0
-    hi = 2.0 * root * np.cos(angle)
-    lo = 2.0 * root * np.cos(angle + 2.0 * np.pi / 3.0)
-    mid = -(hi + lo)
-    span = hi - lo
-
-    f_hm = _first_divided_difference(hi, mid)
-    f_ml = _first_divided_difference(mid, lo)
-    f2 = np.divide(
-        f_hm - f_ml, span, out=np.full(span.shape, -0.5 + 0j), where=span >= _SERIES_SPAN
-    )
-    # D = alpha I + beta Y + f2 Y^2
-    alpha = -2j * np.sin(0.5 * hi) * np.exp(-0.5j * hi) - hi * (f_hm - f2 * mid)
-    beta = f_hm + f2 * lo
+    s = 0.5 * (a * a + b * b + c * c) + (n10 + n20 + n21)
+    d = a * b * c - a * n21 - b * n20 - c * n10 + 2.0 * (x10 * x21 * x20.conj()).real
+    # cos Y - I = Z P(Z) and sin Y = Y Q(Z)
+    cos_terms, sin_terms = _taylor_coefficients(_SERIES_ORDER)
+    (p0, p1, p2), (q0, q1, q2) = _power_series(cos_terms, s, d), _power_series(sin_terms, s, d)
+    # D = cos Y - I - i sin Y = A I + B Y + C Y^2
+    A, B, C = (np.empty(s.shape, dtype=complex) for _ in range(3))
+    A.real, B.real, C.real = p1 * d, p1 * s + p2 * d, p0 + p2 * s
+    A.imag, B.imag, C.imag = -q2 * d, -(q0 + q2 * s), -q1
     s10 = x10 * (a + b) + x21.conj() * x20
     s20 = x20 * (a + c) + x21 * x10
     s21 = x21 * (b + c) + x20 * x10.conj()
     dev = np.empty((3, 3) + c0.shape, dtype=complex)  # D of each step
-    dev[0, 0] = alpha + beta * a + f2 * (a * a + n10 + n20)
-    dev[1, 1] = alpha + beta * b + f2 * (b * b + n10 + n21)
-    dev[2, 2] = alpha + beta * c + f2 * (c * c + n20 + n21)
-    dev[1, 0] = beta * x10 + f2 * s10
-    dev[0, 1] = beta * x10.conj() + f2 * s10.conj()
-    dev[2, 0] = beta * x20 + f2 * s20
-    dev[0, 2] = beta * x20.conj() + f2 * s20.conj()
-    dev[2, 1] = beta * x21 + f2 * s21
-    dev[1, 2] = beta * x21.conj() + f2 * s21.conj()
+    dev[0, 0] = A + B * a + C * (a * a + n10 + n20)
+    dev[1, 1] = A + B * b + C * (b * b + n10 + n21)
+    dev[2, 2] = A + B * c + C * (c * c + n20 + n21)
+    dev[1, 0] = B * x10 + C * s10
+    dev[0, 1] = B * x10.conj() + C * s10.conj()
+    dev[2, 0] = B * x20 + C * s20
+    dev[0, 2] = B * x20.conj() + C * s20.conj()
+    dev[2, 1] = B * x21 + C * s21
+    dev[1, 2] = B * x21.conj() + C * s21.conj()
     # wide steps, indexed over the flattened batch and steps
-    wide = np.flatnonzero(~(span <= _EIGH_SPAN))
+    wide = np.flatnonzero(~(4.0 * s <= 3.0 * _SERIES_RADIUS**2))
     if wide.size:
         *coefficients, shift = (np.ravel(x)[wide] for x in (d0, d1, d2, h10, h20, h21, c0))
         traceless = _hermitian_from(3, tuple(coefficients)) - shift[:, None, None] * np.eye(3)

@@ -111,7 +111,7 @@ class TestSimulate:
         assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
 
     @pytest.mark.parametrize("key", ["rabi_sign", "detuning_sign"])
-    @pytest.mark.parametrize("value", [True, False, 0, 2, "1"])
+    @pytest.mark.parametrize("value", [True, False, 0, 2, "1", -1.0, 1.0])
     def test_sign_other_than_one_or_minus_one_rejected(self, tmp_path, capsys, key, value):
         # JSON true equals 1 in Python, so it needs rejecting by type
         config = rap_config()

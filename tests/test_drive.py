@@ -169,10 +169,10 @@ class TestDriveProfile2:
         with pytest.raises(ValueError):
             DriveProfile2(rabi=PulseShape.sin2(1.0, 1.0), rabi_sign=0)
 
-    @pytest.mark.parametrize("sign", [True, False, np.True_])
+    @pytest.mark.parametrize("sign", [True, False, np.True_, -1.0, 1.0, np.float64(-1.0)])
     @pytest.mark.parametrize("key", ["rabi_sign", "detuning_sign"])
-    def test_boolean_sign_rejected(self, key, sign):
-        # True == 1, but a sign is an integer
+    def test_non_integer_sign_rejected(self, key, sign):
+        # True == 1 and -1.0 == -1, but a sign is an integer
         with pytest.raises(ValueError, match=f"{key} must be"):
             DriveProfile2(rabi=PulseShape.sin2(1.0, 1.0), **{key: sign})
 

@@ -6,6 +6,7 @@ from the integrator under test.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -447,23 +448,56 @@ def random_hermitian_batch3(gen, n, kind):
 class TestSu3Kernel:
     """The 3x3 closed-form kernel against the extended-precision path."""
 
-    @pytest.mark.parametrize("kind", ["generic", "degenerate", "near-scalar", "mixed"])
+    # worst 1.25e-14, 2.93e-15, 1.45e-14 and 7.76e-14 over the draws below
+    @pytest.mark.parametrize(
+        "kind, bound",
+        [("generic", 5e-14), ("degenerate", 5e-14), ("near-scalar", 5e-14), ("mixed", 1e-13)],
+    )
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 4000])
-    def test_matches_reference_path(self, kind, n):
+    def test_matches_reference_path(self, kind, bound, n):
         gen = rng(200 + n)
         for _ in range(5):
             h = random_hermitian_batch3(gen, n, kind)
             fast = _su3_propagator(*_coefficients_of(h), 1.0)
             reference = _longdouble_propagator(h, 1.0)
             assert fast.shape == (3, 3)
-            assert np.abs(fast - reference).max() < 1e-13
+            assert np.abs(fast - reference).max() < bound
             assert unitarity_defect(fast) < 1e-13
             assert abs(abs(np.linalg.det(fast)) - 1.0) < 1e-13
 
-    def test_mixed_batch_uses_both_paths(self):
+    def test_mixed_batch_uses_both_paths(self, monkeypatch):
+        # the cut sqrt(4 s / 3) <= 1 sends 18% of these steps to eigh
+        calls = kernel_spy(monkeypatch, "_step_exponentials_eigh")
         h = random_hermitian_batch3(rng(7), 4000, "mixed")
-        spans = np.ptp(np.linalg.eigvalsh(h), axis=1)
-        assert 0.2 < np.mean(spans > 1.0) < 0.8
+        _su3_propagator(*_coefficients_of(h), 1.0)
+        [([(wide, _, _)], _)] = calls
+        assert 0.1 < wide / 4000 < 0.8
+
+    def test_series_order_resolves_a_step_at_the_cut(self, monkeypatch):
+        # eigenvalues (2x, -x, -x) of Y: its largest |eigenvalue| equals the
+        # bound sqrt(4 s / 3), here just under _SERIES_RADIUS = 1
+        h = hermitian_from_spectrum(rng(61), np.array([[0.999, -0.4995, -0.4995]]) + 0.3)
+        reference = _longdouble_propagator(h, 1.0)
+        assert np.abs(_su3_propagator(*_coefficients_of(h), 1.0) - reference).max() < 5e-16
+        # cut after Y^15 or Y^16, the series misses 0.999^16 / 16! ~ 5e-14 or
+        # 0.999^17 / 17! ~ 3e-15
+        for order in (15, 16):
+            monkeypatch.setattr(doublepass.evolve, "_SERIES_ORDER", order)
+            assert np.abs(_su3_propagator(*_coefficients_of(h), 1.0) - reference).max() > 5e-16
+
+    def test_widest_admitted_steps_do_not_overflow(self):
+        # every step goes to eigh; the series the kernel sums first on such
+        # rows must stay finite up to the step-phase guard
+        m = np.array([[1.0, 1.0, -1.0], [1.0, -1.0, 1j], [-1.0, -1j, 0.5]])
+        dt = 1.0 / 8
+        big = 0.9 * MAX_STEP_PHASE / dt * m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = propagate(lambda ts: np.broadcast_to(big, (len(ts), 3, 3)), (0.0, 1.0), 8)
+        with np.errstate(all="raise"):
+            direct = _su3_propagator(*_coefficients_of(big[None].repeat(8, axis=0)), dt)
+        assert np.array_equal(u, direct)
+        assert unitarity_defect(u) < 1e-13
 
     def test_zero_steps_give_identity_exactly(self):
         zero = _coefficients_of(np.zeros((9, 3, 3), complex))
@@ -471,8 +505,8 @@ class TestSu3Kernel:
 
     @pytest.mark.parametrize("span", [1e2, 1e4, 1e6])
     def test_wide_steps_stay_unitary(self, span):
-        # the closed form loses the sqrt(eps) Cardano error of a degenerate
-        # pair times the step phase; wide steps must go to eigh
+        # a series cut at a fixed order is meaningless far beyond its
+        # radius; wide steps must go to eigh
         gen = rng(31)
         lam = np.zeros((7, 3))
         lam[:, 2] = span
@@ -557,16 +591,18 @@ class TestBatchedKernels:
         for u, h in zip(batched, passes):
             assert np.array_equal(u, _su3_propagator(*_coefficients_of(h), 1.0))
 
-    def test_su3_batch_mixes_wide_and_closed_form_steps(self):
+    def test_su3_batch_mixes_wide_and_closed_form_steps(self, monkeypatch):
+        calls = kernel_spy(monkeypatch, "_step_exponentials_eigh")
         gen = rng(9)
         passes = [random_hermitian_batch3(gen, 128, "mixed") for _ in range(4)]
-        spans = np.ptp(np.linalg.eigvalsh(np.stack(passes)), axis=-1)
-        assert 0.2 < np.mean(spans > 1.0) < 0.8
         columns = [np.stack(c) for c in zip(*(_coefficients_of(h) for h in passes))]
         batched = _su3_propagator(*columns, 1.0)
+        # one eigh call for the whole batch, with 15% of its steps
+        [([(wide, _, _)], _)] = calls
+        assert 0.1 < wide / 512 < 0.8
         for u, h in zip(batched, passes):
             assert np.array_equal(u, _su3_propagator(*_coefficients_of(h), 1.0))
-            # worst 7.2e-15 against the longdouble reference
+            # worst 7.1e-15 against the longdouble reference
             assert np.abs(u - _longdouble_propagator(h, 1.0)).max() < 5e-14
 
 
