@@ -70,6 +70,14 @@ MAX_STEP_PHASE = 1e12
 # step-phase guard admits stays below 1e210 until eigh overwrites it.
 _SERIES_ORDER = 18
 _SERIES_RADIUS = 1.0
+# Coefficients, highest power first, of P and Q in cos Y - I = Z P(Z) and
+# sin Y = Y Q(Z), Z = Y^2
+_COS_TERMS = tuple(
+    (-1.0) ** (k // 2) / math.factorial(k) for k in range(_SERIES_ORDER, 0, -1) if k % 2 == 0
+)
+_SIN_TERMS = tuple(
+    (-1.0) ** (k // 2) / math.factorial(k) for k in range(_SERIES_ORDER, 0, -1) if k % 2 == 1
+)
 # A step depends on dt * H alone.  The kernels square entries of H, which
 # under- or overflow beyond about 1e+-154 while the step-phase guard
 # bounds only dt * max|H|, so a dt outside this range is folded into H.
@@ -250,16 +258,6 @@ def _ck_propagator(
     return np.exp(-1j * dt * c0.sum(axis=-1))[..., None, None] * u
 
 
-@functools.lru_cache(maxsize=4)
-def _taylor_coefficients(order: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Coefficients, highest first, of P and Q in cos Y - I = Z P(Z) and
-    sin Y = Y Q(Z), Z = Y^2, both series cut after Y^order."""
-    powers = range(order, 0, -1)
-    cos = tuple((-1.0) ** (k // 2) / math.factorial(k) for k in powers if k % 2 == 0)
-    sin = tuple((-1.0) ** (k // 2) / math.factorial(k) for k in powers if k % 2 == 1)
-    return cos, sin
-
-
 def _power_series(coefficients: Tuple[float, ...], s: np.ndarray, d: np.ndarray):
     """(I, Y, Y^2) coordinates (a, b, g) of sum_k c_k Z^k, c_k highest
     first, by Horner in Z = Y^2: for traceless 3x3 Y, Y^3 = s Y + d I
@@ -314,8 +312,7 @@ def _su3_propagator(
     s = 0.5 * (a * a + b * b + c * c) + (n10 + n20 + n21)
     d = a * b * c - a * n21 - b * n20 - c * n10 + 2.0 * (x10 * x21 * x20.conj()).real
     # cos Y - I = Z P(Z) and sin Y = Y Q(Z)
-    cos_terms, sin_terms = _taylor_coefficients(_SERIES_ORDER)
-    (p0, p1, p2), (q0, q1, q2) = _power_series(cos_terms, s, d), _power_series(sin_terms, s, d)
+    (p0, p1, p2), (q0, q1, q2) = _power_series(_COS_TERMS, s, d), _power_series(_SIN_TERMS, s, d)
     # D = cos Y - I - i sin Y = A I + B Y + C Y^2
     A, B, C = (np.empty(s.shape, dtype=complex) for _ in range(3))
     A.real, B.real, C.real = p1 * d, p1 * s + p2 * d, p0 + p2 * s

@@ -413,7 +413,7 @@ def hermitian_from_spectrum(gen, eigenvalues):
     return 0.5 * (h + h.conj().transpose(0, 2, 1))
 
 
-def random_hermitian_batch3(gen, n, kind):
+def random_hermitian_batch3(gen, n, kind, spans=(0.1, 3.0)):
     """Seeded 3x3 Hermitian steps with dt = 1, so H is the step phase.
 
     Every kind has a nonzero trace and complex entries in all three
@@ -421,7 +421,8 @@ def random_hermitian_batch3(gen, n, kind):
       generic      Gaussian entries of scale ~1/4, about a fifth of the steps zero
       degenerate   exactly degenerate pairs and pairs split by 1e-9
       near-scalar  c I plus a Hermitian part of size 1e-12 .. 1e-2
-      mixed        eigenvalue spans 0.1 .. 3, so some steps go to eigh
+      mixed        eigenvalue spans log-uniform over ``spans``, 0.1 .. 3
+                   by default, so some steps go to eigh
     """
     if kind == "generic":
         a = gen.normal(size=(n, 3, 3)) + 1j * gen.normal(size=(n, 3, 3))
@@ -441,8 +442,15 @@ def random_hermitian_batch3(gen, n, kind):
     assert kind == "mixed"
     lam -= lam.min(axis=1, keepdims=True)
     lam /= lam.max(axis=1, keepdims=True)
-    span = np.exp(gen.uniform(np.log(0.1), np.log(3.0), size=n))
+    span = np.exp(gen.uniform(*np.log(spans), size=n))
     return hermitian_from_spectrum(gen, span[:, None] * lam + gen.normal(size=(n, 1)))
+
+
+def taylor_terms(order):
+    """The kernel's (cos, sin) series coefficients, highest power first,
+    for the series cut after Y^order."""
+    terms = {k: (-1.0) ** (k // 2) / math.factorial(k) for k in range(order, 0, -1)}
+    return tuple(c for k, c in terms.items() if k % 2 == 0), tuple(c for k, c in terms.items() if k % 2)
 
 
 class TestSu3Kernel:
@@ -466,12 +474,13 @@ class TestSu3Kernel:
             assert abs(abs(np.linalg.det(fast)) - 1.0) < 1e-13
 
     def test_mixed_batch_uses_both_paths(self, monkeypatch):
-        # the cut sqrt(4 s / 3) <= 1 sends 18% of these steps to eigh
+        # the cut sqrt(4 s / 3) <= 1 falls at spans 1.5 .. 1.73, so these
+        # spans send 34% of the steps to eigh (the default ones 18%)
         calls = kernel_spy(monkeypatch, "_step_exponentials_eigh")
-        h = random_hermitian_batch3(rng(7), 4000, "mixed")
+        h = random_hermitian_batch3(rng(7), 4000, "mixed", spans=(0.5, 3.0))
         _su3_propagator(*_coefficients_of(h), 1.0)
         [([(wide, _, _)], _)] = calls
-        assert 0.1 < wide / 4000 < 0.8
+        assert 0.2 < wide / 4000 < 0.8
 
     def test_series_order_resolves_a_step_at_the_cut(self, monkeypatch):
         # eigenvalues (2x, -x, -x) of Y: its largest |eigenvalue| equals the
@@ -482,7 +491,9 @@ class TestSu3Kernel:
         # cut after Y^15 or Y^16, the series misses 0.999^16 / 16! ~ 5e-14 or
         # 0.999^17 / 17! ~ 3e-15
         for order in (15, 16):
-            monkeypatch.setattr(doublepass.evolve, "_SERIES_ORDER", order)
+            cos_terms, sin_terms = taylor_terms(order)
+            monkeypatch.setattr(doublepass.evolve, "_COS_TERMS", cos_terms)
+            monkeypatch.setattr(doublepass.evolve, "_SIN_TERMS", sin_terms)
             assert np.abs(_su3_propagator(*_coefficients_of(h), 1.0) - reference).max() > 5e-16
 
     def test_widest_admitted_steps_do_not_overflow(self):
@@ -594,15 +605,15 @@ class TestBatchedKernels:
     def test_su3_batch_mixes_wide_and_closed_form_steps(self, monkeypatch):
         calls = kernel_spy(monkeypatch, "_step_exponentials_eigh")
         gen = rng(9)
-        passes = [random_hermitian_batch3(gen, 128, "mixed") for _ in range(4)]
+        passes = [random_hermitian_batch3(gen, 128, "mixed", spans=(0.5, 3.0)) for _ in range(4)]
         columns = [np.stack(c) for c in zip(*(_coefficients_of(h) for h in passes))]
         batched = _su3_propagator(*columns, 1.0)
-        # one eigh call for the whole batch, with 15% of its steps
+        # one eigh call for the whole batch, with 30% of its steps
         [([(wide, _, _)], _)] = calls
-        assert 0.1 < wide / 512 < 0.8
+        assert 0.2 < wide / 512 < 0.8
         for u, h in zip(batched, passes):
             assert np.array_equal(u, _su3_propagator(*_coefficients_of(h), 1.0))
-            # worst 7.1e-15 against the longdouble reference
+            # worst 5.4e-15 against the longdouble reference
             assert np.abs(u - _longdouble_propagator(h, 1.0)).max() < 5e-14
 
 
@@ -860,7 +871,7 @@ class TestProfilePath:
         assert np.all(hamiltonian(profile, profile.window[0] + 1e-3) == 0.0)
         assert np.array_equal(propagate_profile(profile), callable_path(profile))
 
-    def test_wide_steps(self):
+    def test_wide_steps(self, monkeypatch):
         profile = DriveProfile3(
             pump=PulseShape.sin2(400.0, 1.0, 0.2),
             stokes=PulseShape.sin2(300.0, 1.0),
@@ -870,12 +881,12 @@ class TestProfilePath:
             two_photon_detuning=-10.0,
             grid_points=200,
         )
-        t0, t1 = profile.window
-        dt = (t1 - t0) / profile.grid_points
-        ts = t0 + (np.arange(profile.grid_points) + 0.5) * dt
-        spans = dt * np.ptp(np.linalg.eigvalsh(hamiltonian3(profile, ts)), axis=1)
-        assert 0.2 < np.mean(spans > 1.0) < 0.8  # both the closed form and eigh
-        assert np.array_equal(propagate_profile(profile), callable_path(profile))
+        calls = kernel_spy(monkeypatch, "_step_exponentials_eigh")
+        u = propagate_profile(profile)
+        # 40% of the steps go to eigh, the others to the series
+        [([(wide, _, _)], _)] = calls
+        assert 0.2 < wide / profile.grid_points < 0.8
+        assert np.array_equal(u, callable_path(profile))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize(
