@@ -1,8 +1,12 @@
 """Command-line frontend: simulate, sweep, invert and verify.
 
 Configs are JSON documents (schema documented in the README); outputs
-are CSV rows/files and JSON reports.  Identical config and seed produce
-byte-identical outputs.
+are CSV rows/files and JSON reports.  Identical configs, and verify runs
+with identical seeds, produce byte-identical outputs.  Each config object is read by one walker from a
+key table, which each pulse shape, detuning shape and profile kind has of
+its own: a key its table lacks is rejected, every key present is parsed,
+and an absent key is left to the default of the drive class it fills,
+which also checks the values.
 
 Exit codes: 0 success, 1 verification failure, 2 protocol precondition
 violation (including a propagator that does not match the template its
@@ -19,16 +23,9 @@ import io
 import json
 import math
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .drive import (
-    DETUNING_KINDS,
-    PULSE_KINDS,
-    DetuningShape,
-    DriveProfile2,
-    DriveProfile3,
-    PulseShape,
-)
+from .drive import DetuningShape, DriveProfile2, DriveProfile3, PulseShape
 from .evolve import StepPhaseError, TemplateMismatchError
 from .harness import (
     MeasurementRecord,
@@ -73,140 +70,170 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _reject_unknown(block: Dict, allowed: Tuple[str, ...], where: str) -> None:
-    unknown = sorted(set(block) - set(allowed))
+# A key table maps each JSON key of one config object to the parser of
+# its value, ``parse(value, where)``, and names the keys that must be
+# present.  A key fills the constructor keyword of its own name, or the
+# keyword its row names as ``(keyword, parse)``.
+Parser = Callable[[object, str], object]
+Table = Tuple[Dict[str, Union[Parser, Tuple[str, Parser]]], Tuple[str, ...]]
+
+
+def _walk(value: object, where: str, table: Table) -> Dict[str, object]:
+    """Constructor keywords of the config object ``value`` at the dotted
+    path ``where`` ("" at the top).  A key the table lacks is rejected and
+    a required key must be present; every key present is parsed, and an
+    absent one is left out, so the constructor's default applies."""
+    keys, required = table
+    name = where or "config"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object")
+    unknown = sorted(set(value) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown keys in {name}: {', '.join(unknown)}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{name}: missing required key {key!r}")
+    fields = {}
+    for key, row in keys.items():
+        if key in value:
+            keyword, parse = row if isinstance(row, tuple) else (key, row)
+            fields[keyword] = parse(value[key], f"{where}.{key}" if where else key)
+    return fields
 
 
-def _number(block: Dict, key: str, where: str, default=None, required: bool = False):
-    if key not in block:
-        if required:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+def _kinds(select: str, build: Callable, tables: Dict[str, Table]) -> Parser:
+    """Parser of an object whose ``select`` key picks its table from
+    ``tables`` and fills the keyword ``kind`` of ``build``.  An object of
+    any other kind is read with the keys of every table, and ``build``
+    rejects its kind."""
+    head = {select: ("kind", _as_is)}
+    every = {key: row for keys, _ in tables.values() for key, row in keys.items()}
+    other = ({**head, **every}, (select,))
+    own = {kind: ({**head, **keys}, required) for kind, (keys, required) in tables.items()}
+
+    def parse(value: object, where: str):
+        kind = value.get(select) if isinstance(value, dict) else None
+        table = own.get(kind, other) if isinstance(kind, str) else other
+        return build(**_walk(value, where, table))
+
+    return parse
 
 
-def _parse_pulse(block: Dict, where: str) -> PulseShape:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(block, ("shape", "peak", "width", "offset"), where)
-    kind = block.get("shape")
-    if kind not in PULSE_KINDS:
-        raise ConfigError(f"{where}.shape must be one of {PULSE_KINDS}, got {kind!r}")
-    if kind == "zero":
-        return PulseShape.zero()
-    peak = _number(block, "peak", where, required=True)
-    if kind == "constant":
-        return PulseShape.constant(peak)
-    width = _number(block, "width", where, default=1.0)
-    offset = _number(block, "offset", where, default=0.0)
-    return PulseShape(kind, peak, width, offset)
-
-
-def _parse_detuning(block: Dict, where: str) -> DetuningShape:
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(block, ("shape", "magnitude", "rate", "width"), where)
-    kind = block.get("shape")
-    if kind not in DETUNING_KINDS:
-        raise ConfigError(
-            f"{where}.shape must be one of {DETUNING_KINDS}, got {kind!r}"
-        )
-    if kind == "zero":
-        return DetuningShape.zero()
-    if kind == "constant":
-        return DetuningShape.constant(_number(block, "magnitude", where, required=True))
-    if kind == "linear-chirp":
-        return DetuningShape.linear_chirp(_number(block, "rate", where, required=True))
-    return DetuningShape.tanh_chirp(
-        _number(block, "magnitude", where, required=True),
-        _number(block, "width", where, default=1.0),
-    )
-
-
-def _parse_window(block: Dict, where: str) -> Optional[Tuple[float, float]]:
-    if "window" not in block:
-        return None
-    window = block["window"]
-    if (
-        not isinstance(window, list)
-        or len(window) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in window)
-    ):
-        raise ConfigError(f"{where}.window must be [t_start, t_end]")
-    return (float(window[0]), float(window[1]))
-
-
-def _parse_grid(block: Dict, where: str) -> int:
-    value = block.get("grid_points", 4000)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.grid_points must be an integer")
+def _as_is(value: object, where: str) -> object:
     return value
 
 
-def _parse_profile(block: Dict):
-    if not isinstance(block, dict):
-        raise ConfigError("profile must be an object")
-    kind = block.get("kind")
+def _number(value: object, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
+def _window(value: object, where: str) -> Tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{where} must be [t_start, t_end]")
+    return tuple(_number(end, f"{where}[{i}]") for i, end in enumerate(value))
+
+
+def _slack(value: object, where: str, error: type = ConfigError) -> float:
+    """The noise slack of an inversion: a finite number >= 0."""
+    value = _number(value, where)
+    if not (math.isfinite(value) and value >= 0):
+        raise error(f"{where} must be finite and >= 0, got {value}")
+    return value
+
+
+def _drive_profile(kind: object, **fields) -> Union[DriveProfile2, DriveProfile3]:
     if kind == "two-state":
-        _reject_unknown(
-            block,
-            ("kind", "rabi", "detuning", "rabi_sign", "detuning_sign", "window", "grid_points"),
-            "profile",
-        )
-        if "rabi" not in block:
-            raise ConfigError("profile: missing required key 'rabi'")
-        detuning = _parse_detuning(block.get("detuning", {"shape": "zero"}), "profile.detuning")
-        return DriveProfile2(
-            rabi=_parse_pulse(block["rabi"], "profile.rabi"),
-            detuning=detuning,
-            rabi_sign=block.get("rabi_sign", 1),
-            detuning_sign=block.get("detuning_sign", 1),
-            window=_parse_window(block, "profile"),
-            grid_points=_parse_grid(block, "profile"),
-        )
+        return DriveProfile2(**fields)
     if kind == "three-state":
-        _reject_unknown(
-            block,
-            (
-                "kind",
-                "pump",
-                "stokes",
-                "pump_phase",
-                "stokes_phase",
-                "detuning",
-                "two_photon_detuning",
-                "window",
-                "grid_points",
-            ),
-            "profile",
-        )
-        for key in ("pump", "stokes"):
-            if key not in block:
-                raise ConfigError(f"profile: missing required key {key!r}")
-        detuning = _parse_detuning(block.get("detuning", {"shape": "zero"}), "profile.detuning")
-        return DriveProfile3(
-            pump=_parse_pulse(block["pump"], "profile.pump"),
-            stokes=_parse_pulse(block["stokes"], "profile.stokes"),
-            pump_phase=_number(block, "pump_phase", "profile", default=0.0),
-            stokes_phase=_number(block, "stokes_phase", "profile", default=0.0),
-            single_photon_detuning=detuning,
-            two_photon_detuning=_number(
-                block, "two_photon_detuning", "profile", default=0.0
-            ),
-            window=_parse_window(block, "profile"),
-            grid_points=_parse_grid(block, "profile"),
-        )
-    raise ConfigError(
-        f"profile.kind must be 'two-state' or 'three-state', got {kind!r}"
-    )
+        return DriveProfile3(**fields)
+    raise ConfigError(f"profile.kind must be 'two-state' or 'three-state', got {kind!r}")
 
 
-def _parse_config(path: str) -> Dict:
+# the key tables of each pulse shape, detuning shape and profile kind
+_PEAKED = ({"peak": _number, "width": _number, "offset": _number}, ("peak",))
+_PULSE_TABLES = {
+    "zero": ({}, ()),
+    "constant": ({"peak": _number}, ("peak",)),
+    **dict.fromkeys(("sin2", "gaussian", "sech"), _PEAKED),
+}
+_DETUNING_TABLES = {
+    "zero": ({}, ()),
+    "constant": ({"magnitude": _number}, ("magnitude",)),
+    "linear-chirp": ({"rate": ("rate_or_width", _number)}, ("rate",)),
+    "tanh-chirp": ({"magnitude": _number, "width": ("rate_or_width", _number)}, ("magnitude",)),
+}
+_PULSE = _kinds("shape", PulseShape, _PULSE_TABLES)
+_DETUNING = _kinds("shape", DetuningShape, _DETUNING_TABLES)
+_GRID = {"window": _window, "grid_points": _as_is}
+_PROFILE_TABLES = {
+    "two-state": (
+        {"rabi": _PULSE, "detuning": _DETUNING,
+         "rabi_sign": _as_is, "detuning_sign": _as_is, **_GRID},
+        ("rabi",),
+    ),
+    "three-state": (
+        {"pump": _PULSE, "stokes": _PULSE, "pump_phase": _number, "stokes_phase": _number,
+         "detuning": ("single_photon_detuning", _DETUNING),
+         "two_photon_detuning": _number, **_GRID},
+        ("pump", "stokes"),
+    ),
+}
+_PROFILE = _kinds("kind", _drive_profile, _PROFILE_TABLES)
+
+
+def _protocol(value: object, where: str) -> ProtocolKind:
+    try:
+        return ProtocolKind(value)
+    except ValueError:
+        valid = ", ".join(k.value for k in ProtocolKind)
+        raise ConfigError(f"unknown protocol {value!r}; expected one of: {valid}") from None
+
+
+def _profile(value: object, where: str) -> Union[DriveProfile2, DriveProfile3]:
+    try:
+        return _PROFILE(value, where)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid profile: {exc}") from exc
+
+
+def _output(value: object, where: str) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{where} must be a path string")
+    return value
+
+
+def _seed(value: object, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer")
+    return value
+
+
+_SWEEP: Table = (
+    {"parameter": _as_is, "start": _number, "stop": _number, "points": _as_is},
+    ("parameter", "start", "stop"),
+)
+_CONFIG: Table = (
+    {
+        "protocol": _protocol,
+        "profile": _profile,
+        "tolerances": lambda value, where: _walk(value, where, ({"slack": _slack}, ())),
+        "output": _output,
+        "seed": _seed,  # accepted and unused: runs are deterministic
+        "sweep": lambda value, where: _walk(value, where, _SWEEP),
+    },
+    ("protocol", "profile"),
+)
+
+
+def _parse_config(path: str) -> Dict[str, object]:
+    """The run config at ``path``: its protocol and profile, and where
+    given its tolerances (keywords of ``run_protocol`` and ``sweep``), its
+    output path and its sweep, a SweepSpec."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -215,69 +242,14 @@ def _parse_config(path: str) -> Dict:
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         # not UTF-8, or nested deeper than the parser recurses
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(
-        raw, ("protocol", "profile", "sweep", "output", "seed", "tolerances"), "config"
-    )
-    for key in ("protocol", "profile"):
-        if key not in raw:
-            raise ConfigError(f"config: missing required key {key!r}")
-    try:
-        protocol = ProtocolKind(raw["protocol"])
-    except ValueError:
-        valid = ", ".join(k.value for k in ProtocolKind)
-        raise ConfigError(
-            f"unknown protocol {raw['protocol']!r}; expected one of: {valid}"
-        ) from None
-    try:
-        profile = _parse_profile(raw["profile"])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid profile: {exc}") from exc
-
-    slack = DEFAULT_SLACK
-    if "tolerances" in raw:
-        block = raw["tolerances"]
-        if not isinstance(block, dict):
-            raise ConfigError("tolerances must be an object")
-        _reject_unknown(block, ("slack",), "tolerances")
-        slack = _number(block, "slack", "tolerances", default=DEFAULT_SLACK)
-        if not (math.isfinite(slack) and slack >= 0.0):
-            raise ConfigError(f"tolerances.slack must be finite and >= 0, got {slack}")
-
-    parsed = {
-        "protocol": protocol,
-        "profile": profile,
-        "slack": slack,
-        "output": raw.get("output"),
-        "seed": raw.get("seed", 0),
-        "sweep": None,
-    }
-    if parsed["output"] is not None and not isinstance(parsed["output"], str):
-        raise ConfigError("output must be a path string")
-    if isinstance(parsed["seed"], bool) or not isinstance(parsed["seed"], int):
-        raise ConfigError("seed must be an integer")
-
-    if "sweep" in raw:
-        block = raw["sweep"]
-        if not isinstance(block, dict):
-            raise ConfigError("sweep must be an object")
-        _reject_unknown(block, ("parameter", "start", "stop", "points"), "sweep")
-        points = block.get("points", 2)
-        if isinstance(points, bool) or not isinstance(points, int):
-            raise ConfigError("sweep.points must be an integer")
+    config = _walk(raw, "", _CONFIG)
+    if "sweep" in config:
+        fields = {"points": 2, **config["sweep"]}  # a block without points runs two
         try:
-            parsed["sweep"] = SweepSpec(
-                profile=profile,
-                parameter=block.get("parameter"),
-                start=_number(block, "start", "sweep", required=True),
-                stop=_number(block, "stop", "sweep", required=True),
-                points=points,
-                protocol=protocol,
-            )
+            config["sweep"] = SweepSpec(config["profile"], protocol=config["protocol"], **fields)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid sweep block: {exc}") from exc
-    return parsed
+    return config
 
 
 def _csv_text(records: List[MeasurementRecord]) -> str:
@@ -311,20 +283,20 @@ def _write_output(text: str, code: int, path: Optional[str] = None) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _parse_config(args.config)
-    if config["sweep"] is not None:
+    if "sweep" in config:
         raise ConfigError("simulate does not accept a sweep block; use `sweep`")
-    record = run_protocol(config["protocol"], config["profile"], slack=config["slack"])
+    record = run_protocol(config["protocol"], config["profile"], **config.get("tolerances", {}))
     return _write_output(_csv_text([record]), EX_OK)
 
 
 def _cmd_sweep(args) -> int:
     config = _parse_config(args.config)
-    if config["sweep"] is None:
+    if "sweep" not in config:
         raise ConfigError("sweep requires a sweep block in the config")
-    out_path = args.out or config["output"]
+    out_path = args.out or config.get("output")
     if not out_path:
         raise ConfigError("sweep needs an output path (--out or config 'output')")
-    records = sweep(config["sweep"], slack=config["slack"])
+    records = sweep(config["sweep"], **config.get("tolerances", {}))
     return _write_output(_csv_text(records), EX_OK, out_path)
 
 
@@ -342,8 +314,7 @@ _INVERT_RELATIONS = {
 
 def _cmd_invert(args) -> int:
     inverter, names = _INVERT_RELATIONS[args.relation]
-    if not (math.isfinite(args.slack) and args.slack >= 0.0):
-        raise _UsageError(f"--slack must be finite and >= 0, got {args.slack}")
+    _slack(args.slack, "--slack", _UsageError)
     values = [getattr(args, name) for name in names]
     for name, value in zip(names, values):
         if value is None:

@@ -468,6 +468,21 @@ class DriveProfile3:
         return self.single_photon_detuning.is_even()
 
 
+def swapped_detuning(profile: DriveProfile3) -> float:
+    """Single-photon detuning ``delta - delta2`` of the role-swapped pass of
+    a two-photon-detuned drive, which may overflow to +-inf.  Only a
+    constant (or zero) single-photon detuning has one; any other raises."""
+    single = profile.single_photon_detuning
+    if single.kind == "zero":
+        return -profile.two_photon_detuning
+    if single.kind != "constant":
+        raise ValueError(
+            "role-swapped pass with nonzero two-photon detuning requires a "
+            "constant single-photon detuning"
+        )
+    return single.magnitude - profile.two_photon_detuning
+
+
 def backward_profile_3(
     profile: DriveProfile3, pump_phase: float, stokes_phase: float
 ) -> DriveProfile3:
@@ -486,15 +501,7 @@ def backward_profile_3(
     single = profile.single_photon_detuning
     two_photon = profile.two_photon_detuning
     if two_photon != 0.0:
-        if single.kind == "zero":
-            single = DetuningShape.constant(-two_photon)
-        elif single.kind == "constant":
-            single = DetuningShape.constant(single.magnitude - two_photon)
-        else:
-            raise ValueError(
-                "role-swapped pass with nonzero two-photon detuning requires a "
-                "constant single-photon detuning"
-            )
+        single = DetuningShape.constant(swapped_detuning(profile))
         two_photon = -two_photon
     return replace(
         profile,

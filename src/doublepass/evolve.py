@@ -353,14 +353,6 @@ def _su3_propagator(
     return np.exp(-1j * dt * c0.sum(axis=-1))[..., None, None] * u
 
 
-@functools.lru_cache(maxsize=8)
-def _triangle_indices(d: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the upper triangle of a d x d matrix and of its
-    transposed positions."""
-    rows, cols = np.triu_indices(d)
-    return rows * d + cols, cols * d + rows
-
-
 def _check_step_phase(dt: float, h_max) -> None:
     # a Python float product overflows to inf without a warning; the
     # check also catches NaN/inf samples and a non-finite dt
@@ -390,14 +382,12 @@ def _sample_hamiltonian(hamiltonian: HamiltonianFn, ts: np.ndarray, dt: float):
         )
     h_max = np.abs(h).max()
     _check_step_phase(dt, h_max)
-    # upper triangle against the conjugated lower one; the diagonal
-    # contributes 2 |Im h_ii|, as in the full |H - H^dag|
-    upper, lower = _triangle_indices(h.shape[-1])
-    flat = h.reshape(h.shape[0], -1)
-    diff = flat.take(upper, axis=1)
-    mirror = flat.take(lower, axis=1)
-    diff -= np.conjugate(mirror, out=mirror)
-    defect = np.abs(diff).max()
+    # each lower coupling against its conjugated mirror, and 2 |Im h_ii|
+    # on the diagonal, as in the full |H - H^dag|
+    defect = max(
+        [2.0 * np.abs(h.diagonal(axis1=1, axis2=2).imag).max()]
+        + [np.abs(h[:, i, j] - np.conj(h[:, j, i])).max() for i, j in _LOWER[h.shape[-1]]]
+    )
     if not defect <= 1e-12 * max(1.0, h_max):
         raise ValueError(f"hamiltonian samples are not Hermitian (defect {defect:.3e})")
     kernel = _ck_propagator if h.shape[-1] == 2 else _su3_propagator
@@ -418,9 +408,13 @@ def _sample_profile(profile: Profile, ts: np.ndarray, dt: float):
 
 def _grid(window: Tuple[float, float], steps: int) -> Tuple[np.ndarray, float]:
     """Step midpoints and step length of a fixed grid over ``window``."""
+    dt = _step(window, steps)
+    return window[0] + (np.arange(steps) + 0.5) * dt, dt
+
+
+def _step(window: Tuple[float, float], steps: int) -> float:
     t0, t1 = window
-    dt = (t1 - t0) / steps
-    return t0 + (np.arange(steps) + 0.5) * dt, dt
+    return (t1 - t0) / steps
 
 
 def _fixed_grid_propagator(
@@ -555,13 +549,10 @@ def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, Valu
     return results
 
 
-def check_profile_step_phase(profile: Profile) -> None:
-    """Raise the StepPhaseError that propagating ``profile`` on its grid
-    would raise, without propagating it: the drive is sampled and guarded
-    as in ``propagate_passes``, and nothing else is done."""
-    ts, dt = _grid(profile.window, check_grid_points(profile.grid_points))
-    with np.errstate(over="ignore"):
-        _sample_profile(profile, ts, dt)
+def check_step_phase(profile: Profile, h_max: float) -> None:
+    """Raise the StepPhaseError of a Hamiltonian entry of modulus
+    ``h_max`` on the grid of ``profile``, as propagation would."""
+    _check_step_phase(_step(profile.window, profile.grid_points), h_max)
 
 
 def _propagate_batch(sampled: list, dt: float) -> List[np.ndarray]:

@@ -51,10 +51,11 @@ from .drive import (
     backward_profile_2,
     backward_profile_3,
     pulse_area,
+    swapped_detuning,
 )
 from .evolve import (
     cayley_klein,
-    check_profile_step_phase,
+    check_step_phase,
     propagate_passes,
     propagate_profile,
     sign_flip_transform,
@@ -392,10 +393,10 @@ def _finish(
     if isinstance(u, ValueError):
         raise u
     if plan.dimension == 3 and profile.two_photon_detuning != 0.0:
-        # the role swap puts |delta - delta2| on the diagonal, which can
-        # exceed every entry of the forward H: the second pass must pass
-        # the step-phase guard that propagating it would apply
-        check_profile_step_phase(_second_pass(profile, V00))
+        # the role-swapped H holds the forward couplings and -delta2, which
+        # the forward guard has bounded, and one new entry, delta - delta2:
+        # the guard that propagating the second pass would apply to it
+        check_step_phase(profile, abs(swapped_detuning(profile)))
     structure = globals()[plan.check](u) if plan.check is not None else None
     if plan.dimension == 2:
         backs = [sign_flip_transform(structure, *v) for v in plan.variants]

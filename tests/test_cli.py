@@ -229,6 +229,127 @@ def test_grid_points_above_cap_is_a_config_error(tmp_path, capsys, make_config):
     assert captured.out == ""
 
 
+def _constant_pair(**profile):
+    """A two-state config whose constant pulse and constant detuning read
+    one key each: peak and magnitude."""
+    config = rap_config()
+    config["profile"].update(
+        rabi={"shape": "constant", "peak": 3.0},
+        detuning={"shape": "constant", "magnitude": 1.0},
+        window=[0.0, 1.0],
+        **profile,
+    )
+    config["protocol"] = "two-state-general"
+    return config
+
+
+@pytest.mark.parametrize(
+    "field, value, stderr",
+    [
+        ("profile.rabi.width", 1.0, "unknown keys in profile.rabi: width"),
+        ("profile.rabi.offset", [1], "unknown keys in profile.rabi: offset"),
+        ("profile.detuning.rate", 1.0, "unknown keys in profile.detuning: rate"),
+        # NaN in a key the shape does not read
+        ("profile.detuning.width", float("nan"), "unknown keys in profile.detuning: width"),
+        # a zero shape reads no key
+        ("profile.detuning", {"shape": "zero", "magnitude": 1.0}, "unknown keys in profile.detuning: magnitude"),
+    ],
+)
+def test_key_the_shape_does_not_read_is_rejected(tmp_path, capsys, field, value, stderr):
+    assert main(["simulate", "--config", write_config(tmp_path, _constant_pair())]) == EX_OK
+    capsys.readouterr()
+    config = _set(_constant_pair(), field, value)
+    code = main(["simulate", "--config", write_config(tmp_path, config)])
+    captured = capsys.readouterr()
+    assert code == EX_USAGE
+    assert captured.err == f"config error: invalid profile: {stderr}\n"
+    assert captured.out == ""
+
+
+def test_every_shape_has_a_key_table():
+    from doublepass import cli
+    from doublepass.drive import DETUNING_KINDS, PULSE_KINDS
+
+    assert set(cli._PULSE_TABLES) == set(PULSE_KINDS)
+    assert set(cli._DETUNING_TABLES) == set(DETUNING_KINDS)
+
+
+@pytest.mark.parametrize("block", ["rabi", "detuning"])
+def test_unknown_shape_is_rejected_by_its_class(tmp_path, capsys, block):
+    config = _set(_constant_pair(), f"profile.{block}.shape", "triangle")
+    assert main(["simulate", "--config", write_config(tmp_path, config)]) == EX_USAGE
+    kind = "pulse" if block == "rabi" else "detuning"
+    assert capsys.readouterr().err == f"config error: invalid profile: unknown {kind} kind 'triangle'\n"
+
+
+def test_integer_literal_beyond_the_float_range_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_constant_pair()).replace('"peak": 3.0', '"peak": 1' + "0" * 400))
+    assert main(["simulate", "--config", str(path)]) == EX_USAGE
+    assert capsys.readouterr().err == "config error: invalid profile: pulse peak must be finite, got inf\n"
+
+
+def _parsed_profile(tmp_path, profile):
+    from doublepass.cli import _parse_config
+
+    config = {"protocol": "two-state-general", "profile": profile}
+    return _parse_config(write_config(tmp_path, config))["profile"]
+
+
+@pytest.mark.parametrize("kind", ["two-state", "three-state"])
+def test_omitted_keys_take_the_drive_class_defaults(tmp_path, kind):
+    pulse = {"shape": "sin2", "peak": 4.0}
+    full_pulse = {**pulse, "width": 1.0, "offset": 0.0}
+    if kind == "two-state":
+        bare = {"kind": kind, "rabi": pulse, "detuning": {"shape": "tanh-chirp", "magnitude": 2.0}}
+        explicit = {
+            "kind": kind,
+            "rabi": full_pulse,
+            "detuning": {"shape": "tanh-chirp", "magnitude": 2.0, "width": 1.0},
+            "rabi_sign": 1,
+            "detuning_sign": 1,
+            "grid_points": 4000,
+        }
+        assert _parsed_profile(tmp_path, {"kind": kind, "rabi": pulse}) == _parsed_profile(
+            tmp_path, {**explicit, "detuning": {"shape": "zero"}}
+        )
+    else:
+        bare = {"kind": kind, "pump": pulse, "stokes": pulse}
+        explicit = {
+            "kind": kind,
+            "pump": full_pulse,
+            "stokes": full_pulse,
+            "pump_phase": 0.0,
+            "stokes_phase": 0.0,
+            "detuning": {"shape": "zero"},
+            "two_photon_detuning": 0.0,
+            "grid_points": 4000,
+        }
+    assert _parsed_profile(tmp_path, bare) == _parsed_profile(tmp_path, explicit)
+
+
+def test_overflowing_role_swapped_detuning_is_a_config_error(tmp_path, capsys):
+    # delta - delta2 = 2e308 overflows to inf in the role-swapped pass,
+    # though every entry of the forward pass is finite and resolvable
+    config = {
+        "protocol": "three-state-general",
+        "profile": {
+            "kind": "three-state",
+            "pump": {"shape": "constant", "peak": 1.0},
+            "stokes": {"shape": "constant", "peak": 1.0},
+            "detuning": {"shape": "constant", "magnitude": 1e308},
+            "two_photon_detuning": -1e308,
+            "window": [0.0, 1e-297],
+            "grid_points": 64,
+        },
+    }
+    code = main(["simulate", "--config", write_config(tmp_path, config)])
+    captured = capsys.readouterr()
+    assert code == EX_USAGE
+    assert captured.err.startswith("config error: step phase dt * max|H| = inf is not finite")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_template_mismatch_is_a_precondition_violation(tmp_path, capsys, monkeypatch):
     import doublepass.harness as harness
     from doublepass.evolve import TemplateMismatchError

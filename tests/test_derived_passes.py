@@ -572,17 +572,20 @@ def test_second_pass_step_phase_error_is_kept():
 
 def test_second_passes_are_guarded_only_with_a_two_photon_detuning(monkeypatch):
     guarded = []
-    check = harness.check_profile_step_phase
-    monkeypatch.setattr(harness, "check_profile_step_phase", lambda p: guarded.append(p) or check(p))
+    check = harness.check_step_phase
+    monkeypatch.setattr(harness, "check_step_phase", lambda p, h: guarded.append((p, h)) or check(p, h))
     for kind, base in THREE_STATE_BASES.items():
         sweep(SweepSpec(replace(base, grid_points=64), "pulse-area", 1.0, 9.0, 3, kind))
-    # only the general drive has a two-photon detuning: its three (0, 0) passes
+    # only the general drive has a two-photon detuning: the one entry its
+    # role swap adds, |delta - delta2|, is guarded at each of its points
     profile = replace(THREE_STATE_BASES[GENERAL], grid_points=64)
-    assert [(p.pump_phase, p.stokes_phase) for p in guarded] == [(0.0, 0.0)] * 3
+    entry = abs(profile.single_photon_detuning.magnitude - profile.two_photon_detuning)
     assert guarded == [
-        harness.backward_profile_3(harness.apply_sweep_parameter(profile, "pulse-area", v), 0.0, 0.0)
-        for v in (1.0, 5.0, 9.0)
+        (harness.apply_sweep_parameter(profile, "pulse-area", v), entry) for v in (1.0, 5.0, 9.0)
     ]
+    # it is the diagonal entry the directly propagated second pass holds
+    swapped = harness.backward_profile_3(profile, 0.0, 0.0)
+    assert abs(swapped.single_photon_detuning.magnitude) == entry != 0.0
 
 
 def three_state_config(protocol, base, *, sweep_block=None, slack=None, **profile):

@@ -54,19 +54,44 @@ def kinds(known):
     return st.sampled_from(known * 3 + ("unknown",))
 
 
-pulses = st.builds(
-    lambda shape, peak, rest: {"shape": shape, "peak": peak, **rest},
-    kinds(PULSE_KINDS),
-    numbers,
-    optional_keys(width=numbers, offset=numbers),
-)
-detunings = st.builds(
-    lambda shape, magnitude, rate, rest: {"shape": shape, "magnitude": magnitude, "rate": rate, **rest},
-    kinds(DETUNING_KINDS),
-    numbers,
-    numbers,
-    optional_keys(width=numbers),
-)
+# Each shape's keys: those it requires, and those it reads if present.
+PULSE_KEYS = {
+    **dict.fromkeys(("sin2", "gaussian", "sech"), (("peak",), ("width", "offset"))),
+    "constant": (("peak",), ()),
+    "zero": ((), ()),
+}
+DETUNING_KEYS = {
+    "constant": (("magnitude",), ()),
+    "linear-chirp": (("rate",), ()),
+    "tanh-chirp": (("magnitude",), ("width",)),
+    "zero": ((), ()),
+}
+
+
+def shapes(known, keys):
+    """Blocks of each shape, and now and then of an unknown one, holding
+    the keys the shape requires and any of those it reads.  Now and then
+    (one draw in sixteen) a block also holds a key the shape does not
+    read, which must be rejected."""
+
+    def block(shape):
+        required, optional = keys.get(shape, ((), ()))
+        foreign = sorted({"extra", *(k for r, o in keys.values() for k in r + o)} - {*required, *optional})
+        extra = st.tuples(st.integers(0, 15), st.sampled_from(foreign), numbers).map(
+            lambda t: {t[1]: t[2]} if t[0] == 15 else {}
+        )
+        return st.builds(
+            lambda fixed, rest, extra: {"shape": shape, **fixed, **rest, **extra},
+            st.fixed_dictionaries(dict.fromkeys(required, numbers)),
+            optional_keys(**dict.fromkeys(optional, numbers)),
+            extra,
+        )
+
+    return kinds(known).flatmap(block)
+
+
+pulses = shapes(PULSE_KINDS, PULSE_KEYS)
+detunings = shapes(DETUNING_KINDS, DETUNING_KEYS)
 pairs = st.lists(numbers, min_size=2, max_size=2)
 windows = st.one_of(pairs.map(sorted), pairs)
 grids = st.integers(2, 128)
@@ -135,8 +160,21 @@ def run_main(argv: list):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_config(config: dict) -> None:
-    """Run one config through ``cli.main`` and check how it ends."""
+def foreign_keys(config: dict) -> list:
+    """Keys of the config's pulse and detuning blocks that their shape
+    does not read."""
+    found = []
+    for name, block in config["profile"].items():
+        if name in ("rabi", "pump", "stokes", "detuning"):
+            keys = DETUNING_KEYS if name == "detuning" else PULSE_KEYS
+            required, optional = keys.get(block["shape"], ((), ()))
+            found += sorted(set(block) - {"shape", *required, *optional})
+    return found
+
+
+def run_config(config: dict) -> int:
+    """Run one config through ``cli.main``, check how it ends, and return
+    its exit code."""
     with tempfile.TemporaryDirectory() as workdir:
         config_path = Path(workdir) / "config.json"
         config_path.write_text(json.dumps(config))
@@ -153,6 +191,7 @@ def run_config(config: dict) -> None:
             cells = {name: float(cell) for name, cell in row.items() if cell and name != "status"}
             assert all(math.isfinite(cell) for cell in cells.values()), row
             assert_lossless(cells, PROTOCOLS[config["protocol"]].dimension)
+    return code
 
 
 def assert_lossless(cells: dict, dimension: int) -> None:
@@ -211,7 +250,9 @@ def test_measured_rows_are_lossless(kind):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_cli_ends_in_a_documented_exit_code(config):
-    run_config(config)
+    code = run_config(config)
+    if foreign_keys(config):
+        assert code == 64
 
 
 # A flag is missing with odds 1/8; present, it is a number, an extreme
