@@ -41,9 +41,7 @@ from .harness import (
 )
 from .su2relations import (
     InversionRangeError,
-    RadicandClampWarning,
     average_return,
-    double_pass_propagator,
     invert_p_const_detuning,
     invert_p_general,
     invert_p_rap,

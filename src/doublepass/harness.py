@@ -62,6 +62,12 @@ from .evolve import (
     unitarity_defect,
 )
 from .su2relations import (
+    FOUR_VARIANTS,
+    V00,
+    V0PI,
+    VPI0,
+    VPIPI,
+    Variant,
     average_return,
     invert_p_const_detuning,
     invert_p_general,
@@ -79,6 +85,7 @@ from .su3relations import (
     invert_case2,
     invert_detuned,
     invert_general,
+    phases,
 )
 
 Profile = Union[DriveProfile2, DriveProfile3]
@@ -190,24 +197,8 @@ def _population(u: np.ndarray, row: int) -> float:
 # passes
 # ---------------------------------------------------------------------------
 
-# A second-pass variant is a (flip, flip) pair: the coupling and detuning
-# sign flips of a two-state drive, or phase pi on the pump and on the
-# Stokes field of the role-swapped three-state drive.  Each variant fills
-# the MeasurementRecord column that keys it.
-Variant = Tuple[bool, bool]
-V00: Variant = (False, False)
-VPI0: Variant = (True, False)
-V0PI: Variant = (False, True)
-VPIPI: Variant = (True, True)
+# Each second-pass variant fills the MeasurementRecord column that keys it.
 VARIANT_COLUMNS: Dict[Variant, str] = {V00: "q00", VPI0: "qpi0", V0PI: "q0pi", VPIPI: "qpipi"}
-# all four, in PHASE_GRID order
-FOUR_VARIANTS = (V00, VPI0, V0PI, VPIPI)
-
-
-def _phases(variant: Variant) -> Tuple[float, float]:
-    """Pump and Stokes phases (xi, eta) of a three-state variant."""
-    xi, eta = (math.pi if flip else 0.0 for flip in variant)
-    return xi, eta
 
 
 def _second_pass(profile: Profile, variant: Variant) -> Profile:
@@ -215,7 +206,16 @@ def _second_pass(profile: Profile, variant: Variant) -> Profile:
     or the role-swapped three-state drive at pump/Stokes phases 0 or pi."""
     if isinstance(profile, DriveProfile2):
         return backward_profile_2(profile, *variant)
-    return backward_profile_3(profile, *_phases(variant))
+    return backward_profile_3(profile, *phases(variant))
+
+
+def _check_swap(profile: Profile) -> None:
+    """Raise the StepPhaseError that propagating the role-swapped second
+    passes of ``profile`` would.  Their H holds the forward couplings and
+    -delta2, which the forward guard has bounded, and, with a two-photon
+    detuning, one new entry, delta - delta2, which is checked here."""
+    if isinstance(profile, DriveProfile3) and profile.two_photon_detuning != 0.0:
+        check_step_phase(profile, abs(swapped_detuning(profile)))
 
 
 def _returns(u: np.ndarray, backs: Sequence[np.ndarray]) -> List[float]:
@@ -231,11 +231,13 @@ def double_pass(
     Returns the forward propagator U, the second-pass propagators V and
     the double-pass return probabilities |(V U)_11|^2, in variant order.
     Each pass is propagated on its own by ``propagate_profile``, so this
-    reference never reaches the batches of ``propagate_passes``; the
-    first failing pass raises its error.
+    reference never reaches the batches of ``propagate_passes``.  The
+    forward pass's error comes first, then the role-swap guard that
+    ``run_protocol`` applies, then the first failing second pass's.
     """
-    passes = [profile] + [_second_pass(profile, v) for v in variants]
-    u, *backs = [propagate_profile(p) for p in passes]
+    u = propagate_profile(profile)
+    _check_swap(profile)
+    backs = [propagate_profile(_second_pass(profile, v)) for v in variants]
     return u, backs, _returns(u, backs)
 
 
@@ -392,16 +394,12 @@ def _finish(
     plan, profile = point
     if isinstance(u, ValueError):
         raise u
-    if plan.dimension == 3 and profile.two_photon_detuning != 0.0:
-        # the role-swapped H holds the forward couplings and -delta2, which
-        # the forward guard has bounded, and one new entry, delta - delta2:
-        # the guard that propagating the second pass would apply to it
-        check_step_phase(profile, abs(swapped_detuning(profile)))
+    _check_swap(profile)
     structure = globals()[plan.check](u) if plan.check is not None else None
     if plan.dimension == 2:
         backs = [sign_flip_transform(structure, *v) for v in plan.variants]
     else:
-        backs = [backward_propagator(u, _phases(v)) for v in plan.variants]
+        backs = [backward_propagator(u, phases(v)) for v in plan.variants]
     returns = _returns(u, backs)
     fields = {"p_direct": _population(u, plan.dimension - 1), "q": _population(u, 0)}
     fields.update(zip((VARIANT_COLUMNS[v] for v in plan.variants), returns))
@@ -759,7 +757,7 @@ def _suite_mirror_branch(i: int, rng: np.random.Generator) -> float:
     profile = random_two_state_profile(rng)
     u, (q_same, q_flip) = _protocol_passes(ProtocolKind.TWO_STATE_GENERAL, profile)
     p = _population(u, 1)
-    recovered = invert_p_general(average_return(q_same, q_flip))
+    recovered = invert_p_general(average_return(q_same, q_flip), clamps=[])
     expected = p if p >= 0.5 else 1.0 - p
     return abs(recovered - expected)
 
@@ -783,7 +781,7 @@ def _suite_degradation(i: int, rng: np.random.Generator) -> float:
     eps = rng.uniform(0.0, 1e-2)
     q_bar = (1.0 - eps) ** 2 + eps**2
     identity = max(0.0, abs(q_bar - (1.0 - 2.0 * eps)) - 2.0 * eps**2)
-    return max(identity, abs(invert_p_general(q_bar) - (1.0 - eps)))
+    return max(identity, abs(invert_p_general(q_bar, clamps=[]) - (1.0 - eps)))
 
 
 def _suite_swap_unitarity(i: int, rng: np.random.Generator) -> float:

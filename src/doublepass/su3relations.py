@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .evolve import TemplateMismatchError, unitarity_defect
 from .su2relations import (
     DEFAULT_SLACK,
     InversionRangeError,  # raised by the inverters below; re-exported
+    Variant,
     checked_probability,
     clamped_sqrt,
 )
@@ -30,14 +31,6 @@ _CONSTRAINT_TOL = 1e-9
 # extract_resonant_ck accepts a matrix whose unitarity defect and template
 # residual are both below this.
 _RESONANT_TOL = 1e-7
-
-# The four second-pass phase pairs whose return probabilities are averaged.
-PHASE_GRID: Tuple[Tuple[float, float], ...] = (
-    (0.0, 0.0),
-    (math.pi, 0.0),
-    (0.0, math.pi),
-    (math.pi, math.pi),
-)
 
 
 @dataclass(frozen=True)
@@ -141,6 +134,13 @@ def extract_resonant_ck(u: np.ndarray) -> ResonantCK:
     return ck3
 
 
+def phases(variant: Variant) -> Tuple[float, float]:
+    """Pump and Stokes phases (xi, eta) of a variant's role-swapped second
+    pass: pi on each field the variant flips, 0 on the other."""
+    xi, eta = (math.pi if flip else 0.0 for flip in variant)
+    return xi, eta
+
+
 def backward_propagator(u: np.ndarray, phases: Tuple[float, float]) -> np.ndarray:
     """Propagator of the role-swapped second pass with phases attached.
 
@@ -180,7 +180,7 @@ def invert_case1(
     q: float,
     *,
     slack: float = DEFAULT_SLACK,
-    clamps: Optional[List[str]] = None,
+    clamps: List[str],
 ) -> float:
     """p = (1 + sqrt(Q)) / 2 - q for the unchanged-sign resonant double
     pass.  Requires the separately measured single-pass q; Q alone does
@@ -200,7 +200,7 @@ def invert_case2(
     q_return: float,
     *,
     slack: float = DEFAULT_SLACK,
-    clamps: Optional[List[str]] = None,
+    clamps: List[str],
 ) -> float:
     """p = (1 + sqrt(Q)) / 2 for the pump-flipped resonant double pass.
 
@@ -213,7 +213,7 @@ def invert_case2(
 
 def four_phase_average(q_set: Sequence[float]) -> float:
     """Mean of the four double-pass return probabilities measured at the
-    PHASE_GRID phase pairs (0,0), (pi,0), (0,pi), (pi,pi)."""
+    phases of FOUR_VARIANTS, (0,0), (pi,0), (0,pi), (pi,pi)."""
     if len(q_set) != 4:
         raise ValueError(f"expected four probabilities, got {len(q_set)}")
     return (q_set[0] + q_set[1] + q_set[2] + q_set[3]) / 4.0
@@ -230,7 +230,7 @@ def invert_detuned(
     q: float,
     *,
     slack: float = DEFAULT_SLACK,
-    clamps: Optional[List[str]] = None,
+    clamps: List[str],
 ) -> float:
     """p = (1 - q + sqrt(2 Q_bar - 3 q^2 + 2 q - 1)) / 2 for symmetric-pair
     passes, from the four-phase average and the single-pass q."""
@@ -259,7 +259,7 @@ def invert_general(
     r: float,
     *,
     slack: float = DEFAULT_SLACK,
-    clamps: Optional[List[str]] = None,
+    clamps: List[str],
 ) -> float:
     """p from (Q_bar, q, r), all three measured on the initial state:
 

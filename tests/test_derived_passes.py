@@ -555,15 +555,31 @@ TWO_PHOTON_UNRESOLVABLE = DriveProfile3(
     window=(0.0, 1.0),
 )
 
+# constant pulses of peak 1 on the window (0, 1e-297) at 64 steps: the
+# forward H is resolvable, but delta - delta2 = 1e308 + 1e308 overflows,
+# which the role-swapped drive cannot even be built with
+TWO_PHOTON_OVERFLOW = DriveProfile3(
+    pump=PulseShape.constant(1.0),
+    stokes=PulseShape.constant(1.0),
+    single_photon_detuning=DetuningShape.constant(1e308),
+    two_photon_detuning=-1e308,
+    window=(0.0, 1e-297),
+    grid_points=64,
+)
 
-def test_second_pass_step_phase_error_is_kept():
+
+@pytest.mark.parametrize(
+    "profile, phase",
+    [(TWO_PHOTON_UNRESOLVABLE, r"1\.500e\+12"), (TWO_PHOTON_OVERFLOW, "inf")],
+    ids=["unresolvable", "overflow"],
+)
+def test_second_pass_step_phase_error_is_kept(profile, phase):
     """The (0, 0) second pass is not propagated, but it is guarded: a point
     whose role-swapped pass propagation would reject is rejected with the
     same error, though its forward pass is resolvable."""
-    profile = TWO_PHOTON_UNRESOLVABLE
     [forward] = propagate_passes([profile])
     assert isinstance(forward, np.ndarray)  # the forward pass alone is fine
-    with pytest.raises(StepPhaseError, match=r"= 1\.500e\+12 is not finite") as derived:
+    with pytest.raises(StepPhaseError, match=rf"= {phase} is not finite") as derived:
         run_protocol(GENERAL, profile)
     with pytest.raises(StepPhaseError) as direct:
         direct_record(GENERAL, profile)

@@ -32,7 +32,8 @@ from doublepass.harness import (
     write_csv,
 )
 from doublepass.drive import pulse_area
-from doublepass.su3relations import PHASE_GRID
+from doublepass.su2relations import FOUR_VARIANTS
+from doublepass.su3relations import phases
 
 
 def chirped_profile(peak=8.0, rate=10.0):
@@ -297,8 +298,8 @@ EVEN_DETUNING = DriveProfile2(
         (ProtocolKind.TWO_STATE_CONST_DETUNING, EVEN_DETUNING, [(1, -1)]),
         (ProtocolKind.STIRAP_RESONANT_CASE1, stirap_profile(grid_points=400), [(0.0, 0.0)]),
         (ProtocolKind.STIRAP_RESONANT_CASE2, stirap_profile(grid_points=400), [(PI, 0.0)]),
-        (ProtocolKind.STIRAP_DETUNED, stirap_profile(detuning=3.0, grid_points=400), list(PHASE_GRID)),
-        (ProtocolKind.THREE_STATE_GENERAL, GENERAL_THREE_STATE, list(PHASE_GRID)),
+        (ProtocolKind.STIRAP_DETUNED, stirap_profile(detuning=3.0, grid_points=400), [phases(v) for v in FOUR_VARIANTS]),
+        (ProtocolKind.THREE_STATE_GENERAL, GENERAL_THREE_STATE, [phases(v) for v in FOUR_VARIANTS]),
     ],
 )
 def test_second_pass_plan(monkeypatch, kind, profile, second_passes):

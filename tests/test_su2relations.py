@@ -16,15 +16,21 @@ from doublepass.drive import backward_profile_2
 from doublepass.evolve import CayleyKlein, cayley_klein, propagate_profile
 from doublepass.harness import random_two_state_profile
 from doublepass.su2relations import (
-    VARIANTS,
+    FOUR_VARIANTS,
+    V00,
+    VPI0,
     InversionRangeError,
-    RadicandClampWarning,
     average_return,
-    double_pass_propagator,
     invert_p_const_detuning,
     invert_p_general,
     invert_p_rap,
     return_probability,
+)
+from doublepass.su3relations import (
+    invert_case1,
+    invert_case2,
+    invert_detuned,
+    invert_general,
 )
 
 
@@ -39,18 +45,10 @@ def template_matrix(a, b, flip_rabi=False, flip_detuning=False):
     return np.array([[a, -np.conj(b)], [b, np.conj(a)]], complex)
 
 
-_FLIPS = {
-    "same": (False, False),
-    "flip_rabi": (True, False),
-    "flip_detuning": (False, True),
-    "flip_both": (True, True),
-}
-
-
 def product_oracle(ck, variant):
     """Second-pass template times first-pass template, multiplied out."""
     first = template_matrix(ck.a, ck.b)
-    second = template_matrix(ck.a, ck.b, *_FLIPS[variant])
+    second = template_matrix(ck.a, ck.b, *variant)
     return second @ first
 
 
@@ -66,21 +64,27 @@ ck_strategy = st.tuples(
 )
 
 
-class TestDoublePassPropagator:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_trivial_drive_gives_identity(self, variant):
-        ck = CayleyKlein(1.0, 0.0)
-        assert double_pass_propagator(ck, variant) == pytest.approx(np.eye(2))
+class TestReturnProbability:
+    @pytest.mark.parametrize("variant", FOUR_VARIANTS)
+    def test_trivial_drive(self, variant):
+        assert return_probability(CayleyKlein(1.0, 0.0), variant) == pytest.approx(1.0)
 
-    @given(ck=ck_strategy, variant=st.sampled_from(VARIANTS))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_matrix_product(self, ck, variant):
-        closed = double_pass_propagator(ck, variant)
-        assert np.abs(closed - product_oracle(ck, variant)).max() < 1e-12
+    def test_complete_transfer(self):
+        ck = CayleyKlein(0.0, 1.0)
+        assert return_probability(ck, V00) == pytest.approx(1.0)
+        assert return_probability(ck, VPI0) == pytest.approx(1.0)
 
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError):
-            double_pass_propagator(CayleyKlein(1.0, 0.0), "bogus")
+    @pytest.mark.parametrize("variant", FOUR_VARIANTS)
+    @given(ck=ck_strategy)
+    @settings(max_examples=100, deadline=None)
+    def test_equals_corner_of_composed_matrix(self, ck, variant):
+        expected = abs(product_oracle(ck, variant)[0, 0]) ** 2
+        assert abs(return_probability(ck, variant) - expected) < 1e-12
+
+    @pytest.mark.parametrize("variant", ["same", (True,), (False, True, False), None], ids=repr)
+    def test_unknown_variant(self, variant):
+        with pytest.raises(ValueError, match="unknown variant"):
+            return_probability(CayleyKlein(0.6, 0.8), variant)
 
     def test_matches_two_pass_propagation(self):
         rng = np.random.Generator(np.random.Philox(5))
@@ -89,30 +93,10 @@ class TestDoublePassPropagator:
             profile = random_two_state_profile(rng)
             u = propagate_profile(profile)
             ck = cayley_klein(u)
-            for variant, flips in _FLIPS.items():
-                direct = propagate_profile(backward_profile_2(profile, *flips)) @ u
-                worst = max(
-                    worst,
-                    float(np.abs(double_pass_propagator(ck, variant) - direct).max()),
-                )
+            for variant in FOUR_VARIANTS:
+                direct = propagate_profile(backward_profile_2(profile, *variant)) @ u
+                worst = max(worst, abs(return_probability(ck, variant) - abs(direct[0, 0]) ** 2))
         assert worst < 1e-8
-
-
-class TestReturnProbability:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_trivial_drive(self, variant):
-        assert return_probability(CayleyKlein(1.0, 0.0), variant) == pytest.approx(1.0)
-
-    def test_complete_transfer(self):
-        ck = CayleyKlein(0.0, 1.0)
-        assert return_probability(ck, "same") == pytest.approx(1.0)
-        assert return_probability(ck, "flip_rabi") == pytest.approx(1.0)
-
-    @given(ck=ck_strategy, variant=st.sampled_from(VARIANTS))
-    @settings(max_examples=300, deadline=None)
-    def test_equals_corner_of_composed_matrix(self, ck, variant):
-        expected = abs(product_oracle(ck, variant)[0, 0]) ** 2
-        assert abs(return_probability(ck, variant) - expected) < 1e-12
 
 
 class TestAverageReturn:
@@ -127,7 +111,7 @@ class TestAverageReturn:
         p = 0.99
         ck = CayleyKlein(math.sqrt(1.0 - p) * 1j, math.sqrt(p))
         q_bar = average_return(
-            return_probability(ck, "same"), return_probability(ck, "flip_rabi")
+            return_probability(ck, V00), return_probability(ck, VPI0)
         )
         assert q_bar == pytest.approx(0.9802, abs=1e-12)
 
@@ -136,7 +120,7 @@ class TestAverageReturn:
     def test_equals_classical_two_step_expression(self, ck):
         p = abs(ck.b) ** 2
         q_bar = average_return(
-            return_probability(ck, "same"), return_probability(ck, "flip_rabi")
+            return_probability(ck, V00), return_probability(ck, VPI0)
         )
         assert abs(q_bar - (p * p + (1.0 - p) ** 2)) < 1e-12
 
@@ -144,86 +128,100 @@ class TestAverageReturn:
     @settings(max_examples=200, deadline=None)
     def test_never_below_half(self, ck):
         q_bar = average_return(
-            return_probability(ck, "same"), return_probability(ck, "flip_rabi")
+            return_probability(ck, V00), return_probability(ck, VPI0)
         )
         assert q_bar >= 0.5 - 1e-12
 
 
 class TestInvertPGeneral:
     def test_perfect_transfer(self):
-        assert invert_p_general(1.0) == pytest.approx(1.0)
+        assert invert_p_general(1.0, clamps=[]) == pytest.approx(1.0)
 
     def test_degenerate_root(self):
-        assert invert_p_general(0.5) == pytest.approx(0.5)
+        assert invert_p_general(0.5, clamps=[]) == pytest.approx(0.5)
 
     def test_round_trip_of_high_transfer_point(self):
-        assert invert_p_general(0.9802) == pytest.approx(0.99, abs=1e-12)
+        assert invert_p_general(0.9802, clamps=[]) == pytest.approx(0.99, abs=1e-12)
 
     def test_upper_branch_default(self):
-        assert invert_p_general(0.9802) > 0.5
-
-    def test_clamp_within_slack_warns(self):
-        with pytest.warns(RadicandClampWarning):
-            p = invert_p_general(0.5 - 1e-8)
-        assert p == pytest.approx(0.5)
-
-    def test_clamps_list_collects_instead_of_warning(self):
-        clamps = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert invert_p_general(0.5 - 1e-8, clamps=clamps) == 0.5
-            assert invert_p_general(1.0 + 1e-8, clamps=clamps) == 1.0
-        assert clamps == [
-            "average-return inversion: radicand -2.000000e-08 clamped to 0",
-            "q_bar = 1.000000e+00 clamped into [0, 1]",
-        ]
+        assert invert_p_general(0.9802, clamps=[]) > 0.5
 
     def test_out_of_range_raises(self):
         with pytest.raises(InversionRangeError):
-            invert_p_general(0.5 - 1e-3)
+            invert_p_general(0.5 - 1e-3, clamps=[])
         with pytest.raises(InversionRangeError):
-            invert_p_general(1.5)
+            invert_p_general(1.5, clamps=[])
+
+
+# Each inverter on inputs with one clamp within the default slack: its
+# result and the one message it appends to the caller's list.
+SLACK_SIZED_CLAMPS = [
+    (invert_p_general, (0.5 - 1e-8,), 0.5, "average-return inversion: radicand -2.000000e-08 clamped to 0"),
+    (invert_p_rap, (-1e-8,), 0.5, "q_same = -1.000000e-08 clamped into [0, 1]"),
+    (invert_p_const_detuning, (1.0 + 1e-8,), 1.0, "q_flip_detuning = 1.000000e+00 clamped into [0, 1]"),
+    (invert_case1, (-1e-8, 0.0), 0.5, "q_return = -1.000000e-08 clamped into [0, 1]"),
+    (invert_case2, (1.0 + 1e-8,), 1.0, "q_return = 1.000000e+00 clamped into [0, 1]"),
+    (invert_detuned, (0.5 - 1e-8, 0.0), 0.5, "symmetric-pair inversion: radicand -2.000000e-08 clamped to 0"),
+    (invert_general, (0.5 - 1e-9, 0.0, 0.0), 0.5, "general three-state inversion: radicand -8.000000e-09 clamped to 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "inverter, args, p, message", SLACK_SIZED_CLAMPS, ids=[case[0].__name__ for case in SLACK_SIZED_CLAMPS]
+)
+def test_clamps_list_collects_instead_of_warning(inverter, args, p, message):
+    clamps = ["earlier"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert inverter(*args, clamps=clamps) == p
+    assert clamps == ["earlier", message]
 
 
 class TestSpecialCaseInverters:
     def test_rap_endpoints(self):
-        assert invert_p_rap(1.0) == pytest.approx(1.0)
-        assert invert_p_rap(0.0) == pytest.approx(0.5)
+        assert invert_p_rap(1.0, clamps=[]) == pytest.approx(1.0)
+        assert invert_p_rap(0.0, clamps=[]) == pytest.approx(0.5)
 
     def test_const_detuning_endpoints(self):
-        assert invert_p_const_detuning(1.0) == pytest.approx(1.0)
-        assert invert_p_const_detuning(0.0) == pytest.approx(0.5)
+        assert invert_p_const_detuning(1.0, clamps=[]) == pytest.approx(1.0)
+        assert invert_p_const_detuning(0.0, clamps=[]) == pytest.approx(0.5)
 
     @given(p=st.floats(0.5, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_on_upper_branch(self, p):
-        assert invert_p_rap((1.0 - 2.0 * p) ** 2) == pytest.approx(p, abs=1e-12)
+        clamps = []
+        assert invert_p_rap((1.0 - 2.0 * p) ** 2, clamps=clamps) == pytest.approx(p, abs=1e-12)
+        assert clamps == []
 
     def test_end_to_end_chirped_drive(self):
         # simulated swept-crossing drive: invert the simulated unchanged
         # double pass and compare with the directly simulated p
         rng = np.random.Generator(np.random.Philox(17))
         checked = 0
+        clamps = []
         for _ in range(30):
             profile = random_two_state_profile(rng, symmetry="chirp")
             u = propagate_profile(profile)
             p_direct = abs(u[1, 0]) ** 2
             u_same = propagate_profile(backward_profile_2(profile))
             q_same = abs((u_same @ u)[0, 0]) ** 2
-            recovered = invert_p_rap(q_same)
+            recovered = invert_p_rap(q_same, clamps=clamps)
             expected = p_direct if p_direct >= 0.5 else 1.0 - p_direct
             assert recovered == pytest.approx(expected, abs=1e-6)
             checked += p_direct >= 0.5
         assert checked  # the draw ranges must exercise the upper branch
+        assert clamps == []
 
     def test_end_to_end_even_detuning_drive(self):
         rng = np.random.Generator(np.random.Philox(18))
+        clamps = []
         for _ in range(30):
             profile = random_two_state_profile(rng, symmetry="even")
             u = propagate_profile(profile)
             p_direct = abs(u[1, 0]) ** 2
             u_flip = propagate_profile(backward_profile_2(profile, flip_detuning=True))
             q_flip = abs((u_flip @ u)[0, 0]) ** 2
-            recovered = invert_p_const_detuning(q_flip)
+            recovered = invert_p_const_detuning(q_flip, clamps=clamps)
             expected = p_direct if p_direct >= 0.5 else 1.0 - p_direct
             assert recovered == pytest.approx(expected, abs=1e-6)
+        assert clamps == []

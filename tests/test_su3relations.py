@@ -25,6 +25,9 @@ from doublepass.harness import (
     random_symmetric_pair_profile,
 )
 from doublepass.su2relations import (
+    FOUR_VARIANTS,
+    V00,
+    VPI0,
     average_return,
     invert_p_const_detuning,
     invert_p_general,
@@ -32,7 +35,6 @@ from doublepass.su2relations import (
     return_probability,
 )
 from doublepass.su3relations import (
-    PHASE_GRID,
     InversionRangeError,
     ResonantCK,
     backward_propagator,
@@ -46,6 +48,7 @@ from doublepass.su3relations import (
     invert_case2,
     invert_detuned,
     invert_general,
+    phases,
     resonant_propagator,
 )
 
@@ -144,8 +147,8 @@ class TestExtractResonantCK:
 
 class TestBackwardPropagator:
     def test_identity_fixed_point(self):
-        for phases in PHASE_GRID:
-            u = backward_propagator(np.eye(3, dtype=complex), phases)
+        for v in FOUR_VARIANTS:
+            u = backward_propagator(np.eye(3, dtype=complex), phases(v))
             assert u == pytest.approx(np.eye(3))
 
     def test_zero_phases_swap_indices(self):
@@ -212,21 +215,21 @@ class TestBackwardPropagator:
 class TestResonantCases:
     def test_case1_endpoints(self):
         assert case1_return_probability(1.0, 0.0) == pytest.approx(1.0)
-        assert invert_case1(1.0, 0.0) == pytest.approx(1.0)
+        assert invert_case1(1.0, 0.0, clamps=[]) == pytest.approx(1.0)
 
     def test_case1_beats_classical_estimate_when_q_zero(self):
         for q_ret in (0.2, 0.5, 0.9):
-            assert invert_case1(q_ret, 0.0) >= math.sqrt(q_ret)
+            assert invert_case1(q_ret, 0.0, clamps=[]) >= math.sqrt(q_ret)
 
     def test_case2_endpoints(self):
         assert case2_return_probability(1.0) == pytest.approx(1.0)
         assert case2_return_probability(0.5) == pytest.approx(0.0)
-        assert invert_case2(1.0) == pytest.approx(1.0)
+        assert invert_case2(1.0, clamps=[]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3])
     def test_case2_near_unity_asymptotics(self, eps):
         # Q = 1 - eps inverts to p = 1 - eps/4 up to O(eps^2)
-        p = invert_case2(1.0 - eps)
+        p = invert_case2(1.0 - eps, clamps=[])
         assert abs(p - (1.0 - eps / 4.0)) <= eps**2
 
     @given(p=st.floats(0.5, 1.0), q=st.floats(0.0, 0.5))
@@ -235,7 +238,9 @@ class TestResonantCases:
         if p + q > 1.0 or 2.0 * p + 2.0 * q - 1.0 < 0.0:
             return
         q_ret = case1_return_probability(p, q)
-        assert invert_case1(q_ret, q) == pytest.approx(p, abs=1e-9)
+        clamps = []
+        assert invert_case1(q_ret, q, clamps=clamps) == pytest.approx(p, abs=1e-9)
+        assert clamps == []
 
     def test_quantum_degrades_twice_as_fast_as_classical(self):
         # strongly adiabatic resonant point: the double-pass return falls
@@ -280,7 +285,7 @@ class TestFourPhaseAverage:
     def _measure(self, profile):
         u = propagate_profile(profile)
         q_set = []
-        for xi, eta in PHASE_GRID:
+        for xi, eta in (phases(v) for v in FOUR_VARIANTS):
             u_back = propagate_profile(backward_profile_3(profile, xi, eta))
             q_set.append(abs((u_back @ u)[0, 0]) ** 2)
         return u, q_set
@@ -309,7 +314,7 @@ class TestFourPhaseAverage:
 
 class TestInvertDetuned:
     def test_perfect_transfer(self):
-        assert invert_detuned(1.0, 0.0) == pytest.approx(1.0)
+        assert invert_detuned(1.0, 0.0, clamps=[]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("delta", [1e-2, 1e-3])
     def test_near_complete_transfer_round_trip(self, delta):
@@ -317,7 +322,9 @@ class TestInvertDetuned:
         # the inversion recovers p exactly from the relation values
         q_bar = detuned_average_return(1.0 - delta, delta)
         assert abs(q_bar - (1.0 - 2.0 * delta)) <= 4.0 * delta**2
-        assert invert_detuned(q_bar, delta) == pytest.approx(1.0 - delta, abs=1e-9)
+        clamps = []
+        assert invert_detuned(q_bar, delta, clamps=clamps) == pytest.approx(1.0 - delta, abs=1e-9)
+        assert clamps == []
 
     @given(p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0))
     @settings(max_examples=300, deadline=None)
@@ -325,11 +332,13 @@ class TestInvertDetuned:
         if p + q > 1.0 or p < 0.5 * (1.0 - q):
             return
         q_bar = detuned_average_return(p, q)
-        assert invert_detuned(q_bar, q) == pytest.approx(p, abs=1e-8)
+        clamps = []
+        assert invert_detuned(q_bar, q, clamps=clamps) == pytest.approx(p, abs=1e-8)
+        assert clamps == []
 
     def test_inconsistent_inputs_raise(self):
         with pytest.raises(InversionRangeError):
-            invert_detuned(0.2, 0.0)
+            invert_detuned(0.2, 0.0, clamps=[])
 
 
 class TestGeneralRelations:
@@ -337,6 +346,7 @@ class TestGeneralRelations:
         # near-vanishing radicands amplify last-ulp rounding through the
         # square root, so the dense grid stays clear of the boundary
         worst = 0.0
+        clamps = []
         for q in np.linspace(0.0, 0.5, 26):
             for q_bar in np.linspace(0.34, 1.0, 34):
                 radicand = 2.0 * q_bar - 3.0 * q * q + 2.0 * q - 1.0
@@ -344,13 +354,17 @@ class TestGeneralRelations:
                     continue
                 worst = max(
                     worst,
-                    abs(invert_general(q_bar, q, q) - invert_detuned(q_bar, q)),
+                    abs(
+                        invert_general(q_bar, q, q, clamps=clamps)
+                        - invert_detuned(q_bar, q, clamps=clamps)
+                    ),
                 )
         assert worst < 1e-12
+        assert clamps == []
 
     def test_perfect_transfer_round_trip(self):
         assert general_average_return(1.0, 0.0, 0.0) == pytest.approx(1.0)
-        assert invert_general(1.0, 0.0, 0.0) == pytest.approx(1.0)
+        assert invert_general(1.0, 0.0, 0.0, clamps=[]) == pytest.approx(1.0)
 
     @given(
         p=st.floats(0.0, 1.0),
@@ -364,7 +378,9 @@ class TestGeneralRelations:
         if p < max(q, 1.0 - p - q) or p < max(r, 1.0 - p - r):
             return
         q_bar = general_average_return(p, q, r)
-        assert invert_general(q_bar, q, r) == pytest.approx(p, abs=1e-8)
+        clamps = []
+        assert invert_general(q_bar, q, r, clamps=clamps) == pytest.approx(p, abs=1e-8)
+        assert clamps == []
 
     def test_simulated_general_relation(self):
         gen = rng(40)
@@ -375,7 +391,7 @@ class TestGeneralRelations:
             q = abs(u[0, 0]) ** 2
             r = abs(u[2, 2]) ** 2
             q_set = []
-            for xi, eta in PHASE_GRID:
+            for xi, eta in (phases(v) for v in FOUR_VARIANTS):
                 u_back = propagate_profile(backward_profile_3(profile, xi, eta))
                 q_set.append(abs((u_back @ u)[0, 0]) ** 2)
             assert four_phase_average(q_set) == pytest.approx(
@@ -384,13 +400,13 @@ class TestGeneralRelations:
 
     def test_inconsistent_inputs_raise(self):
         with pytest.raises(InversionRangeError):
-            invert_general(0.1, 0.0, 0.0)
+            invert_general(0.1, 0.0, 0.0, clamps=[])
 
 
 def two_state_average(p):
     """Q_bar of a two-state pass with transfer p, through its two returns."""
     ck = CayleyKlein(math.sqrt(1.0 - p) * cmath.exp(0.7j), math.sqrt(p) * cmath.exp(-0.3j))
-    return average_return(return_probability(ck, "same"), return_probability(ck, "flip_rabi"))
+    return average_return(return_probability(ck, V00), return_probability(ck, VPI0))
 
 
 def one_minus(p, q, r):
