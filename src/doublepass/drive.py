@@ -224,19 +224,33 @@ def sample_rabi(shape: PulseShape, t: ArrayLike) -> ArrayLike:
         out = np.zeros_like(t_arr)
     elif shape.kind == "constant":
         out = np.full_like(t_arr, shape.peak)
-    elif shape.kind == "sin2":
-        x = (t_arr - shape.offset) / shape.width
-        inside = (x >= 0.0) & (x <= 1.0)
-        out = np.where(inside, shape.peak * np.sin(np.pi * np.clip(x, 0.0, 1.0)) ** 2, 0.0)
-    elif shape.kind == "gaussian":
-        x = (t_arr - shape.offset) / shape.width
-        out = shape.peak * np.exp(-np.square(x))
-    else:  # sech
-        x = (t_arr - shape.offset) / shape.width
-        out = shape.peak / np.cosh(x)
+    else:
+        out = scaled_envelope(shape, unit_envelope(shape, t_arr))
     if np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0):
         return float(out)
     return out
+
+
+def unit_envelope(shape: PulseShape, t: np.ndarray) -> np.ndarray:
+    """The part of a ``sin2``, ``gaussian`` or ``sech`` envelope that its
+    peak does not enter, at the times ``t``: sin^2(pi x) on the support
+    and 0 outside it, exp(-x^2), or cosh x, with x = (t - offset) / width.
+    """
+    x = (t - shape.offset) / shape.width
+    if shape.kind == "sin2":
+        inside = (x >= 0.0) & (x <= 1.0)
+        return np.where(inside, np.sin(np.pi * np.clip(x, 0.0, 1.0)) ** 2, 0.0)
+    if shape.kind == "gaussian":
+        return np.exp(-np.square(x))
+    return np.cosh(x)  # sech
+
+
+def scaled_envelope(shape: PulseShape, unit: np.ndarray) -> np.ndarray:
+    """``shape``'s envelope from the unit envelope of a shape of its kind,
+    width and offset: peak * unit, or peak / unit for ``sech``.  This is
+    how ``sample_rabi`` applies the peak, so the result equals its sample
+    bit for bit."""
+    return shape.peak / unit if shape.kind == "sech" else shape.peak * unit
 
 
 def sample_detuning(shape: DetuningShape, t: ArrayLike, midpoint: float) -> ArrayLike:
@@ -375,12 +389,6 @@ class DriveProfile2:
     def midpoint(self) -> float:
         # halved first, so that the sum cannot overflow
         return 0.5 * self.window[0] + 0.5 * self.window[1]
-
-    def rabi_at(self, t: ArrayLike) -> ArrayLike:
-        return self.rabi_sign * sample_rabi(self.rabi, t)
-
-    def detuning_at(self, t: ArrayLike) -> ArrayLike:
-        return self.detuning_sign * sample_detuning(self.detuning, t, self.midpoint)
 
     # -- parity predicates (preconditions of the symmetry-restricted
     #    inversion formulas) --------------------------------------------

@@ -2,13 +2,15 @@
 
 Propagators are plain complex numpy arrays.  The integrator treats the
 Hamiltonian as constant across each grid step, sampled at the step
-midpoint, and applies the exact step exponential.  2x2 passes are
-carried as Cayley-Klein pairs (a, b): each step's pair has a closed
-form, the pairs are reduced with the SU(2) product rule, and the (2, 2)
-matrix is assembled once at the end.  3x3 steps are the Taylor series
-of exp(-i Y), Y their traceless part, summed to a fixed order in the
-basis (I, Y, Y^2) that Cayley-Hamilton reduces every power of Y to
-(steps whose eigenvalue bound exceeds 1 go to ``eigh``), and reduced
+midpoint, and applies the exact step exponential.  Both kernels sum
+one Taylor series of cos and sin to a fixed order.  2x2 passes are
+carried as Cayley-Klein pairs (a, b): each step's pair is the series
+in the square of its phase (steps whose phase exceeds 1 take
+``np.cos``/``np.sin``), the pairs are reduced with the SU(2) product
+rule, and the (2, 2) matrix is assembled once at the end.  3x3 steps
+are the series of exp(-i Y), Y their traceless part, in the basis
+(I, Y, Y^2) that Cayley-Hamilton reduces every power of Y to (steps
+whose eigenvalue bound exceeds 1 go to ``eigh``), and reduced
 elementwise in a (3, 3, ..., n) layout as deviations from the identity,
 so their rounding does not grow with the number of steps.  In both
 dimensions the trace is carried as one scalar phase.  Every step is
@@ -36,8 +38,12 @@ propagates those that share a dimension, a window and a step count in
 one kernel call, up to ``BATCH_ROWS`` step rows per call.  On short
 grids that removes most of the per-call numpy overhead; a long pass
 runs alone, as 1-d arrays, and a batched pass equals the same pass
-propagated alone to the last bit.  ``harness.double_pass``, the
-reference the batches are checked against, uses ``propagate_profile``.
+propagated alone to the last bit.  Within such a group each envelope
+is sampled once per shape (``_Envelopes``): passes whose pulses differ
+only in peak, such as the points of a pulse-area sweep, share one unit
+envelope, and nothing is kept between calls.  ``harness.double_pass``,
+the reference the batches are checked against, uses
+``propagate_profile``.
 """
 
 from __future__ import annotations
@@ -51,11 +57,15 @@ import numpy as np
 
 from .drive import (
     MAX_GRID_POINTS,
+    DetuningShape,
     DriveProfile2,
     DriveProfile3,
+    PulseShape,
     check_grid_points,
     sample_detuning,
     sample_rabi,
+    scaled_envelope,
+    unit_envelope,
 )
 
 UNITARITY_TOL = 1e-10
@@ -64,14 +74,18 @@ DEFAULT_GRID_POINTS = 4000
 # Largest step phase dt * max|H| accepted: beyond it float64 resolves
 # the phase of a step to worse than about 1e-4 rad.
 MAX_STEP_PHASE = 1e12
-# 3x3 steps: exp(-i Y) is summed to Y^_SERIES_ORDER where sqrt(4 s / 3)
-# <= _SERIES_RADIUS bounds the eigenvalues of Y (truncation error 1 / 19!
-# ~ 8e-18), via eigh elsewhere.  The series of the widest step that the
-# step-phase guard admits stays below 1e210 until eigh overwrites it.
+# Both kernels sum the Taylor series of a step's cos and sin to the power
+# _SERIES_ORDER where the step's largest phase is at most _SERIES_RADIUS
+# (truncation error 1 / 19! ~ 8e-18): the eigenvalues of Y, bounded by
+# sqrt(4 s / 3), for 3x3 steps and x = dt m for 2x2 steps.  Wider steps
+# go to eigh (3x3) or np.cos/np.sin (2x2).  The series of the widest step
+# that the step-phase guard admits stays below 1e210 until those
+# overwrite it.
 _SERIES_ORDER = 18
 _SERIES_RADIUS = 1.0
 # Coefficients, highest power first, of P and Q in cos Y - I = Z P(Z) and
-# sin Y = Y Q(Z), Z = Y^2
+# sin Y = Y Q(Z), Z = Y^2 (for 2x2 steps, cos x - 1 = z P(z) and
+# sin x = x Q(z), z = x^2)
 _COS_TERMS = tuple(
     (-1.0) ** (k // 2) / math.factorial(k) for k in range(_SERIES_ORDER, 0, -1) if k % 2 == 0
 )
@@ -131,17 +145,63 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - eye).max())
 
 
-def _coefficients2(profile: DriveProfile2, ts: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """(d0, d1, h10) of 0.5 * [[-Delta, Omega], [Omega, Delta]] at ``ts``."""
-    half_delta = 0.5 * profile.detuning_at(ts)
-    return -half_delta, half_delta, 0.5 * profile.rabi_at(ts)
+class _Envelopes:
+    """Envelope samples on the step midpoints ``ts`` of one grid, by role:
+    "rabi", "pump", "stokes" or "detuning".
+
+    Each role keeps what its last pass needs, so that the next pass in
+    that role can rebuild its samples instead of sampling them afresh.
+    A pulse of the last pulse's kind, width and offset is its own peak
+    times their unit envelope (for ``sech``, the peak divided by
+    ``cosh``), the float operation ``sample_rabi`` applies; an equal
+    detuning shape and midpoint take the last detuning array.  Either
+    way a pass gets the samples of a fresh ``sample_rabi`` or
+    ``sample_detuning`` call, bit for bit, and at most one array is kept
+    per role.  The first pulse of a shape is sampled by ``sample_rabi``
+    itself and the unit envelope is made only when a second pass asks
+    for it, so a lone pass does no extra work.
+    """
+
+    def __init__(self, ts: np.ndarray) -> None:
+        self.ts = ts
+        # role -> (kind, width, offset) of its last pulse, and their unit
+        # envelope once a pass has needed it
+        self._pulses: Dict[str, tuple] = {}
+        self._detuning: Optional[tuple] = None
+
+    def pulse(self, role: str, shape: PulseShape) -> np.ndarray:
+        key = (shape.kind, shape.width, shape.offset)
+        kept = self._pulses.get(role)
+        # constant and zero pulses are fills, with no unit envelope
+        if kept is None or kept[0] != key or shape.kind in ("constant", "zero"):
+            self._pulses[role] = (key, None)
+            return sample_rabi(shape, self.ts)
+        unit = kept[1]
+        if unit is None:
+            unit = unit_envelope(shape, self.ts)
+            self._pulses[role] = (key, unit)
+        return scaled_envelope(shape, unit)
+
+    def detuning(self, shape: DetuningShape, midpoint: float) -> np.ndarray:
+        if self._detuning is None or self._detuning[:2] != (shape, midpoint):
+            self._detuning = (shape, midpoint, sample_detuning(shape, self.ts, midpoint))
+        return self._detuning[2]
 
 
-def _coefficients3(profile: DriveProfile3, ts: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """(d0, d1, d2, h10, h20, h21) of the lambda-linkage Hamiltonian at ``ts``."""
-    pump = sample_rabi(profile.pump, ts)
-    stokes = sample_rabi(profile.stokes, ts)
-    delta = sample_detuning(profile.single_photon_detuning, ts, profile.midpoint)
+def _coefficients2(profile: DriveProfile2, samples: _Envelopes) -> Tuple[np.ndarray, ...]:
+    """(d0, d1, h10) of 0.5 * [[-Delta, Omega], [Omega, Delta]] on the
+    grid of ``samples``."""
+    half_delta = 0.5 * (profile.detuning_sign * samples.detuning(profile.detuning, profile.midpoint))
+    return -half_delta, half_delta, 0.5 * (profile.rabi_sign * samples.pulse("rabi", profile.rabi))
+
+
+def _coefficients3(profile: DriveProfile3, samples: _Envelopes) -> Tuple[np.ndarray, ...]:
+    """(d0, d1, d2, h10, h20, h21) of the lambda-linkage Hamiltonian on the
+    grid of ``samples``."""
+    ts = samples.ts
+    pump = samples.pulse("pump", profile.pump)
+    stokes = samples.pulse("stokes", profile.stokes)
+    delta = samples.detuning(profile.single_photon_detuning, profile.midpoint)
     pump_coupling = 0.5 * pump * np.exp(1j * profile.pump_phase)
     return (
         np.zeros(ts.shape),
@@ -185,7 +245,7 @@ def hamiltonian2(profile: DriveProfile2, t) -> np.ndarray:
     (n, 2, 2)).  The profile's sign fields are applied to Omega and
     Delta.
     """
-    return _hermitian_from(2, _coefficients2(profile, np.asarray(t, dtype=float)))
+    return _hermitian_from(2, _coefficients2(profile, _Envelopes(np.asarray(t, dtype=float))))
 
 
 def hamiltonian3(profile: DriveProfile3, t) -> np.ndarray:
@@ -200,7 +260,7 @@ def hamiltonian3(profile: DriveProfile3, t) -> np.ndarray:
     The (1,3) corners are zero: the two outer states are never coupled
     directly.
     """
-    return _hermitian_from(3, _coefficients3(profile, np.asarray(t, dtype=float)))
+    return _hermitian_from(3, _coefficients3(profile, _Envelopes(np.asarray(t, dtype=float))))
 
 
 def _step_exponentials_eigh(h: np.ndarray, dt: float) -> np.ndarray:
@@ -208,6 +268,13 @@ def _step_exponentials_eigh(h: np.ndarray, dt: float) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     phases = np.exp(-1j * dt * w)
     return (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
+def _cos_sinc(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """cos x and sin(x) / x of x = sqrt(z) > 0 by ``np.cos``/``np.sin``,
+    for the 2x2 steps beyond the series radius."""
+    x = np.sqrt(z)
+    return np.cos(x), np.sin(x) / x
 
 
 def _ck_propagator(
@@ -221,21 +288,35 @@ def _ck_propagator(
 
     Writing H = c0 I + cx sx + cy sy + cz sz, a step is exp(-i dt c0)
     times the SU(2) matrix [[a, -conj(b)], [b, conj(a)]] with
-    a = cos(dt m) - i dt sinc cz, b = -i dt sinc (cx + i cy), where
-    m = |(cx, cy, cz)| and dt sinc = sin(dt m) / m.  The scalar phases
-    commute and are summed into one; the (a, b) pairs are reduced by
-    log-depth pairing of neighbouring steps.
+    a = cos x - i dt sinc cz, b = -i dt sinc (cx + i cy), where
+    x = dt m, m = |(cx, cy, cz)| and sinc = sin(x) / x.  cos x - 1 and
+    sinc are the Taylor series that ``_su3_propagator`` sums, here by
+    Horner in z = x^2, so a step with x <= ``_SERIES_RADIUS`` needs no
+    square root, division or trigonometric call; wider steps take
+    ``np.cos``/``np.sin``, all of a batch's in one call.  The order and
+    the radius are constants, so a batched pass equals the same pass
+    propagated alone.  The scalar phases commute and are summed into
+    one; the (a, b) pairs are reduced by log-depth pairing of
+    neighbouring steps.
     """
     if not _DT_RANGE[0] < dt < _DT_RANGE[1]:
         return _ck_propagator(dt * d0, dt * d1, dt * h10, 1.0)
     c0 = 0.5 * (d0 + d1)
     cz = 0.5 * (d0 - d1)
-    x = dt * np.sqrt(cz * cz + h10.real * h10.real + h10.imag * h10.imag)
-    snc = dt * np.divide(np.sin(x), x, out=np.ones_like(x), where=x > 0.0)
-    a = np.empty(x.shape, dtype=complex)
-    a.real = np.cos(x)
+    z = (dt * dt) * (cz * cz + h10.real * h10.real + h10.imag * h10.imag)
+    cos_x = 1.0 + z * _horner(_COS_TERMS, z)
+    sinc = _horner(_SIN_TERMS, z)
+    # wide steps, indexed over the flattened batch and steps
+    wide = np.flatnonzero(~(z <= _SERIES_RADIUS**2))
+    if wide.size:
+        wide_cos, wide_sinc = _cos_sinc(np.ravel(z)[wide])
+        np.put(cos_x, wide, wide_cos)
+        np.put(sinc, wide, wide_sinc)
+    snc = dt * sinc
+    a = np.empty(z.shape, dtype=complex)
+    a.real = cos_x
     a.imag = -snc * cz
-    b = np.empty(x.shape, dtype=complex)
+    b = np.empty(z.shape, dtype=complex)
     b.real = snc * h10.imag
     b.imag = -snc * h10.real
     while a.shape[-1] > 1:
@@ -256,6 +337,16 @@ def _ck_propagator(
     u[..., 1, 0] = b
     u[..., 1, 1] = a.conj()
     return np.exp(-1j * dt * c0.sum(axis=-1))[..., None, None] * u
+
+
+def _horner(coefficients: Tuple[float, ...], z: np.ndarray) -> np.ndarray:
+    """sum_k c_k z^k, c_k highest first, in a new array."""
+    total = coefficients[0] * z
+    total += coefficients[1]
+    for c in coefficients[2:]:
+        total *= z
+        total += c
+    return total
 
 
 def _power_series(coefficients: Tuple[float, ...], s: np.ndarray, d: np.ndarray):
@@ -394,13 +485,14 @@ def _sample_hamiltonian(hamiltonian: HamiltonianFn, ts: np.ndarray, dt: float):
     return kernel, _coefficients_of(h.astype(complex, copy=False))
 
 
-def _sample_profile(profile: Profile, ts: np.ndarray, dt: float):
-    """Sampler of a drive profile: its Hamiltonian is Hermitian by
-    construction, so only the step phase is checked."""
+def _sample_profile(profile: Profile, samples: _Envelopes, dt: float):
+    """A drive profile's kernel and arrays on the grid of ``samples``: its
+    Hamiltonian is Hermitian by construction, so only the step phase is
+    checked."""
     if isinstance(profile, DriveProfile2):
-        kernel, coefficients = _ck_propagator, _coefficients2(profile, ts)
+        kernel, coefficients = _ck_propagator, _coefficients2(profile, samples)
     else:
-        kernel, coefficients = _su3_propagator, _coefficients3(profile, ts)
+        kernel, coefficients = _su3_propagator, _coefficients3(profile, samples)
     # max|H_ij| over the whole matrix in one NaN-propagating reduction
     _check_step_phase(dt, np.abs(np.concatenate(coefficients)).max())
     return kernel, coefficients
@@ -505,7 +597,10 @@ def propagate_profile(
     if not isinstance(profile, (DriveProfile2, DriveProfile3)):
         raise TypeError(f"unsupported profile type {type(profile).__name__}")
     steps = profile.grid_points if grid_points is None else grid_points
-    sample = functools.partial(_sample_profile, profile)
+
+    def sample(ts: np.ndarray, dt: float):
+        return _sample_profile(profile, _Envelopes(ts), dt)
+
     # envelope tails and chirps may overflow to their limits, 0 or inf;
     # the step-phase guard rejects an infinite sample
     with np.errstate(over="ignore"):
@@ -516,8 +611,11 @@ def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, Valu
     """Fixed-grid propagators of many passes, one slot per pass in input
     order.
 
-    Every pass is sampled on its own, with its own step-phase guard.
-    Passes that share a dimension, a window and a step count then go to
+    Passes that share a dimension, a window and a step count form a
+    group.  Every pass gets its own samples and its own step-phase
+    guard, but within a group an envelope is sampled once per shape:
+    ``_Envelopes`` rebuilds a pulse that differs from the previous pass's
+    only in peak, and the same detuning, bit for bit.  A group goes to
     the kernel together, in batches of at most ``BATCH_ROWS`` step rows;
     a pass alone in its batch reaches the kernel as 1-d arrays, exactly
     as in ``propagate_profile``, whose propagator every pass equals to
@@ -534,12 +632,13 @@ def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, Valu
     with np.errstate(over="ignore"):
         for (_, window, steps), members in groups.items():
             ts, dt = _grid(window, check_grid_points(steps))
+            samples = _Envelopes(ts)
             size = max(1, BATCH_ROWS // len(ts))
             for start in range(0, len(members), size):
                 slots, sampled = [], []
                 for i in members[start : start + size]:
                     try:
-                        sampled.append(_sample_profile(profiles[i], ts, dt))
+                        sampled.append(_sample_profile(profiles[i], samples, dt))
                     except ValueError as error:
                         results[i] = error
                         continue

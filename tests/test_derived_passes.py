@@ -107,6 +107,29 @@ def test_derived_passes_equal_direct_propagation_with_folded_steps(scale, detuni
     assert abs(forward[1, 0]) > 0.1  # a real transfer, not the identity
 
 
+@pytest.mark.parametrize("signs", SIGNS, ids=str)
+def test_derived_passes_equal_direct_propagation_across_the_series_radius(monkeypatch, signs):
+    # 16 steps of a strong chirped gaussian: step phases run from 2.6 at
+    # the chirp's ends down to 0.97, across the 2x2 series radius of 1,
+    # so some steps take np.cos/np.sin and the others the series
+    wide = []
+    cos_sinc = evolve._cos_sinc
+
+    def spy(z):
+        wide.append(z.size)
+        return cos_sinc(z)
+
+    monkeypatch.setattr(evolve, "_cos_sinc", spy)
+    profile = DriveProfile2(
+        rabi=PulseShape.gaussian(12.0, 0.5),
+        detuning=DetuningShape.linear_chirp(20.0),
+        window=(-1.5, 1.5),
+    )
+    assert_derived_passes_are_direct(signed(profile, 16, signs))
+    # the forward pass and its four flips, each with 12 of its 16 steps wide
+    assert wide == [12] * 5
+
+
 # ---------------------------------------------------------------------------
 # records: run_protocol and sweep against directly propagated second passes
 # ---------------------------------------------------------------------------
@@ -355,7 +378,10 @@ def test_no_point_fails_on_a_derived_pass_alone(signs):
         for flips in FLIPS:
             flipped = backward_profile_2(profile, *flips)
             with np.errstate(over="ignore"):
-                h_max = [np.abs(np.concatenate(evolve._coefficients2(p, ts))).max() for p in (profile, flipped)]
+                h_max = [
+                    np.abs(np.concatenate(evolve._coefficients2(p, evolve._Envelopes(ts)))).max()
+                    for p in (profile, flipped)
+                ]
             assert h_max[0] == h_max[1]
             [result] = propagate_passes([flipped])
             if isinstance(forward, StepPhaseError):

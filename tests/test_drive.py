@@ -19,6 +19,7 @@ from doublepass.drive import (
     sample_detuning,
     sample_rabi,
 )
+from doublepass.evolve import hamiltonian2
 
 
 def composite_quadrature(fn, lo, hi, n=200_001):
@@ -200,8 +201,10 @@ class TestDriveProfile2:
             rabi_sign=-1,
             detuning_sign=-1,
         )
-        assert profile.rabi_at(0.5) == pytest.approx(-2.0)
-        assert profile.detuning_at(0.123) == pytest.approx(-3.0)
+        # H = 0.5 * [[-Delta, Omega], [Omega, Delta]]
+        h = hamiltonian2(profile, 0.5)
+        assert h[1, 0] == pytest.approx(0.5 * -2.0)
+        assert h[1, 1] == pytest.approx(0.5 * -3.0)
 
 
 @pytest.mark.parametrize(

@@ -361,6 +361,34 @@ def random_hermitian_batch(gen, n):
     return h
 
 
+def hermitian_with_phases(gen, phases, dt):
+    """2x2 Hermitian steps with the step phases dt m = ``phases``, their
+    Pauli vectors in random directions and a random trace."""
+    v = gen.normal(size=(len(phases), 3))
+    m = (phases / dt)[:, None] * v / np.linalg.norm(v, axis=1, keepdims=True)
+    c0 = gen.normal(size=len(phases))
+    h = np.empty((len(phases), 2, 2), dtype=complex)
+    h[:, 0, 0] = c0 + m[:, 2]
+    h[:, 1, 1] = c0 - m[:, 2]
+    h[:, 1, 0] = m[:, 0] + 1j * m[:, 1]
+    h[:, 0, 1] = m[:, 0] - 1j * m[:, 1]
+    return h
+
+
+def wide_step_spy(monkeypatch):
+    """Record the number of steps of every call to the 2x2 kernel's
+    np.cos/np.sin path."""
+    sizes = []
+    cos_sinc = doublepass.evolve._cos_sinc
+
+    def spy(z):
+        sizes.append(z.size)
+        return cos_sinc(z)
+
+    monkeypatch.setattr(doublepass.evolve, "_cos_sinc", spy)
+    return sizes
+
+
 class TestCayleyKleinKernel:
     """The 2x2 Cayley-Klein kernel against the extended-precision path."""
 
@@ -373,7 +401,7 @@ class TestCayleyKleinKernel:
             fast = _ck_propagator(*_coefficients_of(h), dt)
             reference = _longdouble_propagator(h, dt)
             assert fast.shape == (2, 2)
-            # worst 1.0e-14 at 4000 steps against the longdouble reference
+            # worst 2.8e-14 at 4000 steps against the longdouble reference
             assert np.abs(fast - reference).max() < 5e-14
             assert unitarity_defect(fast) < 1e-13
             assert abs(abs(np.linalg.det(fast)) - 1.0) < 1e-13
@@ -381,6 +409,36 @@ class TestCayleyKleinKernel:
     def test_zero_steps_give_identity_exactly(self):
         zero = _coefficients_of(np.zeros((9, 2, 2), complex))
         assert np.all(_ck_propagator(*zero, 0.3) == np.eye(2))
+
+    def test_series_order_resolves_steps_at_the_cut(self, monkeypatch):
+        # step phases just under _SERIES_RADIUS = 1, all on the series.  One
+        # term short, cos x - 1 misses x^18 / 18! ~ 1.5e-16, which a single
+        # step hides in its rounding; it shifts each step by a multiple of
+        # the identity, so over 2048 steps it adds up to 1.5e-13 against
+        # the 1.8e-14 that rounding reaches.  sin x / x misses x^16 / 17!
+        # ~ 2.8e-15.
+        dt = 0.25
+        h = hermitian_with_phases(rng(71), rng(72).uniform(0.99, 0.999, 2048), dt)
+        reference = _longdouble_propagator(h, dt)
+        assert np.abs(_ck_propagator(*_coefficients_of(h), dt) - reference).max() < 5e-14
+        for name in ("_COS_TERMS", "_SIN_TERMS"):
+            with monkeypatch.context() as patch:
+                patch.setattr(doublepass.evolve, name, getattr(doublepass.evolve, name)[1:])
+                assert np.abs(_ck_propagator(*_coefficients_of(h), dt) - reference).max() > 5e-14
+
+    def test_widest_admitted_steps_do_not_overflow(self):
+        # every step takes np.cos/np.sin; the series the kernel sums first
+        # on such steps must stay finite up to the step-phase guard
+        m = np.array([[1.0, 0.6 - 0.8j], [0.6 + 0.8j, -0.5]])
+        dt = 1.0 / 8
+        big = 0.9 * MAX_STEP_PHASE / dt * m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = propagate(lambda ts: np.broadcast_to(big, (len(ts), 2, 2)), (0.0, 1.0), 8)
+        with np.errstate(all="raise"):
+            direct = _ck_propagator(*_coefficients_of(big[None].repeat(8, axis=0)), dt)
+        assert np.array_equal(u, direct)
+        assert unitarity_defect(u) < 1e-13
 
     def test_traceful_scalar_phase_is_kept(self):
         # H = (1 + t) I: U = exp(-i * integral) I, and the midpoint rule
@@ -590,6 +648,22 @@ class TestBatchedKernels:
         grid = _ck_propagator(*(c.reshape(2, 3, n) for c in columns), dt)
         assert np.array_equal(grid.reshape(6, 2, 2), batched)
 
+    def test_ck_batch_mixes_wide_and_series_steps(self, monkeypatch):
+        sizes = wide_step_spy(monkeypatch)
+        gen = rng(8)
+        passes = [random_hermitian_batch(gen, 128) for _ in range(4)]
+        columns = [np.stack(c) for c in zip(*(_coefficients_of(h) for h in passes))]
+        dt = 0.8
+        batched = _ck_propagator(*columns, dt)
+        # one np.cos/np.sin call for the whole batch, with 45% of its steps
+        [wide] = sizes
+        assert 0.2 < wide / 512 < 0.8
+        for u, h in zip(batched, passes):
+            assert np.array_equal(u, _ck_propagator(*_coefficients_of(h), dt))
+            assert np.abs(u - _longdouble_propagator(h, dt)).max() < 5e-14
+        # the single passes took both paths as well
+        assert len(sizes) == 5 and sum(sizes[1:]) == wide
+
     @pytest.mark.parametrize("kind", ["generic", "degenerate", "near-scalar", "mixed"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 128])
     def test_su3_batch_equals_single_passes(self, kind, n):
@@ -716,6 +790,143 @@ class TestPropagatePasses:
     def test_non_profile_rejected(self):
         with pytest.raises(TypeError, match="unsupported profile type"):
             propagate_passes([object()])
+
+
+def sampling_counter(monkeypatch):
+    """Count the calls of ``sample_rabi`` and ``sample_detuning``, through
+    every module binding that propagation may use."""
+    calls = {"rabi": 0, "detuning": 0}
+    for role, name in (("rabi", "sample_rabi"), ("detuning", "sample_detuning")):
+        original = getattr(doublepass.drive, name)
+
+        def counted(*args, _role=role, _original=original):
+            calls[_role] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(doublepass.drive, name, counted)
+        monkeypatch.setattr(doublepass.evolve, name, counted)
+    return calls
+
+
+PULSES = [
+    PulseShape.sin2(1.0, 1.5, -0.7),
+    PulseShape.gaussian(1.0, 0.4, 0.1),
+    PulseShape.sech(1.0, 0.3, -0.2),
+    PulseShape.constant(1.0),
+    PulseShape.zero(),
+]
+# a pulse-area list: a zero peak, a repeated one and a peak that steps
+# back down
+PEAKS = (0.0, 2.5, 7.0, 7.0, 19.75, 4.0)
+
+
+def assert_equal_to_single_passes(passes):
+    results = propagate_passes(passes)
+    assert len(results) == len(passes)
+    for profile, u in zip(passes, results):
+        assert np.array_equal(u, propagate_profile(profile))
+
+
+class TestEnvelopeReuse:
+    """Within a group of passes, propagate_passes samples an envelope once
+    per shape; every pass still equals propagate_profile's, bit for bit."""
+
+    @pytest.mark.parametrize("steps", [128, 4000])
+    @pytest.mark.parametrize("pulse", PULSES, ids=lambda p: p.kind)
+    def test_pulse_area_lists_equal_single_passes(self, pulse, steps):
+        two = DriveProfile2(
+            rabi=pulse, detuning=DetuningShape.linear_chirp(6.0), window=(-1.2, 0.8), grid_points=steps
+        )
+        three = DriveProfile3(
+            pump=replace(pulse, offset=pulse.offset + 0.3),
+            stokes=pulse,
+            single_photon_detuning=DetuningShape.constant(2.0),
+            window=(-1.2, 0.8),
+            grid_points=steps,
+        )
+        passes = [replace(two, rabi=replace(pulse, peak=peak)) for peak in PEAKS]
+        passes += [
+            replace(three, pump=replace(three.pump, peak=peak), stokes=replace(pulse, peak=2.0 * peak))
+            for peak in PEAKS
+        ]
+        assert_equal_to_single_passes(passes)
+
+    def test_lists_of_other_shapes_equal_single_passes(self):
+        # consecutive pulses that differ in width, offset or kind, under
+        # changing detunings and signs
+        pulses = [
+            PulseShape.sin2(5.0, 1.5, -0.7),
+            PulseShape.sin2(5.0, 1.2, -0.7),
+            PulseShape.sin2(7.0, 1.2, -0.7),
+            PulseShape.sin2(7.0, 1.2, -0.5),
+            PulseShape.gaussian(7.0, 1.2, -0.5),
+            PulseShape.sech(7.0, 1.2, -0.5),
+            PulseShape.sech(3.0, 1.2, -0.5),
+            PulseShape.constant(3.0),
+            PulseShape.sech(3.0, 1.2, -0.5),
+        ]
+        detunings = [DetuningShape.linear_chirp(6.0), DetuningShape.linear_chirp(6.0), DetuningShape.constant(2.0)]
+        passes = []
+        for i, pulse in enumerate(pulses):
+            profile = DriveProfile2(
+                rabi=pulse, detuning=detunings[i % 3], window=(-1.2, 0.8), grid_points=128
+            )
+            passes += [profile, backward_profile_2(profile, i % 2 == 0, True)]
+        assert_equal_to_single_passes(passes)
+
+    def test_pairs_with_distinct_pump_and_stokes_offsets(self):
+        # role-swapped passes give each role the other's last pulse
+        passes = []
+        for peak in (3.0, 9.0, 27.0):
+            profile = DriveProfile3(
+                pump=PulseShape.gaussian(peak, 0.3, 0.2),
+                stokes=PulseShape.gaussian(peak, 0.3, -0.2),
+                single_photon_detuning=DetuningShape.tanh_chirp(4.0, 0.5),
+                window=(-1.5, 1.5),
+                grid_points=128,
+            )
+            passes += [profile, backward_profile_3(profile, math.pi, 0.0)]
+        assert_equal_to_single_passes(passes)
+
+    @pytest.mark.parametrize("kind", ["sin2", "gaussian", "sech"])
+    def test_passes_differing_in_peak_sample_once_per_role(self, monkeypatch, kind):
+        calls = sampling_counter(monkeypatch)
+        pulse = PulseShape(kind, 1.0, 0.5, 0.1)
+        two = [
+            DriveProfile2(rabi=replace(pulse, peak=peak), detuning=DetuningShape.linear_chirp(6.0), window=(-1.2, 0.8))
+            for peak in PEAKS
+        ]
+        propagate_passes(two)
+        assert calls == {"rabi": 1, "detuning": 1}
+        three = [
+            DriveProfile3(
+                pump=replace(pulse, peak=peak, offset=0.3),
+                stokes=replace(pulse, peak=peak),
+                single_photon_detuning=DetuningShape.constant(2.0),
+                window=(-1.2, 0.8),
+                grid_points=128,
+            )
+            for peak in PEAKS
+        ]
+        propagate_passes(three)
+        assert calls == {"rabi": 1 + 2, "detuning": 1 + 1}
+
+    def test_distinct_offsets_sample_every_pass(self, monkeypatch):
+        # offsets that return to an earlier value sample again: a role keeps
+        # only its last pulse's envelope
+        calls = sampling_counter(monkeypatch)
+        offsets = (-0.4, -0.2, 0.0, 0.2, -0.4, -0.2, -0.4)
+        passes = [
+            DriveProfile2(
+                rabi=PulseShape.gaussian(6.0, 0.5, offset),
+                detuning=DetuningShape.linear_chirp(6.0),
+                window=(-2.0, 2.0),
+                grid_points=128,
+            )
+            for offset in offsets
+        ]
+        propagate_passes(passes)
+        assert calls == {"rabi": len(offsets), "detuning": 1}
 
 
 class TestStepPhaseGuard:
