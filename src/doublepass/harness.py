@@ -28,7 +28,11 @@ point, propagate the forward passes of all points in one
 share a kernel call, and finish each point on its own: per-point
 failures are recorded in the row status instead of aborting the sweep.
 ``verify`` replays the package's numeric invariants over seeded random
-drives and produces a deterministic report.
+drives and produces a deterministic report.  Its nine closed-form
+suites read the record fields that ``run_protocol`` writes, taken by
+the same ``_measure`` from ``double_pass``'s directly propagated passes;
+``general-average`` takes r from the forward U_33, not from the
+role-swapped pass.
 """
 
 from __future__ import annotations
@@ -400,7 +404,25 @@ def _finish(
         backs = [sign_flip_transform(structure, *v) for v in plan.variants]
     else:
         backs = [backward_propagator(u, phases(v)) for v in plan.variants]
-    returns = _returns(u, backs)
+    fields = _measure(plan, u, backs, _returns(u, backs))
+    clamps: List[str] = []
+    p_est = _estimate(plan, fields, slack, clamps)
+    return MeasurementRecord(
+        swept_value=swept_value,
+        **fields,
+        p_estimated=p_est,
+        classical_estimate=math.sqrt(fields[plan.reads[0]]),
+        status="clamped" if clamps else "ok",
+    )
+
+
+def _measure(
+    plan: Protocol, u: np.ndarray, backs: Sequence[np.ndarray], returns: Sequence[float]
+) -> Dict[str, float]:
+    """The record fields of one point's passes: p_direct and q of the
+    forward propagator U, the return of each second-pass variant in its
+    column, and Q_bar and r (from the (0, 0) second pass) where the
+    inversion reads them."""
     fields = {"p_direct": _population(u, plan.dimension - 1), "q": _population(u, 0)}
     fields.update(zip((VARIANT_COLUMNS[v] for v in plan.variants), returns))
     if "q_bar" in plan.reads:
@@ -409,17 +431,13 @@ def _finish(
         )
     if "r" in plan.reads:
         fields["r"] = float(abs(backs[0][0, 0]) ** 2)
+    return fields
 
+
+def _estimate(plan: Protocol, fields: Dict[str, float], slack: float, clamps: List[str]) -> float:
+    """The protocol's inversion of the record fields it reads."""
     args = [fields[name] for name in plan.reads]
-    clamps: List[str] = []
-    p_est = globals()[plan.inverter](*args, slack=slack, clamps=clamps)
-    return MeasurementRecord(
-        swept_value=swept_value,
-        **fields,
-        p_estimated=p_est,
-        classical_estimate=math.sqrt(args[0]),
-        status="clamped" if clamps else "ok",
-    )
+    return globals()[plan.inverter](*args, slack=slack, clamps=clamps)
 
 
 def run_protocol(
@@ -697,10 +715,21 @@ class SuiteDef:
     description: str
 
 
-def _protocol_passes(kind: ProtocolKind, profile: Profile) -> Tuple[np.ndarray, List[float]]:
-    """Forward propagator and double-pass returns of one protocol's passes."""
-    u, _, returns = double_pass(profile, PROTOCOLS[kind].variants)
-    return u, returns
+def _closed_form(
+    kind: ProtocolKind,
+    draw: Callable[[int, np.random.Generator], Profile],
+    closed_form: Callable[[Dict[str, float], np.ndarray], float],
+) -> SuiteFn:
+    """A suite of one closed form, ``closed_form(fields, U)``: ``fields``
+    are what ``_measure`` records for ``kind`` from ``double_pass``'s
+    directly propagated passes of the drawn drive, U its forward pass."""
+    plan = PROTOCOLS[kind]
+
+    def suite(i: int, rng: np.random.Generator) -> float:
+        u, backs, returns = double_pass(draw(i, rng), plan.variants)
+        return closed_form(_measure(plan, u, backs, returns), u)
+
+    return suite
 
 
 def _suite_unitarity(i: int, rng: np.random.Generator) -> float:
@@ -746,35 +775,6 @@ def _suite_even_detuning_symmetry(i: int, rng: np.random.Generator) -> float:
     return abs(cayley_klein(propagate_profile(profile)).b.real)
 
 
-def _suite_average_return(i: int, rng: np.random.Generator) -> float:
-    profile = random_two_state_profile(rng)
-    u, (q_same, q_flip) = _protocol_passes(ProtocolKind.TWO_STATE_GENERAL, profile)
-    p = _population(u, 1)
-    return abs(average_return(q_same, q_flip) - (p * p + (1.0 - p) ** 2))
-
-
-def _suite_mirror_branch(i: int, rng: np.random.Generator) -> float:
-    profile = random_two_state_profile(rng)
-    u, (q_same, q_flip) = _protocol_passes(ProtocolKind.TWO_STATE_GENERAL, profile)
-    p = _population(u, 1)
-    recovered = invert_p_general(average_return(q_same, q_flip), clamps=[])
-    expected = p if p >= 0.5 else 1.0 - p
-    return abs(recovered - expected)
-
-
-def _suite_chirp_return(i: int, rng: np.random.Generator) -> float:
-    profile = random_two_state_profile(rng, symmetry="chirp")
-    u, (q_same, q_flip) = _protocol_passes(ProtocolKind.TWO_STATE_GENERAL, profile)
-    p = _population(u, 1)
-    return max(abs(q_flip - 1.0), abs(q_same - (1.0 - 2.0 * p) ** 2))
-
-
-def _suite_even_detuning_return(i: int, rng: np.random.Generator) -> float:
-    profile = random_two_state_profile(rng, symmetry="even")
-    u, (q_flip,) = _protocol_passes(ProtocolKind.TWO_STATE_CONST_DETUNING, profile)
-    return abs(q_flip - (1.0 - 2.0 * _population(u, 1)) ** 2)
-
-
 def _suite_degradation(i: int, rng: np.random.Generator) -> float:
     # near-complete transfer p = 1 - eps: Q_bar = 1 - 2 eps + 2 eps^2
     # exactly, and the inversion must give p back
@@ -808,48 +808,6 @@ def _suite_resonant_template(i: int, rng: np.random.Generator) -> float:
     )
 
 
-def _suite_resonant_case1(i: int, rng: np.random.Generator) -> float:
-    profile = random_resonant_pair_profile(rng)
-    u, (q_ret,) = _protocol_passes(ProtocolKind.STIRAP_RESONANT_CASE1, profile)
-    return abs(q_ret - case1_return_probability(_population(u, 2), _population(u, 0)))
-
-
-def _suite_resonant_case2(i: int, rng: np.random.Generator) -> float:
-    profile = random_resonant_pair_profile(rng)
-    u, (q_ret,) = _protocol_passes(ProtocolKind.STIRAP_RESONANT_CASE2, profile)
-    return abs(q_ret - case2_return_probability(_population(u, 2)))
-
-
-def _suite_four_phase_product(i: int, rng: np.random.Generator) -> float:
-    profile = random_symmetric_pair_profile(rng)
-    u, q_set = _protocol_passes(ProtocolKind.STIRAP_DETUNED, profile)
-    from_elements = (
-        abs(u[2, 0]) ** 4
-        + abs(u[1, 0]) ** 2 * abs(u[2, 1]) ** 2
-        + abs(u[0, 0]) ** 2 * abs(u[2, 2]) ** 2
-    )
-    return abs(four_phase_average(q_set) - from_elements)
-
-
-_DETUNINGS = (0.0, 1.0, -1.0, 5.0, -5.0, 20.0, -20.0)
-
-
-def _suite_detuned_average(i: int, rng: np.random.Generator) -> float:
-    delta = _DETUNINGS[i % len(_DETUNINGS)]
-    profile = random_symmetric_pair_profile(rng, detuning=delta)
-    u, q_set = _protocol_passes(ProtocolKind.STIRAP_DETUNED, profile)
-    expected = detuned_average_return(_population(u, 2), _population(u, 0))
-    return abs(four_phase_average(q_set) - expected)
-
-
-def _suite_general_average(i: int, rng: np.random.Generator) -> float:
-    profile = random_general_three_state_profile(rng)
-    u, q_set = _protocol_passes(ProtocolKind.THREE_STATE_GENERAL, profile)
-    r = float(abs(u[2, 2]) ** 2)
-    expected = general_average_return(_population(u, 2), _population(u, 0), r)
-    return abs(four_phase_average(q_set) - expected)
-
-
 def _suite_swap_return_phase_free(i: int, rng: np.random.Generator) -> float:
     profile = random_general_three_state_profile(rng)
     # the second passes alone: no forward pass is simulated
@@ -860,25 +818,63 @@ def _suite_swap_return_phase_free(i: int, rng: np.random.Generator) -> float:
     return max(returns) - min(returns)
 
 
+_DETUNINGS = (0.0, 1.0, -1.0, 5.0, -5.0, 20.0, -20.0)
+
 SUITES: Dict[str, SuiteDef] = {
     "unitarity": SuiteDef(1e-10, _suite_unitarity, "propagators are unitary with unit determinant"),
     "composition": SuiteDef(1e-9, _suite_composition, "propagation composes over subwindows"),
     "sign-flips": SuiteDef(1e-8, _suite_sign_flips, "analytic sign-flip propagators match direct propagation"),
     "chirp-symmetry": SuiteDef(1e-8, _suite_chirp_symmetry, "even coupling + odd detuning gives a real diagonal parameter"),
     "even-detuning-symmetry": SuiteDef(1e-8, _suite_even_detuning_symmetry, "even coupling + even detuning gives an imaginary transfer parameter"),
-    "average-return": SuiteDef(1e-8, _suite_average_return, "two-pass average return equals p^2 + (1-p)^2"),
-    "mirror-branch": SuiteDef(1e-7, _suite_mirror_branch, "upper-branch inversion recovers p or its mirror"),
-    "chirp-return": SuiteDef(1e-7, _suite_chirp_return, "chirp-symmetric drives: flipped return is 1, unflipped is (1-2p)^2"),
-    "even-detuning-return": SuiteDef(1e-7, _suite_even_detuning_return, "even-detuning drives: detuning-flipped return is (1-2p)^2"),
+    "average-return": SuiteDef(1e-8, _closed_form(
+        ProtocolKind.TWO_STATE_GENERAL, lambda i, rng: random_two_state_profile(rng),
+        lambda f, u: abs(f["q_bar"] - (f["p_direct"] * f["p_direct"] + (1.0 - f["p_direct"]) ** 2)),
+    ), "two-pass average return equals p^2 + (1-p)^2"),
+    "mirror-branch": SuiteDef(1e-7, _closed_form(
+        ProtocolKind.TWO_STATE_GENERAL, lambda i, rng: random_two_state_profile(rng),
+        lambda f, u: abs(_estimate(PROTOCOLS[ProtocolKind.TWO_STATE_GENERAL], f, su2relations.DEFAULT_SLACK, [])
+                         - max(f["p_direct"], 1.0 - f["p_direct"])),
+    ), "upper-branch inversion recovers p or its mirror"),
+    "chirp-return": SuiteDef(1e-7, _closed_form(
+        ProtocolKind.TWO_STATE_GENERAL, lambda i, rng: random_two_state_profile(rng, symmetry="chirp"),
+        lambda f, u: max(abs(f["qpi0"] - 1.0), abs(f["q00"] - (1.0 - 2.0 * f["p_direct"]) ** 2)),
+    ), "chirp-symmetric drives: flipped return is 1, unflipped is (1-2p)^2"),
+    "even-detuning-return": SuiteDef(1e-7, _closed_form(
+        ProtocolKind.TWO_STATE_CONST_DETUNING, lambda i, rng: random_two_state_profile(rng, symmetry="even"),
+        lambda f, u: abs(f["q0pi"] - (1.0 - 2.0 * f["p_direct"]) ** 2),
+    ), "even-detuning drives: detuning-flipped return is (1-2p)^2"),
     "degradation": SuiteDef(1e-12, _suite_degradation, "near-complete transfer degrades as 1 - 2 eps + O(eps^2) and inverts back to p"),
     "swap-unitarity": SuiteDef(1e-12, _suite_swap_unitarity, "role-swapped propagators stay unitary"),
     "element-pairs": SuiteDef(1e-7, _suite_element_pairs, "symmetric pairs give three equal element pairs"),
     "resonant-template": SuiteDef(1e-7, _suite_resonant_template, "resonant symmetric pairs fit the real-triple template"),
-    "resonant-case1": SuiteDef(1e-7, _suite_resonant_case1, "unchanged-sign resonant return equals (2p+2q-1)^2"),
-    "resonant-case2": SuiteDef(1e-7, _suite_resonant_case2, "pump-flipped resonant return equals (1-2p)^2"),
-    "four-phase-product": SuiteDef(1e-9, _suite_four_phase_product, "four-phase average matches the element products"),
-    "detuned-average": SuiteDef(1e-7, _suite_detuned_average, "symmetric-pair average equals p^2 + q^2 + (1-p-q)^2 across detunings"),
-    "general-average": SuiteDef(1e-6, _suite_general_average, "general average equals p^2 + qr + (1-p-q)(1-p-r)"),
+    "resonant-case1": SuiteDef(1e-7, _closed_form(
+        ProtocolKind.STIRAP_RESONANT_CASE1, lambda i, rng: random_resonant_pair_profile(rng),
+        lambda f, u: abs(f["q00"] - case1_return_probability(f["p_direct"], f["q"])),
+    ), "unchanged-sign resonant return equals (2p+2q-1)^2"),
+    "resonant-case2": SuiteDef(1e-7, _closed_form(
+        ProtocolKind.STIRAP_RESONANT_CASE2, lambda i, rng: random_resonant_pair_profile(rng),
+        lambda f, u: abs(f["qpi0"] - case2_return_probability(f["p_direct"])),
+    ), "pump-flipped resonant return equals (1-2p)^2"),
+    "four-phase-product": SuiteDef(1e-9, _closed_form(
+        ProtocolKind.STIRAP_DETUNED, lambda i, rng: random_symmetric_pair_profile(rng),
+        lambda f, u: abs(f["q_bar"] - (
+            abs(u[2, 0]) ** 4
+            + abs(u[1, 0]) ** 2 * abs(u[2, 1]) ** 2
+            + abs(u[0, 0]) ** 2 * abs(u[2, 2]) ** 2
+        )),
+    ), "four-phase average matches the element products"),
+    "detuned-average": SuiteDef(1e-7, _closed_form(
+        ProtocolKind.STIRAP_DETUNED,
+        lambda i, rng: random_symmetric_pair_profile(rng, detuning=_DETUNINGS[i % len(_DETUNINGS)]),
+        lambda f, u: abs(f["q_bar"] - detuned_average_return(f["p_direct"], f["q"])),
+    ), "symmetric-pair average equals p^2 + q^2 + (1-p-q)^2 across detunings"),
+    # r = |U_33|^2 of the forward pass; the record's r agrees only to rounding
+    "general-average": SuiteDef(1e-6, _closed_form(
+        ProtocolKind.THREE_STATE_GENERAL, lambda i, rng: random_general_three_state_profile(rng),
+        lambda f, u: abs(
+            f["q_bar"] - general_average_return(f["p_direct"], f["q"], float(abs(u[2, 2]) ** 2))
+        ),
+    ), "general average equals p^2 + qr + (1-p-q)(1-p-r)"),
     "swap-return-phase-free": SuiteDef(1e-9, _suite_swap_return_phase_free, "role-swapped return probability ignores the phases"),
 }
 

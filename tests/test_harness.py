@@ -656,6 +656,31 @@ class TestCsv:
         assert MeasurementRecord().residual is None
 
 
+# Every registered suite, written out so that the registry check catches a
+# suite that was added or dropped.
+SUITE_NAMES = (
+    "unitarity",
+    "composition",
+    "sign-flips",
+    "chirp-symmetry",
+    "even-detuning-symmetry",
+    "average-return",
+    "mirror-branch",
+    "chirp-return",
+    "even-detuning-return",
+    "degradation",
+    "swap-unitarity",
+    "element-pairs",
+    "resonant-template",
+    "resonant-case1",
+    "resonant-case2",
+    "four-phase-product",
+    "detuned-average",
+    "general-average",
+    "swap-return-phase-free",
+)
+
+
 class TestVerify:
     def test_report_is_deterministic(self):
         first = verify("average-return", draws=20, seed=7)
@@ -687,53 +712,30 @@ class TestVerify:
         assert not report["passed"]
         assert report["failures"] == 3
 
-    @pytest.mark.parametrize(
-        "suite",
-        [
-            "unitarity",
-            "composition",
-            "sign-flips",
-            "chirp-symmetry",
-            "even-detuning-symmetry",
-            "average-return",
-            "mirror-branch",
-            "chirp-return",
-            "even-detuning-return",
-            "degradation",
-            "swap-unitarity",
-            "element-pairs",
-            "resonant-template",
-            "resonant-case1",
-            "resonant-case2",
-            "four-phase-product",
-            "detuned-average",
-            "general-average",
-            "swap-return-phase-free",
-        ],
-    )
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_every_suite_passes_smoke(self, suite):
         report = verify(suite, draws=8, seed=123)
         assert report["passed"], report
 
     def test_registry_matches_parametrization(self):
-        assert set(SUITES) == {
-            "unitarity",
-            "composition",
-            "sign-flips",
-            "chirp-symmetry",
-            "even-detuning-symmetry",
+        assert set(SUITES) == set(SUITE_NAMES)
+
+    # mirror-branch is left out: with the forward profile as its second
+    # pass, its first draw's inversion meets the radicand -0.81 and raises
+    # InversionRangeError out of verify instead of reporting a failure
+    @pytest.mark.parametrize(
+        "suite",
+        [
             "average-return",
-            "mirror-branch",
             "chirp-return",
             "even-detuning-return",
-            "degradation",
-            "swap-unitarity",
-            "element-pairs",
-            "resonant-template",
             "resonant-case1",
             "resonant-case2",
             "four-phase-product",
             "detuned-average",
             "general-average",
-            "swap-return-phase-free",
-        }
+        ],
+    )
+    def test_closed_form_needs_its_second_passes(self, monkeypatch, suite):
+        monkeypatch.setattr(harness, "_second_pass", lambda profile, variant: profile)
+        assert verify(suite, draws=8, seed=123)["failures"] == 8
