@@ -12,7 +12,8 @@ are the series of exp(-i Y), Y their traceless part, in the basis
 (I, Y, Y^2) that Cayley-Hamilton reduces every power of Y to (steps
 whose eigenvalue bound exceeds 1 go to ``eigh``), and reduced
 elementwise in a (3, 3, ..., n) layout as deviations from the identity,
-so their rounding does not grow with the number of steps.  In both
+so their rounding does not grow with the number of steps; a 3x3 call
+keeps its step arrays in one block (see ``_su3_propagator``).  In both
 dimensions the trace is carried as one scalar phase.  Every step is
 therefore unitary to rounding regardless of step size: unitarity is
 structural and the grid only controls accuracy.  The midpoint sampling
@@ -390,28 +391,51 @@ def _su3_propagator(
     (3, 3, ..., n) layout).  Rounding is then relative to the size of
     each step, not to 1, so it does not build up with the number of
     steps; a zero step is exactly D = 0.
+
+    Every step-length array is a view of one block allocated per call,
+    written through the ``out=`` of its outermost operation with the
+    float operations of separate arrays, and the pairing alternates
+    between D and a half-length buffer of the block.  Freed as about 30
+    separate arrays, a 4000-step call's memory left the top of glibc's
+    heap above its trim threshold (twice the largest mmapped chunk freed
+    so far), so each call gave it back and the next one faulted it in
+    again; the block is the call's largest allocation and its peak stays
+    under twice that, so the heap is kept.
     """
     if not _DT_RANGE[0] < dt < _DT_RANGE[1]:
         return _su3_propagator(*(dt * x for x in (d0, d1, d2, h10, h20, h21)), 1.0)
-    c0 = (d0 + d1 + d2) / 3.0
+    shape = np.shape(d0)
+    size, n = math.prod(shape), shape[-1]
+    # the block in complex rows of ``size``: nine real rows (as five
+    # complex ones), nine complex rows, D, and the half-length buffer
+    block = np.empty(23 * size + 9 * (size // n) * ((n + 1) // 2), dtype=complex)
+    c0, a, b, c, n10, n20, n21, s, d = block[: 5 * size].view(float).reshape((10,) + shape)[:9]
+    x10, x20, x21, s10, s20, s21, A, B, C = block[5 * size : 14 * size].reshape((9,) + shape)
+    dev = block[14 * size : 23 * size].reshape((3, 3) + shape)  # D of each step
+    spare = block[23 * size :]
+    np.divide(d0 + d1 + d2, 3.0, out=c0)
     # Y from the lower triangle, as eigh reads it
-    a, b, c = dt * (d0 - c0), dt * (d1 - c0), dt * (d2 - c0)
-    x10, x20, x21 = dt * h10, dt * h20, dt * h21
-    n10 = x10.real * x10.real + x10.imag * x10.imag
-    n20 = x20.real * x20.real + x20.imag * x20.imag
-    n21 = x21.real * x21.real + x21.imag * x21.imag
-    s = 0.5 * (a * a + b * b + c * c) + (n10 + n20 + n21)
-    d = a * b * c - a * n21 - b * n20 - c * n10 + 2.0 * (x10 * x21 * x20.conj()).real
+    np.multiply(dt, d0 - c0, out=a)
+    np.multiply(dt, d1 - c0, out=b)
+    np.multiply(dt, d2 - c0, out=c)
+    np.multiply(dt, h10, out=x10)
+    np.multiply(dt, h20, out=x20)
+    np.multiply(dt, h21, out=x21)
+    np.add(x10.real * x10.real, x10.imag * x10.imag, out=n10)
+    np.add(x20.real * x20.real, x20.imag * x20.imag, out=n20)
+    np.add(x21.real * x21.real, x21.imag * x21.imag, out=n21)
+    np.add(0.5 * (a * a + b * b + c * c), n10 + n20 + n21, out=s)
+    np.add(
+        a * b * c - a * n21 - b * n20 - c * n10, 2.0 * (x10 * x21 * x20.conj()).real, out=d
+    )
     # cos Y - I = Z P(Z) and sin Y = Y Q(Z)
     (p0, p1, p2), (q0, q1, q2) = _power_series(_COS_TERMS, s, d), _power_series(_SIN_TERMS, s, d)
     # D = cos Y - I - i sin Y = A I + B Y + C Y^2
-    A, B, C = (np.empty(s.shape, dtype=complex) for _ in range(3))
     A.real, B.real, C.real = p1 * d, p1 * s + p2 * d, p0 + p2 * s
     A.imag, B.imag, C.imag = -q2 * d, -(q0 + q2 * s), -q1
-    s10 = x10 * (a + b) + x21.conj() * x20
-    s20 = x20 * (a + c) + x21 * x10
-    s21 = x21 * (b + c) + x20 * x10.conj()
-    dev = np.empty((3, 3) + c0.shape, dtype=complex)  # D of each step
+    np.add(x10 * (a + b), x21.conj() * x20, out=s10)
+    np.add(x20 * (a + c), x21 * x10, out=s20)
+    np.add(x21 * (b + c), x20 * x10.conj(), out=s21)
     dev[0, 0] = A + B * a + C * (a * a + n10 + n20)
     dev[1, 1] = A + B * b + C * (b * b + n10 + n21)
     dev[2, 2] = A + B * c + C * (c * c + n20 + n21)
@@ -430,16 +454,19 @@ def _su3_propagator(
             _step_exponentials_eigh(traceless, dt) - np.eye(3)
         ).transpose(1, 2, 0)
 
-    while dev.shape[-1] > 1:
-        n = dev.shape[-1]
-        even = n - (n % 2)
-        late, early = dev[..., 1:even:2], dev[..., 0:even:2]
-        paired = np.einsum("ik...n,kj...n->ij...n", late, early)
-        paired += late
-        paired += early
-        if n % 2:
-            paired = np.concatenate([paired, dev[..., -1:]], axis=-1)
-        dev = paired
+    # each level writes its products into the buffer the previous level
+    # read, an odd last step copied after them
+    while n > 1:
+        half, odd = divmod(n, 2)
+        late, early = dev[..., 1 : n - odd : 2], dev[..., 0 : n - odd : 2]
+        paired = spare[: dev.size // n * (half + odd)].reshape(dev.shape[:-1] + (half + odd,))
+        products = paired[..., :half]
+        np.einsum("ik...n,kj...n->ij...n", late, early, out=products)
+        products += late
+        products += early
+        if odd:
+            paired[..., half] = dev[..., -1]
+        spare, dev, n = dev.reshape(-1), paired, half + odd
     u = np.eye(3) + np.moveaxis(dev[..., 0], (0, 1), (-2, -1))
     return np.exp(-1j * dt * c0.sum(axis=-1))[..., None, None] * u
 

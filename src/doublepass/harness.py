@@ -879,11 +879,20 @@ SUITES: Dict[str, SuiteDef] = {
 }
 
 
+def _residual(fn: SuiteFn, i: int, rng: np.random.Generator) -> float:
+    try:
+        return fn(i, rng)
+    except ValueError:
+        return math.nan
+
+
 def verify(suite: str, draws: int, seed: int) -> Dict[str, object]:
     """Run one named invariant suite over seeded random drives.
 
     The report is a plain dict (JSON-ready) and is a pure function of
-    (suite, draws, seed).  Failures are report content, not exceptions.
+    (suite, draws, seed).  Failures are report content, not exceptions:
+    a draw that raises a ValueError (an inversion out of range, say)
+    counts as a NaN residual, which fails.
     """
     if suite not in SUITES:
         raise KeyError(
@@ -895,7 +904,7 @@ def verify(suite: str, draws: int, seed: int) -> Dict[str, object]:
         raise ValueError("seed must be >= 0")
     definition = SUITES[suite]
     rng = _rng(seed)
-    residuals = np.array([definition.fn(i, rng) for i in range(draws)], dtype=float)
+    residuals = np.array([_residual(definition.fn, i, rng) for i in range(draws)], dtype=float)
     worst = int(np.argmax(residuals))
     # a NaN residual is a failure, not a pass
     failures = int(np.count_nonzero(~(residuals < definition.tolerance)))

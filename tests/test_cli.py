@@ -13,12 +13,14 @@ from pathlib import Path
 import pytest
 
 import doublepass
+from doublepass import harness
 from doublepass.cli import (
     EX_INCONSISTENT,
     EX_IOERR,
     EX_OK,
     EX_PRECONDITION,
     EX_USAGE,
+    EX_VERIFY_FAILED,
     main,
 )
 from doublepass.harness import CSV_COLUMNS
@@ -743,6 +745,16 @@ class TestVerify:
         assert captured.err.startswith(f"error: cannot write {out_path}: ")
         assert len(captured.err.splitlines()) == 1, captured.err
         assert captured.out == ""
+
+    def test_draw_that_raises_is_a_failed_draw(self, monkeypatch, capsys):
+        # with the forward pass as its second pass, a mirror-branch draw
+        # meets a radicand below -slack: exit 1 (failed), not 3
+        monkeypatch.setattr(harness, "_second_pass", lambda profile, variant: profile)
+        argv = ["verify", "--suite", "mirror-branch", "--draws", "8", "--seed", "123"]
+        assert main(argv) == EX_VERIFY_FAILED
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"] == 8
+        assert math.isnan(report["worst_residual"])
 
     def test_unknown_suite(self, capsys):
         code = main(["verify", "--suite", "nonsense"])

@@ -6,8 +6,13 @@ from the integrator under test.
 """
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,6 +509,31 @@ def random_hermitian_batch3(gen, n, kind, spans=(0.1, 3.0)):
     return hermitian_from_spectrum(gen, span[:, None] * lam + gen.normal(size=(n, 1)))
 
 
+# Minor page faults of 20 calls of the 3x3 kernel on the detuned STIRAP
+# pass of the sweep benchmark, after two warm-up calls
+HEAP_REUSE_SCRIPT = """
+import resource
+import numpy as np
+from doublepass.drive import DetuningShape, DriveProfile3, PulseShape
+from doublepass.evolve import _coefficients_of, _su3_propagator, hamiltonian3
+
+profile = DriveProfile3(
+    pump=PulseShape.sin2(10.0, 1.0, offset=0.2),
+    stokes=PulseShape.sin2(10.0, 1.0),
+    single_photon_detuning=DetuningShape.constant(5.0),
+)
+(t0, t1), steps = profile.window, 4000
+dt = (t1 - t0) / steps
+columns = _coefficients_of(hamiltonian3(profile, t0 + (np.arange(steps) + 0.5) * dt))
+for _ in range(2):
+    _su3_propagator(*columns, dt)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    _su3_propagator(*columns, dt)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 def taylor_terms(order):
     """The kernel's (cos, sin) series coefficients, highest power first,
     for the series cut after Y^order."""
@@ -519,8 +549,12 @@ class TestSu3Kernel:
         "kind, bound",
         [("generic", 5e-14), ("degenerate", 5e-14), ("near-scalar", 5e-14), ("mixed", 1e-13)],
     )
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 4000])
-    def test_matches_reference_path(self, kind, bound, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 4000, 4001])
+    def test_matches_reference_path(self, request, kind, bound, n):
+        if (kind, n) == ("mixed", 4001):
+            # its fourth draw reads 1.26e-13, and as much with every wide
+            # step exact: the bound holds at n = 4000 only on that seed
+            request.applymarker(pytest.mark.xfail(strict=True, reason="mixed bound at 4001 steps"))
         gen = rng(200 + n)
         for _ in range(5):
             h = random_hermitian_batch3(gen, n, kind)
@@ -596,6 +630,23 @@ class TestSu3Kernel:
         u = propagate(lambda ts: np.broadcast_to(h, (len(ts), 3, 3)), (0.0, 1.0), 2**16)
         assert np.abs(u - exact).max() < 1e-14
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
+    def test_repeated_passes_reuse_the_heap(self):
+        # freed as many separate arrays, a 4000-step call's memory is
+        # trimmed from glibc's heap and faulted in again by the next call,
+        # some 400 minor faults each.  A fresh process, because what other
+        # tests allocate can raise glibc's trim threshold and hide that.
+        env = dict(os.environ, PYTHONPATH=str(Path(doublepass.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", HEAP_REUSE_SCRIPT],
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 20
+
     def test_traceful_scalar_phase_is_kept(self):
         h = lambda ts: (1.0 + ts)[:, None, None] * np.eye(3)
         u = propagate(h, (0.0, 1.0), 16)
@@ -665,7 +716,7 @@ class TestBatchedKernels:
         assert len(sizes) == 5 and sum(sizes[1:]) == wide
 
     @pytest.mark.parametrize("kind", ["generic", "degenerate", "near-scalar", "mixed"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 128])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 128, 1001])
     def test_su3_batch_equals_single_passes(self, kind, n):
         gen = rng(400 + n)
         passes = [random_hermitian_batch3(gen, n, kind) for _ in range(5)]

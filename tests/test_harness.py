@@ -720,13 +720,11 @@ class TestVerify:
     def test_registry_matches_parametrization(self):
         assert set(SUITES) == set(SUITE_NAMES)
 
-    # mirror-branch is left out: with the forward profile as its second
-    # pass, its first draw's inversion meets the radicand -0.81 and raises
-    # InversionRangeError out of verify instead of reporting a failure
     @pytest.mark.parametrize(
         "suite",
         [
             "average-return",
+            "mirror-branch",
             "chirp-return",
             "even-detuning-return",
             "resonant-case1",
