@@ -3,9 +3,11 @@
 Propagators are plain complex numpy arrays.  The integrator treats the
 Hamiltonian as constant across each grid step, sampled at the step
 midpoint, and applies the exact step exponential.  Both kernels sum
-one Taylor series of cos and sin to a fixed order.  2x2 passes are
-carried as Cayley-Klein pairs (a, b): each step's pair is the series
-in the square of its phase (steps whose phase exceeds 1 take
+one Taylor series of cos and sin, each step to the order of its series
+tier (``_SERIES_TIERS``): x^8 up to a phase of 1/32, x^18 up to 1,
+read from the step's own phase.  2x2 passes are carried as
+Cayley-Klein pairs (a, b): each step's pair is the series in the
+square of its phase (steps whose phase exceeds 1 take
 ``np.cos``/``np.sin``), the pairs are reduced with the SU(2) product
 rule, and the (2, 2) matrix is assembled once at the end.  3x3 steps
 are the series of exp(-i Y), Y their traceless part, in the basis
@@ -13,7 +15,7 @@ are the series of exp(-i Y), Y their traceless part, in the basis
 whose eigenvalue bound exceeds 1 go to ``eigh``), and reduced
 elementwise in a (3, 3, ..., n) layout as deviations from the identity,
 so their rounding does not grow with the number of steps; a 3x3 call
-keeps its step arrays in one block (see ``_su3_propagator``).  In both
+keeps its step arrays in one block (see ``_su3_tails``).  In both
 dimensions the trace is carried as one scalar phase.  Every step is
 therefore unitary to rounding regardless of step size: unitarity is
 structural and the grid only controls accuracy.  The midpoint sampling
@@ -34,12 +36,16 @@ built.  Both samplers give the kernels the same values, so the two
 routes to a profile's propagator agree to the last bit.
 
 Both kernels reduce along the last axis and take any leading batch
-axes.  ``propagate_passes`` samples each of many passes on its own and
-propagates those that share a dimension, a window and a step count in
-one kernel call, up to ``BATCH_ROWS`` step rows per call.  On short
-grids that removes most of the per-call numpy overhead; a long pass
-runs alone, as 1-d arrays, and a batched pass equals the same pass
-propagated alone to the last bit.  Within such a group each envelope
+axes, in two stages: the first forms the steps and pairs each pass
+down to at most ``_TAIL`` steps, the second pairs those tails down to
+one.  ``propagate_passes`` samples each of many passes on its own and
+runs the first stage for those that share a dimension, a window and a
+step count in one call, up to ``BATCH_ROWS`` step rows per call, and
+then the second stage for their tails together.  On short grids that
+removes most of the per-call numpy overhead; a long pass goes through
+the first stage alone, as 1-d arrays, and only its last pairing
+levels are shared.  A batched pass equals the same pass propagated
+alone to the last bit.  Within such a group each envelope
 is sampled once per shape (``_Envelopes``): passes whose pulses differ
 only in peak, such as the points of a pulse-area sweep, share one unit
 envelope, and nothing is kept between calls.  ``harness.double_pass``,
@@ -75,23 +81,26 @@ DEFAULT_GRID_POINTS = 4000
 # Largest step phase dt * max|H| accepted: beyond it float64 resolves
 # the phase of a step to worse than about 1e-4 rad.
 MAX_STEP_PHASE = 1e12
-# Both kernels sum the Taylor series of a step's cos and sin to the power
-# _SERIES_ORDER where the step's largest phase is at most _SERIES_RADIUS
-# (truncation error 1 / 19! ~ 8e-18): the eigenvalues of Y, bounded by
-# sqrt(4 s / 3), for 3x3 steps and x = dt m for 2x2 steps.  Wider steps
-# go to eigh (3x3) or np.cos/np.sin (2x2).  The series of the widest step
-# that the step-phase guard admits stays below 1e210 until those
-# overwrite it.
-_SERIES_ORDER = 18
-_SERIES_RADIUS = 1.0
+# Series tiers, (radius, order) rows by rising radius.  Both kernels sum
+# the Taylor series of a step's cos and sin to the power ``order`` of the
+# first row whose radius bounds the step's largest phase: the eigenvalues
+# of Y, bounded by sqrt(4 s / 3), for 3x3 steps and x = dt m for 2x2
+# steps.  Each order leaves out at most 1 / 19! ~ 8e-18 of the step at
+# its radius (order 8 at 1/32: x^8 / 9! ~ 2.4e-18 in sin x / x).  Steps
+# beyond the last radius go to eigh (3x3) or np.cos/np.sin (2x2).  A
+# step's tier is read from that step alone, never from its batch.  The
+# series of the widest step that the step-phase guard admits stays below
+# 1e210 until those overwrite it.
+_SERIES_TIERS = ((1.0 / 32, 8), (1.0, 18))
 # Coefficients, highest power first, of P and Q in cos Y - I = Z P(Z) and
 # sin Y = Y Q(Z), Z = Y^2 (for 2x2 steps, cos x - 1 = z P(z) and
-# sin x = x Q(z), z = x^2)
+# sin x = x Q(z), z = x^2), to the highest order; a tier of order k sums
+# the last k / 2 of each
 _COS_TERMS = tuple(
-    (-1.0) ** (k // 2) / math.factorial(k) for k in range(_SERIES_ORDER, 0, -1) if k % 2 == 0
+    (-1.0) ** (k // 2) / math.factorial(k) for k in range(_SERIES_TIERS[-1][1], 0, -1) if k % 2 == 0
 )
 _SIN_TERMS = tuple(
-    (-1.0) ** (k // 2) / math.factorial(k) for k in range(_SERIES_ORDER, 0, -1) if k % 2 == 1
+    (-1.0) ** (k // 2) / math.factorial(k) for k in range(_SERIES_TIERS[-1][1], 0, -1) if k % 2 == 1
 )
 # A step depends on dt * H alone.  The kernels square entries of H, which
 # under- or overflow beyond about 1e+-154 while the step-phase guard
@@ -101,13 +110,20 @@ _DT_RANGE = (1e-140, 1e140)
 # kernel call.  Per 128-step pass, batching 32 passes cuts a 2x2 pass
 # from ~83 to ~9 us and a 3x3 pass from ~340 to ~90 us, and larger
 # batches gain little (2-CPU x86-64 host, numpy 2.4).  A 4000-step pass
-# exceeds half the budget and so always runs alone: batched 4000-step
-# passes are slower than looped ones, because their working set spills
-# the cache.  The budget also keeps every complex temporary of a batched
-# call (64 KiB) below numpy's 256 KiB threshold for reusing temporaries
-# in place, whose loops round differently; that is what keeps a batched
-# pass bit-identical to the same pass propagated alone.
+# exceeds half the budget, so its steps are paired on their own, as 1-d
+# arrays: batched 4000-step passes are slower than looped ones, because
+# their working set spills the cache.  Its last pairing levels, those at
+# most _TAIL steps long, then run together with those of up to the
+# budget's worth of other passes.  The budget also keeps every complex
+# temporary of a batched call (64 KiB) below numpy's 256 KiB threshold
+# for reusing temporaries in place, whose loops round differently; that
+# is what keeps a batched pass bit-identical to the same pass propagated
+# alone.
 BATCH_ROWS = 2**12
+# Steps per pass, at most, that the kernels' first stage pairs a pass
+# down to.  Below it each pairing level is a few dozen steps, so numpy's
+# per-call overhead outweighs the arithmetic unless many passes share it.
+_TAIL = 64
 
 HamiltonianFn = Callable[[np.ndarray], np.ndarray]
 Profile = Union[DriveProfile2, DriveProfile3]
@@ -273,9 +289,55 @@ def _step_exponentials_eigh(h: np.ndarray, dt: float) -> np.ndarray:
 
 def _cos_sinc(z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """cos x and sin(x) / x of x = sqrt(z) > 0 by ``np.cos``/``np.sin``,
-    for the 2x2 steps beyond the series radius."""
+    for the 2x2 steps beyond the last series radius."""
     x = np.sqrt(z)
     return np.cos(x), np.sin(x) / x
+
+
+def _terms(order: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """The cos and sin coefficients of the series cut after the power
+    ``order``, highest first."""
+    return _COS_TERMS[-(order // 2) :], _SIN_TERMS[-(order // 2) :]
+
+
+def _tiers(bound: np.ndarray, scale: float):
+    """Sort steps into the two ``_SERIES_TIERS``: a step is on the first
+    tier whose radius r has ``bound <= scale * r^2``, and wide beyond the
+    last (NaN included).  Returns the order to sum over every step, the
+    order and flat indices of the steps on the other tier, and the flat
+    indices of the wide steps.  The order summed over every step is that
+    of the tier with more steps; each step gets its own tier's value
+    either way.  When every step is on the first tier, one comparison
+    over all steps is all it takes.  Otherwise the last radius is
+    compared over all steps too: that costs less than gathering the
+    steps beyond the first radius when they are many."""
+    (short_radius, short), (radius, long) = _SERIES_TIERS
+    flat = np.ravel(bound)
+    inside = flat <= scale * short_radius**2
+    shorts = np.count_nonzero(inside)
+    if shorts == flat.size:
+        none = np.empty(0, dtype=np.intp)
+        return short, long, none, none
+    beyond = ~(flat <= scale * radius**2)
+    wide = np.flatnonzero(beyond)
+    if 2 * shorts >= flat.size - wide.size:
+        return short, long, np.flatnonzero(~(inside | beyond)), wide
+    return long, short, np.flatnonzero(inside), wide
+
+
+def _put(targets: Sequence[np.ndarray], steps: np.ndarray, values: Sequence[np.ndarray]) -> None:
+    """Overwrite the flat indices ``steps`` of each target, a contiguous
+    array, with its values (through a flat view: ``np.put`` takes twice
+    as long)."""
+    for target, value in zip(targets, values):
+        target.reshape(-1)[steps] = value
+
+
+def _ck_series(order: int, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """cos x and sin(x) / x of x = sqrt(z), summed by Horner in z to the
+    power ``order`` of x."""
+    cos_terms, sin_terms = _terms(order)
+    return 1.0 + z * _horner(cos_terms, z), _horner(sin_terms, z)
 
 
 def _ck_propagator(
@@ -292,27 +354,43 @@ def _ck_propagator(
     a = cos x - i dt sinc cz, b = -i dt sinc (cx + i cy), where
     x = dt m, m = |(cx, cy, cz)| and sinc = sin(x) / x.  cos x - 1 and
     sinc are the Taylor series that ``_su3_propagator`` sums, here by
-    Horner in z = x^2, so a step with x <= ``_SERIES_RADIUS`` needs no
-    square root, division or trigonometric call; wider steps take
-    ``np.cos``/``np.sin``, all of a batch's in one call.  The order and
-    the radius are constants, so a batched pass equals the same pass
-    propagated alone.  The scalar phases commute and are summed into
-    one; the (a, b) pairs are reduced by log-depth pairing of
-    neighbouring steps.
+    Horner in z = x^2, each step to the order of its tier in
+    ``_SERIES_TIERS`` (x^8 up to x = 1/32, x^18 up to 1), so a step with
+    x <= 1 needs no square root, division or trigonometric call; wider
+    steps take ``np.cos``/``np.sin``, all of a batch's in one call.  A
+    step's tier is read from its own x, so a batched pass equals the
+    same pass propagated alone.  The scalar phases commute and are
+    summed into one; the (a, b) pairs are reduced by log-depth pairing
+    of neighbouring steps.
+
+    The kernel runs in two stages: ``_ck_tails`` forms the steps and
+    pairs each pass down to at most ``_TAIL`` pairs, and ``_ck_finish``
+    pairs those down to one and assembles the matrix.
+    ``propagate_passes`` finishes many passes' tails in one call; the
+    pairing does the same float operations in the same order either
+    way.
     """
+    return _ck_finish(*_ck_tails(d0, d1, h10, dt))
+
+
+def _ck_tails(d0: np.ndarray, d1: np.ndarray, h10: np.ndarray, dt: float) -> tuple:
+    """The first stage of ``_ck_propagator``: the trace phase of each
+    pass, and its (a, b) pairs paired down to at most ``_TAIL`` along the
+    last axis."""
     if not _DT_RANGE[0] < dt < _DT_RANGE[1]:
-        return _ck_propagator(dt * d0, dt * d1, dt * h10, 1.0)
+        return _ck_tails(dt * d0, dt * d1, dt * h10, 1.0)
     c0 = 0.5 * (d0 + d1)
     cz = 0.5 * (d0 - d1)
     z = (dt * dt) * (cz * cz + h10.real * h10.real + h10.imag * h10.imag)
-    cos_x = 1.0 + z * _horner(_COS_TERMS, z)
-    sinc = _horner(_SIN_TERMS, z)
-    # wide steps, indexed over the flattened batch and steps
-    wide = np.flatnonzero(~(z <= _SERIES_RADIUS**2))
+    # the series of the larger tier over all steps; the other tier's steps
+    # and the wide ones, indexed over the flattened batch and steps,
+    # overwrite it
+    order, other, steps, wide = _tiers(z, 1.0)
+    cos_x, sinc = _ck_series(order, z)
+    if steps.size:
+        _put((cos_x, sinc), steps, _ck_series(other, np.ravel(z)[steps]))
     if wide.size:
-        wide_cos, wide_sinc = _cos_sinc(np.ravel(z)[wide])
-        np.put(cos_x, wide, wide_cos)
-        np.put(sinc, wide, wide_sinc)
+        _put((cos_x, sinc), wide, _cos_sinc(np.ravel(z)[wide]))
     snc = dt * sinc
     a = np.empty(z.shape, dtype=complex)
     a.real = cos_x
@@ -320,7 +398,27 @@ def _ck_propagator(
     b = np.empty(z.shape, dtype=complex)
     b.real = snc * h10.imag
     b.imag = -snc * h10.real
-    while a.shape[-1] > 1:
+    return (np.exp(-1j * dt * c0.sum(axis=-1)),) + _ck_pairs(a, b, _TAIL)
+
+
+def _ck_finish(phase, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The second stage of ``_ck_propagator``: the propagators of passes
+    given by their trace phases and their (a, b) pairs."""
+    a, b = _ck_pairs(a, b, 1)
+    a, b = a[..., 0], b[..., 0]
+    u = np.empty(a.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = a
+    u[..., 0, 1] = -b.conj()
+    u[..., 1, 0] = b
+    u[..., 1, 1] = a.conj()
+    return phase[..., None, None] * u
+
+
+def _ck_pairs(a: np.ndarray, b: np.ndarray, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(a, b) pairs multiplied by log-depth pairing of neighbours along
+    the last axis, the later one on the left, until at most ``stop``
+    remain; an odd last pair moves up a level unchanged."""
+    while a.shape[-1] > stop:
         n = a.shape[-1]
         even = n - (n % 2)
         a_e, b_e = a[..., 0:even:2], b[..., 0:even:2]
@@ -331,13 +429,7 @@ def _ck_propagator(
             a_next = np.concatenate([a_next, a[..., -1:]], axis=-1)
             b_next = np.concatenate([b_next, b[..., -1:]], axis=-1)
         a, b = a_next, b_next
-    a, b = a[..., 0], b[..., 0]
-    u = np.empty(a.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = a
-    u[..., 0, 1] = -b.conj()
-    u[..., 1, 0] = b
-    u[..., 1, 1] = a.conj()
-    return np.exp(-1j * dt * c0.sum(axis=-1))[..., None, None] * u
+    return a, b
 
 
 def _horner(coefficients: Tuple[float, ...], z: np.ndarray) -> np.ndarray:
@@ -360,6 +452,13 @@ def _power_series(coefficients: Tuple[float, ...], s: np.ndarray, d: np.ndarray)
     return a, b, g
 
 
+def _su3_series(order: int, s: np.ndarray, d: np.ndarray) -> tuple:
+    """The (I, Y, Y^2) coordinates of P and Q in cos Y - I = Z P(Z) and
+    sin Y = Y Q(Z), cut after the power ``order`` of Y."""
+    cos_terms, sin_terms = _terms(order)
+    return _power_series(cos_terms, s, d) + _power_series(sin_terms, s, d)
+
+
 def _su3_propagator(
     d0: np.ndarray,
     d1: np.ndarray,
@@ -378,19 +477,40 @@ def _su3_propagator(
     Each step is exp(-i dt c0) exp(-i Y) with c0 = tr(H) / 3 and the
     traceless Y = dt (H - c0 I).  By Cayley-Hamilton Y^3 = s Y + d I with
     s = tr(Y^2) / 2 and d = det(Y), so the Taylor series of cos Y - I and
-    sin Y, cut after the power ``_SERIES_ORDER``, sum to A I + B Y + C Y^2
-    with real arithmetic alone.  Nothing divides by an eigenvalue gap, so
-    degenerate and near-scalar steps need no special case.  Steps whose
-    eigenvalue bound sqrt(4 s / 3) exceeds ``_SERIES_RADIUS`` are
-    exponentiated via ``eigh``, all of a batch's in one call.  The order
-    and the radius are constants, never chosen from the data, so that a
-    batched pass equals the same pass propagated alone.
+    sin Y, cut after the power of the step's tier in ``_SERIES_TIERS``,
+    sum to A I + B Y + C Y^2 with real arithmetic alone.  Nothing divides
+    by an eigenvalue gap, so degenerate and near-scalar steps need no
+    special case.  The tier is read from the step's own eigenvalue bound
+    sqrt(4 s / 3), never from the data of its batch, so that a batched
+    pass equals the same pass propagated alone; steps beyond the last
+    radius are exponentiated via ``eigh``, all of a batch's in one call.
 
     Each step is carried as D = exp(-i Y) - I, and pairs multiply as
     D_L + D_E + D_L D_E (log-depth pairing of neighbouring steps, in a
     (3, 3, ..., n) layout).  Rounding is then relative to the size of
     each step, not to 1, so it does not build up with the number of
     steps; a zero step is exactly D = 0.
+
+    As for ``_ck_propagator``, the kernel runs in two stages:
+    ``_su3_tails`` pairs each pass down to at most ``_TAIL`` deviations
+    and copies them out of its block, and ``_su3_finish`` pairs those
+    down to one and adds the identity.
+    """
+    return _su3_finish(*_su3_tails(d0, d1, d2, h10, h20, h21, dt))
+
+
+def _su3_tails(
+    d0: np.ndarray,
+    d1: np.ndarray,
+    d2: np.ndarray,
+    h10: np.ndarray,
+    h20: np.ndarray,
+    h21: np.ndarray,
+    dt: float,
+) -> tuple:
+    """The first stage of ``_su3_propagator``: the trace phase of each
+    pass, and its deviations D paired down to at most ``_TAIL`` along the
+    last axis, in a (3, 3, ..., m) array of their own.
 
     Every step-length array is a view of one block allocated per call,
     written through the ``out=`` of its outermost operation with the
@@ -400,10 +520,11 @@ def _su3_propagator(
     heap above its trim threshold (twice the largest mmapped chunk freed
     so far), so each call gave it back and the next one faulted it in
     again; the block is the call's largest allocation and its peak stays
-    under twice that, so the heap is kept.
+    under twice that, so the heap is kept.  The tail is copied out, so
+    the block is freed when the call returns.
     """
     if not _DT_RANGE[0] < dt < _DT_RANGE[1]:
-        return _su3_propagator(*(dt * x for x in (d0, d1, d2, h10, h20, h21)), 1.0)
+        return _su3_tails(*(dt * x for x in (d0, d1, d2, h10, h20, h21)), 1.0)
     shape = np.shape(d0)
     size, n = math.prod(shape), shape[-1]
     # the block in complex rows of ``size``: nine real rows (as five
@@ -412,7 +533,6 @@ def _su3_propagator(
     c0, a, b, c, n10, n20, n21, s, d = block[: 5 * size].view(float).reshape((10,) + shape)[:9]
     x10, x20, x21, s10, s20, s21, A, B, C = block[5 * size : 14 * size].reshape((9,) + shape)
     dev = block[14 * size : 23 * size].reshape((3, 3) + shape)  # D of each step
-    spare = block[23 * size :]
     np.divide(d0 + d1 + d2, 3.0, out=c0)
     # Y from the lower triangle, as eigh reads it
     np.multiply(dt, d0 - c0, out=a)
@@ -428,8 +548,14 @@ def _su3_propagator(
     np.add(
         a * b * c - a * n21 - b * n20 - c * n10, 2.0 * (x10 * x21 * x20.conj()).real, out=d
     )
-    # cos Y - I = Z P(Z) and sin Y = Y Q(Z)
-    (p0, p1, p2), (q0, q1, q2) = _power_series(_COS_TERMS, s, d), _power_series(_SIN_TERMS, s, d)
+    # cos Y - I = Z P(Z) and sin Y = Y Q(Z): the series of the larger tier
+    # over all steps, overwritten on the other tier's steps, indexed over
+    # the flattened batch and steps
+    order, other, steps, wide = _tiers(4.0 * s, 3.0)
+    coordinates = _su3_series(order, s, d)
+    if steps.size:
+        _put(coordinates, steps, _su3_series(other, np.ravel(s)[steps], np.ravel(d)[steps]))
+    p0, p1, p2, q0, q1, q2 = coordinates
     # D = cos Y - I - i sin Y = A I + B Y + C Y^2
     A.real, B.real, C.real = p1 * d, p1 * s + p2 * d, p0 + p2 * s
     A.imag, B.imag, C.imag = -q2 * d, -(q0 + q2 * s), -q1
@@ -445,18 +571,34 @@ def _su3_propagator(
     dev[0, 2] = B * x20.conj() + C * s20.conj()
     dev[2, 1] = B * x21 + C * s21
     dev[1, 2] = B * x21.conj() + C * s21.conj()
-    # wide steps, indexed over the flattened batch and steps
-    wide = np.flatnonzero(~(4.0 * s <= 3.0 * _SERIES_RADIUS**2))
     if wide.size:
         *coefficients, shift = (np.ravel(x)[wide] for x in (d0, d1, d2, h10, h20, h21, c0))
         traceless = _hermitian_from(3, tuple(coefficients)) - shift[:, None, None] * np.eye(3)
         dev.reshape(3, 3, -1)[:, :, wide] = (
             _step_exponentials_eigh(traceless, dt) - np.eye(3)
         ).transpose(1, 2, 0)
+    tail = _su3_pairs(dev, block[23 * size :], _TAIL).copy()
+    return np.exp(-1j * dt * c0.sum(axis=-1)), tail
 
-    # each level writes its products into the buffer the previous level
-    # read, an odd last step copied after them
-    while n > 1:
+
+def _su3_finish(phase, dev: np.ndarray) -> np.ndarray:
+    """The second stage of ``_su3_propagator``: the propagators of passes
+    given by their trace phases and the deviations D of their steps, in
+    a (3, 3, ..., m) array that the pairing overwrites."""
+    n = dev.shape[-1]
+    dev = _su3_pairs(dev, np.empty(dev.size // n * ((n + 1) // 2), dtype=complex), 1)
+    u = np.eye(3) + np.moveaxis(dev[..., 0], (0, 1), (-2, -1))
+    return phase[..., None, None] * u
+
+
+def _su3_pairs(dev: np.ndarray, spare: np.ndarray, stop: int) -> np.ndarray:
+    """Deviations D multiplied by log-depth pairing of neighbours along
+    the last axis until at most ``stop`` remain.  Each level writes its
+    products into ``spare``, a flat buffer of at least half of ``dev``
+    rounded up, or into the buffer the previous level read, an odd last
+    step copied after them."""
+    n = dev.shape[-1]
+    while n > stop:
         half, odd = divmod(n, 2)
         late, early = dev[..., 1 : n - odd : 2], dev[..., 0 : n - odd : 2]
         paired = spare[: dev.size // n * (half + odd)].reshape(dev.shape[:-1] + (half + odd,))
@@ -467,8 +609,7 @@ def _su3_propagator(
         if odd:
             paired[..., half] = dev[..., -1]
         spare, dev, n = dev.reshape(-1), paired, half + odd
-    u = np.eye(3) + np.moveaxis(dev[..., 0], (0, 1), (-2, -1))
-    return np.exp(-1j * dt * c0.sum(axis=-1))[..., None, None] * u
+    return dev
 
 
 def _check_step_phase(dt: float, h_max) -> None:
@@ -642,12 +783,17 @@ def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, Valu
     group.  Every pass gets its own samples and its own step-phase
     guard, but within a group an envelope is sampled once per shape:
     ``_Envelopes`` rebuilds a pulse that differs from the previous pass's
-    only in peak, and the same detuning, bit for bit.  A group goes to
-    the kernel together, in batches of at most ``BATCH_ROWS`` step rows;
-    a pass alone in its batch reaches the kernel as 1-d arrays, exactly
-    as in ``propagate_profile``, whose propagator every pass equals to
-    the last bit.  A pass's slot holds its propagator, or the ValueError
-    (such as a StepPhaseError) that sampling it raised.
+    only in peak, and the same detuning, bit for bit.  A group goes
+    through the kernel's first stage in batches of at most
+    ``BATCH_ROWS`` step rows, a pass alone in its batch as 1-d arrays,
+    exactly as in ``propagate_profile``; each batch's samples are
+    released before the next batch is sampled.  The tails that stage
+    leaves, at most ``_TAIL`` steps per pass, are kept and finished
+    together, at most ``BATCH_ROWS`` tail rows per call, so that a long
+    pass does not pay for its last pairing levels alone.  Every pass
+    equals its ``propagate_profile`` propagator to the last bit.  A
+    pass's slot holds its propagator, or the ValueError (such as a
+    StepPhaseError) that sampling it raised.
     """
     groups: Dict[tuple, List[int]] = {}
     for i, profile in enumerate(profiles):
@@ -657,21 +803,37 @@ def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, Valu
     results: List[Union[np.ndarray, ValueError]] = [None] * len(profiles)
     # samples may overflow, as in propagate_profile
     with np.errstate(over="ignore"):
-        for (_, window, steps), members in groups.items():
+        for (kind, window, steps), members in groups.items():
             ts, dt = _grid(window, check_grid_points(steps))
             samples = _Envelopes(ts)
+            tails_of, finish = (
+                (_ck_tails, _ck_finish) if kind is DriveProfile2 else (_su3_tails, _su3_finish)
+            )
             size = max(1, BATCH_ROWS // len(ts))
+            kept: List[tuple] = []  # (slots, tails) of the passes not yet finished
             for start in range(0, len(members), size):
                 slots, sampled = [], []
                 for i in members[start : start + size]:
                     try:
-                        sampled.append(_sample_profile(profiles[i], samples, dt))
+                        sampled.append(_sample_profile(profiles[i], samples, dt)[1])
                     except ValueError as error:
                         results[i] = error
                         continue
                     slots.append(i)
-                for i, u in zip(slots, _propagate_batch(sampled, dt)):
-                    results[i] = u
+                if not slots:
+                    continue
+                tails = _first_stage(tails_of, sampled, dt)
+                # only the tails wait for the second stage: samples kept
+                # until then made glibc give the heap of 4000-step 3x3
+                # passes back and fault it in again on every call
+                del sampled
+                waiting = sum(len(batch) for batch, _ in kept) + len(slots)
+                if kept and waiting * tails[-1].shape[-1] > BATCH_ROWS:
+                    _second_stage(finish, kept, results)
+                    kept = []
+                kept.append((slots, tails))
+            if kept:
+                _second_stage(finish, kept, results)
     return results
 
 
@@ -681,14 +843,23 @@ def check_step_phase(profile: Profile, h_max: float) -> None:
     _check_step_phase(_step(profile.window, profile.grid_points), h_max)
 
 
-def _propagate_batch(sampled: list, dt: float) -> List[np.ndarray]:
-    """Propagators of sampled (kernel, arrays) passes that share a kernel
-    and a grid, in one kernel call; a single pass keeps its 1-d arrays."""
-    if len(sampled) <= 1:
-        return [kernel(*arrays, dt) for kernel, arrays in sampled]
-    kernel = sampled[0][0]
-    columns = zip(*(arrays for _, arrays in sampled))
-    return list(kernel(*(np.stack(column) for column in columns), dt))
+def _first_stage(tails_of: Callable[..., tuple], sampled: list, dt: float) -> tuple:
+    """A kernel's first stage over sampled passes that share a grid, in
+    one call: their trace phases and tails, with a pass axis just before
+    the step axis.  A single pass reaches the stage as 1-d arrays."""
+    if len(sampled) == 1:
+        phase, *tails = tails_of(*sampled[0], dt)
+        return (np.reshape(phase, 1),) + tuple(tail[..., None, :] for tail in tails)
+    return tails_of(*(np.stack(column) for column in zip(*sampled)), dt)
+
+
+def _second_stage(finish: Callable[..., np.ndarray], kept: list, results: list) -> None:
+    """Finish the kept (slots, tails) of passes on one grid in one call,
+    and put each propagator in its pass's slot."""
+    phases, *tails = zip(*(batch_tails for _, batch_tails in kept))
+    propagators = finish(np.concatenate(phases), *(np.concatenate(t, axis=-2) for t in tails))
+    for i, u in zip((i for slots, _ in kept for i in slots), propagators):
+        results[i] = u
 
 
 def cayley_klein(u: np.ndarray) -> CayleyKlein:

@@ -25,8 +25,10 @@ each pass on its own with ``propagate_profile`` instead.
 Sweeps repeat a protocol over a parameter grid.  They prepare every
 point, propagate the forward passes of all points in one
 ``propagate_passes`` call, whose step-row budget decides which passes
-share a kernel call, and finish each point on its own: per-point
-failures are recorded in the row status instead of aborting the sweep.
+share a kernel call (a 4000-step pass is paired down on its own, and
+the last pairing levels of many such passes run in one call), and
+finish each point on its own: per-point failures are recorded in the
+row status instead of aborting the sweep.
 ``verify`` replays the package's numeric invariants over seeded random
 drives and produces a deterministic report.  Its nine closed-form
 suites read the record fields that ``run_protocol`` writes, taken by

@@ -212,7 +212,8 @@ def test_the_reference_never_reaches_the_batches(monkeypatch, grid):
         raise AssertionError("the reference reached the batched entry")
 
     monkeypatch.setattr(harness, "propagate_passes", batched)
-    monkeypatch.setattr(evolve, "_propagate_batch", batched)
+    monkeypatch.setattr(evolve, "_first_stage", batched)
+    monkeypatch.setattr(evolve, "_second_stage", batched)
     for kind, profile in drives.items():
         u, backs, returns = harness.double_pass(profile, harness.PROTOCOLS[kind].variants)
         assert len(backs) == len(expected[kind]) - 1

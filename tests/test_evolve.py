@@ -35,6 +35,7 @@ from doublepass.evolve import (
     ConvergenceError,
     StepPhaseError,
     TemplateMismatchError,
+    _TAIL,
     _ck_propagator,
     _coefficients_of,
     _su3_propagator,
@@ -380,6 +381,43 @@ def hermitian_with_phases(gen, phases, dt):
     return h
 
 
+SHORT_RADIUS, SHORT_ORDER = doublepass.evolve._SERIES_TIERS[0]
+
+
+def without_short_top(terms):
+    """Series coefficients with the highest term the short tier sums set
+    to 0, the other tier's terms left as they are."""
+    top = len(terms) - SHORT_ORDER // 2
+    return terms[:top] + (0.0,) + terms[top + 1 :]
+
+
+def tiered_phases(gen, n, shares):
+    """n step phases, shuffled: the ``shares`` (short, long, wide) of them
+    on the short series tier (1e-4 .. 0.999 of its radius), on the long
+    one (1.001 of the short radius .. 0.999) and beyond it (1.001 .. 3),
+    log-uniform within each, the last share taking the remainder."""
+    counts = [int(share * n) for share in shares[:2]]
+    counts.append(n - sum(counts))
+    ranges = [(1e-4 * SHORT_RADIUS, 0.999 * SHORT_RADIUS), (1.001 * SHORT_RADIUS, 0.999), (1.001, 3.0)]
+    phases = np.concatenate(
+        [np.exp(gen.uniform(*np.log(r), size=k)) for r, k in zip(ranges, counts)]
+    )
+    return gen.permutation(phases)
+
+
+def series_spy(monkeypatch, name):
+    """Record (order, number of steps) of every series a kernel sums."""
+    calls = []
+    series = getattr(doublepass.evolve, name)
+
+    def spy(order, *arrays):
+        calls.append((order, arrays[0].size))
+        return series(order, *arrays)
+
+    monkeypatch.setattr(doublepass.evolve, name, spy)
+    return calls
+
+
 def wide_step_spy(monkeypatch):
     """Record the number of steps of every call to the 2x2 kernel's
     np.cos/np.sin path."""
@@ -429,6 +467,23 @@ class TestCayleyKleinKernel:
         for name in ("_COS_TERMS", "_SIN_TERMS"):
             with monkeypatch.context() as patch:
                 patch.setattr(doublepass.evolve, name, getattr(doublepass.evolve, name)[1:])
+                assert np.abs(_ck_propagator(*_coefficients_of(h), dt) - reference).max() > 5e-14
+
+    def test_short_tier_resolves_steps_at_its_cut(self, monkeypatch):
+        # 4096 step phases just under the short tier's radius 1/32, all summed
+        # to x^8.  Without its x^8 term cos x - 1 misses ~2.1e-17 per step, a
+        # multiple of the identity that adds up to 8.5e-14 against the
+        # 3.1e-15 that rounding reaches; sin x / x without its x^6 term
+        # misses ~1.9e-13 of each step (6.4e-13 in all).
+        dt = 0.25
+        h = hermitian_with_phases(rng(71), rng(72).uniform(0.99, 0.999, 4096) * SHORT_RADIUS, dt)
+        calls = series_spy(monkeypatch, "_ck_series")
+        reference = _longdouble_propagator(h, dt)
+        assert np.abs(_ck_propagator(*_coefficients_of(h), dt) - reference).max() < 5e-14
+        assert calls == [(SHORT_ORDER, 4096)]
+        for name in ("_COS_TERMS", "_SIN_TERMS"):
+            with monkeypatch.context() as patch:
+                patch.setattr(doublepass.evolve, name, without_short_top(getattr(doublepass.evolve, name)))
                 assert np.abs(_ck_propagator(*_coefficients_of(h), dt) - reference).max() > 5e-14
 
     def test_widest_admitted_steps_do_not_overflow(self):
@@ -534,6 +589,57 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+# Minor page faults of 20 ``propagate_passes`` calls on one 10-point
+# slice of that sweep benchmark, after two warm-up calls
+PASSES_HEAP_SCRIPT = """
+import resource
+from doublepass.drive import DetuningShape, DriveProfile3, PulseShape
+from doublepass.evolve import propagate_passes
+from doublepass.harness import apply_sweep_parameter
+
+profile = DriveProfile3(
+    pump=PulseShape.sin2(10.0, 1.0, offset=0.2),
+    stokes=PulseShape.sin2(10.0, 1.0),
+    single_photon_detuning=DetuningShape.constant(5.0),
+)
+passes = [apply_sweep_parameter(profile, "pulse-area", 0.3 * k) for k in range(10)]
+for _ in range(2):
+    propagate_passes(passes)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    propagate_passes(passes)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def minor_faults(script):
+    """The number a script prints, run in a fresh process: what other
+    tests allocate can raise glibc's trim threshold and hide a heap that
+    is given back and faulted in again."""
+    env = dict(os.environ, PYTHONPATH=str(Path(doublepass.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
+
+
+def hermitian3_with_bounds(gen, bounds, spectrum=None):
+    """3x3 Hermitian steps, dt = 1, whose eigenvalue bounds sqrt(4 s / 3)
+    are ``bounds``: random traceless spectra, or ``spectrum`` made
+    traceless for every step, in random eigenbases, plus a trace of scale
+    0.01."""
+    n = len(bounds)
+    lam = gen.normal(size=(n, 3)) if spectrum is None else np.tile(spectrum, (n, 1))
+    lam = lam - lam.mean(axis=1, keepdims=True)
+    lam *= (bounds / np.sqrt(2.0 / 3.0 * (lam**2).sum(axis=1)))[:, None]
+    return hermitian_from_spectrum(gen, lam + 0.01 * gen.normal(size=(n, 1)))
+
+
 def taylor_terms(order):
     """The kernel's (cos, sin) series coefficients, highest power first,
     for the series cut after Y^order."""
@@ -588,6 +694,25 @@ class TestSu3Kernel:
             monkeypatch.setattr(doublepass.evolve, "_SIN_TERMS", sin_terms)
             assert np.abs(_su3_propagator(*_coefficients_of(h), 1.0) - reference).max() > 5e-16
 
+    def test_short_tier_resolves_steps_at_its_cut(self, monkeypatch):
+        # 16384 steps whose Y has eigenvalues (2x, -x, -x): the largest
+        # equals the bound sqrt(4 s / 3), here just under the short tier's
+        # radius 1/32, so every step is summed to Y^8.  Without its Y^8 term
+        # cos Y - I misses up to ~2.1e-17 per step, which adds up to 1.2e-13
+        # against the 7e-16 that rounding reaches; sin Y without its Y^7
+        # term misses up to ~5.8e-15 per step (2.9e-11 in all).
+        gen = rng(81)
+        bounds = gen.uniform(0.99, 0.999, 16384) * SHORT_RADIUS
+        h = hermitian3_with_bounds(gen, bounds, spectrum=(2.0, -1.0, -1.0))
+        calls = series_spy(monkeypatch, "_su3_series")
+        reference = _longdouble_propagator(h, 1.0)
+        assert np.abs(_su3_propagator(*_coefficients_of(h), 1.0) - reference).max() < 5e-14
+        assert calls == [(SHORT_ORDER, 16384)]
+        for name in ("_COS_TERMS", "_SIN_TERMS"):
+            with monkeypatch.context() as patch:
+                patch.setattr(doublepass.evolve, name, without_short_top(getattr(doublepass.evolve, name)))
+                assert np.abs(_su3_propagator(*_coefficients_of(h), 1.0) - reference).max() > 5e-14
+
     def test_widest_admitted_steps_do_not_overflow(self):
         # every step goes to eigh; the series the kernel sums first on such
         # rows must stay finite up to the step-phase guard
@@ -634,18 +759,17 @@ class TestSu3Kernel:
     def test_repeated_passes_reuse_the_heap(self):
         # freed as many separate arrays, a 4000-step call's memory is
         # trimmed from glibc's heap and faulted in again by the next call,
-        # some 400 minor faults each.  A fresh process, because what other
-        # tests allocate can raise glibc's trim threshold and hide that.
-        env = dict(os.environ, PYTHONPATH=str(Path(doublepass.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", HEAP_REUSE_SCRIPT],
-            capture_output=True,
-            env=env,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert int(done.stdout) < 20
+        # some 400 minor faults each
+        assert minor_faults(HEAP_REUSE_SCRIPT) < 20
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
+    def test_repeated_pass_lists_reuse_the_heap(self):
+        # propagate_passes keeps each pass's tail until it finishes the
+        # tails together, but not its samples: with every pass's samples
+        # kept as well, the 20 calls of 10 passes gave ~20000 minor faults.
+        # They give 0 to 4, and up to ~30 after a harmless change to the
+        # order of allocations; the bound is one per pass, as above.
+        assert minor_faults(PASSES_HEAP_SCRIPT) < 200
 
     def test_traceful_scalar_phase_is_kept(self):
         h = lambda ts: (1.0 + ts)[:, None, None] * np.eye(3)
@@ -674,6 +798,27 @@ def kernel_spy(monkeypatch, name):
     def spy(*args):
         calls.append(([np.shape(a) for a in args[:-1]], args[-1]))
         return kernel(*args)
+
+    monkeypatch.setattr(doublepass.evolve, name, spy)
+    return calls
+
+
+# (short, long, wide) shares of three 128-step passes, and the (order,
+# steps) of the series each sums alone: its larger tier over all its
+# steps, then the other tier's steps
+TIER_SHARES = [(0.7, 0.2, 0.1), (0.2, 0.7, 0.1), (0.1, 0.3, 0.6)]
+SINGLE_PASS_SERIES = ([(8, 128), (18, 25)], [(18, 128), (8, 25)], [(18, 128), (8, 12)])
+
+
+def finish_spy(monkeypatch, name):
+    """Record the argument shapes, (trace phases, tails...), of every call
+    to a kernel's second stage."""
+    calls = []
+    finish = getattr(doublepass.evolve, name)
+
+    def spy(*args):
+        calls.append([np.shape(a) for a in args])
+        return finish(*args)
 
     monkeypatch.setattr(doublepass.evolve, name, spy)
     return calls
@@ -714,6 +859,40 @@ class TestBatchedKernels:
             assert np.abs(u - _longdouble_propagator(h, dt)).max() < 5e-14
         # the single passes took both paths as well
         assert len(sizes) == 5 and sum(sizes[1:]) == wide
+
+    def test_ck_batch_mixes_every_tier(self, monkeypatch):
+        # passes mostly on the short tier, mostly on the long one and mostly
+        # wide: a single pass sums its larger tier over all its steps, and
+        # the batch the long one (126 short, 152 long and 106 wide steps),
+        # yet every step keeps its own tier's value
+        gen = rng(10)
+        dt = 0.3
+        passes = [hermitian_with_phases(gen, tiered_phases(gen, 128, s), dt) for s in TIER_SHARES]
+        columns = [np.stack(c) for c in zip(*(_coefficients_of(h) for h in passes))]
+        calls = series_spy(monkeypatch, "_ck_series")
+        batched = _ck_propagator(*columns, dt)
+        assert calls == [(18, 384), (8, 126)]
+        for u, h, expected in zip(batched, passes, SINGLE_PASS_SERIES):
+            calls.clear()
+            assert np.array_equal(u, _ck_propagator(*_coefficients_of(h), dt))
+            assert calls == expected
+            assert np.abs(u - _longdouble_propagator(h, dt)).max() < 5e-14
+
+    def test_su3_batch_mixes_every_tier(self, monkeypatch):
+        # as for the 2x2 kernel, with the eigenvalue bound as the phase
+        gen = rng(11)
+        passes = [hermitian3_with_bounds(gen, tiered_phases(gen, 128, s)) for s in TIER_SHARES]
+        columns = [np.stack(c) for c in zip(*(_coefficients_of(h) for h in passes))]
+        calls = series_spy(monkeypatch, "_su3_series")
+        eigh_calls = kernel_spy(monkeypatch, "_step_exponentials_eigh")
+        batched = _su3_propagator(*columns, 1.0)
+        assert calls == [(18, 384), (8, 126)]
+        assert [shapes for shapes, _ in eigh_calls] == [[(106, 3, 3)]]
+        for u, h, expected in zip(batched, passes, SINGLE_PASS_SERIES):
+            calls.clear()
+            assert np.array_equal(u, _su3_propagator(*_coefficients_of(h), 1.0))
+            assert calls == expected
+            assert np.abs(u - _longdouble_propagator(h, 1.0)).max() < 5e-14
 
     @pytest.mark.parametrize("kind", ["generic", "degenerate", "near-scalar", "mixed"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 128, 1001])
@@ -764,15 +943,20 @@ class TestPropagatePasses:
             assert np.array_equal(u, propagate_profile(profile))
 
     def test_long_passes_reach_the_kernel_alone_as_1d_arrays(self, monkeypatch):
-        calls = kernel_spy(monkeypatch, "_ck_propagator")
+        calls = kernel_spy(monkeypatch, "_ck_tails")
+        finishes = finish_spy(monkeypatch, "_ck_finish")
         family = two_state_family(rng(52), None)[:3]
         assert family[0].grid_points == 4000 > BATCH_ROWS // 2
         propagate_passes(family)
         assert [shapes for shapes, _ in calls] == [[(4000,)] * 3] * 3
         assert all(isinstance(dt, float) for _, dt in calls)
+        # each pass is paired down alone to 63 pairs (4000 halved six
+        # times, rounded up), and the three tails are finished together
+        assert finishes == [[(3,), (3, 63), (3, 63)]]
 
     def test_batches_stay_within_the_row_budget(self, monkeypatch):
-        calls = kernel_spy(monkeypatch, "_su3_propagator")
+        calls = kernel_spy(monkeypatch, "_su3_tails")
+        finishes = finish_spy(monkeypatch, "_su3_finish")
         gen = rng(54)
         passes = [
             replace(p, grid_points=1000, window=(-0.5, 2.0))
@@ -784,6 +968,41 @@ class TestPropagatePasses:
         rows = [shapes[0] for shapes, _ in calls]
         assert rows == [(4, 1000), (4, 1000), (4, 1000)]
         assert all(np.prod(r) <= BATCH_ROWS for r in rows)
+        # their tails, 63 steps each (756 rows), in one call
+        assert finishes == [[(12,), (3, 3, 12, 63)]]
+
+    @pytest.mark.parametrize("steps, finished", [(4001, [65, 65]), (129, [123, 7])])
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_tails_of_many_passes_are_finished_together(self, monkeypatch, dimension, steps, finished):
+        """131 passes of one pulse shape whose peaks differ, a failing one
+        in the middle: their tails, 63 steps each at 4001 steps and 33 at
+        129, are finished in calls of at most BATCH_ROWS rows, more than
+        BATCH_ROWS // _TAIL passes each, and every slot holds what
+        propagate_profile gives its own pass."""
+        gen = rng(57 + dimension)
+        count = 2 * BATCH_ROWS // _TAIL + 3
+        if dimension == 2:
+            base = replace(random_two_state_profile(gen), grid_points=steps)
+            passes = [replace(base, rabi=replace(base.rabi, peak=p)) for p in gen.uniform(0.5, 20.0, count)]
+            passes[count // 2] = replace(base, rabi=replace(base.rabi, peak=1e300))
+        else:
+            base = replace(random_general_three_state_profile(gen), grid_points=steps)
+            passes = [replace(base, pump=replace(base.pump, peak=p)) for p in gen.uniform(0.5, 20.0, count)]
+            passes[count // 2] = replace(base, pump=replace(base.pump, peak=1e300))
+        finishes = finish_spy(monkeypatch, "_ck_finish" if dimension == 2 else "_su3_finish")
+        results = propagate_passes(passes)
+        assert [shapes[0] for shapes in finishes] == [(k,) for k in finished]
+        tail = 63 if steps == 4001 else 33
+        assert [shapes[1][-2:] for shapes in finishes] == [(k, tail) for k in finished]
+        assert all(k * tail <= BATCH_ROWS for k in finished) and finished[0] > BATCH_ROWS // _TAIL
+        assert len(results) == count
+        for i, (profile, result) in enumerate(zip(passes, results)):
+            if i == count // 2:
+                with pytest.raises(StepPhaseError) as direct:
+                    propagate_profile(profile)
+                assert type(result) is StepPhaseError and str(result) == str(direct.value)
+            else:
+                assert np.array_equal(result, propagate_profile(profile))
 
     def test_a_failing_pass_fills_only_its_own_slot(self):
         gen = rng(55)
@@ -822,13 +1041,18 @@ class TestPropagatePasses:
             two[0], three[0], failing, long[0], other_window[0], two[2], three[1],
             long[1], three[2], other_window[1], two[3], three[3],
         ]
-        calls = kernel_spy(monkeypatch, "_ck_propagator")
-        calls3 = kernel_spy(monkeypatch, "_su3_propagator")
+        calls = kernel_spy(monkeypatch, "_ck_tails")
+        calls3 = kernel_spy(monkeypatch, "_su3_tails")
+        finishes = finish_spy(monkeypatch, "_ck_finish")
+        finishes3 = finish_spy(monkeypatch, "_su3_finish")
         results = propagate_passes(passes)
         # groups in the order of their first pass; the failing pass leaves
-        # its batch of four 128-step passes, and a 4000-step pass runs alone
+        # its batch of four 128-step passes, a 4000-step pass is paired
+        # down alone, and each group's tails are finished in one call
         assert [shapes[0] for shapes, _ in calls] == [(3, 128), (4000,), (4000,), (2, 128)]
         assert [shapes[0] for shapes, _ in calls3] == [(4, 128)]
+        assert [shapes[1:] for shapes in finishes] == [[(3, 64)] * 2, [(2, 63)] * 2, [(2, 64)] * 2]
+        assert [shapes[1] for shapes in finishes3] == [(3, 3, 4, 64)]
         assert len(results) == len(passes)
         for profile, result in zip(passes, results):
             if profile is failing:

@@ -364,7 +364,8 @@ def point_by_point(spec, slack=harness.su2relations.DEFAULT_SLACK):
 
 
 def kernel_shapes(monkeypatch, name):
-    """Record the shape of the first array of every call to a step kernel."""
+    """Record the shape of the first array of every call to a stage of a
+    step kernel: the steps' d0, or the passes' trace phases."""
     shapes = []
     kernel = getattr(doublepass.evolve, name)
 
@@ -390,16 +391,20 @@ class TestBatchedSweep:
         assert sum(r.status == "ok" for r in records) >= 20
 
     def test_short_points_share_kernel_calls(self, monkeypatch):
-        shapes = kernel_shapes(monkeypatch, "_ck_propagator")
+        shapes = kernel_shapes(monkeypatch, "_ck_tails")
+        finished = kernel_shapes(monkeypatch, "_ck_finish")
         profile = replace(chirped_profile(), grid_points=128)
         sweep(SweepSpec(profile, "pulse-area", 1.0, 20.0, 10, ProtocolKind.TWO_STATE_GENERAL))
-        assert shapes == [(10, 128)]  # ten points, one propagated pass each, one call
+        # ten points, one propagated pass each, one call of each stage
+        assert shapes == [(10, 128)] and finished == [(10,)]
 
     def test_short_three_state_points_share_kernel_calls(self, monkeypatch):
-        shapes = kernel_shapes(monkeypatch, "_su3_propagator")
+        shapes = kernel_shapes(monkeypatch, "_su3_tails")
+        finished = kernel_shapes(monkeypatch, "_su3_finish")
         profile = stirap_profile(detuning=3.0, grid_points=128)
         sweep(SweepSpec(profile, "pulse-area", 1.0, 20.0, 10, ProtocolKind.STIRAP_DETUNED))
-        assert shapes == [(10, 128)]  # ten points, one propagated pass each, one call
+        # ten points, one propagated pass each, one call of each stage
+        assert shapes == [(10, 128)] and finished == [(10,)]
 
     def test_points_are_measured_in_chunks_under_the_budget(self, monkeypatch):
         counter = CountingPropagator(monkeypatch)
@@ -411,14 +416,17 @@ class TestBatchedSweep:
             return counted(profiles)
 
         monkeypatch.setattr(harness, "propagate_passes", recorded)
-        shapes = kernel_shapes(monkeypatch, "_ck_propagator")
+        shapes = kernel_shapes(monkeypatch, "_ck_tails")
+        finished = kernel_shapes(monkeypatch, "_ck_finish")
         profile = replace(chirped_profile(), grid_points=128)
         sweep(SweepSpec(profile, "pulse-area", 1.0, 20.0, 69, ProtocolKind.TWO_STATE_GENERAL))
         # the sweep hands the forward passes of all 69 points to
         # propagate_passes at once, and its budget of 4096 step rows
-        # splits them into 32 + 32 + 5
+        # splits them into 32 + 32 + 5; their 64-step tails are finished
+        # under the same budget, 64 + 5
         assert calls == [69] and counter.calls == 69
         assert shapes == [(32, 128), (32, 128), (5, 128)]
+        assert finished == [(64,), (5,)]
 
     def test_failures_in_a_chunk_stay_with_their_points(self, monkeypatch):
         profile = replace(chirped_profile(), grid_points=64)
@@ -452,12 +460,15 @@ class TestBatchedSweep:
 
     def test_delay_sweep_groups_nothing_across_points(self, monkeypatch):
         # the window moves with the delay, so each point is its own batch,
-        # and its one pass reaches the kernel as 1-d arrays
-        shapes = kernel_shapes(monkeypatch, "_su3_propagator")
+        # its one pass reaches the kernel as 1-d arrays, and its tail is
+        # finished alone
+        shapes = kernel_shapes(monkeypatch, "_su3_tails")
+        finished = kernel_shapes(monkeypatch, "_su3_finish")
         profile = stirap_profile(detuning=3.0, grid_points=128)
         spec = SweepSpec(profile, "delay", -0.2, 0.4, 7, ProtocolKind.STIRAP_DETUNED)
         records = sweep(spec)
         assert shapes == [(128,)] * 7
+        assert finished == [(1,)] * 7
         assert records == point_by_point(spec)
 
     def test_clamps_are_recorded_with_warnings_as_errors(self, monkeypatch):
