@@ -30,11 +30,14 @@ the last pairing levels of many such passes run in one call), and
 finish each point on its own: per-point failures are recorded in the
 row status instead of aborting the sweep.
 ``verify`` replays the package's numeric invariants over seeded random
-drives and produces a deterministic report.  Its nine closed-form
-suites read the record fields that ``run_protocol`` writes, taken by
-the same ``_measure`` from ``double_pass``'s directly propagated passes;
-``general-average`` takes r from the forward U_33, not from the
-role-swapped pass.
+drives and produces a deterministic report.  Every suite is one
+``SUITES`` row: a draw of its inputs from the shared generator and an
+evaluation of them that does not touch it, so the draws replay alone,
+without propagating a pass, and the report's worst draw is evaluated
+again on its own.  The nine closed-form suites read the record fields
+that ``run_protocol`` writes, taken by the same ``_measure`` from
+``double_pass``'s directly propagated passes; ``general-average`` takes
+r from the forward U_33, not from the role-swapped pass.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -432,7 +435,7 @@ def _measure(
             average_return(*returns) if plan.dimension == 2 else four_phase_average(returns)
         )
     if "r" in plan.reads:
-        fields["r"] = float(abs(backs[0][0, 0]) ** 2)
+        fields["r"] = _population(backs[0], 0)
     return fields
 
 
@@ -606,6 +609,15 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+# The detunings of a random two-state drive: constant, linear chirp and
+# tanh chirp, each drawn with its own parameters.
+_DETUNING_DRAWS = (
+    lambda rng: DetuningShape.constant(rng.uniform(-20.0, 20.0)),
+    lambda rng: DetuningShape.linear_chirp(rng.uniform(-20.0, 20.0)),
+    lambda rng: DetuningShape.tanh_chirp(rng.uniform(-20.0, 20.0), rng.uniform(0.1, 0.5)),
+)
+
+
 def random_two_state_profile(
     rng: np.random.Generator, symmetry: Optional[str] = None
 ) -> DriveProfile2:
@@ -617,43 +629,25 @@ def random_two_state_profile(
     window asymmetrically, since every catalogued shape is even about
     its own centre.
     """
-    kind = rng.choice(("sin2", "gaussian", "sech"))
+    kind = str(rng.choice(("sin2", "gaussian", "sech")))
     peak = rng.uniform(0.5, 20.0)
     width = 1.0 if kind == "sin2" else rng.uniform(0.15, 0.35)
-    if kind == "sin2":
-        shape = PulseShape.sin2(peak, width, offset=0.0)
-    elif kind == "gaussian":
-        shape = PulseShape.gaussian(peak, width, center=0.0)
-    else:
-        shape = PulseShape.sech(peak, width, center=0.0)
+    # a sin2 pulse starts at 0, the others are centred there
+    shape = PulseShape(kind, peak, width)
     lo, hi = shape.support()
     span = hi - lo
-
+    pads = (0.1, 0.1)
     if symmetry == "chirp":
-        if rng.random() < 0.5:
-            detuning = DetuningShape.linear_chirp(rng.uniform(-20.0, 20.0))
-        else:
-            detuning = DetuningShape.tanh_chirp(
-                rng.uniform(-20.0, 20.0), rng.uniform(0.1, 0.5)
-            )
-        window = (lo - 0.1 * span, hi + 0.1 * span)
+        detuning = _DETUNING_DRAWS[1 if rng.random() < 0.5 else 2](rng)
     elif symmetry == "even":
-        detuning = DetuningShape.constant(rng.uniform(-20.0, 20.0))
-        window = (lo - 0.1 * span, hi + 0.1 * span)
+        detuning = _DETUNING_DRAWS[0](rng)
     elif symmetry is None:
-        choice = rng.integers(3)
-        if choice == 0:
-            detuning = DetuningShape.constant(rng.uniform(-20.0, 20.0))
-        elif choice == 1:
-            detuning = DetuningShape.linear_chirp(rng.uniform(-20.0, 20.0))
-        else:
-            detuning = DetuningShape.tanh_chirp(
-                rng.uniform(-20.0, 20.0), rng.uniform(0.1, 0.5)
-            )
+        detuning = _DETUNING_DRAWS[rng.integers(3)](rng)
         # unequal pads shift the window midpoint off the pulse centre
-        window = (lo - rng.uniform(0.1, 0.5) * span, hi + rng.uniform(0.1, 0.5) * span)
+        pads = (rng.uniform(0.1, 0.5), rng.uniform(0.1, 0.5))
     else:
         raise ValueError(f"unknown symmetry class {symmetry!r}")
+    window = (lo - pads[0] * span, hi + pads[1] * span)
     return DriveProfile2(rabi=shape, detuning=detuning, window=window)
 
 
@@ -705,48 +699,49 @@ def random_general_three_state_profile(rng: np.random.Generator) -> DriveProfile
 # verification suites
 # ---------------------------------------------------------------------------
 
-# One draw of a suite: (draw index, generator) -> residual.  ``verify``
-# calls it once per draw, in order, on one generator.
-SuiteFn = Callable[[int, np.random.Generator], float]
-
-
 @dataclass(frozen=True)
 class SuiteDef:
+    """One invariant suite.  ``draw(i, rng)`` takes the inputs of draw i
+    from the generator that ``verify`` shares across draws, and
+    ``evaluate(inputs)`` gives their residual without touching that
+    generator, so draw i's inputs are the i-th of the draws replayed
+    alone, and no draw propagates a pass."""
+
     tolerance: float
-    fn: SuiteFn
+    draw: Callable[[int, np.random.Generator], Any]
+    evaluate: Callable[[Any], float]
     description: str
 
 
+def _drive(family: Callable[..., Profile], *args) -> Callable[[int, np.random.Generator], Profile]:
+    """The draw of one random drive of ``family``, whatever its index."""
+    return lambda i, rng: family(rng, *args)
+
+
 def _closed_form(
-    kind: ProtocolKind,
-    draw: Callable[[int, np.random.Generator], Profile],
-    closed_form: Callable[[Dict[str, float], np.ndarray], float],
-) -> SuiteFn:
-    """A suite of one closed form, ``closed_form(fields, U)``: ``fields``
-    are what ``_measure`` records for ``kind`` from ``double_pass``'s
-    directly propagated passes of the drawn drive, U its forward pass."""
+    kind: ProtocolKind, closed_form: Callable[[Dict[str, float], np.ndarray], float]
+) -> Callable[[Profile], float]:
+    """The evaluation of one closed form, ``closed_form(fields, U)``:
+    ``fields`` are what ``_measure`` records for ``kind`` from
+    ``double_pass``'s directly propagated passes of a drive, U its
+    forward pass."""
     plan = PROTOCOLS[kind]
 
-    def suite(i: int, rng: np.random.Generator) -> float:
-        u, backs, returns = double_pass(draw(i, rng), plan.variants)
+    def evaluate(profile: Profile) -> float:
+        u, backs, returns = double_pass(profile, plan.variants)
         return closed_form(_measure(plan, u, backs, returns), u)
 
-    return suite
+    return evaluate
 
 
-def _suite_unitarity(i: int, rng: np.random.Generator) -> float:
-    if i % 2 == 0:
-        u = propagate_profile(random_two_state_profile(rng))
-    else:
-        u = propagate_profile(random_general_three_state_profile(rng))
-    det_defect = abs(abs(np.linalg.det(u)) - 1.0)
-    return max(unitarity_defect(u), det_defect)
+def _forward(check: Callable[[np.ndarray], float]) -> Callable[[Profile], float]:
+    """The evaluation of ``check`` on a drive's forward propagator."""
+    return lambda profile: check(propagate_profile(profile))
 
 
-def _suite_composition(i: int, rng: np.random.Generator) -> float:
+def _composition(profile: DriveProfile2) -> float:
     from .evolve import hamiltonian2, propagate
 
-    profile = random_two_state_profile(rng)
     t0, t2 = profile.window
     t1 = 0.5 * (t0 + t2)
     h = lambda ts: hamiltonian2(profile, ts)
@@ -756,51 +751,27 @@ def _suite_composition(i: int, rng: np.random.Generator) -> float:
     return np.abs(whole - second @ first).max()
 
 
-def _suite_sign_flips(i: int, rng: np.random.Generator) -> float:
-    profile = random_two_state_profile(rng)
-    ck = cayley_klein(propagate_profile(profile))
-    worst = 0.0
-    for flips in ((True, False), (False, True), (True, True)):
-        direct = propagate_profile(backward_profile_2(profile, *flips))
-        analytic = sign_flip_transform(ck, *flips)
-        worst = max(worst, float(np.abs(direct - analytic).max()))
-    return worst
+def _sign_flips(profile: DriveProfile2) -> float:
+    flips = (VPI0, V0PI, VPIPI)
+    u, direct, _ = double_pass(profile, flips)
+    ck = cayley_klein(u)
+    return max(
+        float(np.abs(back - sign_flip_transform(ck, *flip)).max())
+        for flip, back in zip(flips, direct)
+    )
 
 
-def _suite_chirp_symmetry(i: int, rng: np.random.Generator) -> float:
-    profile = random_two_state_profile(rng, symmetry="chirp")
-    return abs(cayley_klein(propagate_profile(profile)).a.imag)
-
-
-def _suite_even_detuning_symmetry(i: int, rng: np.random.Generator) -> float:
-    profile = random_two_state_profile(rng, symmetry="even")
-    return abs(cayley_klein(propagate_profile(profile)).b.real)
-
-
-def _suite_degradation(i: int, rng: np.random.Generator) -> float:
+def _degradation(eps: float) -> float:
     # near-complete transfer p = 1 - eps: Q_bar = 1 - 2 eps + 2 eps^2
     # exactly, and the inversion must give p back
-    eps = rng.uniform(0.0, 1e-2)
     q_bar = (1.0 - eps) ** 2 + eps**2
     identity = max(0.0, abs(q_bar - (1.0 - 2.0 * eps)) - 2.0 * eps**2)
     return max(identity, abs(invert_p_general(q_bar, clamps=[]) - (1.0 - eps)))
 
 
-def _suite_swap_unitarity(i: int, rng: np.random.Generator) -> float:
-    u = propagate_profile(random_general_three_state_profile(rng))
-    xi, eta = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    return unitarity_defect(backward_propagator(u, (xi, eta)))
-
-
-def _suite_element_pairs(i: int, rng: np.random.Generator) -> float:
-    u = propagate_profile(random_symmetric_pair_profile(rng))
-    return max(abs(u[0, 0] - u[2, 2]), abs(u[0, 1] - u[1, 2]), abs(u[1, 0] - u[2, 1]))
-
-
-def _suite_resonant_template(i: int, rng: np.random.Generator) -> float:
+def _resonant_template(u: np.ndarray) -> float:
     from .su3relations import resonant_propagator
 
-    u = propagate_profile(random_resonant_pair_profile(rng))
     ck3 = extract_resonant_ck(u)
     fit = np.abs(u - resonant_propagator(ck3)).max()
     return max(
@@ -810,80 +781,90 @@ def _suite_resonant_template(i: int, rng: np.random.Generator) -> float:
     )
 
 
-def _suite_swap_return_phase_free(i: int, rng: np.random.Generator) -> float:
-    profile = random_general_three_state_profile(rng)
+def _swap_return_phase_free(profile: DriveProfile3) -> float:
     # the second passes alone: no forward pass is simulated
-    returns = [
-        float(abs(propagate_profile(_second_pass(profile, v))[0, 0]) ** 2)
-        for v in FOUR_VARIANTS
-    ]
+    returns = [_population(propagate_profile(_second_pass(profile, v)), 0) for v in FOUR_VARIANTS]
     return max(returns) - min(returns)
 
 
 _DETUNINGS = (0.0, 1.0, -1.0, 5.0, -5.0, 20.0, -20.0)
 
+# SuiteDef(tolerance, draw, evaluate, description)
 SUITES: Dict[str, SuiteDef] = {
-    "unitarity": SuiteDef(1e-10, _suite_unitarity, "propagators are unitary with unit determinant"),
-    "composition": SuiteDef(1e-9, _suite_composition, "propagation composes over subwindows"),
-    "sign-flips": SuiteDef(1e-8, _suite_sign_flips, "analytic sign-flip propagators match direct propagation"),
-    "chirp-symmetry": SuiteDef(1e-8, _suite_chirp_symmetry, "even coupling + odd detuning gives a real diagonal parameter"),
-    "even-detuning-symmetry": SuiteDef(1e-8, _suite_even_detuning_symmetry, "even coupling + even detuning gives an imaginary transfer parameter"),
-    "average-return": SuiteDef(1e-8, _closed_form(
-        ProtocolKind.TWO_STATE_GENERAL, lambda i, rng: random_two_state_profile(rng),
+    "unitarity": SuiteDef(1e-10, lambda i, rng: (
+        random_general_three_state_profile(rng) if i % 2 else random_two_state_profile(rng)
+    ), _forward(lambda u: max(unitarity_defect(u), abs(abs(np.linalg.det(u)) - 1.0))),
+        "propagators are unitary with unit determinant"),
+    "composition": SuiteDef(1e-9, _drive(random_two_state_profile), _composition, "propagation composes over subwindows"),
+    "sign-flips": SuiteDef(1e-8, _drive(random_two_state_profile), _sign_flips, "analytic sign-flip propagators match direct propagation"),
+    "chirp-symmetry": SuiteDef(1e-8, _drive(random_two_state_profile, "chirp"), _forward(
+        lambda u: abs(cayley_klein(u).a.imag)
+    ), "even coupling + odd detuning gives a real diagonal parameter"),
+    "even-detuning-symmetry": SuiteDef(1e-8, _drive(random_two_state_profile, "even"), _forward(
+        lambda u: abs(cayley_klein(u).b.real)
+    ), "even coupling + even detuning gives an imaginary transfer parameter"),
+    "average-return": SuiteDef(1e-8, _drive(random_two_state_profile), _closed_form(
+        ProtocolKind.TWO_STATE_GENERAL,
         lambda f, u: abs(f["q_bar"] - (f["p_direct"] * f["p_direct"] + (1.0 - f["p_direct"]) ** 2)),
     ), "two-pass average return equals p^2 + (1-p)^2"),
-    "mirror-branch": SuiteDef(1e-7, _closed_form(
-        ProtocolKind.TWO_STATE_GENERAL, lambda i, rng: random_two_state_profile(rng),
+    "mirror-branch": SuiteDef(1e-7, _drive(random_two_state_profile), _closed_form(
+        ProtocolKind.TWO_STATE_GENERAL,
         lambda f, u: abs(_estimate(PROTOCOLS[ProtocolKind.TWO_STATE_GENERAL], f, su2relations.DEFAULT_SLACK, [])
                          - max(f["p_direct"], 1.0 - f["p_direct"])),
     ), "upper-branch inversion recovers p or its mirror"),
-    "chirp-return": SuiteDef(1e-7, _closed_form(
-        ProtocolKind.TWO_STATE_GENERAL, lambda i, rng: random_two_state_profile(rng, symmetry="chirp"),
+    "chirp-return": SuiteDef(1e-7, _drive(random_two_state_profile, "chirp"), _closed_form(
+        ProtocolKind.TWO_STATE_GENERAL,
         lambda f, u: max(abs(f["qpi0"] - 1.0), abs(f["q00"] - (1.0 - 2.0 * f["p_direct"]) ** 2)),
     ), "chirp-symmetric drives: flipped return is 1, unflipped is (1-2p)^2"),
-    "even-detuning-return": SuiteDef(1e-7, _closed_form(
-        ProtocolKind.TWO_STATE_CONST_DETUNING, lambda i, rng: random_two_state_profile(rng, symmetry="even"),
+    "even-detuning-return": SuiteDef(1e-7, _drive(random_two_state_profile, "even"), _closed_form(
+        ProtocolKind.TWO_STATE_CONST_DETUNING,
         lambda f, u: abs(f["q0pi"] - (1.0 - 2.0 * f["p_direct"]) ** 2),
     ), "even-detuning drives: detuning-flipped return is (1-2p)^2"),
-    "degradation": SuiteDef(1e-12, _suite_degradation, "near-complete transfer degrades as 1 - 2 eps + O(eps^2) and inverts back to p"),
-    "swap-unitarity": SuiteDef(1e-12, _suite_swap_unitarity, "role-swapped propagators stay unitary"),
-    "element-pairs": SuiteDef(1e-7, _suite_element_pairs, "symmetric pairs give three equal element pairs"),
-    "resonant-template": SuiteDef(1e-7, _suite_resonant_template, "resonant symmetric pairs fit the real-triple template"),
-    "resonant-case1": SuiteDef(1e-7, _closed_form(
-        ProtocolKind.STIRAP_RESONANT_CASE1, lambda i, rng: random_resonant_pair_profile(rng),
+    "degradation": SuiteDef(1e-12, lambda i, rng: rng.uniform(0.0, 1e-2), _degradation, "near-complete transfer degrades as 1 - 2 eps + O(eps^2) and inverts back to p"),
+    "swap-unitarity": SuiteDef(1e-12, lambda i, rng: (
+        random_general_three_state_profile(rng), tuple(rng.uniform(0.0, 2.0 * math.pi, size=2))
+    ), lambda drawn: unitarity_defect(backward_propagator(propagate_profile(drawn[0]), drawn[1])),
+        "role-swapped propagators stay unitary"),
+    "element-pairs": SuiteDef(1e-7, _drive(random_symmetric_pair_profile), _forward(
+        lambda u: max(abs(u[0, 0] - u[2, 2]), abs(u[0, 1] - u[1, 2]), abs(u[1, 0] - u[2, 1]))
+    ), "symmetric pairs give three equal element pairs"),
+    "resonant-template": SuiteDef(1e-7, _drive(random_resonant_pair_profile), _forward(_resonant_template), "resonant symmetric pairs fit the real-triple template"),
+    "resonant-case1": SuiteDef(1e-7, _drive(random_resonant_pair_profile), _closed_form(
+        ProtocolKind.STIRAP_RESONANT_CASE1,
         lambda f, u: abs(f["q00"] - case1_return_probability(f["p_direct"], f["q"])),
     ), "unchanged-sign resonant return equals (2p+2q-1)^2"),
-    "resonant-case2": SuiteDef(1e-7, _closed_form(
-        ProtocolKind.STIRAP_RESONANT_CASE2, lambda i, rng: random_resonant_pair_profile(rng),
+    "resonant-case2": SuiteDef(1e-7, _drive(random_resonant_pair_profile), _closed_form(
+        ProtocolKind.STIRAP_RESONANT_CASE2,
         lambda f, u: abs(f["qpi0"] - case2_return_probability(f["p_direct"])),
     ), "pump-flipped resonant return equals (1-2p)^2"),
-    "four-phase-product": SuiteDef(1e-9, _closed_form(
-        ProtocolKind.STIRAP_DETUNED, lambda i, rng: random_symmetric_pair_profile(rng),
+    "four-phase-product": SuiteDef(1e-9, _drive(random_symmetric_pair_profile), _closed_form(
+        ProtocolKind.STIRAP_DETUNED,
         lambda f, u: abs(f["q_bar"] - (
             abs(u[2, 0]) ** 4
             + abs(u[1, 0]) ** 2 * abs(u[2, 1]) ** 2
             + abs(u[0, 0]) ** 2 * abs(u[2, 2]) ** 2
         )),
     ), "four-phase average matches the element products"),
-    "detuned-average": SuiteDef(1e-7, _closed_form(
+    "detuned-average": SuiteDef(1e-7, lambda i, rng: random_symmetric_pair_profile(
+        rng, detuning=_DETUNINGS[i % len(_DETUNINGS)]
+    ), _closed_form(
         ProtocolKind.STIRAP_DETUNED,
-        lambda i, rng: random_symmetric_pair_profile(rng, detuning=_DETUNINGS[i % len(_DETUNINGS)]),
         lambda f, u: abs(f["q_bar"] - detuned_average_return(f["p_direct"], f["q"])),
     ), "symmetric-pair average equals p^2 + q^2 + (1-p-q)^2 across detunings"),
     # r = |U_33|^2 of the forward pass; the record's r agrees only to rounding
-    "general-average": SuiteDef(1e-6, _closed_form(
-        ProtocolKind.THREE_STATE_GENERAL, lambda i, rng: random_general_three_state_profile(rng),
+    "general-average": SuiteDef(1e-6, _drive(random_general_three_state_profile), _closed_form(
+        ProtocolKind.THREE_STATE_GENERAL,
         lambda f, u: abs(
             f["q_bar"] - general_average_return(f["p_direct"], f["q"], float(abs(u[2, 2]) ** 2))
         ),
     ), "general average equals p^2 + qr + (1-p-q)(1-p-r)"),
-    "swap-return-phase-free": SuiteDef(1e-9, _suite_swap_return_phase_free, "role-swapped return probability ignores the phases"),
+    "swap-return-phase-free": SuiteDef(1e-9, _drive(random_general_three_state_profile), _swap_return_phase_free, "role-swapped return probability ignores the phases"),
 }
 
 
-def _residual(fn: SuiteFn, i: int, rng: np.random.Generator) -> float:
+def _residual(definition: SuiteDef, i: int, rng: np.random.Generator) -> float:
     try:
-        return fn(i, rng)
+        return definition.evaluate(definition.draw(i, rng))
     except ValueError:
         return math.nan
 
@@ -892,21 +873,27 @@ def verify(suite: str, draws: int, seed: int) -> Dict[str, object]:
     """Run one named invariant suite over seeded random drives.
 
     The report is a plain dict (JSON-ready) and is a pure function of
-    (suite, draws, seed).  Failures are report content, not exceptions:
-    a draw that raises a ValueError (an inversion out of range, say)
-    counts as a NaN residual, which fails.
+    (suite, draws, seed).  Each draw's inputs are drawn, then evaluated,
+    in order, on one generator.  Failures are report content, not
+    exceptions: a draw or an evaluation that raises a ValueError (an
+    inversion out of range, say) counts as a NaN residual, which fails.
     """
     if suite not in SUITES:
         raise KeyError(
             f"unknown suite {suite!r}; registered: {', '.join(sorted(SUITES))}"
         )
+    for name, value in (("draws", draws), ("seed", seed)):
+        # a bool is an int, and a float would fail only inside range()
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    draws, seed = int(draws), int(seed)
     if draws < 1:
         raise ValueError("draws must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     definition = SUITES[suite]
     rng = _rng(seed)
-    residuals = np.array([_residual(definition.fn, i, rng) for i in range(draws)], dtype=float)
+    residuals = np.array([_residual(definition, i, rng) for i in range(draws)], dtype=float)
     worst = int(np.argmax(residuals))
     # a NaN residual is a failure, not a pass
     failures = int(np.count_nonzero(~(residuals < definition.tolerance)))

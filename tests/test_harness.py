@@ -1,6 +1,7 @@
 """Tests for protocol runners, sweeps, CSV output and verification suites."""
 
 import io
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -716,12 +717,54 @@ class TestVerify:
         with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
             verify("average-return", draws=1, seed=-1)
 
+    @pytest.mark.parametrize("draws, seed", [(True, 0), (2.5, 0), (3, False), (3, 1.0), (3, "1")])
+    def test_draws_and_seed_must_be_integers(self, monkeypatch, draws, seed):
+        monkeypatch.setattr(harness, "_rng", lambda seed: pytest.fail("drew with a non-integer argument"))
+        with pytest.raises(ValueError, match="must be an integer"):
+            verify("degradation", draws, seed)
+
+    def test_numpy_integers_give_a_json_report(self):
+        report = verify("degradation", np.int64(3), np.uint8(1))
+        assert json.loads(json.dumps(report)) == verify("degradation", 3, 1)
+
     def test_nan_residual_fails(self, monkeypatch):
-        nan_suite = harness.SuiteDef(1e-9, lambda i, rng: float("nan"), "always NaN")
+        nan_suite = harness.SuiteDef(1e-9, lambda i, rng: i, lambda i: float("nan"), "always NaN")
         monkeypatch.setitem(SUITES, "nan-suite", nan_suite)
         report = verify("nan-suite", draws=3, seed=0)
         assert not report["passed"]
         assert report["failures"] == 3
+
+    def test_draw_that_raises_fails(self, monkeypatch):
+        def draw(i, rng):
+            raise ValueError("no drive")
+
+        evaluate = lambda inputs: pytest.fail("evaluated a draw that raised")
+        monkeypatch.setitem(SUITES, "raising-suite", harness.SuiteDef(1e-9, draw, evaluate, "never draws"))
+        report = verify("raising-suite", draws=3, seed=0)
+        assert not report["passed"]
+        assert report["failures"] == 3
+        assert math.isnan(report["worst_residual"])
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_worst_draw_reproduces_from_its_report(self, monkeypatch, suite):
+        # replaying the draws alone gives the worst draw's inputs, and
+        # evaluating them alone gives the reported residual, bit for bit
+        report = verify(suite, draws=20, seed=2018)
+        passes = []
+        with monkeypatch.context() as patch:
+            for module, name in (
+                (harness, "propagate_profile"),
+                (harness, "propagate_passes"),
+                (doublepass.evolve, "propagate"),
+            ):
+                original = getattr(module, name)
+                patch.setattr(module, name, lambda *args, f=original, **kw: passes.append(f) or f(*args, **kw))
+            definition = SUITES[suite]
+            rng = harness._rng(2018)
+            for i in range(report["worst_index"] + 1):
+                inputs = definition.draw(i, rng)
+        assert passes == []
+        assert float(definition.evaluate(inputs)).hex() == report["worst_residual"].hex()
 
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_every_suite_passes_smoke(self, suite):
