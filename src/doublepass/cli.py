@@ -6,7 +6,8 @@ with identical seeds, produce byte-identical outputs.  Each config object is rea
 key table, which each pulse shape, detuning shape and profile kind has of
 its own: a key its table lacks is rejected, every key present is parsed,
 and an absent key is left to the default of the drive class it fills,
-which also checks the values.
+which also checks the values.  ``invert`` runs the inversion of the
+protocol its relation names, by the call that finishes every record.
 
 Exit codes: 0 success, 1 verification failure, 2 protocol precondition
 violation (including a propagator that does not match the template its
@@ -28,24 +29,19 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from .drive import DetuningShape, DriveProfile2, DriveProfile3, PulseShape
 from .evolve import StepPhaseError, TemplateMismatchError
 from .harness import (
+    PROTOCOLS,
     MeasurementRecord,
     ProtocolKind,
     ProtocolPreconditionError,
     SweepSpec,
     SUITES,
+    _estimate,
     run_protocol,
     sweep,
     verify,
     write_csv,
 )
-from .su2relations import (
-    DEFAULT_SLACK,
-    InversionRangeError,
-    invert_p_const_detuning,
-    invert_p_general,
-    invert_p_rap,
-)
-from .su3relations import invert_case1, invert_case2, invert_detuned, invert_general
+from .su2relations import DEFAULT_SLACK, InversionRangeError
 
 EX_OK = 0
 EX_VERIFY_FAILED = 1
@@ -300,28 +296,30 @@ def _cmd_sweep(args) -> int:
     return _write_output(_csv_text(records), EX_OK, out_path)
 
 
-# relation -> (inverter, the flags whose values it takes, in order)
+# relation -> (the protocol whose inversion it runs, the flags whose
+# values fill the record fields that inversion reads, in order)
 _INVERT_RELATIONS = {
-    "two-state-general": (invert_p_general, ("q_bar",)),
-    "two-state-rap": (invert_p_rap, ("q_return",)),
-    "two-state-const-detuning": (invert_p_const_detuning, ("q_return",)),
-    "stirap-case1": (invert_case1, ("q_return", "q")),
-    "stirap-case2": (invert_case2, ("q_return",)),
-    "stirap-detuned": (invert_detuned, ("q_bar", "q")),
-    "three-state-general": (invert_general, ("q_bar", "q", "r")),
+    "two-state-general": (ProtocolKind.TWO_STATE_GENERAL, ("q_bar",)),
+    "two-state-rap": (ProtocolKind.TWO_STATE_RAP, ("q_return",)),
+    "two-state-const-detuning": (ProtocolKind.TWO_STATE_CONST_DETUNING, ("q_return",)),
+    "stirap-case1": (ProtocolKind.STIRAP_RESONANT_CASE1, ("q_return", "q")),
+    "stirap-case2": (ProtocolKind.STIRAP_RESONANT_CASE2, ("q_return",)),
+    "stirap-detuned": (ProtocolKind.STIRAP_DETUNED, ("q_bar", "q")),
+    "three-state-general": (ProtocolKind.THREE_STATE_GENERAL, ("q_bar", "q", "r")),
 }
 
 
 def _cmd_invert(args) -> int:
-    inverter, names = _INVERT_RELATIONS[args.relation]
+    kind, names = _INVERT_RELATIONS[args.relation]
     _slack(args.slack, "--slack", _UsageError)
     values = [getattr(args, name) for name in names]
     for name, value in zip(names, values):
         if value is None:
             flag = "--" + name.replace("_", "-")
             raise _UsageError(f"relation {args.relation!r} requires {flag}")
+    plan = PROTOCOLS[kind]
     clamps: List[str] = []
-    p = inverter(*values, slack=args.slack, clamps=clamps)
+    p = _estimate(plan, dict(zip(plan.reads, values)), args.slack, clamps)
     for message in clamps:
         print(f"clamped: {message}", file=sys.stderr)
     return _write_output(format(p, ".17g") + "\n", EX_OK)

@@ -896,16 +896,15 @@ def sign_flip_transform(
 ) -> np.ndarray:
     """Propagator of the sign-flipped drive, from the unflipped (a, b).
 
-    All four propagators are algebraic rearrangements of the same pair:
+    A detuning flip maps (a, b) to (a*, -b*) and a coupling flip maps b
+    to -b, so all four propagators are rearrangements of the same pair:
 
         none:  [[a, -b*], [b, a*]]      rabi:  [[a, b*], [-b, a*]]
         det.:  [[a*, b], [-b*, a]]      both:  [[a*, -b], [b*, a]]
     """
     a, b = ck.a, ck.b
-    if flip_rabi and flip_detuning:
-        return np.array([[np.conj(a), -b], [np.conj(b), a]], dtype=complex)
-    if flip_rabi:
-        return np.array([[a, np.conj(b)], [-b, np.conj(a)]], dtype=complex)
     if flip_detuning:
-        return np.array([[np.conj(a), b], [-np.conj(b), a]], dtype=complex)
+        a, b = np.conj(a), -np.conj(b)
+    if flip_rabi:
+        b = -b
     return np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)

@@ -11,7 +11,8 @@ record fields it reads.  ``run_protocol`` runs any entry and measures
 the passes it lists, but simulates only the forward pass.  A
 measurement point is prepared (its preconditions checked), its forward
 pass is propagated by ``evolve.propagate_passes``, and it is finished
-(the structural check, the second passes and inversion).
+(the structural check, the second passes and inversion).  Inversion
+is ``_estimate`` of the entry, which ``doublepass invert`` also runs.
 The second passes are derived from the forward propagator: a two-state
 sign flip is a rearrangement of the forward Cayley-Klein pair, equal to
 a propagated pass to the last bit, and a three-state role swap is the
@@ -656,16 +657,12 @@ def random_symmetric_pair_profile(
 ) -> DriveProfile3:
     """Random equal-peak delayed pulse pair (Stokes first), optionally at a
     fixed constant single-photon detuning."""
-    kind = rng.choice(("sin2", "gaussian"))
+    kind = str(rng.choice(("sin2", "gaussian")))
     peak = rng.uniform(0.5, 20.0)
     delay = rng.uniform(0.05, 0.5)
-    if kind == "sin2":
-        stokes = PulseShape.sin2(peak, 1.0, offset=0.0)
-        pump = PulseShape.sin2(peak, 1.0, offset=delay)
-    else:
-        width = rng.uniform(0.15, 0.35)
-        stokes = PulseShape.gaussian(peak, width, center=0.0)
-        pump = PulseShape.gaussian(peak, width, center=delay)
+    width = 1.0 if kind == "sin2" else rng.uniform(0.15, 0.35)
+    stokes = PulseShape(kind, peak, width)
+    pump = replace(stokes, offset=delay)
     if detuning is None:
         detuning = rng.uniform(-20.0, 20.0)
     return DriveProfile3(

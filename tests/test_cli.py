@@ -10,11 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import doublepass
 from doublepass import harness
 from doublepass.cli import (
+    _INVERT_RELATIONS,
     EX_INCONSISTENT,
     EX_IOERR,
     EX_OK,
@@ -23,7 +25,15 @@ from doublepass.cli import (
     EX_VERIFY_FAILED,
     main,
 )
-from doublepass.harness import CSV_COLUMNS
+from doublepass.evolve import CayleyKlein
+from doublepass.harness import CSV_COLUMNS, PROTOCOLS
+from doublepass.su2relations import DEFAULT_SLACK, V00, V0PI, VPI0, average_return, return_probability
+from doublepass.su3relations import (
+    case1_return_probability,
+    case2_return_probability,
+    detuned_average_return,
+    general_average_return,
+)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -266,6 +276,55 @@ def test_key_the_shape_does_not_read_is_rejected(tmp_path, capsys, field, value,
     assert code == EX_USAGE
     assert captured.err == f"config error: invalid profile: {stderr}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "field, value, stderr",
+    [
+        (None, [], "config must be an object"),
+        ("tolerances", 1, "tolerances must be an object"),
+        (
+            "profile",
+            {"rabi": {"shape": "sin2", "peak": 8.0}},
+            "invalid profile: profile: missing required key 'kind'",
+        ),
+        ("profile.rabi.peak", "8", "invalid profile: profile.rabi.peak must be a number, got '8'"),
+        ("profile.window", [0.0], "invalid profile: profile.window must be [t_start, t_end]"),
+        ("profile.window", "0 1", "invalid profile: profile.window must be [t_start, t_end]"),
+        (
+            "profile.kind",
+            "four-state",
+            "invalid profile: profile.kind must be 'two-state' or 'three-state', got 'four-state'",
+        ),
+        ("output", 5, "output must be a path string"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        # guards of the drive classes and of SweepSpec, reached from a config
+        (
+            "profile.detuning",
+            {"shape": "tanh-chirp", "magnitude": 5.0, "width": 0},
+            "invalid profile: tanh-chirp width must be > 0",
+        ),
+        (
+            "profile.rabi",
+            {"shape": "gaussian", "peak": 5.0, "width": 0.3, "offset": 1e300},
+            "invalid profile: degenerate pulse support",
+        ),
+        (
+            "sweep",
+            {"parameter": "pulse-area", "start": float("nan"), "stop": 1.0},
+            "invalid sweep block: sweep range must be finite",
+        ),
+    ],
+)
+def test_malformed_config_is_one_config_error_line(tmp_path, capsys, field, value, stderr):
+    config = value if field is None else _set(rap_config(), field, value)
+    command = ["sweep", "--out", str(tmp_path / "out.csv")] if "sweep" in config else ["simulate"]
+    code = main([*command, "--config", write_config(tmp_path, config)])
+    captured = capsys.readouterr()
+    assert code == EX_USAGE
+    assert captured.err == f"config error: {stderr}\n"
+    assert captured.out == "" and not (tmp_path / "out.csv").exists()
 
 
 def test_every_shape_has_a_key_table():
@@ -700,6 +759,60 @@ class TestInvert:
         )
         assert code == EX_USAGE
         assert "--slack" in capsys.readouterr().err
+
+
+def _two_state_return(p, variant):
+    # a real a and an imaginary b: the pass has the parities of both the
+    # RAP and the constant-detuning inversions
+    return return_probability(CayleyKlein(math.sqrt(1.0 - p), 1j * math.sqrt(p)), variant)
+
+
+# The record fields each relation's protocol reads, formed from (p, q, r)
+# by the package's closed forms, in the order of the relation's flags.
+RELATION_FIELDS = {
+    "two-state-general": lambda p, q, r: {
+        "q_bar": average_return(_two_state_return(p, V00), _two_state_return(p, VPI0))
+    },
+    "two-state-rap": lambda p, q, r: {"q00": _two_state_return(p, V00)},
+    "two-state-const-detuning": lambda p, q, r: {"q0pi": _two_state_return(p, V0PI)},
+    "stirap-case1": lambda p, q, r: {"q00": case1_return_probability(p, q), "q": q},
+    "stirap-case2": lambda p, q, r: {"qpi0": case2_return_probability(p)},
+    "stirap-detuned": lambda p, q, r: {"q_bar": detuned_average_return(p, q), "q": q},
+    "three-state-general": lambda p, q, r: {"q_bar": general_average_return(p, q, r), "q": q, "r": r},
+}
+
+
+def relation_cases(seed=2018):
+    """(relation, p, fields, argv) of each ``invert`` relation: a seeded p
+    on the upper branch of every inversion, with q and r where the
+    relation reads them, the record fields ``RELATION_FIELDS`` forms from
+    them and the ``invert`` argv that passes those fields.  Q_bar, q and r
+    have flags of their own; a Q column is passed as --q-return."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for relation, form in sorted(RELATION_FIELDS.items()):
+        p = rng.uniform(0.6, 0.95)
+        q, r = (float(value) for value in rng.uniform(0.0, 0.5 * (1.0 - p), size=2))
+        fields = form(p, q, r)
+        argv = ["invert", "--relation", relation]
+        for name, value in fields.items():
+            argv += [{"q_bar": "--q-bar", "q": "--q", "r": "--r"}.get(name, "--q-return"), repr(value)]
+        cases.append((relation, p, fields, argv))
+    return cases
+
+
+@pytest.mark.parametrize("relation, p, fields, argv", relation_cases(), ids=sorted(RELATION_FIELDS))
+def test_each_relation_prints_its_protocols_inversion(capsys, relation, p, fields, argv):
+    assert set(RELATION_FIELDS) == set(_INVERT_RELATIONS)
+    plan = PROTOCOLS[_INVERT_RELATIONS[relation][0]]
+    assert set(fields) == set(plan.reads)
+    assert main(argv) == EX_OK
+    captured = capsys.readouterr()
+    clamps = []
+    expected = harness._estimate(plan, fields, DEFAULT_SLACK, clamps)
+    assert captured.out == format(expected, ".17g") + "\n"
+    assert clamps == [] and captured.err == ""
+    assert abs(float(captured.out) - p) <= 1e-12
 
 
 class TestVerify:

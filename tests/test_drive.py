@@ -142,6 +142,10 @@ class TestDetuningShape:
         shape = DetuningShape.zero()
         assert shape.is_even() and shape.is_odd()
 
+    def test_tanh_chirp_width_must_be_positive(self):
+        with pytest.raises(ValueError, match="^tanh-chirp width must be > 0$"):
+            DetuningShape.tanh_chirp(5.0, width=0.0)
+
 
 class TestDriveProfile2:
     def test_default_window_pads_support_ten_percent(self):
@@ -157,6 +161,11 @@ class TestDriveProfile2:
     def test_constant_rabi_requires_window(self):
         with pytest.raises(ValueError):
             DriveProfile2(rabi=PulseShape.constant(1.0))
+
+    def test_support_too_narrow_to_pad_is_rejected(self):
+        # at 1e300 the support's ends round to its centre: no default window
+        with pytest.raises(ValueError, match="^degenerate pulse support$"):
+            DriveProfile2(rabi=PulseShape.gaussian(5.0, 0.3, center=1e300))
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError):

@@ -1066,6 +1066,10 @@ class TestPropagatePasses:
         with pytest.raises(TypeError, match="unsupported profile type"):
             propagate_passes([object()])
 
+    def test_non_profile_rejected_by_the_single_pass_entry(self):
+        with pytest.raises(TypeError, match="^unsupported profile type object$"):
+            propagate_profile(object())
+
 
 def sampling_counter(monkeypatch):
     """Count the calls of ``sample_rabi`` and ``sample_detuning``, through
@@ -1474,6 +1478,10 @@ class TestCayleyKlein:
     def test_normalization_invariant_enforced(self):
         with pytest.raises(ValueError):
             CayleyKlein(1.0, 0.5)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a 2x2 matrix, got shape \(3, 3\)$"):
+            cayley_klein(np.eye(3, dtype=complex))
 
 
 class TestSignFlipTransform:

@@ -484,6 +484,11 @@ class TestBatchedSweep:
         assert all(r.p_estimated == 0.5 for r in records)
 
 
+def test_unknown_symmetry_class_rejected():
+    with pytest.raises(ValueError, match="^unknown symmetry class 'odd'$"):
+        harness.random_two_state_profile(harness._rng(0), "odd")
+
+
 class TestSweep:
     def spec(self, **kwargs):
         defaults = dict(
@@ -586,6 +591,11 @@ class TestSweep:
 
 @pytest.mark.filterwarnings("error")
 class TestSweepFloatRange:
+    @pytest.mark.parametrize("start, stop", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_range_must_be_finite(self, start, stop):
+        with pytest.raises(ValueError, match="^sweep range must be finite$"):
+            SweepSpec(chirped_profile(), "detuning", start, stop, 3, ProtocolKind.TWO_STATE_GENERAL)
+
     def test_range_whose_width_overflows_is_rejected(self):
         # np.linspace would fill the grid with inf and nan
         with pytest.raises(ValueError, match="too wide"):

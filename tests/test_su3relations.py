@@ -144,12 +144,20 @@ class TestExtractResonantCK:
         with pytest.raises(TemplateMismatchError):
             extract_resonant_ck(np.full((3, 3), np.nan, dtype=complex))
 
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"^expected a 3x3 matrix, got shape \(2, 2\)$"):
+            extract_resonant_ck(np.eye(2, dtype=complex))
+
 
 class TestBackwardPropagator:
     def test_identity_fixed_point(self):
         for v in FOUR_VARIANTS:
             u = backward_propagator(np.eye(3, dtype=complex), phases(v))
             assert u == pytest.approx(np.eye(3))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"^expected a 3x3 matrix, got shape \(2, 2\)$"):
+            backward_propagator(np.eye(2, dtype=complex), (0.0, 0.0))
 
     def test_zero_phases_swap_indices(self):
         ck3 = ResonantCK(0.6, 0.4, math.sqrt(0.24))
