@@ -14,8 +14,9 @@ are the series of exp(-i Y), Y their traceless part, in the basis
 (I, Y, Y^2) that Cayley-Hamilton reduces every power of Y to (steps
 whose eigenvalue bound exceeds 1 go to ``eigh``), and reduced
 elementwise in a (3, 3, ..., n) layout as deviations from the identity,
-so their rounding does not grow with the number of steps; a 3x3 call
-keeps its step arrays in one block (see ``_su3_tails``).  In both
+so their rounding does not grow with the number of steps; their
+products are numpy complex multiplies, one per inner index, and a 3x3
+call keeps its step arrays in one block (see ``_su3_tails``).  In both
 dimensions the trace is carried as one scalar phase.  Every step is
 therefore unitary to rounding regardless of step size: unitarity is
 structural and the grid only controls accuracy.  The midpoint sampling
@@ -116,9 +117,12 @@ _DT_RANGE = (1e-140, 1e140)
 # most _TAIL steps long, then run together with those of up to the
 # budget's worth of other passes.  The budget also keeps every complex
 # temporary of a batched call (64 KiB) below numpy's 256 KiB threshold
-# for reusing temporaries in place, whose loops round differently; that
-# is what keeps a batched pass bit-identical to the same pass propagated
-# alone.
+# for reusing temporaries in place, whose loops round differently.  A
+# batch runs numpy's loops over other lengths than a pass alone (the 3x3
+# pairing's complex multiplies run over both axes of a batch of
+# even-length passes), and those loops round the same at any length.
+# Together that keeps a batched pass bit-identical to the same pass
+# propagated alone.
 BATCH_ROWS = 2**12
 # Steps per pass, at most, that the kernels' first stage pairs a pass
 # down to.  Below it each pairing level is a few dozen steps, so numpy's
@@ -156,10 +160,13 @@ class CayleyKlein:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """max |U^dag U - I|, the module's unitarity diagnostic."""
+    """max |U^dag U - I|, the module's unitarity diagnostic, over one
+    matrix or a stack of them in the last two axes."""
     u = np.asarray(u)
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        raise ValueError(f"expected square matrices in the last two axes, got shape {u.shape}")
     eye = np.eye(u.shape[-1])
-    return float(np.abs(u.conj().T @ u - eye).max())
+    return float(np.abs(u.conj().swapaxes(-1, -2) @ u - eye).max())
 
 
 class _Envelopes:
@@ -487,9 +494,10 @@ def _su3_propagator(
 
     Each step is carried as D = exp(-i Y) - I, and pairs multiply as
     D_L + D_E + D_L D_E (log-depth pairing of neighbouring steps, in a
-    (3, 3, ..., n) layout).  Rounding is then relative to the size of
-    each step, not to 1, so it does not build up with the number of
-    steps; a zero step is exactly D = 0.
+    (3, 3, ..., n) layout, D_L D_E as three broadcast complex
+    multiplies summed over the inner index).  Rounding is then relative
+    to the size of each step, not to 1, so it does not build up with the
+    number of steps; a zero step is exactly D = 0.
 
     As for ``_ck_propagator``, the kernel runs in two stages:
     ``_su3_tails`` pairs each pass down to at most ``_TAIL`` deviations
@@ -515,21 +523,24 @@ def _su3_tails(
     Every step-length array is a view of one block allocated per call,
     written through the ``out=`` of its outermost operation with the
     float operations of separate arrays, and the pairing alternates
-    between D and a half-length buffer of the block.  Freed as about 30
-    separate arrays, a 4000-step call's memory left the top of glibc's
-    heap above its trim threshold (twice the largest mmapped chunk freed
-    so far), so each call gave it back and the next one faulted it in
-    again; the block is the call's largest allocation and its peak stays
-    under twice that, so the heap is kept.  The tail is copied out, so
-    the block is freed when the call returns.
+    between D and a buffer of the block as large as D, which takes each
+    level's products and the scratch slice their terms go through.
+    Freed as about 30 separate arrays, a 4000-step call's memory left the
+    top of glibc's heap above its trim threshold (twice the largest
+    mmapped chunk freed so far), so each call gave it back and the next
+    one faulted it in again; the block is the call's largest allocation
+    and its peak stays under twice that (a 4000-step pass: a 2000 KiB
+    block and a 2409 KiB peak under ``tracemalloc``), so the heap is
+    kept.  The tail is copied out, so the block is freed when the call
+    returns.
     """
     if not _DT_RANGE[0] < dt < _DT_RANGE[1]:
         return _su3_tails(*(dt * x for x in (d0, d1, d2, h10, h20, h21)), 1.0)
     shape = np.shape(d0)
-    size, n = math.prod(shape), shape[-1]
+    size = math.prod(shape)
     # the block in complex rows of ``size``: nine real rows (as five
-    # complex ones), nine complex rows, D, and the half-length buffer
-    block = np.empty(23 * size + 9 * (size // n) * ((n + 1) // 2), dtype=complex)
+    # complex ones), nine complex rows, D, and the pairing's buffer
+    block = np.empty(32 * size, dtype=complex)
     c0, a, b, c, n10, n20, n21, s, d = block[: 5 * size].view(float).reshape((10,) + shape)[:9]
     x10, x20, x21, s10, s20, s21, A, B, C = block[5 * size : 14 * size].reshape((9,) + shape)
     dev = block[14 * size : 23 * size].reshape((3, 3) + shape)  # D of each step
@@ -584,9 +595,9 @@ def _su3_tails(
 def _su3_finish(phase, dev: np.ndarray) -> np.ndarray:
     """The second stage of ``_su3_propagator``: the propagators of passes
     given by their trace phases and the deviations D of their steps, in
-    a (3, 3, ..., m) array that the pairing overwrites."""
-    n = dev.shape[-1]
-    dev = _su3_pairs(dev, np.empty(dev.size // n * ((n + 1) // 2), dtype=complex), 1)
+    a (3, 3, ..., m) array that the pairing overwrites, with a buffer of
+    its own as large as D."""
+    dev = _su3_pairs(dev, np.empty(dev.size, dtype=complex), 1)
     u = np.eye(3) + np.moveaxis(dev[..., 0], (0, 1), (-2, -1))
     return phase[..., None, None] * u
 
@@ -594,16 +605,24 @@ def _su3_finish(phase, dev: np.ndarray) -> np.ndarray:
 def _su3_pairs(dev: np.ndarray, spare: np.ndarray, stop: int) -> np.ndarray:
     """Deviations D multiplied by log-depth pairing of neighbours along
     the last axis until at most ``stop`` remain.  Each level writes its
-    products into ``spare``, a flat buffer of at least half of ``dev``
-    rounded up, or into the buffer the previous level read, an odd last
-    step copied after them."""
+    products into ``spare``, a flat buffer at least the size of ``dev``,
+    or into the buffer the previous level read, an odd last step copied
+    after them.  The product L E of a later step L and an earlier one E
+    is summed over its inner index k in k order, one broadcast complex
+    multiply L[:, k] E[k, :] per k, the second and third through a
+    scratch slice of the same buffer after the products."""
     n = dev.shape[-1]
     while n > stop:
         half, odd = divmod(n, 2)
+        rows = dev.size // n
         late, early = dev[..., 1 : n - odd : 2], dev[..., 0 : n - odd : 2]
-        paired = spare[: dev.size // n * (half + odd)].reshape(dev.shape[:-1] + (half + odd,))
+        paired = spare[: rows * (half + odd)].reshape(dev.shape[:-1] + (half + odd,))
         products = paired[..., :half]
-        np.einsum("ik...n,kj...n->ij...n", late, early, out=products)
+        term = spare[rows * (half + odd) : rows * n].reshape(late.shape)
+        np.multiply(late[:, 0, None], early[None, 0], out=products)
+        for k in (1, 2):
+            np.multiply(late[:, k, None], early[None, k], out=term)
+            products += term
         products += late
         products += early
         if odd:

@@ -38,6 +38,7 @@ from doublepass.evolve import (
     _TAIL,
     _ck_propagator,
     _coefficients_of,
+    _su3_pairs,
     _su3_propagator,
     cayley_klein,
     hamiltonian2,
@@ -647,10 +648,37 @@ def taylor_terms(order):
     return tuple(c for k, c in terms.items() if k % 2 == 0), tuple(c for k, c in terms.items() if k % 2)
 
 
+def unitary_deviations(gen, shape, scale):
+    """Deviations D = exp(-i Y) - I of random 3x3 steps whose Y has
+    eigenvalues of at most ``scale``, 0.1 to 1 times it, in the kernel's
+    (3, 3, ..., n) layout for ``shape`` (..., n)."""
+    n = math.prod(shape)
+    lam = gen.uniform(-1.0, 1.0, size=(n, 3))
+    lam *= (gen.uniform(0.1, 1.0, n) * scale / np.abs(lam).max(axis=1))[:, None]
+    v = random_unitary_batch(gen, n)
+    # exp(-i x) - 1 without cancellation
+    steps = (v * (-2.0 * np.sin(lam / 2) ** 2 - 1j * np.sin(lam))[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return np.moveaxis(steps.reshape(shape + (3, 3)), (-2, -1), (0, 1))
+
+
+def _longdouble_pairs(dev):
+    """The product of the steps I + D along the last axis, the later on
+    the left, minus I: neighbours multiplied as D_L + D_E + D_L D_E in
+    np.clongdouble."""
+    d = np.moveaxis(dev, (0, 1), (-2, -1)).astype(np.clongdouble)
+    while d.shape[-3] > 1:
+        n = d.shape[-3]
+        even = n - n % 2
+        late, early = d[..., 1:even:2, :, :], d[..., 0:even:2, :, :]
+        paired = late @ early + late + early
+        d = np.concatenate([paired, d[..., even:, :, :]], axis=-3)
+    return np.moveaxis(d[..., 0, :, :], (-2, -1), (0, 1))
+
+
 class TestSu3Kernel:
     """The 3x3 closed-form kernel against the extended-precision path."""
 
-    # worst 1.25e-14, 2.93e-15, 1.45e-14 and 7.76e-14 over the draws below
+    # worst 1.29e-14, 4.59e-15, 1.45e-14 and 7.88e-14 over the draws below
     @pytest.mark.parametrize(
         "kind, bound",
         [("generic", 5e-14), ("degenerate", 5e-14), ("near-scalar", 5e-14), ("mixed", 1e-13)],
@@ -754,6 +782,20 @@ class TestSu3Kernel:
         exact = (v * np.exp(-1j * w)) @ v.conj().T
         u = propagate(lambda ts: np.broadcast_to(h, (len(ts), 3, 3)), (0.0, 1.0), 2**16)
         assert np.abs(u - exact).max() < 1e-14
+
+    # worst 3.4e-15 over these draws; multiplying I + D as full matrices
+    # and subtracting I at the end reads 1e-12 and more at scales 1e-4 and
+    # 1e-6, where rounding relative to 1 dwarfs the steps
+    @pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize(
+        "shape", [(1,), (2,), (3,), (7,), (65,), (129,), (1001,), (4, 3), (3, 64), (3, 129), (2, 1001)]
+    )
+    def test_pairing_rounds_relative_to_the_steps(self, scale, shape):
+        dev = unitary_deviations(rng(500 + shape[-1]), shape, scale)
+        paired = _su3_pairs(dev.copy(), np.empty(dev.size, dtype=complex), 1)
+        assert paired.shape == (3, 3) + shape[:-1] + (1,)
+        error = np.abs(paired[..., 0] - _longdouble_pairs(dev)).max()
+        assert error < 1e-14 * np.abs(dev).max()
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
     def test_repeated_passes_reuse_the_heap(self):
@@ -905,6 +947,27 @@ class TestBatchedKernels:
         assert batched.shape == (5, 3, 3)
         for u, h in zip(batched, passes):
             assert np.array_equal(u, _su3_propagator(*_coefficients_of(h), 1.0))
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_batches_of_any_shape_equal_single_passes(self, dimension):
+        """A seeded sweep over batches of B passes of n steps, B n <=
+        BATCH_ROWS, n odd and even.  numpy loops over a batch with other
+        lengths than over one pass (a batch of even-length passes is one
+        loop over both axes), and the passes must not see it."""
+        gen = rng(600 + dimension)
+        kernel = _ck_propagator if dimension == 2 else _su3_propagator
+        kinds = ["generic", "degenerate", "near-scalar", "mixed"]
+        for draw in range(40):
+            n = 2 * int(np.exp(gen.uniform(0.0, np.log(BATCH_ROWS // 4)))) - draw % 2
+            count = int(gen.integers(2, min(BATCH_ROWS // n, 32) + 1))
+            if dimension == 2:
+                passes = [random_hermitian_batch(gen, n) for _ in range(count)]
+            else:
+                passes = [random_hermitian_batch3(gen, n, kinds[draw % 4]) for _ in range(count)]
+            columns = [np.stack(c) for c in zip(*(_coefficients_of(h) for h in passes))]
+            batched = kernel(*columns, 0.37)
+            for u, h in zip(batched, passes):
+                assert np.array_equal(u, kernel(*_coefficients_of(h), 0.37)), (count, n)
 
     def test_su3_batch_mixes_wide_and_closed_form_steps(self, monkeypatch):
         calls = kernel_spy(monkeypatch, "_step_exponentials_eigh")
@@ -1443,6 +1506,36 @@ class TestGridArguments:
         with pytest.raises(ValueError, match="refine_tol"):
             propagate(h, (0.0, 1.0), 16, refine_tol=refine_tol)
         assert calls == []
+
+
+class TestUnitarityDefect:
+    def test_stack_reads_its_worst_matrix(self):
+        # a transpose of the whole stack read 1.45 for these two unitaries
+        stack = random_unitary_batch(rng(91), 2, d=2)
+        each = [unitarity_defect(u) for u in stack]
+        assert max(each) < 1e-15
+        assert unitarity_defect(stack) == max(each)
+        bad = stack.copy()
+        bad[1, 0, 0] *= 1.5
+        assert unitarity_defect(bad) == unitarity_defect(bad[1]) > 0.1
+
+    def test_stack_of_one_and_stacks_of_stacks(self):
+        u = random_unitary_batch(rng(92), 6)
+        assert unitarity_defect(u[:1]) == unitarity_defect(u[0])
+        assert unitarity_defect(u.reshape(2, 3, 3, 3)) == unitarity_defect(u)
+
+    def test_single_matrix_unchanged(self):
+        # bit for bit what U^dag U read through a plain transpose
+        gen = rng(93)
+        for d in (2, 3):
+            for u in list(random_unitary_batch(gen, 20, d)) + list(gen.normal(size=(20, d, d))):
+                expected = float(np.abs(u.conj().T @ u - np.eye(d)).max())
+                assert unitarity_defect(u) == expected
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 2), (3,), ()])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            unitarity_defect(np.ones(shape))
 
 
 class TestCayleyKlein:
