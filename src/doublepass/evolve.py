@@ -145,28 +145,85 @@ class TemplateMismatchError(ValueError):
     """A matrix does not have the structure the operation requires."""
 
 
+class PointChecks:
+    """What the checks of a stack of points found, point by point.
+
+    ``errors[i]`` is the first error point i met, None while it has met
+    none, and ``clamps[i]`` the messages of the clamps applied to it.  A
+    check given a PointChecks (``cayley_klein``, the inverters'
+    ``clamps``) records an error for its point and goes on with the
+    others; given None or a list of clamp messages instead, it checks a
+    single point and raises its first error."""
+
+    def __init__(self, points: int) -> None:
+        self.errors: List[Optional[ValueError]] = [None] * points
+        self.clamps: List[List[str]] = [[] for _ in range(points)]
+
+
+def fail(checks, point: int, error: ValueError) -> None:
+    """Record ``error`` for ``point`` unless it has failed already, or
+    raise it when ``checks`` is not a PointChecks."""
+    if not isinstance(checks, PointChecks):
+        raise error
+    if checks.errors[point] is None:
+        checks.errors[point] = error
+
+
+def reject(checks, where, values, error: Callable[[float], ValueError]) -> None:
+    """``fail`` each point that the mask ``where`` marks with
+    ``error(value)``, its value of ``values`` as a Python float."""
+    for i in np.flatnonzero(where):
+        fail(checks, i, error(float(np.ravel(values)[i])))
+
+
+def _modulus(z) -> np.ndarray:
+    """|z| elementwise, rounded as ``abs`` of a complex scalar is (libm's
+    hypot); ``np.abs`` of an array differs in some last bits."""
+    return np.hypot(z.real, z.imag)
+
+
+def squared_modulus(z) -> np.ndarray:
+    """|z|^2 elementwise, rounded as ``abs(z) ** 2`` of a complex scalar
+    is: libm's hypot, then its pow, which ``** 2`` of an array is not."""
+    return np.float_power(_modulus(z), 2.0)
+
+
 @dataclass(frozen=True)
 class CayleyKlein:
     """The (a, b) pair parameterizing a two-state propagator
-    [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1."""
+    [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1, or the pairs of
+    a stack of them as arrays."""
 
     a: complex
     b: complex
 
     def __post_init__(self) -> None:
-        defect = abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0)
-        if not defect < UNITARITY_TOL:
-            raise ValueError(f"|a|^2 + |b|^2 deviates from 1 by {defect:.3e}")
+        defect = _normalization_defect(self.a, self.b)
+        if not np.all(defect < UNITARITY_TOL):
+            reject(None, ~(defect < UNITARITY_TOL), defect, _not_normalized(ValueError))
+
+
+def _not_normalized(error: type) -> Callable[[float], ValueError]:
+    return lambda defect: error(f"|a|^2 + |b|^2 deviates from 1 by {defect:.3e}")
+
+
+def _normalization_defect(a, b) -> np.ndarray:
+    return np.abs(squared_modulus(a) + squared_modulus(b) - 1.0)
+
+
+def _deviations(u: np.ndarray) -> np.ndarray:
+    """|U^dag U - I| of a matrix or a stack of them in the last two axes."""
+    u = np.asarray(u)
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        raise ValueError(f"expected square matrices in the last two axes, got shape {u.shape}")
+    eye = np.eye(u.shape[-1])
+    return np.abs(u.conj().swapaxes(-1, -2) @ u - eye)
 
 
 def unitarity_defect(u: np.ndarray) -> float:
     """max |U^dag U - I|, the module's unitarity diagnostic, over one
     matrix or a stack of them in the last two axes."""
-    u = np.asarray(u)
-    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
-        raise ValueError(f"expected square matrices in the last two axes, got shape {u.shape}")
-    eye = np.eye(u.shape[-1])
-    return float(np.abs(u.conj().swapaxes(-1, -2) @ u - eye).max())
+    return float(_deviations(u).max())
 
 
 class _Envelopes:
@@ -412,13 +469,7 @@ def _ck_finish(phase, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The second stage of ``_ck_propagator``: the propagators of passes
     given by their trace phases and their (a, b) pairs."""
     a, b = _ck_pairs(a, b, 1)
-    a, b = a[..., 0], b[..., 0]
-    u = np.empty(a.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = a
-    u[..., 0, 1] = -b.conj()
-    u[..., 1, 0] = b
-    u[..., 1, 1] = a.conj()
-    return phase[..., None, None] * u
+    return phase[..., None, None] * _su2_matrix(a[..., 0], b[..., 0])
 
 
 def _ck_pairs(a: np.ndarray, b: np.ndarray, stop: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -830,6 +881,7 @@ def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, Valu
             )
             size = max(1, BATCH_ROWS // len(ts))
             kept: List[tuple] = []  # (slots, tails) of the passes not yet finished
+            waiting = 0  # the passes kept
             for start in range(0, len(members), size):
                 slots, sampled = [], []
                 for i in members[start : start + size]:
@@ -846,11 +898,11 @@ def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, Valu
                 # until then made glibc give the heap of 4000-step 3x3
                 # passes back and fault it in again on every call
                 del sampled
-                waiting = sum(len(batch) for batch, _ in kept) + len(slots)
-                if kept and waiting * tails[-1].shape[-1] > BATCH_ROWS:
+                if kept and (waiting + len(slots)) * tails[-1].shape[-1] > BATCH_ROWS:
                     _second_stage(finish, kept, results)
-                    kept = []
+                    kept, waiting = [], 0
                 kept.append((slots, tails))
+                waiting += len(slots)
             if kept:
                 _second_stage(finish, kept, results)
     return results
@@ -881,39 +933,42 @@ def _second_stage(finish: Callable[..., np.ndarray], kept: list, results: list) 
         results[i] = u
 
 
-def cayley_klein(u: np.ndarray) -> CayleyKlein:
-    """Extract (a, b) from a two-state propagator.
+def cayley_klein(u: np.ndarray, checks: Optional[PointChecks] = None) -> CayleyKlein:
+    """Extract (a, b) from a two-state propagator, or the pairs of a stack
+    of them in the last two axes.
 
     Checks that ``u`` matches the [[a, -conj(b)], [b, conj(a)]] template
-    within TEMPLATE_TOL; dynamics that do not reduce to this form are
-    rejected with TemplateMismatchError.
+    within TEMPLATE_TOL, and then the pair's normalization to the tighter
+    UNITARITY_TOL; dynamics that do not reduce to this form are rejected
+    with TemplateMismatchError.  With ``checks``, a PointChecks over the
+    stack, each point's error is recorded there and its pair is (1, 0).
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
+    if u.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    defect = unitarity_defect(u)
-    if not defect < TEMPLATE_TOL:
-        raise TemplateMismatchError(f"matrix is not unitary (defect {defect:.3e})")
-    a = complex(u[0, 0])
-    b = complex(u[1, 0])
-    residual = max(abs(u[0, 1] + np.conj(b)), abs(u[1, 1] - np.conj(a)))
-    if not residual < TEMPLATE_TOL:
-        raise TemplateMismatchError(
-            f"matrix does not match the (a, b) propagator template "
-            f"(residual {residual:.3e})"
-        )
-    # the pair's normalization is held to UNITARITY_TOL, tighter than
-    # the template's unitarity check
-    try:
-        return CayleyKlein(a, b)
-    except ValueError as exc:
-        raise TemplateMismatchError(str(exc)) from exc
+    a, b = u[..., 0, 0], u[..., 1, 0]
+    defect = _deviations(u).max(axis=(-2, -1))
+    residual = np.maximum(_modulus(u[..., 0, 1] + b.conj()), _modulus(u[..., 1, 1] - a.conj()))
+    normalization = _normalization_defect(a, b)
+    ok = (defect < TEMPLATE_TOL) & (residual < TEMPLATE_TOL) & (normalization < UNITARITY_TOL)
+    if not ok.all():
+        reject(checks, ~(defect < TEMPLATE_TOL), defect, lambda value: TemplateMismatchError(
+            f"matrix is not unitary (defect {value:.3e})"
+        ))
+        reject(checks, ~(residual < TEMPLATE_TOL), residual, lambda value: TemplateMismatchError(
+            f"matrix does not match the (a, b) propagator template (residual {value:.3e})"
+        ))
+        reject(checks, ~(normalization < UNITARITY_TOL), normalization, _not_normalized(TemplateMismatchError))
+    if u.ndim == 2:
+        return CayleyKlein(complex(a), complex(b))
+    return CayleyKlein(np.where(ok, a, 1.0), np.where(ok, b, 0.0))
 
 
 def sign_flip_transform(
     ck: CayleyKlein, flip_rabi: bool = False, flip_detuning: bool = False
 ) -> np.ndarray:
-    """Propagator of the sign-flipped drive, from the unflipped (a, b).
+    """Propagator of the sign-flipped drive, from the unflipped (a, b), or
+    the propagators of a stack of pairs.
 
     A detuning flip maps (a, b) to (a*, -b*) and a coupling flip maps b
     to -b, so all four propagators are rearrangements of the same pair:
@@ -926,4 +981,14 @@ def sign_flip_transform(
         a, b = np.conj(a), -np.conj(b)
     if flip_rabi:
         b = -b
-    return np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)
+    return _su2_matrix(a, b)
+
+
+def _su2_matrix(a, b) -> np.ndarray:
+    """[[a, -conj(b)], [b, conj(a)]] over the leading axes of a and b."""
+    u = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    u[..., 0, 0] = a
+    u[..., 0, 1] = -np.conj(b)
+    u[..., 1, 0] = b
+    u[..., 1, 1] = np.conj(a)
+    return u

@@ -11,8 +11,11 @@ record fields it reads.  ``run_protocol`` runs any entry and measures
 the passes it lists, but simulates only the forward pass.  A
 measurement point is prepared (its preconditions checked), its forward
 pass is propagated by ``evolve.propagate_passes``, and it is finished
-(the structural check, the second passes and inversion).  Inversion
-is ``_estimate`` of the entry, which ``doublepass invert`` also runs.
+(the role-swap guard, the structural check, the second passes, the
+record fields and inversion) by ``_finish``, which takes a stack of
+points and is the only finish: ``run_protocol`` gives it a stack of one.
+Inversion is ``_estimate`` of the entry, which ``doublepass invert``
+also runs.
 The second passes are derived from the forward propagator: a two-state
 sign flip is a rearrangement of the forward Cayley-Klein pair, equal to
 a propagated pass to the last bit, and a three-state role swap is the
@@ -28,8 +31,13 @@ point, propagate the forward passes of all points in one
 ``propagate_passes`` call, whose step-row budget decides which passes
 share a kernel call (a 4000-step pass is paired down on its own, and
 the last pairing levels of many such passes run in one call), and
-finish each point on its own: per-point failures are recorded in the
-row status instead of aborting the sweep.
+finish all points at once, each step of the finish one array operation
+over the point axis.  A point that fails a check is marked with its
+first error in an ``evolve.PointChecks`` and the others go on, so
+per-point failures are recorded in the row status instead of aborting
+the sweep.  The array operations round as the scalar ones of a lone
+point do (``evolve.squared_modulus``, stacked ``matmul``), so a record
+does not depend on the points finished with it.
 ``verify`` replays the package's numeric invariants over seeded random
 drives and produces a deterministic report.  Every suite is one
 ``SUITES`` row: a draw of its inputs from the shared generator and an
@@ -64,15 +72,19 @@ from .drive import (
     swapped_detuning,
 )
 from .evolve import (
+    PointChecks,
     cayley_klein,
     check_step_phase,
+    fail,
     propagate_passes,
     propagate_profile,
     sign_flip_transform,
+    squared_modulus,
     unitarity_defect,
 )
 from .su2relations import (
     FOUR_VARIANTS,
+    Clamps,
     V00,
     V0PI,
     VPI0,
@@ -171,6 +183,11 @@ class MeasurementRecord:
         return abs(self.p_direct - self.p_estimated)
 
 
+# The record fields between swept_value and status, in their order: what
+# finishing a point fills.
+_MEASURED = tuple(MeasurementRecord.__dataclass_fields__)[1:-1]
+
+
 def _format_value(value: Optional[float]) -> str:
     if value is None:
         return ""
@@ -199,8 +216,9 @@ def _require(condition: bool, message: str) -> None:
         raise ProtocolPreconditionError(message)
 
 
-def _population(u: np.ndarray, row: int) -> float:
-    return float(abs(u[row, 0]) ** 2)
+def _population(u: np.ndarray, row: int) -> np.ndarray:
+    """|U[row, 0]|^2 of a propagator, or of each of a stack of them."""
+    return squared_modulus(u[..., row, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +237,23 @@ def _second_pass(profile: Profile, variant: Variant) -> Profile:
     return backward_profile_3(profile, *phases(variant))
 
 
-def _check_swap(profile: Profile) -> None:
-    """Raise the StepPhaseError that propagating the role-swapped second
-    passes of ``profile`` would.  Their H holds the forward couplings and
-    -delta2, which the forward guard has bounded, and, with a two-photon
-    detuning, one new entry, delta - delta2, which is checked here."""
-    if isinstance(profile, DriveProfile3) and profile.two_photon_detuning != 0.0:
-        check_step_phase(profile, abs(swapped_detuning(profile)))
+def _check_swap(profiles: Sequence[Profile], checks: Optional[PointChecks] = None) -> None:
+    """Fail each point whose role-swapped second passes propagation would
+    reject, with the StepPhaseError it would raise (``evolve.fail``).
+    Their H holds the forward couplings and -delta2, which the forward
+    guard has bounded, and, with a two-photon detuning, one new entry,
+    delta - delta2, which is checked here."""
+    for i, profile in enumerate(profiles):
+        if isinstance(profile, DriveProfile3) and profile.two_photon_detuning != 0.0:
+            try:
+                check_step_phase(profile, abs(swapped_detuning(profile)))
+            except ValueError as error:
+                fail(checks, i, error)
 
 
 def _returns(u: np.ndarray, backs: Sequence[np.ndarray]) -> List[float]:
-    """Double-pass return probabilities |(V U)_11|^2."""
+    """Double-pass return probabilities |(V U)_11|^2, of one point or
+    of each of a stack."""
     return [_population(back @ u, 0) for back in backs]
 
 
@@ -246,7 +270,7 @@ def double_pass(
     ``run_protocol`` applies, then the first failing second pass's.
     """
     u = propagate_profile(profile)
-    _check_swap(profile)
+    _check_swap([profile])
     backs = [propagate_profile(_second_pass(profile, v)) for v in variants]
     return u, backs, _returns(u, backs)
 
@@ -362,14 +386,9 @@ PROTOCOLS: Dict[ProtocolKind, Protocol] = {
 }
 
 
-# A measurement point ready to propagate: its protocol entry and its
-# forward pass, the only pass it simulates.
-_Point = Tuple[Protocol, Profile]
-
-
-def _prepare(kind: Union[ProtocolKind, str], profile: Profile) -> _Point:
-    """Check a point's preconditions; nothing is propagated, so a
-    precondition failure simulates no pass."""
+def _prepare(kind: Union[ProtocolKind, str], profile: Profile) -> Protocol:
+    """Check a point's preconditions and return its protocol entry;
+    nothing is propagated, so a precondition failure simulates no pass."""
     kind = ProtocolKind(kind)
     plan = PROTOCOLS[kind]
     profile_type, dimension_name = _PROFILE_TYPES[plan.dimension]
@@ -379,18 +398,27 @@ def _prepare(kind: Union[ProtocolKind, str], profile: Profile) -> _Point:
     )
     for holds, message in plan.preconditions:
         _require(holds(profile), message)
-    return plan, profile
+    return plan
 
 
 def _finish(
-    point: _Point,
-    u: Union[np.ndarray, ValueError],
+    plan: Protocol,
+    profiles: Sequence[Profile],
+    results: Sequence[Union[np.ndarray, ValueError]],
     slack: float,
-    swept_value: Optional[float],
-) -> MeasurementRecord:
-    """A point's record from its slot of ``propagate_passes``, the forward
-    propagator or the error that propagating it raised: the structural
-    check, the second passes and inversion.
+    swept_values: Sequence[Optional[float]],
+) -> List[Union[MeasurementRecord, ValueError]]:
+    """The records of prepared points of one protocol entry, from their
+    slots of ``propagate_passes`` (a forward propagator or the error that
+    propagating it raised), finished together over the point axis: the
+    role-swap guard, the structural check, the second passes, the record
+    fields and inversion, each one call on the stack of points.
+
+    A point that fails a check is finished with the others but gives the
+    error of the first check it failed instead of a record: its slot's
+    error, the role-swap guard, the structural check, then the
+    inversion's checks in their order (``evolve.PointChecks``).  A clamp
+    makes its record's status "clamped".
 
     A sign-flipped two-state pass is an exact rearrangement of the
     forward pair (a, b) that the structural check returns, equal to the
@@ -399,36 +427,49 @@ def _finish(
     role-swapped three-state pass is ``backward_propagator`` of the
     forward propagator, equal to the propagated pass up to rounding and,
     with a two-photon detuning, a global phase, which no return
-    probability sees.
+    probability sees.  The resonant template check feeds no record
+    field and runs point by point.
     """
-    plan, profile = point
-    if isinstance(u, ValueError):
-        raise u
-    _check_swap(profile)
-    structure = globals()[plan.check](u) if plan.check is not None else None
+    if not results:
+        return []
+    checks = PointChecks(len(results))
+    for i, result in enumerate(results):
+        if isinstance(result, ValueError):
+            fail(checks, i, result)
+    _check_swap(profiles, checks)
+    # a failed slot is finished as the identity, and its record dropped
+    identity = np.eye(plan.dimension)
+    u = np.array([identity if isinstance(result, ValueError) else result for result in results], dtype=complex)
+    check = globals()[plan.check] if plan.check is not None else None
     if plan.dimension == 2:
-        backs = [sign_flip_transform(structure, *v) for v in plan.variants]
+        pairs = check(u, checks)
+        backs = [sign_flip_transform(pairs, *v) for v in plan.variants]
     else:
+        if check is not None:  # the resonant template, point by point
+            for i, point in enumerate(u):
+                try:
+                    check(point)
+                except ValueError as error:
+                    fail(checks, i, error)
         backs = [backward_propagator(u, phases(v)) for v in plan.variants]
     fields = _measure(plan, u, backs, _returns(u, backs))
-    clamps: List[str] = []
-    p_est = _estimate(plan, fields, slack, clamps)
-    return MeasurementRecord(
-        swept_value=swept_value,
-        **fields,
-        p_estimated=p_est,
-        classical_estimate=math.sqrt(fields[plan.reads[0]]),
-        status="clamped" if clamps else "ok",
-    )
+    fields["p_estimated"] = _estimate(plan, fields, slack, checks)
+    fields["classical_estimate"] = np.sqrt(fields[plan.reads[0]])
+    unmeasured = [None] * len(results)
+    columns = [fields[name].tolist() if name in fields else unmeasured for name in _MEASURED]
+    return [
+        error if error is not None else MeasurementRecord(value, *row, "clamped" if clamps else "ok")
+        for value, error, clamps, *row in zip(swept_values, checks.errors, checks.clamps, *columns)
+    ]
 
 
 def _measure(
     plan: Protocol, u: np.ndarray, backs: Sequence[np.ndarray], returns: Sequence[float]
 ) -> Dict[str, float]:
-    """The record fields of one point's passes: p_direct and q of the
-    forward propagator U, the return of each second-pass variant in its
-    column, and Q_bar and r (from the (0, 0) second pass) where the
-    inversion reads them."""
+    """The record fields of one point's passes, or the columns of a stack
+    of points: p_direct and q of the forward propagator U, the return of
+    each second-pass variant in its column, and Q_bar and r (from the
+    (0, 0) second pass) where the inversion reads them."""
     fields = {"p_direct": _population(u, plan.dimension - 1), "q": _population(u, 0)}
     fields.update(zip((VARIANT_COLUMNS[v] for v in plan.variants), returns))
     if "q_bar" in plan.reads:
@@ -440,8 +481,9 @@ def _measure(
     return fields
 
 
-def _estimate(plan: Protocol, fields: Dict[str, float], slack: float, clamps: List[str]) -> float:
-    """The protocol's inversion of the record fields it reads."""
+def _estimate(plan: Protocol, fields: Dict[str, float], slack: float, clamps: Clamps) -> float:
+    """The protocol's inversion of the record fields it reads, of one
+    point or of a stack of points (``clamps`` then a PointChecks)."""
     args = [fields[name] for name in plan.reads]
     return globals()[plan.inverter](*args, slack=slack, clamps=clamps)
 
@@ -467,11 +509,15 @@ def run_protocol(
     protocol needs raises TemplateMismatchError; an unresolvable pass
     raises StepPhaseError; inversion inconsistencies beyond the slack
     raise InversionRangeError.  Clamped inversions are reported in the
-    record status, not raised.
+    record status, not raised.  The point is finished by the columnar
+    finish of ``sweep``, as a stack of one point, and the first error it
+    records is raised.
     """
-    point = _prepare(kind, profile)
-    [result] = propagate_passes([profile])
-    return _finish(point, result, slack, None)
+    plan = _prepare(kind, profile)
+    [outcome] = _finish(plan, [profile], propagate_passes([profile]), slack, [None])
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +568,9 @@ class SweepSpec:
         object.__setattr__(self, "protocol", ProtocolKind(self.protocol))
 
 
-def _with_area(shape: PulseShape, area: float, window) -> PulseShape:
-    unit = pulse_area(replace(shape, peak=1.0), window)
+def _with_area(shape: PulseShape, unit: float, area: float) -> PulseShape:
+    """``shape`` scaled to ``area``, given the area ``unit`` of its unit
+    peak."""
     if unit <= 0.0:
         raise ValueError(f"cannot scale a {shape.kind!r} pulse to a target area")
     return replace(shape, peak=area / unit)
@@ -537,31 +584,41 @@ def _with_detuning(shape: DetuningShape, value: float) -> DetuningShape:
     return replace(shape, magnitude=value)
 
 
+def _profile_at(profile: Profile, parameter: str) -> Callable[[float], Profile]:
+    """The base profile with one parameter replaced, as a function of the
+    swept value.  A pulse-area sweep computes the unit-peak area of each
+    pulse once, not once per value."""
+    if parameter == "pulse-area":
+        roles = ("rabi",) if isinstance(profile, DriveProfile2) else ("pump", "stokes")
+        units = [
+            (role, getattr(profile, role), pulse_area(replace(getattr(profile, role), peak=1.0), profile.window))
+            for role in roles
+        ]
+
+        def scaled(value: float) -> Profile:
+            if value < 0.0:
+                raise ValueError("pulse area must be >= 0")
+            return replace(profile, **{role: _with_area(shape, unit, value) for role, shape, unit in units})
+
+        return scaled
+    if parameter == "delay":
+
+        def delayed(value: float) -> Profile:
+            if not isinstance(profile, DriveProfile3):
+                raise ValueError("delay sweeps need a three-state profile")
+            pump = replace(profile.pump, offset=profile.stokes.offset + value)
+            # support moves, so the padded default window is rederived
+            return replace(profile, pump=pump, window=None)
+
+        return delayed
+    # detuning
+    role = "detuning" if isinstance(profile, DriveProfile2) else "single_photon_detuning"
+    return lambda value: replace(profile, **{role: _with_detuning(getattr(profile, role), value)})
+
+
 def apply_sweep_parameter(profile: Profile, parameter: str, value: float) -> Profile:
     """Base profile with one parameter replaced by the swept value."""
-    if parameter == "pulse-area":
-        if value < 0.0:
-            raise ValueError("pulse area must be >= 0")
-        if isinstance(profile, DriveProfile2):
-            return replace(profile, rabi=_with_area(profile.rabi, value, profile.window))
-        return replace(
-            profile,
-            pump=_with_area(profile.pump, value, profile.window),
-            stokes=_with_area(profile.stokes, value, profile.window),
-        )
-    if parameter == "delay":
-        if not isinstance(profile, DriveProfile3):
-            raise ValueError("delay sweeps need a three-state profile")
-        pump = replace(profile.pump, offset=profile.stokes.offset + value)
-        # support moves, so the padded default window is rederived
-        return replace(profile, pump=pump, window=None)
-    # detuning
-    if isinstance(profile, DriveProfile2):
-        return replace(profile, detuning=_with_detuning(profile.detuning, value))
-    return replace(
-        profile,
-        single_photon_detuning=_with_detuning(profile.single_photon_detuning, value),
-    )
+    return _profile_at(profile, parameter)(value)
 
 
 def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List[MeasurementRecord]:
@@ -573,32 +630,37 @@ def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List
 
     Every point is prepared, the forward passes of all prepared points go
     to one ``propagate_passes`` call (which batches them under its step-row
-    budget), and each point is then finished on its own.  Every record
-    equals that of ``run_protocol`` on its point.
+    budget), and ``_finish`` then checks, derives, measures and inverts
+    all of them at once, as arrays over the point axis.  Every record
+    equals that of ``run_protocol``, the same finish on its point alone.
     """
     if spec.start == spec.stop:
         values = [float(spec.start)]
     else:
         values = [float(value) for value in np.linspace(spec.start, spec.stop, spec.points)]
-    points: List[Union[_Point, Exception]] = []
+    at = _profile_at(spec.profile, spec.parameter)
+    outcomes: List[Union[Profile, MeasurementRecord, ValueError]] = []
     for value in values:
         try:
-            point = apply_sweep_parameter(spec.profile, spec.parameter, value)
-            points.append(_prepare(spec.protocol, point))
-        except ValueError as exc:
-            points.append(exc)
-    prepared = [point for point in points if not isinstance(point, Exception)]
-    results = iter(propagate_passes([forward for _, forward in prepared]))
-    records = []
-    for value, point in zip(values, points):
-        try:
-            if isinstance(point, Exception):
-                raise point
-            record = _finish(point, next(results), slack, value)
-        except ValueError as exc:
-            record = MeasurementRecord(swept_value=value, status=f"error: {exc}")
-        records.append(record)
-    return records
+            profile = at(value)
+            _prepare(spec.protocol, profile)
+        except ValueError as error:
+            outcomes.append(error)
+        else:
+            outcomes.append(profile)
+    points = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, ValueError)]
+    profiles = [outcomes[i] for i in points]
+    finished = _finish(
+        PROTOCOLS[spec.protocol], profiles, propagate_passes(profiles), slack, [values[i] for i in points]
+    )
+    for i, outcome in zip(points, finished):
+        outcomes[i] = outcome
+    return [
+        MeasurementRecord(swept_value=value, status=f"error: {outcome}")
+        if isinstance(outcome, ValueError)
+        else outcome
+        for value, outcome in zip(values, outcomes)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,18 @@ Q_bar = p^2 + (1 - p)^2 >= 1/2 for any drive.
 
 Noisy inputs within the slack are clamped, and each clamp's message is
 appended to the ``clamps`` list the caller passes, so a caller gets its
-clamps as values.
+clamps as values.  The average and the inversions also take a stack of
+points as arrays, with an ``evolve.PointChecks`` as ``clamps``: an
+inconsistent point then fails on its own, and the others go on.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Tuple
+from typing import Callable, List, Tuple, Union
 
-from .evolve import CayleyKlein, sign_flip_transform
+import numpy as np
+
+from .evolve import CayleyKlein, PointChecks, reject, sign_flip_transform
 
 # A second-pass variant is a (flip, flip) pair: the coupling and detuning
 # sign flips of a two-state drive, or phase pi on the pump and on the
@@ -32,6 +35,9 @@ V0PI: Variant = (False, True)
 VPIPI: Variant = (True, True)
 FOUR_VARIANTS = (V00, VPI0, V0PI, VPIPI)
 DEFAULT_SLACK = 1e-6
+# Where the checks of an inversion report: the clamp list of one point,
+# whose error is raised, or the PointChecks of a stack of points.
+Clamps = Union[List[str], PointChecks]
 
 
 class InversionRangeError(ValueError):
@@ -39,32 +45,46 @@ class InversionRangeError(ValueError):
     configured noise slack."""
 
 
-def clamped_sqrt(radicand: float, slack: float, label: str, clamps: List[str]) -> float:
-    """sqrt with the shared clamp-and-report policy for noisy inputs.
+def _clamp(clamps: Clamps, where, values, message: Callable[[float], str]) -> None:
+    """Append ``message(value)`` to the clamps of each point that the mask
+    ``where`` marks and that has not failed: to ``clamps`` itself when it
+    is the list of a single point."""
+    for i in np.flatnonzero(where):
+        text = message(float(np.ravel(values)[i]))
+        if not isinstance(clamps, PointChecks):
+            clamps.append(text)
+        elif clamps.errors[i] is None:
+            clamps.clamps[i].append(text)
+
+
+def clamped_sqrt(radicand, slack: float, label: str, clamps: Clamps) -> float:
+    """sqrt with the shared clamp-and-report policy for noisy inputs,
+    elementwise over a stack of points.
 
     Values in [-slack, 0) clamp to zero and append a message to
-    ``clamps``; anything below -slack raises InversionRangeError.
+    ``clamps``; anything below -slack raises InversionRangeError, or, when
+    ``clamps`` is a PointChecks, fails its point.
     """
-    if radicand < -slack:
-        raise InversionRangeError(
-            f"{label}: radicand {radicand:.6e} below -slack ({slack:.1e}); "
-            "inputs are inconsistent with the relation"
-        )
-    if radicand < 0.0:
-        clamps.append(f"{label}: radicand {radicand:.6e} clamped to 0")
-        return 0.0
-    return math.sqrt(radicand)
+    reject(clamps, radicand < -slack, radicand, lambda value: InversionRangeError(
+        f"{label}: radicand {value:.6e} below -slack ({slack:.1e}); "
+        "inputs are inconsistent with the relation"
+    ))
+    negative = radicand < 0.0
+    _clamp(clamps, negative, radicand, lambda value: f"{label}: radicand {value:.6e} clamped to 0")
+    return np.sqrt(np.where(negative, 0.0, radicand))
 
 
-def checked_probability(value: float, name: str, slack: float, clamps: List[str]) -> float:
-    """Validate a probability, clamping slack-sized excursions into [0, 1]
-    and reporting each clamp as ``clamped_sqrt`` does."""
-    if not (-slack <= value <= 1.0 + slack):
-        raise InversionRangeError(f"{name} = {value!r} is not a probability")
-    if value < 0.0 or value > 1.0:
-        clamps.append(f"{name} = {value:.6e} clamped into [0, 1]")
-        return min(max(value, 0.0), 1.0)
-    return value
+def checked_probability(value, name: str, slack: float, clamps: Clamps) -> float:
+    """Validate a probability, or each of a stack of them, clamping
+    slack-sized excursions into [0, 1] and reporting each clamp as
+    ``clamped_sqrt`` does."""
+    value = np.asarray(value, dtype=float)
+    reject(clamps, ~((-slack <= value) & (value <= 1.0 + slack)), value, lambda v: InversionRangeError(
+        f"{name} = {v!r} is not a probability"
+    ))
+    outside = (value < 0.0) | (value > 1.0)
+    _clamp(clamps, outside, value, lambda v: f"{name} = {v:.6e} clamped into [0, 1]")
+    return np.where(outside, np.clip(value, 0.0, 1.0), value)[()]
 
 
 def return_probability(ck: CayleyKlein, variant: Variant) -> float:
@@ -89,7 +109,8 @@ def return_probability(ck: CayleyKlein, variant: Variant) -> float:
 
 
 def average_return(q_same: float, q_flip_rabi: float) -> float:
-    """Average of the unflipped and coupling-flipped return probabilities.
+    """Average of the unflipped and coupling-flipped return probabilities,
+    elementwise over stacks.
 
     For consistent inputs this equals p^2 + (1 - p)^2: the phase of the
     propagator cancels in the average, leaving the classical two-step
@@ -102,7 +123,7 @@ def invert_p_general(
     q_bar: float,
     *,
     slack: float = DEFAULT_SLACK,
-    clamps: List[str],
+    clamps: Clamps,
 ) -> float:
     """Single-pass p from the averaged return probability,
     p = (1 + sqrt(2 Q_bar - 1)) / 2.
@@ -122,7 +143,7 @@ def invert_p_rap(
     q_same: float,
     *,
     slack: float = DEFAULT_SLACK,
-    clamps: List[str],
+    clamps: Clamps,
 ) -> float:
     """p = (1 + sqrt(Q_same)) / 2 for drives with an even coupling and an
     odd detuning about the window midpoint (swept-crossing passage).
@@ -139,7 +160,7 @@ def invert_p_const_detuning(
     q_flip_detuning: float,
     *,
     slack: float = DEFAULT_SLACK,
-    clamps: List[str],
+    clamps: Clamps,
 ) -> float:
     """p = (1 + sqrt(Q_flip_detuning)) / 2 for drives with an even coupling
     and an even detuning about the window midpoint (e.g. constant

@@ -7,20 +7,23 @@ propagator is the forward one with indices 1 and 3 swapped and phase
 factors attached; averaging the double-pass return probability over the
 four sign combinations of the second-pass fields removes all
 interference terms and leaves closed-form relations between the
-double-pass average and (p, q, r).
+double-pass average and (p, q, r).  The role swap, the average and the
+inversions take a stack of points as arrays as well, as the two-state
+ones in ``su2relations`` do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .evolve import TemplateMismatchError, unitarity_defect
 from .su2relations import (
     DEFAULT_SLACK,
+    Clamps,
     InversionRangeError,  # raised by the inverters below; re-exported
     Variant,
     checked_probability,
@@ -142,7 +145,8 @@ def phases(variant: Variant) -> Tuple[float, float]:
 
 
 def backward_propagator(u: np.ndarray, phases: Tuple[float, float]) -> np.ndarray:
-    """Propagator of the role-swapped second pass with phases attached.
+    """Propagator of the role-swapped second pass with phases attached, or
+    those of a stack of forward propagators in the last two axes.
 
     Indices 1 and 3 of the forward propagator are swapped (transpose
     about the main diagonal, then about the anti-diagonal) and the
@@ -152,21 +156,37 @@ def backward_propagator(u: np.ndarray, phases: Tuple[float, float]) -> np.ndarra
         [[u33,            u32 e^{i xi},   u31 e^{i(xi-eta)}],
          [u23 e^{-i xi},  u22,            u21 e^{-i eta}  ],
          [u13 e^{i(eta-xi)}, u12 e^{i eta}, u11           ]]
+
+    Each element is rounded as the complex scalars of one matrix are, so
+    a matrix of a stack equals the same matrix passed alone.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (3, 3):
+    if u.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {u.shape}")
     xi, eta = phases
     exi = np.exp(1j * xi)
     eeta = np.exp(1j * eta)
-    return np.array(
-        [
-            [u[2, 2], u[2, 1] * exi, u[2, 0] * exi / eeta],
-            [u[1, 2] / exi, u[1, 1], u[1, 0] / eeta],
-            [u[0, 2] * eeta / exi, u[0, 1] * eeta, u[0, 0]],
-        ],
-        dtype=complex,
-    )
+    back = np.empty(u.shape, dtype=complex)
+    back[..., 0, 0] = u[..., 2, 2]
+    back[..., 0, 1] = _times(u[..., 2, 1], exi)
+    back[..., 0, 2] = _times(u[..., 2, 0], exi) / eeta
+    back[..., 1, 0] = u[..., 1, 2] / exi
+    back[..., 1, 1] = u[..., 1, 1]
+    back[..., 1, 2] = u[..., 1, 0] / eeta
+    back[..., 2, 0] = _times(u[..., 0, 2], eeta) / exi
+    back[..., 2, 1] = _times(u[..., 0, 1], eeta)
+    back[..., 2, 2] = u[..., 0, 0]
+    return back
+
+
+def _times(z: np.ndarray, w: complex) -> np.ndarray:
+    """z * w in real arithmetic, which rounds as numpy's complex scalar
+    product does; its array product fuses multiply-adds where the CPU has
+    them.  (Its array quotient rounds as the scalar one.)"""
+    product = np.empty(z.shape, dtype=complex)
+    product.real = z.real * w.real - z.imag * w.imag
+    product.imag = z.real * w.imag + z.imag * w.real
+    return product
 
 
 def case1_return_probability(p: float, q: float) -> float:
@@ -180,7 +200,7 @@ def invert_case1(
     q: float,
     *,
     slack: float = DEFAULT_SLACK,
-    clamps: List[str],
+    clamps: Clamps,
 ) -> float:
     """p = (1 + sqrt(Q)) / 2 - q for the unchanged-sign resonant double
     pass.  Requires the separately measured single-pass q; Q alone does
@@ -200,7 +220,7 @@ def invert_case2(
     q_return: float,
     *,
     slack: float = DEFAULT_SLACK,
-    clamps: List[str],
+    clamps: Clamps,
 ) -> float:
     """p = (1 + sqrt(Q)) / 2 for the pump-flipped resonant double pass.
 
@@ -213,7 +233,8 @@ def invert_case2(
 
 def four_phase_average(q_set: Sequence[float]) -> float:
     """Mean of the four double-pass return probabilities measured at the
-    phases of FOUR_VARIANTS, (0,0), (pi,0), (0,pi), (pi,pi)."""
+    phases of FOUR_VARIANTS, (0,0), (pi,0), (0,pi), (pi,pi), elementwise
+    when they are stacks."""
     if len(q_set) != 4:
         raise ValueError(f"expected four probabilities, got {len(q_set)}")
     return (q_set[0] + q_set[1] + q_set[2] + q_set[3]) / 4.0
@@ -230,7 +251,7 @@ def invert_detuned(
     q: float,
     *,
     slack: float = DEFAULT_SLACK,
-    clamps: List[str],
+    clamps: Clamps,
 ) -> float:
     """p = (1 - q + sqrt(2 Q_bar - 3 q^2 + 2 q - 1)) / 2 for symmetric-pair
     passes, from the four-phase average and the single-pass q."""
@@ -259,7 +280,7 @@ def invert_general(
     r: float,
     *,
     slack: float = DEFAULT_SLACK,
-    clamps: List[str],
+    clamps: Clamps,
 ) -> float:
     """p from (Q_bar, q, r), all three measured on the initial state:
 

@@ -412,13 +412,8 @@ def test_overflowing_role_swapped_detuning_is_a_config_error(tmp_path, capsys):
 
 
 def test_template_mismatch_is_a_precondition_violation(tmp_path, capsys, monkeypatch):
-    import doublepass.harness as harness
-    from doublepass.evolve import TemplateMismatchError
-
-    def mismatch(u):
-        raise TemplateMismatchError("matrix is not unitary (defect nan)")
-
-    monkeypatch.setattr(harness, "cayley_klein", mismatch)
+    # a forward propagator of NaNs, which cayley_klein rejects as not unitary
+    monkeypatch.setattr(harness, "propagate_passes", lambda profiles: [np.full((2, 2), np.nan)] * len(profiles))
     code = main(["simulate", "--config", write_config(tmp_path, _general_two_state())])
     captured = capsys.readouterr()
     assert code == EX_PRECONDITION

@@ -144,7 +144,7 @@ TWO_STATE_KINDS = {
 def direct_record(kind, profile, *, slack=DEFAULT_SLACK):
     """The record of a point whose second passes are propagated by
     ``double_pass``, not derived: the reference for ``run_protocol``."""
-    plan, _ = harness._prepare(kind, profile)  # its preconditions
+    plan = harness._prepare(kind, profile)  # its preconditions
     u, backs, returns = harness.double_pass(profile, plan.variants)
     if plan.check is not None:
         getattr(harness, plan.check)(u)

@@ -1538,7 +1538,37 @@ class TestUnitarityDefect:
             unitarity_defect(np.ones(shape))
 
 
+def test_squared_modulus_rounds_as_the_scalar_square():
+    gen = rng(43)
+    z = gen.normal(size=20000) * np.exp(1j * gen.uniform(0.0, 2.0 * math.pi, size=20000))
+    z[:3] = (0.0, 1.0, -0.0j)
+    assert np.array_equal(doublepass.evolve.squared_modulus(z), [abs(x) ** 2 for x in z])
+
+
 class TestCayleyKlein:
+    def test_stack_gives_each_matrix_its_pair_or_its_error(self):
+        gen = rng(44)
+        good = [propagate_profile(random_two_state_profile(gen)) for _ in range(3)]
+        bad = [
+            np.full((2, 2), np.nan),  # not unitary
+            np.diag([1.0, 1j]),  # unitary, off the template
+            (1 + 3e-9) * np.eye(2),  # within the template, off the pair's normalization
+        ]
+        stack = np.array([good[0], bad[0], good[1], bad[1], bad[2], good[2]])
+        checks = doublepass.evolve.PointChecks(len(stack))
+        pairs = cayley_klein(stack, checks)
+        for i, u in enumerate(stack):
+            try:
+                alone = cayley_klein(u)
+            except TemplateMismatchError as error:
+                assert type(checks.errors[i]) is TemplateMismatchError and str(checks.errors[i]) == str(error)
+                assert (pairs.a[i], pairs.b[i]) == (1.0, 0.0)
+                continue
+            assert checks.errors[i] is None
+            assert (pairs.a[i], pairs.b[i]) == (alone.a, alone.b)
+            assert np.array_equal(sign_flip_transform(pairs, True, True)[i], sign_flip_transform(alone, True, True))
+        assert [error is None for error in checks.errors] == [True, False, True, False, False, True]
+
     def test_identity(self):
         ck = cayley_klein(np.eye(2, dtype=complex))
         assert ck.a == 1.0 and ck.b == 0.0

@@ -364,6 +364,79 @@ def point_by_point(spec, slack=harness.su2relations.DEFAULT_SLACK):
     return records
 
 
+def outcome_kind(kind, point, slack):
+    """What ``run_protocol`` makes of one point: its record's status, or
+    the class name of its error, a StepPhaseError whose forward pass
+    propagates being the role-swap guard's."""
+    from doublepass.evolve import StepPhaseError, propagate_passes
+
+    try:
+        return run_protocol(kind, point, slack=slack).status
+    except StepPhaseError:
+        [forward] = propagate_passes([point])
+        return "swap-guard" if isinstance(forward, np.ndarray) else "StepPhaseError"
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+# pulse areas below zero (a ValueError of the sweep's own), 0 (the
+# identity, whose returns round to just above 1) and beyond any grid
+HUGE_AREAS = ("pulse-area", -1e300, 1e300, 5)
+# a symmetric pair on a window not centred on it, on a grid too coarse to
+# keep its symmetry: the resonant template fails, and the detuned
+# radicand at area 4 is -5.8e-5, beyond the default slack, within 1e-4
+OFF_CENTRE = {"window": (0.0, 1.5), "grid_points": 16}
+SLACK = harness.su2relations.DEFAULT_SLACK
+# protocol -> (changes to its PROTOCOL_DRIVES drive, (parameter, start,
+# stop, points), slack, the outcomes that must occur among the points)
+COLUMNAR_CASES = {
+    ProtocolKind.TWO_STATE_GENERAL: [
+        ({"grid_points": 64}, HUGE_AREAS, SLACK, {"clamped", "ValueError", "StepPhaseError"}),
+        ({"grid_points": 64}, HUGE_AREAS, 0.0, {"InversionRangeError"}),
+        ({"grid_points": 64}, ("detuning", -15.0, 15.0, 9), SLACK, {"ok"}),
+    ],
+    ProtocolKind.TWO_STATE_RAP: [
+        ({"grid_points": 64}, ("pulse-area", 0.0, 20.0, 9), SLACK, {"ok"}),
+        ({"grid_points": 64, "window": (-0.1, 1.3)}, ("pulse-area", 0.0, 20.0, 3), SLACK, {"ProtocolPreconditionError"}),
+    ],
+    ProtocolKind.TWO_STATE_CONST_DETUNING: [
+        ({"grid_points": 64}, HUGE_AREAS, SLACK, {"clamped", "StepPhaseError"}),
+        ({"grid_points": 64}, HUGE_AREAS, 0.0, {"InversionRangeError"}),
+    ],
+    ProtocolKind.STIRAP_RESONANT_CASE1: [
+        ({"grid_points": 64}, ("detuning", -2.0, 2.0, 5), SLACK, {"ok", "ProtocolPreconditionError"}),
+        (OFF_CENTRE, ("pulse-area", 1.0, 6.0, 6), SLACK, {"TemplateMismatchError"}),
+        ({"grid_points": 64}, ("delay", -0.3, 0.5, 9), SLACK, {"ok"}),
+    ],
+    ProtocolKind.STIRAP_RESONANT_CASE2: [
+        ({"grid_points": 64}, HUGE_AREAS, 0.0, {"StepPhaseError"}),
+        (OFF_CENTRE, ("pulse-area", 1.0, 6.0, 6), SLACK, {"TemplateMismatchError"}),
+    ],
+    ProtocolKind.STIRAP_DETUNED: [
+        (OFF_CENTRE, ("pulse-area", 0.0, 6.0, 13), SLACK, {"ok", "InversionRangeError"}),
+        (OFF_CENTRE, ("pulse-area", 0.0, 6.0, 13), 1e-4, {"clamped"}),
+        ({"grid_points": 64}, ("delay", -0.3, 0.5, 9), SLACK, {"ok"}),
+    ],
+    ProtocolKind.THREE_STATE_GENERAL: [
+        ({"grid_points": 64}, ("delay", 0.2, 1.0, 9), SLACK, {"ok"}),
+        # the forward H stays below 3e15, but the role-swapped pass puts
+        # |delta - delta2| = 6e15 on its diagonal: a step phase of 1.5e12
+        # for the last points
+        (
+            {
+                "window": (0.0, 1.0),
+                "grid_points": 4000,
+                "single_photon_detuning": DetuningShape.constant(3e15),
+                "two_photon_detuning": -3e15,
+            },
+            ("detuning", 0.0, 3e15, 5),
+            SLACK,
+            {"swap-guard"},
+        ),
+    ],
+}
+
+
 def kernel_shapes(monkeypatch, name):
     """Record the shape of the first array of every call to a stage of a
     step kernel: the steps' d0, or the passes' trace phases."""
@@ -390,6 +463,27 @@ class TestBatchedSweep:
         records = sweep(spec)
         assert records == point_by_point(spec)
         assert sum(r.status == "ok" for r in records) >= 20
+
+    @pytest.mark.parametrize("kind", list(COLUMNAR_CASES))
+    def test_csv_equals_run_protocol_point_by_point(self, kind):
+        """The columnar finish against run_protocol, one point at a time,
+        to the CSV byte: ok, clamped and error rows of every kind, and
+        delay sweeps, whose points each have a window of their own."""
+        for changes, (parameter, start, stop, points), slack, outcomes in COLUMNAR_CASES[kind]:
+            profile = replace(PROTOCOL_DRIVES[kind], **changes)
+            spec = SweepSpec(profile, parameter, start, stop, points, kind)
+            swept, expected = io.StringIO(), io.StringIO()
+            write_csv(sweep(spec, slack=slack), swept)
+            write_csv(point_by_point(spec, slack), expected)
+            assert swept.getvalue() == expected.getvalue()
+            drives = [apply_sweep_parameter(profile, parameter, value) for value in np.linspace(start, stop, points)
+                      if parameter != "pulse-area" or value >= 0.0]
+            kinds = {outcome_kind(kind, point, slack) for point in drives}
+            if parameter == "pulse-area" and start < 0.0:
+                kinds.add("ValueError")
+            assert outcomes <= kinds, kinds
+            if parameter == "delay":
+                assert len({point.window for point in drives}) == points
 
     def test_short_points_share_kernel_calls(self, monkeypatch):
         shapes = kernel_shapes(monkeypatch, "_ck_tails")
@@ -433,30 +527,38 @@ class TestBatchedSweep:
         profile = replace(chirped_profile(), grid_points=64)
         spec = SweepSpec(profile, "pulse-area", 1.0, 20.0, 12, ProtocolKind.TWO_STATE_RAP)
         values = list(np.linspace(spec.start, spec.stop, spec.points))
-        apply = harness.apply_sweep_parameter
+        profile_at = harness._profile_at
         inverter = harness.invert_p_rap
-        target = run_protocol(spec.protocol, apply(profile, "pulse-area", values[8])).q00
+        target = run_protocol(spec.protocol, apply_sweep_parameter(profile, "pulse-area", values[8])).q00
 
-        def spoiled_point(base, parameter, value):
-            point = apply(base, parameter, value)
-            if value == values[3]:  # unresolvable: StepPhaseError
-                return replace(point, rabi=replace(point.rabi, peak=1e300))
-            if value == values[5]:  # breaks the parity precondition
-                return replace(point, window=(-0.1, 1.3))
-            return point
+        def spoiled_profile_at(base, parameter):
+            at = profile_at(base, parameter)
+
+            def spoiled_point(value):
+                point = at(value)
+                if value == values[3]:  # unresolvable: StepPhaseError
+                    return replace(point, rabi=replace(point.rabi, peak=1e300))
+                if value == values[5]:  # breaks the parity precondition
+                    return replace(point, window=(-0.1, 1.3))
+                return point
+
+            return spoiled_point
 
         def spoiled_inversion(q_same, *, slack, clamps):
-            # a negative slack admits no probability: InversionRangeError
-            return inverter(q_same, slack=-1.0 if q_same == target else slack, clamps=clamps)
+            # the target point's return becomes 2, no probability:
+            # InversionRangeError at that point alone
+            return inverter(np.where(q_same == target, 2.0, q_same), slack=slack, clamps=clamps)
 
-        monkeypatch.setattr(harness, "apply_sweep_parameter", spoiled_point)
+        # sweep and point_by_point (through apply_sweep_parameter) both
+        # take their points from _profile_at
+        monkeypatch.setattr(harness, "_profile_at", spoiled_profile_at)
         monkeypatch.setattr(harness, "invert_p_rap", spoiled_inversion)
         records = sweep(spec)
         assert records == point_by_point(spec)
         statuses = [r.status for r in records]
         assert statuses[3].startswith("error: step phase")
         assert statuses[5].startswith("error: swept-crossing protocol needs")
-        assert statuses[8].startswith("error: q_same")
+        assert statuses[8] == "error: q_same = 2.0 is not a probability"
         assert sum(s == "ok" for s in statuses) == 9
 
     def test_delay_sweep_groups_nothing_across_points(self, monkeypatch):
@@ -474,7 +576,7 @@ class TestBatchedSweep:
 
     def test_clamps_are_recorded_with_warnings_as_errors(self, monkeypatch):
         # an averaged return just below its floor of 1/2, within the slack
-        monkeypatch.setattr(harness, "average_return", lambda q_same, q_flip: 0.5 - 1e-10)
+        monkeypatch.setattr(harness, "average_return", lambda q_same, q_flip: np.full(np.shape(q_same), 0.5 - 1e-10))
         profile = replace(chirped_profile(), grid_points=64)
         spec = SweepSpec(profile, "pulse-area", 1.0, 20.0, 4, ProtocolKind.TWO_STATE_GENERAL)
         with warnings.catch_warnings():
@@ -550,17 +652,16 @@ class TestSweep:
             assert record.p_estimated is None
 
     def test_template_mismatch_recorded_others_ok(self, monkeypatch):
-        from doublepass.evolve import TemplateMismatchError, cayley_klein
+        propagate_passes = harness.propagate_passes
 
-        calls = []
+        def failing_on_second_point(profiles):
+            # the second forward propagator is NaNs, which cayley_klein
+            # rejects as not unitary
+            results = propagate_passes(profiles)
+            results[1] = np.full((2, 2), np.nan)
+            return results
 
-        def failing_on_second_point(u):
-            calls.append(u)
-            if len(calls) == 2:
-                raise TemplateMismatchError("matrix is not unitary (defect nan)")
-            return cayley_klein(u)
-
-        monkeypatch.setattr(harness, "cayley_klein", failing_on_second_point)
+        monkeypatch.setattr(harness, "propagate_passes", failing_on_second_point)
         spec = SweepSpec(
             profile=replace(chirped_profile(), grid_points=400),
             parameter="pulse-area",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doublepass.drive import backward_profile_2
-from doublepass.evolve import CayleyKlein, cayley_klein, propagate_profile
+from doublepass.evolve import CayleyKlein, PointChecks, cayley_klein, propagate_profile
 from doublepass.harness import random_two_state_profile
 from doublepass.su2relations import (
     FOUR_VARIANTS,
@@ -175,6 +175,44 @@ def test_clamps_list_collects_instead_of_warning(inverter, args, p, message):
         warnings.simplefilter("error")
         assert inverter(*args, clamps=clamps) == p
     assert clamps == ["earlier", message]
+
+
+# Inputs of each inverter, one point per row: plain, slack-sized clamps,
+# beyond the slack, NaN, and a point failing two checks at once
+STACKED_INPUTS = {
+    invert_p_general: [(0.7,), (0.5 - 1e-8,), (0.5 - 1e-3,), (1.0 + 1e-8,), (1.5,), (math.nan,), (0.62,)],
+    invert_p_rap: [(0.3,), (-1e-8,), (-1e-3,), (1.0 + 1e-8,), (math.nan,), (0.0,)],
+    invert_p_const_detuning: [(0.3,), (-1e-8,), (1.0 + 1e-3,), (1.0 + 1e-8,), (math.nan,), (1.0,)],
+    invert_case1: [(0.3, 0.1), (-1e-8, 0.0), (0.5, 1.5), (2.0, -1.0), (0.2, 1.0 + 1e-8), (math.nan, 0.1)],
+    invert_case2: [(0.3,), (1.0 + 1e-8,), (-1e-3,), (math.nan,), (0.9,)],
+    invert_detuned: [(0.6, 0.2), (0.5 - 1e-8, 0.0), (0.1, 0.5), (1.5, 2.0), (0.6, -1e-8), (math.nan, 0.2)],
+    invert_general: [
+        (0.6, 0.2, 0.3), (0.5 - 1e-9, 0.0, 0.0), (0.1, 0.5, 0.5), (1.5, 0.2, 2.0),
+        (0.6, -1e-8, 1.0 + 1e-8), (0.6, 0.2, math.nan), (0.3, 0.2, 0.3),
+    ],
+}
+
+
+@pytest.mark.parametrize("inverter", list(STACKED_INPUTS), ids=lambda f: f.__name__)
+def test_stacked_points_invert_as_single_ones(inverter):
+    """An inverter given columns of points and a PointChecks gives each
+    point the result, the first error and the clamp messages of the same
+    inverter on that point alone, bit for bit, without a warning."""
+    rows = STACKED_INPUTS[inverter]
+    checks = PointChecks(len(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = inverter(*(np.array(column) for column in zip(*rows)), clamps=checks)
+    for i, row in enumerate(rows):
+        clamps = []
+        try:
+            p = inverter(*row, clamps=clamps)
+        except InversionRangeError as error:
+            assert type(checks.errors[i]) is InversionRangeError and str(checks.errors[i]) == str(error)
+            continue
+        assert checks.errors[i] is None and checks.clamps[i] == clamps
+        assert stacked[i] == p, row
+    assert any(checks.errors) and not all(checks.errors) and any(checks.clamps)
 
 
 class TestSpecialCaseInverters:

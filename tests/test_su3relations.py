@@ -172,6 +172,25 @@ class TestBackwardPropagator:
         )
         assert swapped == pytest.approx(expected)
 
+    def test_stack_equals_each_matrix_and_the_scalar_products(self):
+        """Each matrix of a stack is swapped as it is alone, and each element
+        rounds as the product and quotient of numpy complex scalars."""
+        gen = rng(41)
+        stack = np.array([propagate_profile(random_general_three_state_profile(gen)) for _ in range(6)])
+        for xi, eta in [(0.0, 0.0), (math.pi, 0.0), (math.pi, math.pi)] + [
+            tuple(gen.uniform(0.0, 2.0 * math.pi, size=2)) for _ in range(4)
+        ]:
+            swapped = backward_propagator(stack, (xi, eta))
+            exi, eeta = np.exp(1j * xi), np.exp(1j * eta)
+            for u, back in zip(stack, swapped):
+                scalar = np.array([
+                    [u[2, 2], u[2, 1] * exi, u[2, 0] * exi / eeta],
+                    [u[1, 2] / exi, u[1, 1], u[1, 0] / eeta],
+                    [u[0, 2] * eeta / exi, u[0, 1] * eeta, u[0, 0]],
+                ])
+                assert np.array_equal(back, scalar)
+                assert np.array_equal(back, backward_propagator(u, (xi, eta)))
+
     def test_unreduced_phases_match_reduced_ones(self):
         gen = rng(37)
         u = propagate_profile(random_general_three_state_profile(gen))
