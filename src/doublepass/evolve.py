@@ -49,8 +49,8 @@ levels are shared.  A batched pass equals the same pass propagated
 alone to the last bit.  Within such a group each envelope
 is sampled once per shape (``_Envelopes``): passes whose pulses differ
 only in peak, such as the points of a pulse-area sweep, share one unit
-envelope, and nothing is kept between calls.  ``harness.double_pass``,
-the reference the batches are checked against, uses
+envelope, and nothing is kept between calls.  The tests check the
+batches against passes propagated one by one with
 ``propagate_profile``.
 """
 

@@ -21,10 +21,12 @@ sign flip is a rearrangement of the forward Cayley-Klein pair, equal to
 a propagated pass to the last bit, and a three-state role swap is the
 forward propagator with indices 1 and 3 swapped and phases attached
 (``su3relations.backward_propagator``), equal to a propagated pass up
-to rounding.  ``run_protocol`` and ``sweep`` propagate through that one
-batched entry.  ``double_pass``, which simulates every pass and which
-the verification suites and the tests use as the reference, propagates
-each pass on its own with ``propagate_profile`` instead.
+to rounding.  ``run_protocol``, ``sweep`` and the closed-form
+verification suites propagate through that one batched entry and
+derive the second passes by the same first half of the finish
+(``_derive``).  Only the suites that check the derivation itself
+(``sign-flips``, ``swap-derivation``) and the role-swapped returns
+(``swap-return-phase-free``) propagate second passes.
 
 Sweeps repeat a protocol over a parameter grid.  They prepare every
 point, propagate the forward passes of all points in one
@@ -41,12 +43,15 @@ does not depend on the points finished with it.
 ``verify`` replays the package's numeric invariants over seeded random
 drives and produces a deterministic report.  Every suite is one
 ``SUITES`` row: a draw of its inputs from the shared generator and an
-evaluation of them that does not touch it, so the draws replay alone,
-without propagating a pass, and the report's worst draw is evaluated
-again on its own.  The nine closed-form suites read the record fields
-that ``run_protocol`` writes, taken by the same ``_measure`` from
-``double_pass``'s directly propagated passes; ``general-average`` takes
-r from the forward U_33, not from the role-swapped pass.
+evaluation of a list of them that does not touch it, so the draws
+replay alone, without propagating a pass, and the report's worst draw
+is evaluated again on its own, as a list of one, to the same bits.
+``verify`` draws a suite's inputs first and evaluates them together.
+The nine closed-form suites propagate the forward passes of all their
+draws in one ``propagate_passes`` call and read the record fields that
+``run_protocol`` writes, as columns from ``_derive``; a draw that fails
+a check of the finish reads NaN.  ``general-average`` takes r from the
+forward U_33, not from the role-swapped pass.
 """
 
 from __future__ import annotations
@@ -257,22 +262,15 @@ def _returns(u: np.ndarray, backs: Sequence[np.ndarray]) -> List[float]:
     return [_population(back @ u, 0) for back in backs]
 
 
-def double_pass(
-    profile: Profile, variants: Sequence[Variant]
-) -> Tuple[np.ndarray, List[np.ndarray], List[float]]:
-    """Propagate the forward pass and one second pass per variant.
-
-    Returns the forward propagator U, the second-pass propagators V and
-    the double-pass return probabilities |(V U)_11|^2, in variant order.
-    Each pass is propagated on its own by ``propagate_profile``, so this
-    reference never reaches the batches of ``propagate_passes``.  The
-    forward pass's error comes first, then the role-swap guard that
-    ``run_protocol`` applies, then the first failing second pass's.
-    """
-    u = propagate_profile(profile)
-    _check_swap([profile])
-    backs = [propagate_profile(_second_pass(profile, v)) for v in variants]
-    return u, backs, _returns(u, backs)
+def _stack(results: Sequence[Union[np.ndarray, ValueError]], dimension: int, checks: PointChecks) -> np.ndarray:
+    """Slots of ``propagate_passes``, one per point, as one stack of
+    propagators: a slot that holds the error of its pass fails its point
+    in ``checks`` and is the identity."""
+    for i, result in enumerate(results):
+        if isinstance(result, ValueError):
+            fail(checks, i, result)
+    identity = np.eye(dimension)
+    return np.array([identity if isinstance(result, ValueError) else result for result in results], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -401,24 +399,17 @@ def _prepare(kind: Union[ProtocolKind, str], profile: Profile) -> Protocol:
     return plan
 
 
-def _finish(
-    plan: Protocol,
-    profiles: Sequence[Profile],
-    results: Sequence[Union[np.ndarray, ValueError]],
-    slack: float,
-    swept_values: Sequence[Optional[float]],
-) -> List[Union[MeasurementRecord, ValueError]]:
-    """The records of prepared points of one protocol entry, from their
-    slots of ``propagate_passes`` (a forward propagator or the error that
-    propagating it raised), finished together over the point axis: the
-    role-swap guard, the structural check, the second passes, the record
-    fields and inversion, each one call on the stack of points.
-
-    A point that fails a check is finished with the others but gives the
-    error of the first check it failed instead of a record: its slot's
-    error, the role-swap guard, the structural check, then the
-    inversion's checks in their order (``evolve.PointChecks``).  A clamp
-    makes its record's status "clamped".
+def _derive(
+    plan: Protocol, profiles: Sequence[Profile], results: Sequence[Union[np.ndarray, ValueError]]
+) -> Tuple[PointChecks, np.ndarray, Dict[str, np.ndarray]]:
+    """The first half of finishing points of one protocol entry, from
+    their slots of ``propagate_passes`` (a forward propagator or the
+    error that propagating it raised), over the point axis: the role-swap
+    guard, the structural check, the second passes and the record fields
+    that ``_measure`` takes from them.  Returns the checks, with the
+    first error of each point (its slot's, the role-swap guard's, then
+    the structural check's), the stack of forward propagators U, a failed
+    slot's the identity, and the fields as columns.
 
     A sign-flipped two-state pass is an exact rearrangement of the
     forward pair (a, b) that the structural check returns, equal to the
@@ -430,16 +421,9 @@ def _finish(
     probability sees.  The resonant template check feeds no record
     field and runs point by point.
     """
-    if not results:
-        return []
     checks = PointChecks(len(results))
-    for i, result in enumerate(results):
-        if isinstance(result, ValueError):
-            fail(checks, i, result)
+    u = _stack(results, plan.dimension, checks)
     _check_swap(profiles, checks)
-    # a failed slot is finished as the identity, and its record dropped
-    identity = np.eye(plan.dimension)
-    u = np.array([identity if isinstance(result, ValueError) else result for result in results], dtype=complex)
     check = globals()[plan.check] if plan.check is not None else None
     if plan.dimension == 2:
         pairs = check(u, checks)
@@ -452,7 +436,29 @@ def _finish(
                 except ValueError as error:
                     fail(checks, i, error)
         backs = [backward_propagator(u, phases(v)) for v in plan.variants]
-    fields = _measure(plan, u, backs, _returns(u, backs))
+    return checks, u, _measure(plan, u, backs, _returns(u, backs))
+
+
+def _finish(
+    plan: Protocol,
+    profiles: Sequence[Profile],
+    results: Sequence[Union[np.ndarray, ValueError]],
+    slack: float,
+    swept_values: Sequence[Optional[float]],
+) -> List[Union[MeasurementRecord, ValueError]]:
+    """The records of prepared points of one protocol entry, from their
+    slots of ``propagate_passes``, finished together over the point axis:
+    ``_derive``, then inversion, each one call on the stack of points.
+
+    A point that fails a check is finished with the others but gives the
+    error of the first check it failed instead of a record: those of
+    ``_derive``, then the inversion's checks in their order
+    (``evolve.PointChecks``).  A clamp makes its record's status
+    "clamped".
+    """
+    if not results:
+        return []
+    checks, _, fields = _derive(plan, profiles, results)
     fields["p_estimated"] = _estimate(plan, fields, slack, checks)
     fields["classical_estimate"] = np.sqrt(fields[plan.reads[0]])
     unmeasured = [None] * len(results)
@@ -497,10 +503,10 @@ def run_protocol(
     """Execute one measurement protocol and return its record.
 
     Only the forward pass is simulated.  Two-state second passes are
-    ``sign_flip_transform`` of the forward pair, equal to the directly
-    propagated passes of ``double_pass`` to the last bit; three-state
-    ones are ``backward_propagator`` of the forward propagator, whose
-    records stay within 1e-13 of those of ``double_pass``.  A second pass
+    ``sign_flip_transform`` of the forward pair, equal to directly
+    propagated passes to the last bit; three-state ones are
+    ``backward_propagator`` of the forward propagator, whose records stay
+    within 1e-13 of those of propagated passes.  A second pass
     that propagation would reject for its step phase is rejected all the
     same.
 
@@ -762,13 +768,15 @@ def random_general_three_state_profile(rng: np.random.Generator) -> DriveProfile
 class SuiteDef:
     """One invariant suite.  ``draw(i, rng)`` takes the inputs of draw i
     from the generator that ``verify`` shares across draws, and
-    ``evaluate(inputs)`` gives their residual without touching that
-    generator, so draw i's inputs are the i-th of the draws replayed
-    alone, and no draw propagates a pass."""
+    ``evaluate(inputs)`` gives the residuals of a list of draws' inputs,
+    one per draw, without touching that generator, so draw i's inputs
+    are the i-th of the draws replayed alone, no draw propagates a pass,
+    and a draw's residual is the same evaluated in a list or alone,
+    ``evaluate([inputs])[0]``."""
 
     tolerance: float
     draw: Callable[[int, np.random.Generator], Any]
-    evaluate: Callable[[Any], float]
+    evaluate: Callable[[List[Any]], Sequence[float]]
     description: str
 
 
@@ -777,25 +785,66 @@ def _drive(family: Callable[..., Profile], *args) -> Callable[[int, np.random.Ge
     return lambda i, rng: family(rng, *args)
 
 
-def _closed_form(
-    kind: ProtocolKind, closed_form: Callable[[Dict[str, float], np.ndarray], float]
-) -> Callable[[Profile], float]:
-    """The evaluation of one closed form, ``closed_form(fields, U)``:
-    ``fields`` are what ``_measure`` records for ``kind`` from
-    ``double_pass``'s directly propagated passes of a drive, U its
-    forward pass."""
-    plan = PROTOCOLS[kind]
+def _each(residual: Callable[[Any], float]) -> Callable[[List[Any]], List[float]]:
+    """The evaluation of a suite that stays per draw: ``residual`` of each
+    draw's inputs on their own, NaN where it raises a ValueError."""
 
-    def evaluate(profile: Profile) -> float:
-        u, backs, returns = double_pass(profile, plan.variants)
-        return closed_form(_measure(plan, u, backs, returns), u)
+    def evaluate(inputs: List[Any]) -> List[float]:
+        residuals = []
+        for drawn in inputs:
+            try:
+                residuals.append(residual(drawn))
+            except ValueError:
+                residuals.append(math.nan)
+        return residuals
 
     return evaluate
 
 
-def _forward(check: Callable[[np.ndarray], float]) -> Callable[[Profile], float]:
-    """The evaluation of ``check`` on a drive's forward propagator."""
-    return lambda profile: check(propagate_profile(profile))
+def _unless_failed(residuals: np.ndarray, checks: PointChecks) -> np.ndarray:
+    """The residuals, NaN at each draw that ``checks`` holds an error of."""
+    return np.where([error is None for error in checks.errors], residuals, math.nan)
+
+
+def _closed_form(
+    kind: ProtocolKind, closed_form: Callable[[Dict[str, np.ndarray], np.ndarray, PointChecks], np.ndarray]
+) -> Callable[[List[Profile]], np.ndarray]:
+    """The evaluation of one closed form over a stack of drives,
+    ``closed_form(fields, U, checks)``: ``fields`` are the columns that
+    ``run_protocol`` records for ``kind``, taken by the same ``_derive``
+    from the forward passes of all the drives, propagated in one
+    ``propagate_passes`` call, U the stack of those passes.  No
+    precondition of ``kind`` is checked.  A drive whose pass or check
+    fails, or that fails a check ``closed_form`` records in ``checks``,
+    reads NaN."""
+    plan = PROTOCOLS[kind]
+
+    def evaluate(profiles: List[Profile]) -> np.ndarray:
+        checks, u, fields = _derive(plan, profiles, propagate_passes(profiles))
+        return _unless_failed(closed_form(fields, u, checks), checks)
+
+    return evaluate
+
+
+def _forward(check: Callable[[np.ndarray], float]) -> Callable[[List[Profile]], List[float]]:
+    """The evaluation of ``check`` on each drive's forward propagator."""
+    return _each(lambda profile: check(propagate_profile(profile)))
+
+
+def _second_passes(profiles: Sequence[Profile], variants: Sequence[Variant]) -> List[List[Profile]]:
+    """The second-pass drives of each variant, one row per variant."""
+    return [[_second_pass(profile, v) for profile in profiles] for v in variants]
+
+
+def _propagated(rows: Sequence[Sequence[Profile]], dimension: int) -> Tuple[PointChecks, List[np.ndarray]]:
+    """One stack of propagators per row of drives, a pass of each draw,
+    with every row propagated in one ``propagate_passes`` call, and the
+    checks of the draws: a pass that fails fails its draw and is the
+    identity."""
+    n = len(rows[0])
+    checks = PointChecks(n)
+    results = propagate_passes([profile for row in rows for profile in row])
+    return checks, [_stack(results[k * n : (k + 1) * n], dimension, checks) for k in range(len(rows))]
 
 
 def _composition(profile: DriveProfile2) -> float:
@@ -810,14 +859,14 @@ def _composition(profile: DriveProfile2) -> float:
     return np.abs(whole - second @ first).max()
 
 
-def _sign_flips(profile: DriveProfile2) -> float:
+def _sign_flips(profiles: List[DriveProfile2]) -> np.ndarray:
     flips = (VPI0, V0PI, VPIPI)
-    u, direct, _ = double_pass(profile, flips)
-    ck = cayley_klein(u)
-    return max(
-        float(np.abs(back - sign_flip_transform(ck, *flip)).max())
-        for flip, back in zip(flips, direct)
-    )
+    checks, (u, *direct) = _propagated([profiles] + _second_passes(profiles, flips), 2)
+    ck = cayley_klein(u, checks)
+    differences = [
+        np.abs(back - sign_flip_transform(ck, *flip)).max(axis=(-2, -1)) for flip, back in zip(flips, direct)
+    ]
+    return _unless_failed(np.max(differences, axis=0), checks)
 
 
 def _degradation(eps: float) -> float:
@@ -840,10 +889,26 @@ def _resonant_template(u: np.ndarray) -> float:
     )
 
 
-def _swap_return_phase_free(profile: DriveProfile3) -> float:
+def _swap_derivation(profiles: List[DriveProfile3]) -> np.ndarray:
+    """How far ``backward_propagator`` of the forward pass, aligned in its
+    global phase, is from the propagated role-swapped pass."""
+    checks, (u, *direct) = _propagated([profiles] + _second_passes(profiles, FOUR_VARIANTS), 3)
+    differences = []
+    for v, back in zip(FOUR_VARIANTS, direct):
+        derived = backward_propagator(u, phases(v))
+        # tr(D^dag V), summed in a fixed order: a two-photon detuning
+        # leaves a global phase between the two, which this removes
+        overlap = sum(derived[..., i, j].conj() * back[..., i, j] for i, j in np.ndindex(3, 3))
+        aligned = derived * (overlap / np.abs(overlap))[..., None, None]
+        differences.append(np.abs(back - aligned).max(axis=(-2, -1)))
+    return _unless_failed(np.max(differences, axis=0), checks)
+
+
+def _swap_return_phase_free(profiles: List[DriveProfile3]) -> np.ndarray:
     # the second passes alone: no forward pass is simulated
-    returns = [_population(propagate_profile(_second_pass(profile, v)), 0) for v in FOUR_VARIANTS]
-    return max(returns) - min(returns)
+    checks, backs = _propagated(_second_passes(profiles, FOUR_VARIANTS), 3)
+    returns = [_population(back, 0) for back in backs]
+    return _unless_failed(np.max(returns, axis=0) - np.min(returns, axis=0), checks)
 
 
 _DETUNINGS = (0.0, 1.0, -1.0, 5.0, -5.0, 20.0, -20.0)
@@ -854,7 +919,7 @@ SUITES: Dict[str, SuiteDef] = {
         random_general_three_state_profile(rng) if i % 2 else random_two_state_profile(rng)
     ), _forward(lambda u: max(unitarity_defect(u), abs(abs(np.linalg.det(u)) - 1.0))),
         "propagators are unitary with unit determinant"),
-    "composition": SuiteDef(1e-9, _drive(random_two_state_profile), _composition, "propagation composes over subwindows"),
+    "composition": SuiteDef(1e-9, _drive(random_two_state_profile), _each(_composition), "propagation composes over subwindows"),
     "sign-flips": SuiteDef(1e-8, _drive(random_two_state_profile), _sign_flips, "analytic sign-flip propagators match direct propagation"),
     "chirp-symmetry": SuiteDef(1e-8, _drive(random_two_state_profile, "chirp"), _forward(
         lambda u: abs(cayley_klein(u).a.imag)
@@ -864,78 +929,84 @@ SUITES: Dict[str, SuiteDef] = {
     ), "even coupling + even detuning gives an imaginary transfer parameter"),
     "average-return": SuiteDef(1e-8, _drive(random_two_state_profile), _closed_form(
         ProtocolKind.TWO_STATE_GENERAL,
-        lambda f, u: abs(f["q_bar"] - (f["p_direct"] * f["p_direct"] + (1.0 - f["p_direct"]) ** 2)),
+        lambda f, u, _: abs(f["q_bar"] - (f["p_direct"] * f["p_direct"] + (1.0 - f["p_direct"]) ** 2)),
     ), "two-pass average return equals p^2 + (1-p)^2"),
     "mirror-branch": SuiteDef(1e-7, _drive(random_two_state_profile), _closed_form(
         ProtocolKind.TWO_STATE_GENERAL,
-        lambda f, u: abs(_estimate(PROTOCOLS[ProtocolKind.TWO_STATE_GENERAL], f, su2relations.DEFAULT_SLACK, [])
-                         - max(f["p_direct"], 1.0 - f["p_direct"])),
+        lambda f, u, checks: abs(
+            _estimate(PROTOCOLS[ProtocolKind.TWO_STATE_GENERAL], f, su2relations.DEFAULT_SLACK, checks)
+            - np.maximum(f["p_direct"], 1.0 - f["p_direct"])
+        ),
     ), "upper-branch inversion recovers p or its mirror"),
     "chirp-return": SuiteDef(1e-7, _drive(random_two_state_profile, "chirp"), _closed_form(
         ProtocolKind.TWO_STATE_GENERAL,
-        lambda f, u: max(abs(f["qpi0"] - 1.0), abs(f["q00"] - (1.0 - 2.0 * f["p_direct"]) ** 2)),
+        lambda f, u, _: np.maximum(abs(f["qpi0"] - 1.0), abs(f["q00"] - (1.0 - 2.0 * f["p_direct"]) ** 2)),
     ), "chirp-symmetric drives: flipped return is 1, unflipped is (1-2p)^2"),
     "even-detuning-return": SuiteDef(1e-7, _drive(random_two_state_profile, "even"), _closed_form(
         ProtocolKind.TWO_STATE_CONST_DETUNING,
-        lambda f, u: abs(f["q0pi"] - (1.0 - 2.0 * f["p_direct"]) ** 2),
+        lambda f, u, _: abs(f["q0pi"] - (1.0 - 2.0 * f["p_direct"]) ** 2),
     ), "even-detuning drives: detuning-flipped return is (1-2p)^2"),
-    "degradation": SuiteDef(1e-12, lambda i, rng: rng.uniform(0.0, 1e-2), _degradation, "near-complete transfer degrades as 1 - 2 eps + O(eps^2) and inverts back to p"),
+    "degradation": SuiteDef(1e-12, lambda i, rng: rng.uniform(0.0, 1e-2), _each(_degradation), "near-complete transfer degrades as 1 - 2 eps + O(eps^2) and inverts back to p"),
     "swap-unitarity": SuiteDef(1e-12, lambda i, rng: (
         random_general_three_state_profile(rng), tuple(rng.uniform(0.0, 2.0 * math.pi, size=2))
-    ), lambda drawn: unitarity_defect(backward_propagator(propagate_profile(drawn[0]), drawn[1])),
+    ), _each(lambda drawn: unitarity_defect(backward_propagator(propagate_profile(drawn[0]), drawn[1]))),
         "role-swapped propagators stay unitary"),
+    "swap-derivation": SuiteDef(1e-12, lambda i, rng: (
+        random_general_three_state_profile(rng) if i % 2 else random_symmetric_pair_profile(rng)
+    ), _swap_derivation, "role-swapped propagators derived from the forward pass match direct propagation"),
     "element-pairs": SuiteDef(1e-7, _drive(random_symmetric_pair_profile), _forward(
         lambda u: max(abs(u[0, 0] - u[2, 2]), abs(u[0, 1] - u[1, 2]), abs(u[1, 0] - u[2, 1]))
     ), "symmetric pairs give three equal element pairs"),
     "resonant-template": SuiteDef(1e-7, _drive(random_resonant_pair_profile), _forward(_resonant_template), "resonant symmetric pairs fit the real-triple template"),
     "resonant-case1": SuiteDef(1e-7, _drive(random_resonant_pair_profile), _closed_form(
         ProtocolKind.STIRAP_RESONANT_CASE1,
-        lambda f, u: abs(f["q00"] - case1_return_probability(f["p_direct"], f["q"])),
+        lambda f, u, _: abs(f["q00"] - case1_return_probability(f["p_direct"], f["q"])),
     ), "unchanged-sign resonant return equals (2p+2q-1)^2"),
     "resonant-case2": SuiteDef(1e-7, _drive(random_resonant_pair_profile), _closed_form(
         ProtocolKind.STIRAP_RESONANT_CASE2,
-        lambda f, u: abs(f["qpi0"] - case2_return_probability(f["p_direct"])),
+        lambda f, u, _: abs(f["qpi0"] - case2_return_probability(f["p_direct"])),
     ), "pump-flipped resonant return equals (1-2p)^2"),
     "four-phase-product": SuiteDef(1e-9, _drive(random_symmetric_pair_profile), _closed_form(
         ProtocolKind.STIRAP_DETUNED,
-        lambda f, u: abs(f["q_bar"] - (
-            abs(u[2, 0]) ** 4
-            + abs(u[1, 0]) ** 2 * abs(u[2, 1]) ** 2
-            + abs(u[0, 0]) ** 2 * abs(u[2, 2]) ** 2
+        lambda f, u, _: abs(f["q_bar"] - (
+            f["p_direct"] ** 2
+            + _population(u, 1) * squared_modulus(u[..., 2, 1])
+            + f["q"] * squared_modulus(u[..., 2, 2])
         )),
     ), "four-phase average matches the element products"),
     "detuned-average": SuiteDef(1e-7, lambda i, rng: random_symmetric_pair_profile(
         rng, detuning=_DETUNINGS[i % len(_DETUNINGS)]
     ), _closed_form(
         ProtocolKind.STIRAP_DETUNED,
-        lambda f, u: abs(f["q_bar"] - detuned_average_return(f["p_direct"], f["q"])),
+        lambda f, u, _: abs(f["q_bar"] - detuned_average_return(f["p_direct"], f["q"])),
     ), "symmetric-pair average equals p^2 + q^2 + (1-p-q)^2 across detunings"),
     # r = |U_33|^2 of the forward pass; the record's r agrees only to rounding
     "general-average": SuiteDef(1e-6, _drive(random_general_three_state_profile), _closed_form(
         ProtocolKind.THREE_STATE_GENERAL,
-        lambda f, u: abs(
-            f["q_bar"] - general_average_return(f["p_direct"], f["q"], float(abs(u[2, 2]) ** 2))
+        lambda f, u, _: abs(
+            f["q_bar"] - general_average_return(f["p_direct"], f["q"], squared_modulus(u[..., 2, 2]))
         ),
     ), "general average equals p^2 + qr + (1-p-q)(1-p-r)"),
     "swap-return-phase-free": SuiteDef(1e-9, _drive(random_general_three_state_profile), _swap_return_phase_free, "role-swapped return probability ignores the phases"),
 }
 
-
-def _residual(definition: SuiteDef, i: int, rng: np.random.Generator) -> float:
-    try:
-        return definition.evaluate(definition.draw(i, rng))
-    except ValueError:
-        return math.nan
+# Most draws that ``verify`` evaluates in one call: a stack's arrays grow
+# with its draws, and the batches of ``propagate_passes`` gain nothing
+# beyond a few hundred passes.
+_VERIFY_CHUNK = 1024
 
 
 def verify(suite: str, draws: int, seed: int) -> Dict[str, object]:
     """Run one named invariant suite over seeded random drives.
 
     The report is a plain dict (JSON-ready) and is a pure function of
-    (suite, draws, seed).  Each draw's inputs are drawn, then evaluated,
-    in order, on one generator.  Failures are report content, not
-    exceptions: a draw or an evaluation that raises a ValueError (an
-    inversion out of range, say) counts as a NaN residual, which fails.
+    (suite, draws, seed).  The draws' inputs are drawn in order on one
+    generator and evaluated as one list, at most ``_VERIFY_CHUNK`` draws
+    at a time, which gives each draw the residual it has alone.
+    Failures are report content, not exceptions: a draw that raises a
+    ValueError is not evaluated, and it, like a draw whose evaluation
+    fails (an inversion out of range, say), counts as a NaN residual,
+    which fails.
     """
     if suite not in SUITES:
         raise KeyError(
@@ -952,7 +1023,16 @@ def verify(suite: str, draws: int, seed: int) -> Dict[str, object]:
         raise ValueError("seed must be >= 0")
     definition = SUITES[suite]
     rng = _rng(seed)
-    residuals = np.array([_residual(definition, i, rng) for i in range(draws)], dtype=float)
+    residuals = np.full(draws, math.nan)
+    for start in range(0, draws, _VERIFY_CHUNK):
+        drawn: Dict[int, Any] = {}
+        for i in range(start, min(start + _VERIFY_CHUNK, draws)):
+            try:
+                drawn[i] = definition.draw(i, rng)
+            except ValueError:
+                continue
+        if drawn:
+            residuals[list(drawn)] = definition.evaluate(list(drawn.values()))
     worst = int(np.argmax(residuals))
     # a NaN residual is a failure, not a pass
     failures = int(np.count_nonzero(~(residuals < definition.tolerance)))

@@ -857,7 +857,8 @@ class TestVerify:
     def test_draw_that_raises_is_a_failed_draw(self, monkeypatch, capsys):
         # with the forward pass as its second pass, a mirror-branch draw
         # meets a radicand below -slack: exit 1 (failed), not 3
-        monkeypatch.setattr(harness, "_second_pass", lambda profile, variant: profile)
+        forward = harness.sign_flip_transform
+        monkeypatch.setattr(harness, "sign_flip_transform", lambda ck, *flips: forward(ck))
         argv = ["verify", "--suite", "mirror-branch", "--draws", "8", "--seed", "123"]
         assert main(argv) == EX_VERIFY_FAILED
         report = json.loads(capsys.readouterr().out)

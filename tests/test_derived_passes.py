@@ -6,7 +6,8 @@ point.  A two-state point takes its sign-flipped second passes from the
 forward Cayley-Klein pair with ``sign_flip_transform``, and these tests
 pin that the derived passes, the records and CSV bytes built from them,
 and the error rows and exit codes of the CLI equal those of the
-reference path, which propagates every second pass (``double_pass``).
+reference path, which propagates every second pass (``double_pass``,
+defined here: the package itself never propagates a second pass).
 That claim rests on the kernel only negating and conjugating under the
 flips; a numpy whose complex loops round asymmetrically would break it,
 which is why tier-1 also runs on the oldest supported numpy.
@@ -56,6 +57,22 @@ SYMMETRIES = (None, "chirp", "even")
 SIGNS = list(itertools.product((1, -1), repeat=2))
 GRIDS = (2, 3, 7, 128, 4000)
 DRIVES_PER_CASE = 5
+
+
+def double_pass(profile, variants):
+    """Propagate the forward pass and one second pass per variant.
+
+    Returns the forward propagator U, the second-pass propagators V and
+    the double-pass return probabilities |(V U)_11|^2, in variant order.
+    Each pass is propagated on its own by ``evolve.propagate_profile``, so
+    this reference never reaches the batches of ``propagate_passes``.
+    The forward pass's error comes first, then the role-swap guard that
+    ``run_protocol`` applies, then the first failing second pass's.
+    """
+    u = evolve.propagate_profile(profile)
+    harness._check_swap([profile])
+    backs = [evolve.propagate_profile(harness._second_pass(profile, v)) for v in variants]
+    return u, backs, harness._returns(u, backs)
 
 
 def drive_rng(*case):
@@ -145,7 +162,7 @@ def direct_record(kind, profile, *, slack=DEFAULT_SLACK):
     """The record of a point whose second passes are propagated by
     ``double_pass``, not derived: the reference for ``run_protocol``."""
     plan = harness._prepare(kind, profile)  # its preconditions
-    u, backs, returns = harness.double_pass(profile, plan.variants)
+    u, backs, returns = double_pass(profile, plan.variants)
     if plan.check is not None:
         getattr(harness, plan.check)(u)
     fields = {"p_direct": float(abs(u[plan.dimension - 1, 0]) ** 2), "q": float(abs(u[0, 0]) ** 2)}
@@ -215,7 +232,7 @@ def test_the_reference_never_reaches_the_batches(monkeypatch, grid):
     monkeypatch.setattr(evolve, "_first_stage", batched)
     monkeypatch.setattr(evolve, "_second_stage", batched)
     for kind, profile in drives.items():
-        u, backs, returns = harness.double_pass(profile, harness.PROTOCOLS[kind].variants)
+        u, backs, returns = double_pass(profile, harness.PROTOCOLS[kind].variants)
         assert len(backs) == len(expected[kind]) - 1
         for direct, batch in zip([u] + backs, expected[kind]):
             assert np.array_equal(direct, batch)

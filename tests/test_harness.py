@@ -35,6 +35,7 @@ from doublepass.harness import (
 from doublepass.drive import pulse_area
 from doublepass.su2relations import FOUR_VARIANTS
 from doublepass.su3relations import phases
+from test_derived_passes import double_pass
 
 
 def chirped_profile(peak=8.0, rate=10.0):
@@ -304,12 +305,12 @@ EVEN_DETUNING = DriveProfile2(
     ],
 )
 def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
-    """``double_pass`` propagates the forward pass, then exactly the listed
-    second passes, in order: (rabi sign, detuning sign) for two-state
-    drives, (pump phase, Stokes phase) of the role-swapped drive for
-    three-state drives, each propagated on its own.  ``run_protocol``
-    propagates only the forward pass, and derives the second passes from
-    its propagator."""
+    """``double_pass``, the tests' reference, propagates the forward pass,
+    then exactly the listed second passes, in order: (rabi sign, detuning
+    sign) for two-state drives, (pump phase, Stokes phase) of the
+    role-swapped drive for three-state drives, each propagated on its
+    own.  ``run_protocol`` propagates only the forward pass, and derives
+    the second passes from its propagator."""
     from doublepass.evolve import propagate_passes, propagate_profile
 
     simulated, seen = [], []
@@ -323,10 +324,10 @@ def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
         return propagate_profile(profile)
 
     monkeypatch.setattr(harness, "propagate_passes", recording)
-    monkeypatch.setattr(harness, "propagate_profile", recording_one)
+    monkeypatch.setattr(doublepass.evolve, "propagate_profile", recording_one)
     run_protocol(kind, profile)
     assert simulated == [profile] and seen == []
-    harness.double_pass(profile, harness.PROTOCOLS[kind].variants)
+    double_pass(profile, harness.PROTOCOLS[kind].variants)
 
     assert simulated == [profile]
     assert seen[0] == profile
@@ -793,6 +794,7 @@ SUITE_NAMES = (
     "even-detuning-return",
     "degradation",
     "swap-unitarity",
+    "swap-derivation",
     "element-pairs",
     "resonant-template",
     "resonant-case1",
@@ -839,7 +841,7 @@ class TestVerify:
         assert json.loads(json.dumps(report)) == verify("degradation", 3, 1)
 
     def test_nan_residual_fails(self, monkeypatch):
-        nan_suite = harness.SuiteDef(1e-9, lambda i, rng: i, lambda i: float("nan"), "always NaN")
+        nan_suite = harness.SuiteDef(1e-9, lambda i, rng: i, lambda inputs: [math.nan] * len(inputs), "always NaN")
         monkeypatch.setitem(SUITES, "nan-suite", nan_suite)
         report = verify("nan-suite", draws=3, seed=0)
         assert not report["passed"]
@@ -855,6 +857,29 @@ class TestVerify:
         assert not report["passed"]
         assert report["failures"] == 3
         assert math.isnan(report["worst_residual"])
+
+    def test_only_the_draws_that_did_not_raise_are_evaluated(self, monkeypatch):
+        def draw(i, rng):
+            if i % 3 == 1:
+                raise ValueError("no drive")
+            return i
+
+        evaluated = []
+        evaluate = lambda inputs: evaluated.append(inputs) or [0.0] * len(inputs)
+        monkeypatch.setitem(SUITES, "some-raise", harness.SuiteDef(1e-9, draw, evaluate, "every third raises"))
+        report = verify("some-raise", draws=7, seed=0)
+        assert evaluated == [[0, 2, 3, 5, 6]]
+        assert (report["failures"], report["worst_index"]) == (2, 1)
+        assert math.isnan(report["worst_residual"])
+
+    def test_draws_are_evaluated_in_bounded_lists(self, monkeypatch):
+        sizes = []
+        evaluate = lambda inputs: sizes.append(len(inputs)) or [float(i) for i in inputs]
+        monkeypatch.setitem(SUITES, "counting", harness.SuiteDef(10.0, lambda i, rng: i, evaluate, "its index"))
+        monkeypatch.setattr(harness, "_VERIFY_CHUNK", 4)
+        report = verify("counting", draws=10, seed=0)
+        assert sizes == [4, 4, 2]
+        assert (report["worst_residual"], report["worst_index"], report["passed"]) == (9.0, 9, True)
 
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_worst_draw_reproduces_from_its_report(self, monkeypatch, suite):
@@ -875,7 +900,15 @@ class TestVerify:
             for i in range(report["worst_index"] + 1):
                 inputs = definition.draw(i, rng)
         assert passes == []
-        assert float(definition.evaluate(inputs)).hex() == report["worst_residual"].hex()
+        assert float(definition.evaluate([inputs])[0]).hex() == report["worst_residual"].hex()
+
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_a_list_of_draws_evaluates_as_each_draw_alone(self, suite):
+        definition = SUITES[suite]
+        rng = harness._rng(7)
+        inputs = [definition.draw(i, rng) for i in range(6)]
+        together = [float(value).hex() for value in definition.evaluate(inputs)]
+        assert together == [float(definition.evaluate([drawn])[0]).hex() for drawn in inputs]
 
     @pytest.mark.parametrize("suite", SUITE_NAMES)
     def test_every_suite_passes_smoke(self, suite):
@@ -900,5 +933,77 @@ class TestVerify:
         ],
     )
     def test_closed_form_needs_its_second_passes(self, monkeypatch, suite):
-        monkeypatch.setattr(harness, "_second_pass", lambda profile, variant: profile)
+        # the derivation of the second passes gives the forward pass back
+        forward = harness.sign_flip_transform
+        monkeypatch.setattr(harness, "sign_flip_transform", lambda ck, *flips: forward(ck))
+        monkeypatch.setattr(harness, "backward_propagator", lambda u, phases: u)
         assert verify(suite, draws=8, seed=123)["failures"] == 8
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda derive, u, phases: derive(u, (0.0, 0.0)),
+            lambda derive, u, phases: derive(u, phases) * (1.0 + 1e-10),
+        ],
+        ids=["phases-dropped", "relative-1e-10"],
+    )
+    def test_swap_derivation_sees_a_faulty_derivation(self, monkeypatch, fault):
+        derive = harness.backward_propagator
+        monkeypatch.setattr(harness, "backward_propagator", lambda u, phases: fault(derive, u, phases))
+        assert verify("swap-derivation", draws=8, seed=123)["failures"] == 8
+
+
+def _draws(suite, count, seed=11):
+    definition = SUITES[suite]
+    rng = harness._rng(seed)
+    return [definition.draw(i, rng) for i in range(count)]
+
+
+def _hex(residuals):
+    return [float(value).hex() for value in residuals]
+
+
+class TestStackedEvaluation:
+    """A draw that fails inside a stack turns only its own residual NaN."""
+
+    def test_nan_propagator(self, monkeypatch):
+        profiles = _draws("average-return", 5)
+        expected = _hex(SUITES["average-return"].evaluate(profiles))
+        propagate_passes = harness.propagate_passes
+
+        def with_a_nan(passes):
+            results = propagate_passes(passes)
+            results[2] = np.full((2, 2), np.nan, dtype=complex)
+            return results
+
+        monkeypatch.setattr(harness, "propagate_passes", with_a_nan)
+        residuals = _hex(SUITES["average-return"].evaluate(profiles))
+        assert residuals[2] == float("nan").hex()
+        assert residuals[:2] + residuals[3:] == expected[:2] + expected[3:]
+
+    def test_swap_guard(self):
+        # |delta - delta2| = 6e15 on the role-swapped diagonal: a step phase
+        # of 1.5e12, while the forward pass is resolvable
+        unresolvable = DriveProfile3(
+            pump=PulseShape.sin2(9.0, 1.0, offset=0.3),
+            stokes=PulseShape.gaussian(5.0, 0.2),
+            single_photon_detuning=DetuningShape.constant(3e15),
+            two_photon_detuning=-3e15,
+            window=(0.0, 1.0),
+        )
+        [forward] = doublepass.evolve.propagate_passes([unresolvable])
+        assert isinstance(forward, np.ndarray)
+        profiles = _draws("general-average", 4)
+        expected = _hex(SUITES["general-average"].evaluate(profiles))
+        residuals = _hex(SUITES["general-average"].evaluate(profiles[:1] + [unresolvable] + profiles[1:]))
+        assert residuals == expected[:1] + [float("nan").hex()] + expected[1:]
+
+    def test_structural_check(self):
+        # a detuned symmetric pair does not fit the resonant template
+        profiles = _draws("resonant-case1", 4)
+        detuned = harness.random_symmetric_pair_profile(harness._rng(3), detuning=7.0)
+        with pytest.raises(doublepass.evolve.TemplateMismatchError):
+            harness.extract_resonant_ck(doublepass.evolve.propagate_profile(detuned))
+        expected = _hex(SUITES["resonant-case1"].evaluate(profiles))
+        residuals = _hex(SUITES["resonant-case1"].evaluate(profiles[:3] + [detuned] + profiles[3:]))
+        assert residuals == expected[:3] + [float("nan").hex()] + expected[3:]
