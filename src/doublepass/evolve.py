@@ -26,15 +26,15 @@ so those identities hold for the discrete propagators to rounding as
 well.
 
 The two kernels read only the real diagonal and the lower-triangle
-couplings of each step, and two samplers feed them those arrays.
-``propagate`` samples a callable into an (n, d, d) batch and checks its
-shape, its step phase and its Hermiticity, because the callable is
-outside input.  ``propagate_profile`` samples a drive profile's
-envelopes straight into the arrays: its Hamiltonian is Hermitian by
-construction (``hamiltonian2``/``hamiltonian3`` assemble theirs from
-the same arrays), so only the step phase is checked and no batch is
-built.  Both samplers give the kernels the same values, so the two
-routes to a profile's propagator agree to the last bit.
+couplings of each step.  A drive profile becomes a propagator only
+through ``propagate_passes`` (``propagate_profile`` is that of one
+pass), which samples its envelopes straight into those arrays: its
+Hamiltonian is Hermitian by construction (``hamiltonian2``/
+``hamiltonian3`` assemble theirs from the same arrays), so only the
+step phase is checked.  ``propagate`` samples a callable into an
+(n, d, d) batch and checks its shape, its step phase and its
+Hermiticity, because the callable is outside input.  Both give the
+kernels the same values, so the two agree to the last bit.
 
 Both kernels reduce along the last axis and take any leading batch
 axes, in two stages: the first forms the steps and pairs each pass
@@ -45,20 +45,19 @@ step count in one call, up to ``BATCH_ROWS`` step rows per call, and
 then the second stage for their tails together.  On short grids that
 removes most of the per-call numpy overhead; a long pass goes through
 the first stage alone, as 1-d arrays, and only its last pairing
-levels are shared.  A batched pass equals the same pass propagated
-alone to the last bit.  Within such a group each envelope
-is sampled once per shape (``_Envelopes``): passes whose pulses differ
-only in peak, such as the points of a pulse-area sweep, share one unit
-envelope, and nothing is kept between calls.  The tests check the
-batches against passes propagated one by one with
-``propagate_profile``.
+levels are shared; a lone pass stays 1-d through the second stage
+too.  A batched pass equals the same pass propagated alone to the last
+bit.  Within such a group each envelope is sampled once per shape
+(``_Envelopes``): passes whose pulses differ only in peak, such as the
+points of a pulse-area sweep, share one unit envelope, and nothing is
+kept between calls.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -272,8 +271,9 @@ class _Envelopes:
 def _coefficients2(profile: DriveProfile2, samples: _Envelopes) -> Tuple[np.ndarray, ...]:
     """(d0, d1, h10) of 0.5 * [[-Delta, Omega], [Omega, Delta]] on the
     grid of ``samples``."""
-    half_delta = 0.5 * (profile.detuning_sign * samples.detuning(profile.detuning, profile.midpoint))
-    return -half_delta, half_delta, 0.5 * (profile.rabi_sign * samples.pulse("rabi", profile.rabi))
+    # a sign times 0.5 is +-0.5 exactly, and negation rounds nothing
+    half_delta = (0.5 * profile.detuning_sign) * samples.detuning(profile.detuning, profile.midpoint)
+    return -half_delta, half_delta, (0.5 * profile.rabi_sign) * samples.pulse("rabi", profile.rabi)
 
 
 def _coefficients3(profile: DriveProfile3, samples: _Envelopes) -> Tuple[np.ndarray, ...]:
@@ -693,16 +693,11 @@ def _check_step_phase(dt: float, h_max) -> None:
         )
 
 
-# A sampler maps the step midpoints ts and the step dt to a step kernel
-# and the arrays that kernel takes before dt.
-Sampler = Callable[[np.ndarray, float], Tuple[Callable[..., np.ndarray], tuple]]
-
-
 def _sample_hamiltonian(hamiltonian: HamiltonianFn, ts: np.ndarray, dt: float):
-    """Sampler of a callable, called once on the 1-d array of step
-    midpoints: its samples are outside input, so their shape, step phase
-    and Hermiticity are checked.  An error the callable raises propagates
-    unchanged."""
+    """A callable's step kernel and its arrays, the callable called once
+    on the 1-d array of step midpoints: its samples are outside input, so
+    their shape, step phase and Hermiticity are checked.  An error the
+    callable raises propagates unchanged."""
     h = np.asarray(hamiltonian(ts))
     if h.ndim != 3 or h.shape[0] != ts.shape[0] or h.shape[1:] not in ((2, 2), (3, 3)):
         raise ValueError(
@@ -723,65 +718,33 @@ def _sample_hamiltonian(hamiltonian: HamiltonianFn, ts: np.ndarray, dt: float):
     return kernel, _coefficients_of(h.astype(complex, copy=False))
 
 
-def _sample_profile(profile: Profile, samples: _Envelopes, dt: float):
-    """A drive profile's kernel and arrays on the grid of ``samples``: its
-    Hamiltonian is Hermitian by construction, so only the step phase is
-    checked."""
-    if isinstance(profile, DriveProfile2):
-        kernel, coefficients = _ck_propagator, _coefficients2(profile, samples)
-    else:
-        kernel, coefficients = _su3_propagator, _coefficients3(profile, samples)
+def _sample_profile(coefficients: Tuple[np.ndarray, ...], dt: float) -> Tuple[np.ndarray, ...]:
+    """A profile's sampled coefficients, once their step phase is checked:
+    its Hamiltonian is Hermitian by construction."""
     # max|H_ij| over the whole matrix in one NaN-propagating reduction
     _check_step_phase(dt, np.abs(np.concatenate(coefficients)).max())
-    return kernel, coefficients
+    return coefficients
+
+
+def _stages(profile: Profile) -> tuple:
+    """The Hamiltonian, the coefficient sampler and the kernel's first and
+    second stage of a profile's type, read from the module at each call."""
+    if isinstance(profile, DriveProfile2):
+        return hamiltonian2, _coefficients2, _ck_tails, _ck_finish
+    if isinstance(profile, DriveProfile3):
+        return hamiltonian3, _coefficients3, _su3_tails, _su3_finish
+    raise TypeError(f"unsupported profile type {type(profile).__name__}")
 
 
 def _grid(window: Tuple[float, float], steps: int) -> Tuple[np.ndarray, float]:
     """Step midpoints and step length of a fixed grid over ``window``."""
     dt = _step(window, steps)
-    return window[0] + (np.arange(steps) + 0.5) * dt, dt
+    return window[0] + np.arange(0.5, steps) * dt, dt
 
 
 def _step(window: Tuple[float, float], steps: int) -> float:
     t0, t1 = window
     return (t1 - t0) / steps
-
-
-def _fixed_grid_propagator(
-    sample: Sampler, window: Tuple[float, float], steps: int
-) -> np.ndarray:
-    ts, dt = _grid(window, steps)
-    kernel, arrays = sample(ts, dt)
-    return kernel(*arrays, dt)
-
-
-def _propagate(
-    sample: Sampler,
-    window: Tuple[float, float],
-    grid_points: int,
-    refine_tol: Optional[float],
-    max_grid_points: int,
-) -> np.ndarray:
-    """Fixed-grid propagator, or grid refinement, on one sampler.  The
-    grid and the tolerance are checked before anything is sampled."""
-    steps = check_grid_points(grid_points, max_grid_points)
-    if refine_tol is not None and not 0.0 < refine_tol < np.inf:
-        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
-    u = _fixed_grid_propagator(sample, window, steps)
-    if refine_tol is None:
-        return u
-    delta = np.inf
-    while steps < max_grid_points:
-        steps *= 2
-        refined = _fixed_grid_propagator(sample, window, steps)
-        delta = float(np.abs(refined - u).max())
-        u = refined
-        if delta < refine_tol:
-            return u
-    raise ConvergenceError(
-        f"propagator not converged at {steps} steps "
-        f"(last entrywise change {delta:.3e} >= {refine_tol:.1e})"
-    )
 
 
 def propagate(
@@ -815,8 +778,25 @@ def propagate(
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise ValueError("window must have positive length")
-    sample = functools.partial(_sample_hamiltonian, hamiltonian)
-    return _propagate(sample, (t0, t1), grid_points, refine_tol, max_grid_points)
+    # the grid and the tolerance are checked before anything is sampled
+    steps = check_grid_points(grid_points, max_grid_points)
+    if refine_tol is not None and not 0.0 < refine_tol < np.inf:
+        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
+    previous, delta = None, np.inf
+    while True:
+        ts, dt = _grid((t0, t1), steps)
+        kernel, arrays = _sample_hamiltonian(hamiltonian, ts, dt)
+        u = kernel(*arrays, dt)
+        if previous is not None:
+            delta = float(np.abs(u - previous).max())
+        if refine_tol is None or delta < refine_tol:
+            return u
+        if steps >= max_grid_points:
+            raise ConvergenceError(
+                f"propagator not converged at {steps} steps "
+                f"(last entrywise change {delta:.3e} >= {refine_tol:.1e})"
+            )
+        previous, steps = u, 2 * steps
 
 
 def propagate_profile(
@@ -825,24 +805,28 @@ def propagate_profile(
     grid_points: Optional[int] = None,
     refine_tol: Optional[float] = None,
 ) -> np.ndarray:
-    """Propagator of one interaction pass described by a drive profile.
+    """Propagator of one interaction pass described by a drive profile:
+    ``propagate_passes`` of the pass, on ``grid_points`` steps when given
+    (``replace(profile, grid_points=...)``), raising its slot's error.
+    With ``refine_tol`` it is ``propagate`` of its ``hamiltonian2`` or
+    ``hamiltonian3``, which refines the grid and gives the same bits on
+    the same grid."""
+    hamiltonian = functools.partial(_stages(profile)[0], profile)
+    if grid_points is not None:
+        profile = replace(profile, grid_points=grid_points)
+    if refine_tol is not None:
+        # samples may overflow, as in propagate_passes
+        with np.errstate(over="ignore"):
+            return propagate(hamiltonian, profile.window, profile.grid_points, refine_tol=refine_tol)
+    return slot_propagator(propagate_passes([profile])[0])
 
-    Equal, to the last bit, to ``propagate`` of ``hamiltonian2`` or
-    ``hamiltonian3`` of the profile over its window, but the kernels are
-    fed straight from the sampled envelopes: no (n, d, d) batch is built
-    and no Hermiticity check runs.
-    """
-    if not isinstance(profile, (DriveProfile2, DriveProfile3)):
-        raise TypeError(f"unsupported profile type {type(profile).__name__}")
-    steps = profile.grid_points if grid_points is None else grid_points
 
-    def sample(ts: np.ndarray, dt: float):
-        return _sample_profile(profile, _Envelopes(ts), dt)
-
-    # envelope tails and chirps may overflow to their limits, 0 or inf;
-    # the step-phase guard rejects an infinite sample
-    with np.errstate(over="ignore"):
-        return _propagate(sample, profile.window, steps, refine_tol, MAX_GRID_POINTS)
+def slot_propagator(slot: Union[np.ndarray, ValueError]) -> np.ndarray:
+    """The propagator in a slot of ``propagate_passes``, or its error
+    raised."""
+    if isinstance(slot, ValueError):
+        raise slot
+    return slot
 
 
 def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, ValueError]]:
@@ -856,29 +840,25 @@ def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, Valu
     only in peak, and the same detuning, bit for bit.  A group goes
     through the kernel's first stage in batches of at most
     ``BATCH_ROWS`` step rows, a pass alone in its batch as 1-d arrays,
-    exactly as in ``propagate_profile``; each batch's samples are
-    released before the next batch is sampled.  The tails that stage
-    leaves, at most ``_TAIL`` steps per pass, are kept and finished
-    together, at most ``BATCH_ROWS`` tail rows per call, so that a long
-    pass does not pay for its last pairing levels alone.  Every pass
-    equals its ``propagate_profile`` propagator to the last bit.  A
-    pass's slot holds its propagator, or the ValueError (such as a
-    StepPhaseError) that sampling it raised.
+    as the one-call kernels take it; each batch's samples are released
+    before the next batch is sampled.  The tails that stage leaves, at
+    most ``_TAIL`` steps per pass, are kept and finished together, at
+    most ``BATCH_ROWS`` tail rows per call, so that a long pass does not
+    pay for its last pairing levels alone.  A pass equals the same pass
+    in any other group or alone to the last bit, and a lone pass costs
+    what the one-call kernel does.  A pass's slot holds its propagator,
+    or the ValueError (such as a StepPhaseError) that sampling it raised.
     """
     groups: Dict[tuple, List[int]] = {}
     for i, profile in enumerate(profiles):
-        if not isinstance(profile, (DriveProfile2, DriveProfile3)):
-            raise TypeError(f"unsupported profile type {type(profile).__name__}")
-        groups.setdefault((type(profile), profile.window, profile.grid_points), []).append(i)
+        groups.setdefault((_stages(profile), profile.window, profile.grid_points), []).append(i)
     results: List[Union[np.ndarray, ValueError]] = [None] * len(profiles)
-    # samples may overflow, as in propagate_profile
+    # envelope tails and chirps may overflow to their limits, 0 or inf;
+    # the step-phase guard rejects an infinite sample
     with np.errstate(over="ignore"):
-        for (kind, window, steps), members in groups.items():
+        for ((_, coefficients_of, tails_of, finish), window, steps), members in groups.items():
             ts, dt = _grid(window, check_grid_points(steps))
             samples = _Envelopes(ts)
-            tails_of, finish = (
-                (_ck_tails, _ck_finish) if kind is DriveProfile2 else (_su3_tails, _su3_finish)
-            )
             size = max(1, BATCH_ROWS // len(ts))
             kept: List[tuple] = []  # (slots, tails) of the passes not yet finished
             waiting = 0  # the passes kept
@@ -886,7 +866,7 @@ def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, Valu
                 slots, sampled = [], []
                 for i in members[start : start + size]:
                     try:
-                        sampled.append(_sample_profile(profiles[i], samples, dt)[1])
+                        sampled.append(_sample_profile(coefficients_of(profiles[i], samples), dt))
                     except ValueError as error:
                         results[i] = error
                         continue
@@ -917,19 +897,26 @@ def check_step_phase(profile: Profile, h_max: float) -> None:
 def _first_stage(tails_of: Callable[..., tuple], sampled: list, dt: float) -> tuple:
     """A kernel's first stage over sampled passes that share a grid, in
     one call: their trace phases and tails, with a pass axis just before
-    the step axis.  A single pass reaches the stage as 1-d arrays."""
+    the step axis.  A single pass reaches the stage as 1-d arrays and
+    its tails keep no pass axis."""
     if len(sampled) == 1:
-        phase, *tails = tails_of(*sampled[0], dt)
-        return (np.reshape(phase, 1),) + tuple(tail[..., None, :] for tail in tails)
+        return tails_of(*sampled[0], dt)
     return tails_of(*(np.stack(column) for column in zip(*sampled)), dt)
 
 
 def _second_stage(finish: Callable[..., np.ndarray], kept: list, results: list) -> None:
     """Finish the kept (slots, tails) of passes on one grid in one call,
-    and put each propagator in its pass's slot."""
-    phases, *tails = zip(*(batch_tails for _, batch_tails in kept))
+    and put each propagator in its pass's slot.  A lone pass is finished
+    as 1-d arrays; otherwise each lone pass's tails gain a pass axis, and
+    all are concatenated along it."""
+    slots = [i for batch, _ in kept for i in batch]
+    if len(slots) == 1:
+        results[slots[0]] = finish(*kept[0][1])
+        return
+    with_axis = lambda phase, *tails: (np.reshape(phase, 1),) + tuple(tail[..., None, :] for tail in tails)
+    phases, *tails = zip(*(tails if len(batch) > 1 else with_axis(*tails) for batch, tails in kept))
     propagators = finish(np.concatenate(phases), *(np.concatenate(t, axis=-2) for t in tails))
-    for i, u in zip((i for slots, _ in kept for i in slots), propagators):
+    for i, u in zip(slots, propagators):
         results[i] = u
 
 

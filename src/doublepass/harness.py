@@ -47,11 +47,11 @@ evaluation of a list of them that does not touch it, so the draws
 replay alone, without propagating a pass, and the report's worst draw
 is evaluated again on its own, as a list of one, to the same bits.
 ``verify`` draws a suite's inputs first and evaluates them together.
-The nine closed-form suites propagate the forward passes of all their
-draws in one ``propagate_passes`` call and read the record fields that
-``run_protocol`` writes, as columns from ``_derive``; a draw that fails
-a check of the finish reads NaN.  ``general-average`` takes r from the
-forward U_33, not from the role-swapped pass.
+Every suite but ``composition`` propagates the profiles of all its
+draws in one ``propagate_passes`` call.  The nine closed-form suites
+read the record fields that ``run_protocol`` writes, as columns from
+``_derive``; a draw that fails a pass or a check reads NaN.
+``general-average`` takes r from the forward U_33.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ from .evolve import (
     check_step_phase,
     fail,
     propagate_passes,
-    propagate_profile,
     sign_flip_transform,
+    slot_propagator,
     squared_modulus,
     unitarity_defect,
 )
@@ -827,8 +827,18 @@ def _closed_form(
 
 
 def _forward(check: Callable[[np.ndarray], float]) -> Callable[[List[Profile]], List[float]]:
-    """The evaluation of ``check`` on each drive's forward propagator."""
-    return _each(lambda profile: check(propagate_profile(profile)))
+    """The evaluation of ``check`` on each drive's forward propagator, all
+    drives propagated in one ``propagate_passes`` call: a draw whose pass
+    fails, or whose check raises a ValueError, reads NaN."""
+    return lambda profiles: _each(lambda slot: check(slot_propagator(slot)))(propagate_passes(profiles))
+
+
+def _swap_unitarity(drawn: List[Tuple[DriveProfile3, Tuple[float, float]]]) -> List[float]:
+    """The unitarity defect of each drive's role-swapped propagator at its
+    drawn phases, derived from its forward pass as in ``_forward``."""
+    profiles, swaps = zip(*drawn)
+    defect = lambda pair: unitarity_defect(backward_propagator(slot_propagator(pair[0]), pair[1]))
+    return _each(defect)(list(zip(propagate_passes(list(profiles)), swaps)))
 
 
 def _second_passes(profiles: Sequence[Profile], variants: Sequence[Variant]) -> List[List[Profile]]:
@@ -949,8 +959,7 @@ SUITES: Dict[str, SuiteDef] = {
     "degradation": SuiteDef(1e-12, lambda i, rng: rng.uniform(0.0, 1e-2), _each(_degradation), "near-complete transfer degrades as 1 - 2 eps + O(eps^2) and inverts back to p"),
     "swap-unitarity": SuiteDef(1e-12, lambda i, rng: (
         random_general_three_state_profile(rng), tuple(rng.uniform(0.0, 2.0 * math.pi, size=2))
-    ), _each(lambda drawn: unitarity_defect(backward_propagator(propagate_profile(drawn[0]), drawn[1]))),
-        "role-swapped propagators stay unitary"),
+    ), _swap_unitarity, "role-swapped propagators stay unitary"),
     "swap-derivation": SuiteDef(1e-12, lambda i, rng: (
         random_general_three_state_profile(rng) if i % 2 else random_symmetric_pair_profile(rng)
     ), _swap_derivation, "role-swapped propagators derived from the forward pass match direct propagation"),

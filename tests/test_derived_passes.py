@@ -20,6 +20,7 @@ exit codes equal to it.
 """
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -59,19 +60,31 @@ GRIDS = (2, 3, 7, 128, 4000)
 DRIVES_PER_CASE = 5
 
 
+def propagated(profile):
+    """One pass through the callable ``evolve.propagate`` of the profile's
+    Hamiltonian, a ``functools.partial`` of ``hamiltonian2`` or
+    ``hamiltonian3``: the same bits as ``propagate_passes`` gives the
+    pass (``test_bit_identical_to_callable_path``), by a path that never
+    reaches its batches."""
+    hamiltonian = evolve.hamiltonian2 if isinstance(profile, DriveProfile2) else evolve.hamiltonian3
+    # envelope samples may overflow, as in propagate_passes
+    with np.errstate(over="ignore"):
+        return evolve.propagate(functools.partial(hamiltonian, profile), profile.window, profile.grid_points)
+
+
 def double_pass(profile, variants):
     """Propagate the forward pass and one second pass per variant.
 
     Returns the forward propagator U, the second-pass propagators V and
     the double-pass return probabilities |(V U)_11|^2, in variant order.
-    Each pass is propagated on its own by ``evolve.propagate_profile``, so
-    this reference never reaches the batches of ``propagate_passes``.
-    The forward pass's error comes first, then the role-swap guard that
+    Each pass is propagated on its own by ``propagated``, so this
+    reference never reaches the batches of ``propagate_passes``.  The
+    forward pass's error comes first, then the role-swap guard that
     ``run_protocol`` applies, then the first failing second pass's.
     """
-    u = evolve.propagate_profile(profile)
+    u = propagated(profile)
     harness._check_swap([profile])
-    backs = [evolve.propagate_profile(harness._second_pass(profile, v)) for v in variants]
+    backs = [propagated(harness._second_pass(profile, v)) for v in variants]
     return u, backs, harness._returns(u, backs)
 
 
@@ -207,9 +220,10 @@ def csv_text(records):
 
 @pytest.mark.parametrize("grid", [7, 128, 4000])
 def test_the_reference_never_reaches_the_batches(monkeypatch, grid):
-    """``double_pass`` propagates each pass with ``propagate_profile``, so
-    a fault in the batched entry cannot show on both sides of the
-    comparisons above.  On short grids its passes would share a batch."""
+    """``double_pass`` propagates each pass with the callable
+    ``propagate``, so a fault in the batched entry cannot show on both
+    sides of the comparisons above.  On short grids its passes would
+    share a batch."""
     rng = drive_rng(5, grid)
     drives = {
         kind: replace(harness.random_two_state_profile(rng, symmetry), grid_points=grid)

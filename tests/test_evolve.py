@@ -613,6 +613,27 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+# Minor page faults of 20 ``propagate_profile`` calls on that pass alone,
+# after two warm-up calls: a lone pass goes through ``propagate_passes``
+LONE_PASS_HEAP_SCRIPT = """
+import resource
+from doublepass.drive import DetuningShape, DriveProfile3, PulseShape
+from doublepass.evolve import propagate_profile
+
+profile = DriveProfile3(
+    pump=PulseShape.sin2(10.0, 1.0, offset=0.2),
+    stokes=PulseShape.sin2(10.0, 1.0),
+    single_photon_detuning=DetuningShape.constant(5.0),
+)
+for _ in range(2):
+    propagate_profile(profile)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    propagate_profile(profile)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 def minor_faults(script):
     """The number a script prints, run in a fresh process: what other
     tests allocate can raise glibc's trim threshold and hide a heap that
@@ -812,6 +833,12 @@ class TestSu3Kernel:
         # They give 0 to 4, and up to ~30 after a harmless change to the
         # order of allocations; the bound is one per pass, as above.
         assert minor_faults(PASSES_HEAP_SCRIPT) < 200
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
+    def test_repeated_lone_passes_reuse_the_heap(self):
+        # the single-pass entry is propagate_passes of one pass, whose
+        # tail is finished alone; as for the kernel called directly
+        assert minor_faults(LONE_PASS_HEAP_SCRIPT) < 20
 
     def test_traceful_scalar_phase_is_kept(self):
         h = lambda ts: (1.0 + ts)[:, None, None] * np.eye(3)
@@ -1128,6 +1155,64 @@ class TestPropagatePasses:
     def test_non_profile_rejected(self):
         with pytest.raises(TypeError, match="unsupported profile type"):
             propagate_passes([object()])
+
+    @pytest.mark.parametrize("steps", [128, 4000])
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_a_lone_pass_equals_itself_in_a_group(self, monkeypatch, dimension, steps):
+        """A lone pass is finished as 1-d arrays; within a group of passes
+        that differ only in peak, the same pass gets the same bits."""
+        gen = rng(58 + dimension)
+        if dimension == 2:
+            base = replace(random_two_state_profile(gen), grid_points=steps)
+            group = [replace(base, rabi=replace(base.rabi, peak=p)) for p in gen.uniform(0.5, 20.0, 40)]
+        else:
+            base = replace(random_general_three_state_profile(gen), grid_points=steps)
+            group = [replace(base, pump=replace(base.pump, peak=p)) for p in gen.uniform(0.5, 20.0, 40)]
+        finishes = finish_spy(monkeypatch, "_ck_finish" if dimension == 2 else "_su3_finish")
+        together = propagate_passes(group)
+        assert all(np.ndim(shapes[0]) == 1 for shapes in finishes)
+        for profile, u in zip(group[::7], together[::7]):
+            finishes.clear()
+            [alone] = propagate_passes([profile])
+            assert [shapes[0] for shapes in finishes] == [()]
+            assert np.array_equal(alone, u)
+            assert np.array_equal(propagate_profile(profile), u)
+
+    @pytest.mark.parametrize("grid_points", [64, 4001, np.int64(129)])
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_grid_override_is_the_replaced_profile(self, dimension, grid_points):
+        gen = rng(61)
+        if dimension == 2:
+            profile = random_two_state_profile(gen)
+        else:
+            profile = random_general_three_state_profile(gen)
+        [expected] = propagate_passes([replace(profile, grid_points=grid_points)])
+        assert np.array_equal(propagate_profile(profile, grid_points=grid_points), expected)
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            DriveProfile2(rabi=PulseShape.sin2(1e300, 1.0), grid_points=64),
+            DriveProfile3(pump=PulseShape.sin2(1e305, 1.0, 0.2), stokes=PulseShape.sin2(9.0, 1.0)),
+            DriveProfile2(rabi=PulseShape.constant(1e300), window=(-24.8, 1e300), grid_points=64),
+        ],
+        ids=["two-state", "three-state", "overflowing-phase"],
+    )
+    def test_single_pass_entry_raises_its_slots_error(self, profile):
+        [slot] = propagate_passes([profile])
+        with pytest.raises(StepPhaseError) as raised:
+            propagate_profile(profile)
+        assert type(raised.value) is type(slot) is StepPhaseError
+        assert str(raised.value) == str(slot)
+
+    @pytest.mark.parametrize("grid_points", [1, MAX_GRID_POINTS + 1, 4.5])
+    def test_single_pass_entry_raises_the_grid_error_of_the_replaced_profile(self, grid_points):
+        profile = DriveProfile3(pump=PulseShape.sin2(9.0, 1.0, 0.2), stokes=PulseShape.sin2(9.0, 1.0))
+        with pytest.raises(ValueError) as replaced:
+            replace(profile, grid_points=grid_points)
+        with pytest.raises(ValueError) as raised:
+            propagate_profile(profile, grid_points=grid_points)
+        assert type(raised.value) is type(replaced.value) and str(raised.value) == str(replaced.value)
 
     def test_non_profile_rejected_by_the_single_pass_entry(self):
         with pytest.raises(TypeError, match="^unsupported profile type object$"):

@@ -309,9 +309,10 @@ def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
     then exactly the listed second passes, in order: (rabi sign, detuning
     sign) for two-state drives, (pump phase, Stokes phase) of the
     role-swapped drive for three-state drives, each propagated on its
-    own.  ``run_protocol`` propagates only the forward pass, and derives
-    the second passes from its propagator."""
-    from doublepass.evolve import propagate_passes, propagate_profile
+    own by the callable ``evolve.propagate`` of the drive's Hamiltonian.
+    ``run_protocol`` propagates only the forward pass, and derives the
+    second passes from its propagator."""
+    from doublepass.evolve import propagate, propagate_passes
 
     simulated, seen = [], []
 
@@ -319,12 +320,12 @@ def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
         simulated.extend(profiles)
         return propagate_passes(profiles)
 
-    def recording_one(profile):
-        seen.append(profile)
-        return propagate_profile(profile)
+    def recording_one(hamiltonian, *args, **kwargs):
+        seen.append(hamiltonian.args[0])  # the profile of the partial
+        return propagate(hamiltonian, *args, **kwargs)
 
     monkeypatch.setattr(harness, "propagate_passes", recording)
-    monkeypatch.setattr(doublepass.evolve, "propagate_profile", recording_one)
+    monkeypatch.setattr(doublepass.evolve, "propagate", recording_one)
     run_protocol(kind, profile)
     assert simulated == [profile] and seen == []
     double_pass(profile, harness.PROTOCOLS[kind].variants)
@@ -565,14 +566,14 @@ class TestBatchedSweep:
     def test_delay_sweep_groups_nothing_across_points(self, monkeypatch):
         # the window moves with the delay, so each point is its own batch,
         # its one pass reaches the kernel as 1-d arrays, and its tail is
-        # finished alone
+        # finished alone, with no pass axis
         shapes = kernel_shapes(monkeypatch, "_su3_tails")
         finished = kernel_shapes(monkeypatch, "_su3_finish")
         profile = stirap_profile(detuning=3.0, grid_points=128)
         spec = SweepSpec(profile, "delay", -0.2, 0.4, 7, ProtocolKind.STIRAP_DETUNED)
         records = sweep(spec)
         assert shapes == [(128,)] * 7
-        assert finished == [(1,)] * 7
+        assert finished == [()] * 7
         assert records == point_by_point(spec)
 
     def test_clamps_are_recorded_with_warnings_as_errors(self, monkeypatch):
@@ -889,7 +890,6 @@ class TestVerify:
         passes = []
         with monkeypatch.context() as patch:
             for module, name in (
-                (harness, "propagate_profile"),
                 (harness, "propagate_passes"),
                 (doublepass.evolve, "propagate"),
             ):
