@@ -19,7 +19,6 @@ from .drive import (
 )
 from .evolve import (
     CayleyKlein,
-    ConvergenceError,
     TemplateMismatchError,
     cayley_klein,
     hamiltonian2,

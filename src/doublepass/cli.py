@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from .drive import DetuningShape, DriveProfile2, DriveProfile3, PulseShape
 from .evolve import StepPhaseError, TemplateMismatchError
 from .harness import (
+    MAX_VERIFY_DRAWS,
     PROTOCOLS,
     MeasurementRecord,
     ProtocolKind,
@@ -335,6 +336,8 @@ def _cmd_verify(args) -> int:
         return EX_USAGE
     if args.draws < 1:
         raise _UsageError(f"--draws must be >= 1, got {args.draws}")
+    if args.draws > MAX_VERIFY_DRAWS:
+        raise _UsageError(f"--draws must be <= {MAX_VERIFY_DRAWS}, got {args.draws}")
     if args.seed < 0:
         raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     report = verify(args.suite, args.draws, args.seed)

@@ -340,17 +340,15 @@ def _check_window(window: Tuple[float, float]) -> Tuple[float, float]:
     return (lo, hi)
 
 
-def check_grid_points(grid_points: int, max_grid_points: int = MAX_GRID_POINTS) -> int:
-    """Return ``grid_points`` as an int in [2, max_grid_points], or raise
+def check_grid_points(grid_points: int) -> int:
+    """Return ``grid_points`` as an int in [2, MAX_GRID_POINTS], or raise
     ValueError; a float such as 4.5 is rejected, not truncated."""
     try:
         steps = operator.index(grid_points)
     except TypeError:
         raise ValueError(f"grid_points must be an integer, got {grid_points!r}") from None
-    if not 2 <= steps <= max_grid_points:
-        raise ValueError(
-            f"grid_points must be in [2, {max_grid_points}], got {grid_points}"
-        )
+    if not 2 <= steps <= MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must be in [2, {MAX_GRID_POINTS}], got {grid_points}")
     return steps
 
 

@@ -19,7 +19,9 @@ products are numpy complex multiplies, one per inner index, and a 3x3
 call keeps its step arrays in one block (see ``_su3_tails``).  In both
 dimensions the trace is carried as one scalar phase.  Every step is
 therefore unitary to rounding regardless of step size: unitarity is
-structural and the grid only controls accuracy.  The midpoint sampling
+structural and the grid only controls accuracy.  Each propagator runs on
+exactly the grid it is given, ``grid_points`` steps, which is the one
+accuracy control: no grid is refined.  The midpoint sampling
 also makes the scheme commute exactly with the sign-flip, index-swap
 and time-reflection transformations used by the double-pass relations,
 so those identities hold for the discrete propagators to rounding as
@@ -55,7 +57,6 @@ kept between calls.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -63,11 +64,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .drive import (
-    MAX_GRID_POINTS,
     DetuningShape,
     DriveProfile2,
     DriveProfile3,
     PulseShape,
+    _check_window,
     check_grid_points,
     sample_detuning,
     sample_rabi,
@@ -130,10 +131,6 @@ _TAIL = 64
 
 HamiltonianFn = Callable[[np.ndarray], np.ndarray]
 Profile = Union[DriveProfile2, DriveProfile3]
-
-
-class ConvergenceError(RuntimeError):
-    """Grid refinement hit its cap before the propagator settled."""
 
 
 class StepPhaseError(ValueError):
@@ -727,12 +724,12 @@ def _sample_profile(coefficients: Tuple[np.ndarray, ...], dt: float) -> Tuple[np
 
 
 def _stages(profile: Profile) -> tuple:
-    """The Hamiltonian, the coefficient sampler and the kernel's first and
-    second stage of a profile's type, read from the module at each call."""
+    """The coefficient sampler and the kernel's first and second stage of
+    a profile's type, read from the module at each call."""
     if isinstance(profile, DriveProfile2):
-        return hamiltonian2, _coefficients2, _ck_tails, _ck_finish
+        return _coefficients2, _ck_tails, _ck_finish
     if isinstance(profile, DriveProfile3):
-        return hamiltonian3, _coefficients3, _su3_tails, _su3_finish
+        return _coefficients3, _su3_tails, _su3_finish
     raise TypeError(f"unsupported profile type {type(profile).__name__}")
 
 
@@ -751,9 +748,6 @@ def propagate(
     hamiltonian: HamiltonianFn,
     window: Tuple[float, float],
     grid_points: int = DEFAULT_GRID_POINTS,
-    *,
-    refine_tol: Optional[float] = None,
-    max_grid_points: int = MAX_GRID_POINTS,
 ) -> np.ndarray:
     """Time-ordered propagator U(t_end, t_start) over ``window``.
 
@@ -761,63 +755,28 @@ def propagate(
     ----------
     hamiltonian : callable
         Maps a 1-d array of sample times to an (n, d, d) Hermitian
-        batch.  It is called once per grid, on the step midpoints, and
-        every batch is checked for its shape, its step phase and
-        Hermiticity.
+        batch.  It is called once, on the step midpoints, and the batch
+        is checked for its shape, its step phase and Hermiticity.
     window : (float, float)
-        Integration interval.
+        Integration interval, finite with positive length.
     grid_points : int
         Number of piecewise-constant steps, an integer in
-        [2, max_grid_points].
-    refine_tol : float, optional
-        When given (finite and > 0), the grid is doubled until the
-        largest entrywise change between successive resolutions drops
-        below this value.  Raises ConvergenceError if the grid reaches
-        ``max_grid_points`` first (the last doubling may end above it).
+        [2, MAX_GRID_POINTS]: the one control of the propagator's
+        accuracy.
     """
-    t0, t1 = float(window[0]), float(window[1])
-    if not t1 > t0:
-        raise ValueError("window must have positive length")
-    # the grid and the tolerance are checked before anything is sampled
-    steps = check_grid_points(grid_points, max_grid_points)
-    if refine_tol is not None and not 0.0 < refine_tol < np.inf:
-        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
-    previous, delta = None, np.inf
-    while True:
-        ts, dt = _grid((t0, t1), steps)
-        kernel, arrays = _sample_hamiltonian(hamiltonian, ts, dt)
-        u = kernel(*arrays, dt)
-        if previous is not None:
-            delta = float(np.abs(u - previous).max())
-        if refine_tol is None or delta < refine_tol:
-            return u
-        if steps >= max_grid_points:
-            raise ConvergenceError(
-                f"propagator not converged at {steps} steps "
-                f"(last entrywise change {delta:.3e} >= {refine_tol:.1e})"
-            )
-        previous, steps = u, 2 * steps
+    # the window and the grid are checked before anything is sampled
+    window = _check_window(window)
+    ts, dt = _grid(window, check_grid_points(grid_points))
+    kernel, arrays = _sample_hamiltonian(hamiltonian, ts, dt)
+    return kernel(*arrays, dt)
 
 
-def propagate_profile(
-    profile: Profile,
-    *,
-    grid_points: Optional[int] = None,
-    refine_tol: Optional[float] = None,
-) -> np.ndarray:
+def propagate_profile(profile: Profile, *, grid_points: Optional[int] = None) -> np.ndarray:
     """Propagator of one interaction pass described by a drive profile:
     ``propagate_passes`` of the pass, on ``grid_points`` steps when given
-    (``replace(profile, grid_points=...)``), raising its slot's error.
-    With ``refine_tol`` it is ``propagate`` of its ``hamiltonian2`` or
-    ``hamiltonian3``, which refines the grid and gives the same bits on
-    the same grid."""
-    hamiltonian = functools.partial(_stages(profile)[0], profile)
+    (``replace(profile, grid_points=...)``), raising its slot's error."""
     if grid_points is not None:
         profile = replace(profile, grid_points=grid_points)
-    if refine_tol is not None:
-        # samples may overflow, as in propagate_passes
-        with np.errstate(over="ignore"):
-            return propagate(hamiltonian, profile.window, profile.grid_points, refine_tol=refine_tol)
     return slot_propagator(propagate_passes([profile])[0])
 
 
@@ -856,7 +815,7 @@ def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, Valu
     # envelope tails and chirps may overflow to their limits, 0 or inf;
     # the step-phase guard rejects an infinite sample
     with np.errstate(over="ignore"):
-        for ((_, coefficients_of, tails_of, finish), window, steps), members in groups.items():
+        for ((coefficients_of, tails_of, finish), window, steps), members in groups.items():
             ts, dt = _grid(window, check_grid_points(steps))
             samples = _Envelopes(ts)
             size = max(1, BATCH_ROWS // len(ts))

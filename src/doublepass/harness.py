@@ -1003,6 +1003,8 @@ SUITES: Dict[str, SuiteDef] = {
 # with its draws, and the batches of ``propagate_passes`` gain nothing
 # beyond a few hundred passes.
 _VERIFY_CHUNK = 1024
+# Most draws of one verify run: its residuals are held in memory at once.
+MAX_VERIFY_DRAWS = 2**20
 
 
 def verify(suite: str, draws: int, seed: int) -> Dict[str, object]:
@@ -1026,8 +1028,8 @@ def verify(suite: str, draws: int, seed: int) -> Dict[str, object]:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
     draws, seed = int(draws), int(seed)
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
+    if not 1 <= draws <= MAX_VERIFY_DRAWS:
+        raise ValueError(f"draws must be in [1, {MAX_VERIFY_DRAWS}], got {draws}")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     definition = SUITES[suite]

@@ -873,10 +873,18 @@ class TestVerify:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "flag, value, bound",
-        [("--draws", "0", ">= 1"), ("--draws", "-3", ">= 1"), ("--seed", "-1", ">= 0")],
+        [
+            ("--draws", "0", ">= 1"),
+            ("--draws", "-3", ">= 1"),
+            ("--draws", "1048577", "<= 1048576"),
+            ("--draws", "10000000000000", "<= 1048576"),
+            ("--seed", "-1", ">= 0"),
+        ],
     )
-    def test_draws_or_seed_out_of_range_is_a_usage_error(self, capsys, flag, value, bound):
-        # exit 1 means "verify failed" and nothing else
+    def test_draws_or_seed_out_of_range_is_a_usage_error(self, monkeypatch, capsys, flag, value, bound):
+        # exit 1 means "verify failed" and nothing else; 10^13 draws ended
+        # in a traceback from a 72.8 TiB allocation
+        monkeypatch.setattr(harness, "_rng", lambda seed: pytest.fail("drew out of range"))
         flags = {"--draws": "1", flag: value}
         argv = ["verify", "--suite", "unitarity"] + [arg for pair in flags.items() for arg in pair]
         assert main(argv) == EX_USAGE

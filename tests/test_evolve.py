@@ -32,7 +32,6 @@ from doublepass.evolve import (
     BATCH_ROWS,
     MAX_STEP_PHASE,
     CayleyKlein,
-    ConvergenceError,
     StepPhaseError,
     TemplateMismatchError,
     _TAIL,
@@ -226,13 +225,14 @@ class TestPropagate:
         assert abs(u[1, 0]) ** 2 == pytest.approx(expected, abs=1e-3)
 
     def test_sech_pulse_constant_detuning_oracle(self):
-        # sech-pulse model: p = sin^2(pi peak width / 2) sech^2(pi delta width / 2)
+        # sech-pulse model: p = sin^2(pi peak width / 2) sech^2(pi delta width / 2);
+        # the default 4000 steps miss it by 4.7e-6, 2^15 steps by 7.0e-8
         peak, width, delta = 1.0, 1.0, 1.0
         profile = DriveProfile2(
             rabi=PulseShape.sech(peak, width, center=0.0),
             detuning=DetuningShape.constant(delta),
         )
-        u = propagate_profile(profile, refine_tol=1e-10)
+        u = propagate_profile(profile, grid_points=2**15)
         expected = (
             math.sin(math.pi * peak * width / 2.0) ** 2
             / math.cosh(math.pi * delta * width / 2.0) ** 2
@@ -331,21 +331,19 @@ class TestPropagate:
             propagate(h, (0.0, 1.0), 16)
         assert calls == [(16,)]
 
-    def test_convergence_error_at_cap(self):
-        profile = DriveProfile2(
-            rabi=PulseShape.sin2(15.0, 1.0),
-            detuning=DetuningShape.linear_chirp(18.0),
-        )
-        h = lambda ts: hamiltonian2(profile, ts)
-        with pytest.raises(ConvergenceError):
-            propagate(h, profile.window, 4, refine_tol=1e-15, max_grid_points=64)
-
     def test_window_validation(self):
         h = lambda ts: np.zeros((len(ts), 2, 2), complex)
         with pytest.raises(ValueError):
             propagate(h, (1.0, 1.0), 16)
         with pytest.raises(ValueError):
             propagate(h, (0.0, 1.0), 1)
+        # an infinite window, or one whose length overflows, gave every
+        # step an infinite or NaN time before the callable saw it
+        for window in [(0.0, np.inf), (-1e308, 1e308), (-np.inf, 0.0)]:
+            h, calls = recording_hamiltonian()
+            with pytest.raises(ValueError, match="window"):
+                propagate(h, window, 16)
+            assert calls == []
 
     def test_profile_grid_points_respected(self):
         # a two-point grid is legal (coarse, but structurally sound)
@@ -1584,13 +1582,6 @@ class TestGridArguments:
         with pytest.raises(ValueError, match="grid_points"):
             propagate_profile(profile, grid_points=grid_points)
         assert sampled == []
-
-    @pytest.mark.parametrize("refine_tol", [0.0, -1.0, np.nan, np.inf])
-    def test_unreachable_refine_tol_rejected(self, refine_tol):
-        h, calls = recording_hamiltonian()
-        with pytest.raises(ValueError, match="refine_tol"):
-            propagate(h, (0.0, 1.0), 16, refine_tol=refine_tol)
-        assert calls == []
 
 
 class TestUnitarityDefect:

@@ -826,6 +826,12 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify("average-return", draws=0, seed=0)
 
+    def test_draws_bounded_before_drawing(self, monkeypatch):
+        # 10^13 draws ended in a numpy allocation error of 72.8 TiB
+        monkeypatch.setattr(harness, "_rng", lambda seed: pytest.fail("drew past the bound"))
+        with pytest.raises(ValueError, match=r"^draws must be in \[1, 1048576\], got 1048577$"):
+            verify("degradation", 2**20 + 1, 0)
+
     def test_seed_validated_before_drawing(self, monkeypatch):
         monkeypatch.setattr(harness, "_rng", lambda seed: pytest.fail("drew with a negative seed"))
         with pytest.raises(ValueError, match=r"^seed must be >= 0$"):
