@@ -1583,6 +1583,24 @@ class TestGridArguments:
             propagate_profile(profile, grid_points=grid_points)
         assert sampled == []
 
+    @pytest.mark.parametrize("window", [(1.0, 1.0), (0.0, np.inf), (-1e308, 1e308), (-np.inf, 0.0)])
+    def test_window_rule_shared_with_profiles(self, window):
+        # a drive profile and propagate reject the same windows, propagate
+        # before anything is sampled
+        with pytest.raises(ValueError, match="window"):
+            DriveProfile2(rabi=PulseShape.sin2(1.0, 1.0), window=window)
+        h, calls = recording_hamiltonian()
+        with pytest.raises(ValueError, match="window"):
+            propagate(h, window, 16)
+        assert calls == []
+
+    def test_wide_finite_window_accepted(self):
+        # the guard rejects a length that overflows, not a large one
+        h, calls = recording_hamiltonian()
+        u = propagate(h, (-1e307, 1e307), 16)
+        assert calls == [16]
+        assert np.array_equal(u, np.eye(2))
+
 
 class TestUnitarityDefect:
     def test_stack_reads_its_worst_matrix(self):
