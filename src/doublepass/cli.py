@@ -42,7 +42,7 @@ from .harness import (
     verify,
     write_csv,
 )
-from .su2relations import DEFAULT_SLACK, InversionRangeError
+from .su2relations import DEFAULT_SLACK, InversionRangeError, check_slack
 
 EX_OK = 0
 EX_VERIFY_FAILED = 1
@@ -136,11 +136,12 @@ def _window(value: object, where: str) -> Tuple[float, float]:
 
 
 def _slack(value: object, where: str, error: type = ConfigError) -> float:
-    """The noise slack of an inversion: a finite number >= 0."""
+    """The noise slack of an inversion: a number ``check_slack`` accepts."""
     value = _number(value, where)
-    if not (math.isfinite(value) and value >= 0):
-        raise error(f"{where} must be finite and >= 0, got {value}")
-    return value
+    try:
+        return check_slack(value, where)
+    except ValueError as exc:
+        raise error(str(exc)) from None
 
 
 def _drive_profile(kind: object, **fields) -> Union[DriveProfile2, DriveProfile3]:
@@ -313,11 +314,13 @@ _INVERT_RELATIONS = {
 def _cmd_invert(args) -> int:
     kind, names = _INVERT_RELATIONS[args.relation]
     _slack(args.slack, "--slack", _UsageError)
-    values = [getattr(args, name) for name in names]
-    for name, value in zip(names, values):
-        if value is None:
+    # every value flag is given exactly where the relation reads it
+    for name in ("q_bar", "q_return", "q", "r"):
+        given = getattr(args, name) is not None
+        if given != (name in names):
             flag = "--" + name.replace("_", "-")
-            raise _UsageError(f"relation {args.relation!r} requires {flag}")
+            raise _UsageError(f"relation {args.relation!r} {'does not read' if given else 'requires'} {flag}")
+    values = [getattr(args, name) for name in names]
     plan = PROTOCOLS[kind]
     clamps: List[str] = []
     p = _estimate(plan, dict(zip(plan.reads, values)), args.slack, clamps)
@@ -328,12 +331,7 @@ def _cmd_invert(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite not in SUITES:
-        print(
-            f"error: unknown suite {args.suite!r}; registered: "
-            f"{', '.join(sorted(SUITES))}",
-            file=sys.stderr,
-        )
-        return EX_USAGE
+        raise _UsageError(f"unknown suite {args.suite!r}; registered: {', '.join(sorted(SUITES))}")
     if args.draws < 1:
         raise _UsageError(f"--draws must be >= 1, got {args.draws}")
     if args.draws > MAX_VERIFY_DRAWS:

@@ -38,6 +38,8 @@ _PARITY_TOL = 1e-9
 # so compactly supported pulses start and end at exactly zero coupling.
 WINDOW_PAD_FRACTION = 0.1
 
+# Grid steps of a pass whose profile names none.
+DEFAULT_GRID_POINTS = 4000
 # Largest number of grid steps of one pass, checked when a profile is
 # built so an oversized grid is rejected before anything is allocated.
 MAX_GRID_POINTS = 2**20
@@ -374,7 +376,7 @@ class DriveProfile2:
     rabi_sign: int = 1
     detuning_sign: int = 1
     window: Optional[Tuple[float, float]] = None
-    grid_points: int = 4000
+    grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self) -> None:
         _check_sign(self.rabi_sign, "rabi_sign")
@@ -433,7 +435,7 @@ class DriveProfile3:
     single_photon_detuning: DetuningShape = field(default_factory=DetuningShape.zero)
     two_photon_detuning: float = 0.0
     window: Optional[Tuple[float, float]] = None
-    grid_points: int = 4000
+    grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self) -> None:
         check_grid_points(self.grid_points)

@@ -64,6 +64,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .drive import (
+    DEFAULT_GRID_POINTS,
     DetuningShape,
     DriveProfile2,
     DriveProfile3,
@@ -78,7 +79,6 @@ from .drive import (
 
 UNITARITY_TOL = 1e-10
 TEMPLATE_TOL = 1e-8
-DEFAULT_GRID_POINTS = 4000
 # Largest step phase dt * max|H| accepted: beyond it float64 resolves
 # the phase of a step to worse than about 1e-4 rad.
 MAX_STEP_PHASE = 1e12

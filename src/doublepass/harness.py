@@ -9,31 +9,29 @@ second-pass variants, whether the averaged return Q_bar and the
 role-swapped return r are recorded, the inversion formula and the
 record fields it reads.  ``run_protocol`` runs any entry and measures
 the passes it lists, but simulates only the forward pass.  A
-measurement point is prepared (its preconditions checked), its forward
-pass is propagated by ``evolve.propagate_passes``, and it is finished
-(the role-swap guard, the structural check, the second passes, the
-record fields and inversion) by ``_finish``, which takes a stack of
-points and is the only finish: ``run_protocol`` gives it a stack of one.
-Inversion is ``_estimate`` of the entry, which ``doublepass invert``
-also runs.
+measurement point is prepared (its preconditions checked) and finished
+by ``_finish``, the only finish, which takes the drives of a stack of
+points (``run_protocol`` gives it a stack of one): ``_propagated``, the
+one helper that turns drives into stacks of propagators, propagates the
+forward passes in one ``evolve.propagate_passes`` call, and the
+role-swap guard, the structural check, the second passes, the record
+fields and inversion follow.  Inversion is ``_estimate`` of the entry,
+which ``doublepass invert`` also runs.
 The second passes are derived from the forward propagator: a two-state
 sign flip is a rearrangement of the forward Cayley-Klein pair, equal to
 a propagated pass to the last bit, and a three-state role swap is the
 forward propagator with indices 1 and 3 swapped and phases attached
 (``su3relations.backward_propagator``), equal to a propagated pass up
-to rounding.  ``run_protocol``, ``sweep`` and the closed-form
-verification suites propagate through that one batched entry and
-derive the second passes by the same first half of the finish
-(``_derive``).  Only the suites that check the derivation itself
+to rounding.  Only the suites that check the derivation itself
 (``sign-flips``, ``swap-derivation``) and the role-swapped returns
 (``swap-return-phase-free``) propagate second passes.
 
 Sweeps repeat a protocol over a parameter grid.  They prepare every
-point, propagate the forward passes of all points in one
-``propagate_passes`` call, whose step-row budget decides which passes
-share a kernel call (a 4000-step pass is paired down on its own, and
-the last pairing levels of many such passes run in one call), and
-finish all points at once, each step of the finish one array operation
+point and finish all prepared points at once: the forward passes of all
+of them go to one ``propagate_passes`` call, whose step-row budget
+decides which passes share a kernel call (a 4000-step pass is paired
+down on its own, and the last pairing levels of many such passes run in
+one call), and each later step of the finish is one array operation
 over the point axis.  A point that fails a check is marked with its
 first error in an ``evolve.PointChecks`` and the others go on, so
 per-point failures are recorded in the row status instead of aborting
@@ -46,11 +44,12 @@ drives and produces a deterministic report.  Every suite is one
 evaluation of a list of them that does not touch it, so the draws
 replay alone, without propagating a pass, and the report's worst draw
 is evaluated again on its own, as a list of one, to the same bits.
-``verify`` draws a suite's inputs first and evaluates them together.
 Every suite but ``composition`` propagates the profiles of all its
-draws in one ``propagate_passes`` call.  The nine closed-form suites
-read the record fields that ``run_protocol`` writes, as columns from
-``_derive``; a draw that fails a pass or a check reads NaN.
+draws in one ``propagate_passes`` call, through ``_propagated`` but for
+``_forward``, whose ``unitarity`` suite mixes two- and three-state
+draws.  The nine closed-form suites read the record fields that
+``run_protocol`` writes, as columns from ``_derive``; a draw that fails
+a pass or a check reads NaN.
 ``general-average`` takes r from the forward U_33.
 """
 
@@ -96,6 +95,7 @@ from .su2relations import (
     VPIPI,
     Variant,
     average_return,
+    check_slack,
     invert_p_const_detuning,
     invert_p_general,
     invert_p_rap,
@@ -262,15 +262,19 @@ def _returns(u: np.ndarray, backs: Sequence[np.ndarray]) -> List[float]:
     return [_population(back @ u, 0) for back in backs]
 
 
-def _stack(results: Sequence[Union[np.ndarray, ValueError]], dimension: int, checks: PointChecks) -> np.ndarray:
-    """Slots of ``propagate_passes``, one per point, as one stack of
-    propagators: a slot that holds the error of its pass fails its point
-    in ``checks`` and is the identity."""
-    for i, result in enumerate(results):
+def _propagated(rows: Sequence[Sequence[Profile]], dimension: int) -> Tuple[PointChecks, List[np.ndarray]]:
+    """Drives as propagators: one stack per row of drives, a pass of each
+    point, with every row propagated in one ``propagate_passes`` call, and
+    the checks of the points.  A pass that fails fails its point, with the
+    first error in row order, and is the identity."""
+    n = len(rows[0])
+    checks = PointChecks(n)
+    passes = propagate_passes([profile for row in rows for profile in row])
+    for k, result in enumerate(passes):
         if isinstance(result, ValueError):
-            fail(checks, i, result)
-    identity = np.eye(dimension)
-    return np.array([identity if isinstance(result, ValueError) else result for result in results], dtype=complex)
+            fail(checks, k % n, result)
+            passes[k] = np.eye(dimension)
+    return checks, [np.array(passes[k * n : (k + 1) * n], dtype=complex) for k in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +403,15 @@ def _prepare(kind: Union[ProtocolKind, str], profile: Profile) -> Protocol:
     return plan
 
 
-def _derive(
-    plan: Protocol, profiles: Sequence[Profile], results: Sequence[Union[np.ndarray, ValueError]]
-) -> Tuple[PointChecks, np.ndarray, Dict[str, np.ndarray]]:
+def _derive(plan: Protocol, profiles: Sequence[Profile]) -> Tuple[PointChecks, np.ndarray, Dict[str, np.ndarray]]:
     """The first half of finishing points of one protocol entry, from
-    their slots of ``propagate_passes`` (a forward propagator or the
-    error that propagating it raised), over the point axis: the role-swap
-    guard, the structural check, the second passes and the record fields
-    that ``_measure`` takes from them.  Returns the checks, with the
-    first error of each point (its slot's, the role-swap guard's, then
-    the structural check's), the stack of forward propagators U, a failed
-    slot's the identity, and the fields as columns.
+    their drives, over the point axis: the forward passes
+    (``_propagated``), the role-swap guard, the structural check, the
+    second passes and the record fields that ``_measure`` takes from them.
+    Returns the checks, with the first error of each point (its pass's,
+    the role-swap guard's, then the structural check's), the stack of
+    forward propagators U, a failed pass's the identity, and the fields as
+    columns.
 
     A sign-flipped two-state pass is an exact rearrangement of the
     forward pair (a, b) that the structural check returns, equal to the
@@ -421,8 +423,7 @@ def _derive(
     probability sees.  The resonant template check feeds no record
     field and runs point by point.
     """
-    checks = PointChecks(len(results))
-    u = _stack(results, plan.dimension, checks)
+    checks, (u,) = _propagated([profiles], plan.dimension)
     _check_swap(profiles, checks)
     check = globals()[plan.check] if plan.check is not None else None
     if plan.dimension == 2:
@@ -440,15 +441,11 @@ def _derive(
 
 
 def _finish(
-    plan: Protocol,
-    profiles: Sequence[Profile],
-    results: Sequence[Union[np.ndarray, ValueError]],
-    slack: float,
-    swept_values: Sequence[Optional[float]],
+    plan: Protocol, profiles: Sequence[Profile], slack: float, swept_values: Sequence[Optional[float]]
 ) -> List[Union[MeasurementRecord, ValueError]]:
     """The records of prepared points of one protocol entry, from their
-    slots of ``propagate_passes``, finished together over the point axis:
-    ``_derive``, then inversion, each one call on the stack of points.
+    drives, finished together over the point axis: ``_derive``, then
+    inversion, each one call on the stack of points.
 
     A point that fails a check is finished with the others but gives the
     error of the first check it failed instead of a record: those of
@@ -456,12 +453,12 @@ def _finish(
     (``evolve.PointChecks``).  A clamp makes its record's status
     "clamped".
     """
-    if not results:
+    if not profiles:
         return []
-    checks, _, fields = _derive(plan, profiles, results)
+    checks, _, fields = _derive(plan, profiles)
     fields["p_estimated"] = _estimate(plan, fields, slack, checks)
     fields["classical_estimate"] = np.sqrt(fields[plan.reads[0]])
-    unmeasured = [None] * len(results)
+    unmeasured = [None] * len(profiles)
     columns = [fields[name].tolist() if name in fields else unmeasured for name in _MEASURED]
     return [
         error if error is not None else MeasurementRecord(value, *row, "clamped" if clamps else "ok")
@@ -506,21 +503,22 @@ def run_protocol(
     ``sign_flip_transform`` of the forward pair, equal to directly
     propagated passes to the last bit; three-state ones are
     ``backward_propagator`` of the forward propagator, whose records stay
-    within 1e-13 of those of propagated passes.  A second pass
-    that propagation would reject for its step phase is rejected all the
-    same.
+    within 1e-13 of those of propagated passes.  A second pass that
+    propagation would reject for its step phase is rejected all the same.
 
-    Precondition violations raise ProtocolPreconditionError before any
-    pass is simulated; a forward propagator without the structure the
-    protocol needs raises TemplateMismatchError; an unresolvable pass
-    raises StepPhaseError; inversion inconsistencies beyond the slack
-    raise InversionRangeError.  Clamped inversions are reported in the
-    record status, not raised.  The point is finished by the columnar
-    finish of ``sweep``, as a stack of one point, and the first error it
-    records is raised.
+    A slack that ``check_slack`` rejects raises ValueError, and
+    precondition violations ProtocolPreconditionError, before any pass is
+    simulated; a forward propagator without the structure the protocol
+    needs raises TemplateMismatchError; an unresolvable pass raises
+    StepPhaseError; inversion inconsistencies beyond the slack raise
+    InversionRangeError.  Clamped inversions are reported in the record
+    status, not raised.  The point is finished by the columnar finish of
+    ``sweep``, as a stack of one point, and the first error it records is
+    raised.
     """
+    check_slack(slack)
     plan = _prepare(kind, profile)
-    [outcome] = _finish(plan, [profile], propagate_passes([profile]), slack, [None])
+    [outcome] = _finish(plan, [profile], slack, [None])
     if isinstance(outcome, ValueError):
         raise outcome
     return outcome
@@ -634,12 +632,15 @@ def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List
     a ValueError (precondition and inversion errors are ones) is recorded
     in the row status and the sweep continues.
 
-    Every point is prepared, the forward passes of all prepared points go
-    to one ``propagate_passes`` call (which batches them under its step-row
-    budget), and ``_finish`` then checks, derives, measures and inverts
-    all of them at once, as arrays over the point axis.  Every record
-    equals that of ``run_protocol``, the same finish on its point alone.
+    Every point is prepared, and ``_finish`` propagates the forward
+    passes of all prepared points in one ``propagate_passes`` call (which
+    batches them under its step-row budget), then checks, derives,
+    measures and inverts all of them at once, as arrays over the point
+    axis.  Every record equals that of ``run_protocol``, the same finish
+    on its point alone.  A slack that ``check_slack`` rejects raises
+    ValueError before any point is prepared.
     """
+    check_slack(slack)
     if spec.start == spec.stop:
         values = [float(spec.start)]
     else:
@@ -656,9 +657,7 @@ def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List
             outcomes.append(profile)
     points = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, ValueError)]
     profiles = [outcomes[i] for i in points]
-    finished = _finish(
-        PROTOCOLS[spec.protocol], profiles, propagate_passes(profiles), slack, [values[i] for i in points]
-    )
+    finished = _finish(PROTOCOLS[spec.protocol], profiles, slack, [values[i] for i in points])
     for i, outcome in zip(points, finished):
         outcomes[i] = outcome
     return [
@@ -820,7 +819,7 @@ def _closed_form(
     plan = PROTOCOLS[kind]
 
     def evaluate(profiles: List[Profile]) -> np.ndarray:
-        checks, u, fields = _derive(plan, profiles, propagate_passes(profiles))
+        checks, u, fields = _derive(plan, profiles)
         return _unless_failed(closed_form(fields, u, checks), checks)
 
     return evaluate
@@ -833,28 +832,19 @@ def _forward(check: Callable[[np.ndarray], float]) -> Callable[[List[Profile]], 
     return lambda profiles: _each(lambda slot: check(slot_propagator(slot)))(propagate_passes(profiles))
 
 
-def _swap_unitarity(drawn: List[Tuple[DriveProfile3, Tuple[float, float]]]) -> List[float]:
+def _swap_unitarity(drawn: List[Tuple[DriveProfile3, Tuple[float, float]]]) -> np.ndarray:
     """The unitarity defect of each drive's role-swapped propagator at its
-    drawn phases, derived from its forward pass as in ``_forward``."""
+    drawn phases, derived from its forward pass: a draw whose pass fails
+    reads NaN."""
     profiles, swaps = zip(*drawn)
-    defect = lambda pair: unitarity_defect(backward_propagator(slot_propagator(pair[0]), pair[1]))
-    return _each(defect)(list(zip(propagate_passes(list(profiles)), swaps)))
+    checks, (u,) = _propagated([profiles], 3)
+    defects = [unitarity_defect(backward_propagator(point, swap)) for point, swap in zip(u, swaps)]
+    return _unless_failed(np.array(defects), checks)
 
 
 def _second_passes(profiles: Sequence[Profile], variants: Sequence[Variant]) -> List[List[Profile]]:
     """The second-pass drives of each variant, one row per variant."""
     return [[_second_pass(profile, v) for profile in profiles] for v in variants]
-
-
-def _propagated(rows: Sequence[Sequence[Profile]], dimension: int) -> Tuple[PointChecks, List[np.ndarray]]:
-    """One stack of propagators per row of drives, a pass of each draw,
-    with every row propagated in one ``propagate_passes`` call, and the
-    checks of the draws: a pass that fails fails its draw and is the
-    identity."""
-    n = len(rows[0])
-    checks = PointChecks(n)
-    results = propagate_passes([profile for row in rows for profile in row])
-    return checks, [_stack(results[k * n : (k + 1) * n], dimension, checks) for k in range(len(rows))]
 
 
 def _composition(profile: DriveProfile2) -> float:

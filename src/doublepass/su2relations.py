@@ -74,10 +74,19 @@ def clamped_sqrt(radicand, slack: float, label: str, clamps: Clamps) -> float:
     return np.sqrt(np.where(negative, 0.0, radicand))
 
 
+def check_slack(slack: float, name: str = "slack") -> float:
+    """``slack`` if it is finite and >= 0, else a ValueError naming ``name``."""
+    if not (np.isfinite(slack) and slack >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {slack}")
+    return slack
+
+
 def checked_probability(value, name: str, slack: float, clamps: Clamps) -> float:
     """Validate a probability, or each of a stack of them, clamping
     slack-sized excursions into [0, 1] and reporting each clamp as
-    ``clamped_sqrt`` does."""
+    ``clamped_sqrt`` does.  A slack that ``check_slack`` rejects raises
+    its ValueError first."""
+    check_slack(slack)
     value = np.asarray(value, dtype=float)
     reject(clamps, ~((-slack <= value) & (value <= 1.0 + slack)), value, lambda v: InversionRangeError(
         f"{name} = {v!r} is not a probability"

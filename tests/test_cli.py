@@ -796,6 +796,20 @@ def relation_cases(seed=2018):
     return cases
 
 
+@pytest.mark.parametrize("value", ["0.5", "nan"])
+@pytest.mark.parametrize("relation, p, fields, argv", relation_cases(), ids=sorted(RELATION_FIELDS))
+def test_a_flag_the_relation_does_not_read_is_a_usage_error(capsys, relation, p, fields, argv, value):
+    reads = _INVERT_RELATIONS[relation][1]
+    unread = [name for name in ("q_bar", "q_return", "q", "r") if name not in reads]
+    assert unread
+    for name in unread:
+        flag = "--" + name.replace("_", "-")
+        assert main(argv + [flag, value]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: relation {relation!r} does not read {flag}\n"
+
+
 @pytest.mark.parametrize("relation, p, fields, argv", relation_cases(), ids=sorted(RELATION_FIELDS))
 def test_each_relation_prints_its_protocols_inversion(capsys, relation, p, fields, argv):
     assert set(RELATION_FIELDS) == set(_INVERT_RELATIONS)
@@ -868,7 +882,9 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code = main(["verify", "--suite", "nonsense"])
         assert code == EX_USAGE
-        assert "registered" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "registered" in err
+        assert err.startswith("usage error: unknown suite 'nonsense';") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

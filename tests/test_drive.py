@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from doublepass import evolve
 from doublepass.drive import (
+    DEFAULT_GRID_POINTS,
     MAX_GRID_POINTS,
     DetuningShape,
     DriveProfile2,
@@ -232,6 +234,15 @@ def test_grid_points_capped_at_construction(make):
     for n in (MAX_GRID_POINTS + 1, 10**30):
         with pytest.raises(ValueError, match="grid_points"):
             make(n)
+
+
+def test_profiles_default_to_the_one_default_grid():
+    # the profiles and the propagator read one constant, which the
+    # benchmark reads as ``evolve.DEFAULT_GRID_POINTS``
+    assert evolve.DEFAULT_GRID_POINTS is DEFAULT_GRID_POINTS == 4000
+    pulse = PulseShape.sin2(1.0, 1.0)
+    assert DriveProfile2(rabi=pulse).grid_points == DEFAULT_GRID_POINTS
+    assert DriveProfile3(pump=pulse, stokes=pulse).grid_points == DEFAULT_GRID_POINTS
 
 
 @pytest.mark.parametrize("grid_points", [4.5, 4000.0, "4000"])

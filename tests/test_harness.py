@@ -807,6 +807,57 @@ SUITE_NAMES = (
 )
 
 
+# Record fields that every protocol's inversion reads without a clamp.
+CLEAN_FIELDS = {"q_bar": 0.8, "q00": 0.5, "q0pi": 0.5, "qpi0": 0.9, "q": 0.05, "r": 0.05}
+BAD_SLACKS = [math.nan, math.inf, -1e-9]
+
+
+def invert(kind, slack, **fields):
+    plan = harness.PROTOCOLS[kind]
+    args = [{**CLEAN_FIELDS, **fields}[name] for name in plan.reads]
+    return getattr(harness, plan.inverter)(*args, slack=slack, clamps=[])
+
+
+class TestSlackRule:
+    @pytest.mark.parametrize("slack", BAD_SLACKS)
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_every_inverter_rejects_a_slack_that_is_not_finite_and_nonnegative(self, kind, slack):
+        with pytest.raises(ValueError, match="slack must be finite and >= 0") as caught:
+            invert(kind, slack)
+        assert caught.type is ValueError
+
+    @pytest.mark.parametrize("slack", BAD_SLACKS)
+    def test_runners_reject_it_before_any_point_is_prepared(self, monkeypatch, slack):
+        def unreached(*args):
+            raise AssertionError("reached past the slack check")
+
+        monkeypatch.setattr(harness, "_prepare", unreached)
+        monkeypatch.setattr(harness, "propagate_passes", unreached)
+        spec = SweepSpec(chirped_profile(), "pulse-area", 1.0, 8.0, 3, ProtocolKind.TWO_STATE_GENERAL)
+        for run in (
+            lambda: run_protocol(ProtocolKind.TWO_STATE_GENERAL, chirped_profile(), slack=slack),
+            lambda: sweep(spec, slack=slack),
+        ):
+            with pytest.raises(ValueError, match="slack must be finite and >= 0") as caught:
+                run()
+            assert caught.type is ValueError
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_zero_slack_inverts_and_rejects_as_before(self, kind):
+        assert invert(kind, 0.0) == invert(kind, harness.su2relations.DEFAULT_SLACK)
+        # no excursion is forgiven: a probability just above 1 is out of range
+        with pytest.raises(harness.su2relations.InversionRangeError):
+            invert(kind, 0.0, **{harness.PROTOCOLS[kind].reads[0]: 1.0 + 1e-12})
+
+    def test_zero_slack_runs_as_the_default(self):
+        profile = chirped_profile()
+        assert run_protocol(ProtocolKind.TWO_STATE_GENERAL, profile, slack=0.0) == run_protocol(
+            ProtocolKind.TWO_STATE_GENERAL, profile
+        )
+        spec = SweepSpec(profile, "pulse-area", 1.0, 8.0, 3, ProtocolKind.TWO_STATE_GENERAL)
+        assert sweep(spec, slack=0.0) == sweep(spec)
+
+
 class TestVerify:
     def test_report_is_deterministic(self):
         first = verify("average-return", draws=20, seed=7)
