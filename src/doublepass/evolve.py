@@ -30,21 +30,23 @@ well.
 The two kernels read only the real diagonal and the lower-triangle
 couplings of each step.  A drive profile becomes a propagator only
 through ``propagate_passes`` (``propagate_profile`` is that of one
-pass), which samples its envelopes straight into those arrays: its
-Hamiltonian is Hermitian by construction (``hamiltonian2``/
-``hamiltonian3`` assemble theirs from the same arrays), so only the
-step phase is checked.  ``propagate`` samples a callable into an
-(n, d, d) batch and checks its shape, its step phase and its
-Hermiticity, because the callable is outside input.  Both give the
-kernels the same values, so the two agree to the last bit.
+pass), which takes rows of passes, one per point, and gives the checks
+of the points and a stack of propagators per row.  It samples the
+envelopes straight into the kernels' arrays: a profile's Hamiltonian
+is Hermitian by construction (``hamiltonian2``/``hamiltonian3``
+assemble theirs from the same arrays), so only the step phase is
+checked.  ``propagate`` samples a callable into an (n, d, d) batch and
+checks its shape, its step phase and its Hermiticity, because the
+callable is outside input.  Both give the kernels the same values, so
+the two agree to the last bit.
 
 Both kernels reduce along the last axis and take any leading batch
 axes, in two stages: the first forms the steps and pairs each pass
 down to at most ``_TAIL`` steps, the second pairs those tails down to
 one.  ``propagate_passes`` samples each of many passes on its own and
-runs the first stage for those that share a dimension, a window and a
-step count in one call, up to ``BATCH_ROWS`` step rows per call, and
-then the second stage for their tails together.  On short grids that
+runs the first stage for those that share a window and a step count in
+one call, up to ``BATCH_ROWS`` step rows per call, and then the second
+stage for their tails together.  On short grids that
 removes most of the per-call numpy overhead; a long pass goes through
 the first stage alone, as 1-d arrays, and only its last pairing
 levels are shared; a lone pass stays 1-d through the second stage
@@ -724,12 +726,12 @@ def _sample_profile(coefficients: Tuple[np.ndarray, ...], dt: float) -> Tuple[np
 
 
 def _stages(profile: Profile) -> tuple:
-    """The coefficient sampler and the kernel's first and second stage of
-    a profile's type, read from the module at each call."""
+    """The dimension, the coefficient sampler and the kernel's first and
+    second stage of a profile's type, read from the module at each call."""
     if isinstance(profile, DriveProfile2):
-        return _coefficients2, _ck_tails, _ck_finish
+        return 2, _coefficients2, _ck_tails, _ck_finish
     if isinstance(profile, DriveProfile3):
-        return _coefficients3, _su3_tails, _su3_finish
+        return 3, _coefficients3, _su3_tails, _su3_finish
     raise TypeError(f"unsupported profile type {type(profile).__name__}")
 
 
@@ -774,25 +776,20 @@ def propagate(
 def propagate_profile(profile: Profile, *, grid_points: Optional[int] = None) -> np.ndarray:
     """Propagator of one interaction pass described by a drive profile:
     ``propagate_passes`` of the pass, on ``grid_points`` steps when given
-    (``replace(profile, grid_points=...)``), raising its slot's error."""
+    (``replace(profile, grid_points=...)``), raising its point's error."""
     if grid_points is not None:
         profile = replace(profile, grid_points=grid_points)
-    return slot_propagator(propagate_passes([profile])[0])
+    checks, ((u,),) = propagate_passes([[profile]], _stages(profile)[0])
+    if checks.errors[0] is not None:
+        raise checks.errors[0]
+    return u
 
 
-def slot_propagator(slot: Union[np.ndarray, ValueError]) -> np.ndarray:
-    """The propagator in a slot of ``propagate_passes``, or its error
-    raised."""
-    if isinstance(slot, ValueError):
-        raise slot
-    return slot
+def propagate_passes(rows: Sequence[Sequence[Profile]], dimension: int) -> Tuple[PointChecks, np.ndarray]:
+    """The checks of the points and the fixed-grid propagators of rows of
+    d-state passes, one per point, as a complex (rows, points, d, d) stack.
 
-
-def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, ValueError]]:
-    """Fixed-grid propagators of many passes, one slot per pass in input
-    order.
-
-    Passes that share a dimension, a window and a step count form a
+    Passes that share a window and a step count, in any row, form a
     group.  Every pass gets its own samples and its own step-phase
     guard, but within a group an envelope is sampled once per shape:
     ``_Envelopes`` rebuilds a pulse that differs from the previous pass's
@@ -805,46 +802,55 @@ def propagate_passes(profiles: Sequence[Profile]) -> List[Union[np.ndarray, Valu
     most ``BATCH_ROWS`` tail rows per call, so that a long pass does not
     pay for its last pairing levels alone.  A pass equals the same pass
     in any other group or alone to the last bit, and a lone pass costs
-    what the one-call kernel does.  A pass's slot holds its propagator,
-    or the ValueError (such as a StepPhaseError) that sampling it raised.
+    what the one-call kernel does.  A pass whose sampling raises a
+    ValueError (such as a StepPhaseError) fails its point, with the
+    point's first error in row order, and is the identity in its stack.
     """
+    points = len(rows[0])
+    profiles = [profile for row in rows for profile in row]
     groups: Dict[tuple, List[int]] = {}
-    for i, profile in enumerate(profiles):
-        groups.setdefault((_stages(profile), profile.window, profile.grid_points), []).append(i)
-    results: List[Union[np.ndarray, ValueError]] = [None] * len(profiles)
+    for k, profile in enumerate(profiles):
+        groups.setdefault((_stages(profile), profile.window, profile.grid_points), []).append(k)
+    stacks = np.empty((len(rows), points, dimension, dimension), dtype=complex)
+    out = stacks.reshape(-1, dimension, dimension)  # a view, pass by pass
+    errors: Dict[int, ValueError] = {}
     # envelope tails and chirps may overflow to their limits, 0 or inf;
     # the step-phase guard rejects an infinite sample
     with np.errstate(over="ignore"):
-        for ((coefficients_of, tails_of, finish), window, steps), members in groups.items():
+        for ((_, coefficients_of, tails_of, finish), window, steps), members in groups.items():
             ts, dt = _grid(window, check_grid_points(steps))
             samples = _Envelopes(ts)
             size = max(1, BATCH_ROWS // len(ts))
-            kept: List[tuple] = []  # (slots, tails) of the passes not yet finished
+            kept: List[tuple] = []  # (passes, tails) of the passes not yet finished
             waiting = 0  # the passes kept
             for start in range(0, len(members), size):
-                slots, sampled = [], []
-                for i in members[start : start + size]:
+                batch, sampled = [], []
+                for k in members[start : start + size]:
                     try:
-                        sampled.append(_sample_profile(coefficients_of(profiles[i], samples), dt))
+                        sampled.append(_sample_profile(coefficients_of(profiles[k], samples), dt))
                     except ValueError as error:
-                        results[i] = error
+                        errors[k] = error
                         continue
-                    slots.append(i)
-                if not slots:
+                    batch.append(k)
+                if not batch:
                     continue
                 tails = _first_stage(tails_of, sampled, dt)
                 # only the tails wait for the second stage: samples kept
                 # until then made glibc give the heap of 4000-step 3x3
                 # passes back and fault it in again on every call
                 del sampled
-                if kept and (waiting + len(slots)) * tails[-1].shape[-1] > BATCH_ROWS:
-                    _second_stage(finish, kept, results)
+                if kept and (waiting + len(batch)) * tails[-1].shape[-1] > BATCH_ROWS:
+                    _second_stage(finish, kept, out)
                     kept, waiting = [], 0
-                kept.append((slots, tails))
-                waiting += len(slots)
+                kept.append((batch, tails))
+                waiting += len(batch)
             if kept:
-                _second_stage(finish, kept, results)
-    return results
+                _second_stage(finish, kept, out)
+    checks = PointChecks(points)
+    for k in sorted(errors):
+        fail(checks, k % points, errors[k])
+        out[k] = np.eye(dimension)
+    return checks, stacks
 
 
 def check_step_phase(profile: Profile, h_max: float) -> None:
@@ -863,20 +869,18 @@ def _first_stage(tails_of: Callable[..., tuple], sampled: list, dt: float) -> tu
     return tails_of(*(np.stack(column) for column in zip(*sampled)), dt)
 
 
-def _second_stage(finish: Callable[..., np.ndarray], kept: list, results: list) -> None:
-    """Finish the kept (slots, tails) of passes on one grid in one call,
-    and put each propagator in its pass's slot.  A lone pass is finished
-    as 1-d arrays; otherwise each lone pass's tails gain a pass axis, and
-    all are concatenated along it."""
-    slots = [i for batch, _ in kept for i in batch]
-    if len(slots) == 1:
-        results[slots[0]] = finish(*kept[0][1])
+def _second_stage(finish: Callable[..., np.ndarray], kept: list, out: np.ndarray) -> None:
+    """Finish the kept (passes, tails) of passes on one grid in one call,
+    and write each propagator into its pass's row of ``out``.  A lone
+    pass is finished as 1-d arrays; otherwise each lone pass's tails gain
+    a pass axis, and all are concatenated along it."""
+    passes = [k for batch, _ in kept for k in batch]
+    if len(passes) == 1:
+        out[passes[0]] = finish(*kept[0][1])
         return
     with_axis = lambda phase, *tails: (np.reshape(phase, 1),) + tuple(tail[..., None, :] for tail in tails)
     phases, *tails = zip(*(tails if len(batch) > 1 else with_axis(*tails) for batch, tails in kept))
-    propagators = finish(np.concatenate(phases), *(np.concatenate(t, axis=-2) for t in tails))
-    for i, u in zip(slots, propagators):
-        results[i] = u
+    out[passes] = finish(np.concatenate(phases), *(np.concatenate(t, axis=-2) for t in tails))
 
 
 def cayley_klein(u: np.ndarray, checks: Optional[PointChecks] = None) -> CayleyKlein:

@@ -11,9 +11,9 @@ record fields it reads.  ``run_protocol`` runs any entry and measures
 the passes it lists, but simulates only the forward pass.  A
 measurement point is prepared (its preconditions checked) and finished
 by ``_finish``, the only finish, which takes the drives of a stack of
-points (``run_protocol`` gives it a stack of one): ``_propagated``, the
-one helper that turns drives into stacks of propagators, propagates the
-forward passes in one ``evolve.propagate_passes`` call, and the
+points (``run_protocol`` gives it a stack of one): one
+``evolve.propagate_passes`` call turns the forward passes into the
+checks of the points and the stack of forward propagators, and the
 role-swap guard, the structural check, the second passes, the record
 fields and inversion follow.  Inversion is ``_estimate`` of the entry,
 which ``doublepass invert`` also runs.
@@ -45,11 +45,12 @@ evaluation of a list of them that does not touch it, so the draws
 replay alone, without propagating a pass, and the report's worst draw
 is evaluated again on its own, as a list of one, to the same bits.
 Every suite but ``composition`` propagates the profiles of all its
-draws in one ``propagate_passes`` call, through ``_propagated`` but for
-``_forward``, whose ``unitarity`` suite mixes two- and three-state
-draws.  The nine closed-form suites read the record fields that
-``run_protocol`` writes, as columns from ``_derive``; a draw that fails
-a pass or a check reads NaN.
+draws in one ``propagate_passes`` call, and reads the checks and the
+stacks it returns; ``_forward`` makes one call per dimension, since its
+``unitarity`` suite alternates two- and three-state draws.  The nine
+closed-form suites read the record fields that ``run_protocol``
+writes, as columns from ``_derive``; a draw that fails a pass or a
+check reads NaN.
 ``general-average`` takes r from the forward U_33.
 """
 
@@ -82,7 +83,6 @@ from .evolve import (
     fail,
     propagate_passes,
     sign_flip_transform,
-    slot_propagator,
     squared_modulus,
     unitarity_defect,
 )
@@ -262,21 +262,6 @@ def _returns(u: np.ndarray, backs: Sequence[np.ndarray]) -> List[float]:
     return [_population(back @ u, 0) for back in backs]
 
 
-def _propagated(rows: Sequence[Sequence[Profile]], dimension: int) -> Tuple[PointChecks, List[np.ndarray]]:
-    """Drives as propagators: one stack per row of drives, a pass of each
-    point, with every row propagated in one ``propagate_passes`` call, and
-    the checks of the points.  A pass that fails fails its point, with the
-    first error in row order, and is the identity."""
-    n = len(rows[0])
-    checks = PointChecks(n)
-    passes = propagate_passes([profile for row in rows for profile in row])
-    for k, result in enumerate(passes):
-        if isinstance(result, ValueError):
-            fail(checks, k % n, result)
-            passes[k] = np.eye(dimension)
-    return checks, [np.array(passes[k * n : (k + 1) * n], dtype=complex) for k in range(len(rows))]
-
-
 # ---------------------------------------------------------------------------
 # protocols
 # ---------------------------------------------------------------------------
@@ -406,7 +391,7 @@ def _prepare(kind: Union[ProtocolKind, str], profile: Profile) -> Protocol:
 def _derive(plan: Protocol, profiles: Sequence[Profile]) -> Tuple[PointChecks, np.ndarray, Dict[str, np.ndarray]]:
     """The first half of finishing points of one protocol entry, from
     their drives, over the point axis: the forward passes
-    (``_propagated``), the role-swap guard, the structural check, the
+    (``propagate_passes``), the role-swap guard, the structural check, the
     second passes and the record fields that ``_measure`` takes from them.
     Returns the checks, with the first error of each point (its pass's,
     the role-swap guard's, then the structural check's), the stack of
@@ -423,7 +408,7 @@ def _derive(plan: Protocol, profiles: Sequence[Profile]) -> Tuple[PointChecks, n
     probability sees.  The resonant template check feeds no record
     field and runs point by point.
     """
-    checks, (u,) = _propagated([profiles], plan.dimension)
+    checks, (u,) = propagate_passes([profiles], plan.dimension)
     _check_swap(profiles, checks)
     check = globals()[plan.check] if plan.check is not None else None
     if plan.dimension == 2:
@@ -812,10 +797,10 @@ def _closed_form(
     ``closed_form(fields, U, checks)``: ``fields`` are the columns that
     ``run_protocol`` records for ``kind``, taken by the same ``_derive``
     from the forward passes of all the drives, propagated in one
-    ``propagate_passes`` call, U the stack of those passes.  No
-    precondition of ``kind`` is checked.  A drive whose pass or check
-    fails, or that fails a check ``closed_form`` records in ``checks``,
-    reads NaN."""
+    ``propagate_passes`` call, whose stack is U and whose checks, with
+    those of ``_derive``, are ``checks``.  No precondition of ``kind`` is
+    checked.  A drive whose pass or check fails, or that fails a check
+    ``closed_form`` records in ``checks``, reads NaN."""
     plan = PROTOCOLS[kind]
 
     def evaluate(profiles: List[Profile]) -> np.ndarray:
@@ -825,11 +810,21 @@ def _closed_form(
     return evaluate
 
 
-def _forward(check: Callable[[np.ndarray], float]) -> Callable[[List[Profile]], List[float]]:
-    """The evaluation of ``check`` on each drive's forward propagator, all
-    drives propagated in one ``propagate_passes`` call: a draw whose pass
-    fails, or whose check raises a ValueError, reads NaN."""
-    return lambda profiles: _each(lambda slot: check(slot_propagator(slot)))(propagate_passes(profiles))
+def _forward(check: Callable[[np.ndarray], float]) -> Callable[[List[Profile]], np.ndarray]:
+    """The evaluation of ``check`` on each drive's forward propagator, the
+    drives of each dimension propagated in one ``propagate_passes`` call
+    (``unitarity`` alternates two- and three-state draws): a draw whose
+    pass fails, or whose check raises a ValueError, reads NaN."""
+
+    def evaluate(profiles: List[Profile]) -> np.ndarray:
+        residuals = np.full(len(profiles), math.nan)
+        for dimension, (profile_type, _) in _PROFILE_TYPES.items():
+            points = [i for i, profile in enumerate(profiles) if isinstance(profile, profile_type)]
+            checks, (u,) = propagate_passes([[profiles[i] for i in points]], dimension)
+            residuals[points] = _unless_failed(_each(check)(u), checks)
+        return residuals
+
+    return evaluate
 
 
 def _swap_unitarity(drawn: List[Tuple[DriveProfile3, Tuple[float, float]]]) -> np.ndarray:
@@ -837,7 +832,7 @@ def _swap_unitarity(drawn: List[Tuple[DriveProfile3, Tuple[float, float]]]) -> n
     drawn phases, derived from its forward pass: a draw whose pass fails
     reads NaN."""
     profiles, swaps = zip(*drawn)
-    checks, (u,) = _propagated([profiles], 3)
+    checks, (u,) = propagate_passes([profiles], 3)
     defects = [unitarity_defect(backward_propagator(point, swap)) for point, swap in zip(u, swaps)]
     return _unless_failed(np.array(defects), checks)
 
@@ -861,7 +856,7 @@ def _composition(profile: DriveProfile2) -> float:
 
 def _sign_flips(profiles: List[DriveProfile2]) -> np.ndarray:
     flips = (VPI0, V0PI, VPIPI)
-    checks, (u, *direct) = _propagated([profiles] + _second_passes(profiles, flips), 2)
+    checks, (u, *direct) = propagate_passes([profiles] + _second_passes(profiles, flips), 2)
     ck = cayley_klein(u, checks)
     differences = [
         np.abs(back - sign_flip_transform(ck, *flip)).max(axis=(-2, -1)) for flip, back in zip(flips, direct)
@@ -892,7 +887,7 @@ def _resonant_template(u: np.ndarray) -> float:
 def _swap_derivation(profiles: List[DriveProfile3]) -> np.ndarray:
     """How far ``backward_propagator`` of the forward pass, aligned in its
     global phase, is from the propagated role-swapped pass."""
-    checks, (u, *direct) = _propagated([profiles] + _second_passes(profiles, FOUR_VARIANTS), 3)
+    checks, (u, *direct) = propagate_passes([profiles] + _second_passes(profiles, FOUR_VARIANTS), 3)
     differences = []
     for v, back in zip(FOUR_VARIANTS, direct):
         derived = backward_propagator(u, phases(v))
@@ -906,9 +901,9 @@ def _swap_derivation(profiles: List[DriveProfile3]) -> np.ndarray:
 
 def _swap_return_phase_free(profiles: List[DriveProfile3]) -> np.ndarray:
     # the second passes alone: no forward pass is simulated
-    checks, backs = _propagated(_second_passes(profiles, FOUR_VARIANTS), 3)
-    returns = [_population(back, 0) for back in backs]
-    return _unless_failed(np.max(returns, axis=0) - np.min(returns, axis=0), checks)
+    checks, backs = propagate_passes(_second_passes(profiles, FOUR_VARIANTS), 3)
+    returns = _population(backs, 0)
+    return _unless_failed(returns.max(axis=0) - returns.min(axis=0), checks)
 
 
 _DETUNINGS = (0.0, 1.0, -1.0, 5.0, -5.0, 20.0, -20.0)

@@ -25,7 +25,7 @@ from doublepass.cli import (
     EX_VERIFY_FAILED,
     main,
 )
-from doublepass.evolve import CayleyKlein
+from doublepass.evolve import CayleyKlein, PointChecks
 from doublepass.harness import CSV_COLUMNS, PROTOCOLS
 from doublepass.su2relations import DEFAULT_SLACK, V00, V0PI, VPI0, average_return, return_probability
 from doublepass.su3relations import (
@@ -413,7 +413,10 @@ def test_overflowing_role_swapped_detuning_is_a_config_error(tmp_path, capsys):
 
 def test_template_mismatch_is_a_precondition_violation(tmp_path, capsys, monkeypatch):
     # a forward propagator of NaNs, which cayley_klein rejects as not unitary
-    monkeypatch.setattr(harness, "propagate_passes", lambda profiles: [np.full((2, 2), np.nan)] * len(profiles))
+    def nan_propagators(rows, dimension):
+        return PointChecks(len(rows[0])), np.full((len(rows), len(rows[0]), 2, 2), np.nan, dtype=complex)
+
+    monkeypatch.setattr(harness, "propagate_passes", nan_propagators)
     code = main(["simulate", "--config", write_config(tmp_path, _general_two_state())])
     captured = capsys.readouterr()
     assert code == EX_PRECONDITION

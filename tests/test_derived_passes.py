@@ -237,7 +237,7 @@ def test_the_reference_never_reaches_the_batches(monkeypatch, grid):
     for kind, profile in drives.items():
         variants = harness.PROTOCOLS[kind].variants
         passes = [profile] + [harness._second_pass(profile, v) for v in variants]
-        expected[kind] = propagate_passes(passes)
+        _, (expected[kind],) = propagate_passes([passes], harness.PROTOCOLS[kind].dimension)
 
     def batched(*args):
         raise AssertionError("the reference reached the batched entry")
@@ -406,7 +406,8 @@ def test_no_point_fails_on_a_derived_pass_alone(signs):
         for detuning in (DetuningShape.constant(-3e13), DetuningShape.linear_chirp(1e308))
     ]
     for profile in (signed(drive, 64, signs) for drive in drives):
-        [forward] = propagate_passes([profile])
+        checks, ((u,),) = propagate_passes([[profile]], 2)
+        forward = checks.errors[0]
         for flips in FLIPS:
             flipped = backward_profile_2(profile, *flips)
             with np.errstate(over="ignore"):
@@ -415,13 +416,14 @@ def test_no_point_fails_on_a_derived_pass_alone(signs):
                     for p in (profile, flipped)
                 ]
             assert h_max[0] == h_max[1]
-            [result] = propagate_passes([flipped])
+            flipped_checks, ((result,),) = propagate_passes([[flipped]], 2)
+            error = flipped_checks.errors[0]
             if isinstance(forward, StepPhaseError):
-                assert type(result) is StepPhaseError and str(result) == str(forward)
+                assert type(error) is StepPhaseError and str(error) == str(forward)
             else:
-                assert np.array_equal(result, sign_flip_transform(cayley_klein(forward), *flips))
+                assert error is None and np.array_equal(result, sign_flip_transform(cayley_klein(u), *flips))
         outcomes.add(type(forward).__name__)
-    assert outcomes == {"ndarray", "StepPhaseError"}
+    assert outcomes == {"NoneType", "StepPhaseError"}
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +637,8 @@ def test_second_pass_step_phase_error_is_kept(profile, phase):
     """The (0, 0) second pass is not propagated, but it is guarded: a point
     whose role-swapped pass propagation would reject is rejected with the
     same error, though its forward pass is resolvable."""
-    [forward] = propagate_passes([profile])
-    assert isinstance(forward, np.ndarray)  # the forward pass alone is fine
+    checks, _ = propagate_passes([[profile]], 3)
+    assert checks.errors == [None]  # the forward pass alone is fine
     with pytest.raises(StepPhaseError, match=rf"= {phase} is not finite") as derived:
         run_protocol(GENERAL, profile)
     with pytest.raises(StepPhaseError) as direct:

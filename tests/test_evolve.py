@@ -603,10 +603,10 @@ profile = DriveProfile3(
 )
 passes = [apply_sweep_parameter(profile, "pulse-area", 0.3 * k) for k in range(10)]
 for _ in range(2):
-    propagate_passes(passes)
+    propagate_passes([passes], 3)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(20):
-    propagate_passes(passes)
+    propagate_passes([passes], 3)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -1022,20 +1022,33 @@ def coarse_passes(gen, steps):
     return passes
 
 
+def propagated(passes):
+    """(error, propagator) of each pass in input order, the passes of each
+    dimension propagated as one row in one ``propagate_passes`` call:
+    the error the pass's point failed with, or None."""
+    results = [None] * len(passes)
+    for d, profile_type in ((2, DriveProfile2), (3, DriveProfile3)):
+        indices = [i for i, profile in enumerate(passes) if isinstance(profile, profile_type)]
+        checks, (stack,) = propagate_passes([[passes[i] for i in indices]], d)
+        for i, error, u in zip(indices, checks.errors, stack):
+            results[i] = (error, u)
+    return results
+
+
 class TestPropagatePasses:
     def test_equals_propagate_profile_pass_by_pass(self):
         passes = coarse_passes(rng(51), 128)
-        propagators = propagate_passes(passes)
+        propagators = propagated(passes)
         assert len(propagators) == len(passes)
-        for profile, u in zip(passes, propagators):
-            assert np.array_equal(u, propagate_profile(profile))
+        for profile, (error, u) in zip(passes, propagators):
+            assert error is None and np.array_equal(u, propagate_profile(profile))
 
     def test_long_passes_reach_the_kernel_alone_as_1d_arrays(self, monkeypatch):
         calls = kernel_spy(monkeypatch, "_ck_tails")
         finishes = finish_spy(monkeypatch, "_ck_finish")
         family = two_state_family(rng(52), None)[:3]
         assert family[0].grid_points == 4000 > BATCH_ROWS // 2
-        propagate_passes(family)
+        propagate_passes([family], 2)
         assert [shapes for shapes, _ in calls] == [[(4000,)] * 3] * 3
         assert all(isinstance(dt, float) for _, dt in calls)
         # each pass is paired down alone to 63 pairs (4000 halved six
@@ -1051,7 +1064,7 @@ class TestPropagatePasses:
             for _ in range(3)
             for p in three_state_family(gen, random_symmetric_pair_profile)
         ]
-        propagate_passes(passes)
+        propagate_passes([passes], 3)
         # 12 passes on one grid, at most BATCH_ROWS // 1000 = 4 per call
         rows = [shapes[0] for shapes, _ in calls]
         assert rows == [(4, 1000), (4, 1000), (4, 1000)]
@@ -1065,8 +1078,8 @@ class TestPropagatePasses:
         """131 passes of one pulse shape whose peaks differ, a failing one
         in the middle: their tails, 63 steps each at 4001 steps and 33 at
         129, are finished in calls of at most BATCH_ROWS rows, more than
-        BATCH_ROWS // _TAIL passes each, and every slot holds what
-        propagate_profile gives its own pass."""
+        BATCH_ROWS // _TAIL passes each, and every pass but the failing
+        one is what propagate_profile gives it alone."""
         gen = rng(57 + dimension)
         count = 2 * BATCH_ROWS // _TAIL + 3
         if dimension == 2:
@@ -1078,47 +1091,82 @@ class TestPropagatePasses:
             passes = [replace(base, pump=replace(base.pump, peak=p)) for p in gen.uniform(0.5, 20.0, count)]
             passes[count // 2] = replace(base, pump=replace(base.pump, peak=1e300))
         finishes = finish_spy(monkeypatch, "_ck_finish" if dimension == 2 else "_su3_finish")
-        results = propagate_passes(passes)
+        checks, (stack,) = propagate_passes([passes], dimension)
         assert [shapes[0] for shapes in finishes] == [(k,) for k in finished]
         tail = 63 if steps == 4001 else 33
         assert [shapes[1][-2:] for shapes in finishes] == [(k, tail) for k in finished]
         assert all(k * tail <= BATCH_ROWS for k in finished) and finished[0] > BATCH_ROWS // _TAIL
-        assert len(results) == count
-        for i, (profile, result) in enumerate(zip(passes, results)):
+        assert len(stack) == len(checks.errors) == count
+        for i, (profile, error, u) in enumerate(zip(passes, checks.errors, stack)):
             if i == count // 2:
                 with pytest.raises(StepPhaseError) as direct:
                     propagate_profile(profile)
-                assert type(result) is StepPhaseError and str(result) == str(direct.value)
+                assert type(error) is StepPhaseError and str(error) == str(direct.value)
             else:
-                assert np.array_equal(result, propagate_profile(profile))
+                assert error is None and np.array_equal(u, propagate_profile(profile))
 
-    def test_a_failing_pass_fills_only_its_own_slot(self):
+    def test_a_failing_pass_fails_only_its_own_point(self):
         gen = rng(55)
         passes = [replace(p, grid_points=64) for _ in range(3) for p in two_state_family(gen, None)]
         huge = replace(passes[4].rabi, peak=1e300)
         passes[4:8] = [replace(p, rabi=huge) for p in passes[4:8]]
-        results = propagate_passes(passes)
-        assert len(results) == 12
-        assert all(isinstance(result, StepPhaseError) for result in results[4:8])
-        for p, u in zip(passes[:4] + passes[8:], results[:4] + results[8:]):
-            assert np.array_equal(u, propagate_profile(p))
+        checks, (stack,) = propagate_passes([passes], 2)
+        assert len(stack) == len(checks.errors) == 12
+        assert all(isinstance(error, StepPhaseError) for error in checks.errors[4:8])
+        for i in list(range(4)) + list(range(8, 12)):
+            assert checks.errors[i] is None and np.array_equal(stack[i], propagate_profile(passes[i]))
 
     def test_every_failing_pass_reports_its_own_error(self):
         profile = DriveProfile2(rabi=PulseShape.sin2(3.0, 1.0), grid_points=64)
         bad = replace(profile, rabi=PulseShape.sin2(1e300, 1.0))
         worse = replace(profile, rabi=PulseShape.sin2(1e305, 1.0))
-        good, *errors = propagate_passes([profile, bad, worse])
-        assert np.array_equal(good, propagate_profile(profile))
+        checks, ((good, _, _),) = propagate_passes([[profile, bad, worse]], 2)
+        ok, *errors = checks.errors
+        assert ok is None and np.array_equal(good, propagate_profile(profile))
         for failing, result in zip((bad, worse), errors):
             with pytest.raises(StepPhaseError) as direct:
                 propagate_profile(failing)
             assert isinstance(result, StepPhaseError) and str(result) == str(direct.value)
         assert str(errors[0]) != str(errors[1])
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_rows_fail_their_points_in_row_order(self, dimension):
+        """Two rows of three points: point 1 fails in row 1 alone, and point
+        2 in both rows with different errors.  Row 1's pass of point 2 is
+        in the first group, row 0's alone in a later one, so row 1's error
+        is met first; the point keeps row 0's."""
+        if dimension == 2:
+            base = DriveProfile2(rabi=PulseShape.sin2(3.0, 1.0), grid_points=64)
+            peaked = lambda peak, **kw: replace(base, rabi=PulseShape.sin2(peak, 1.0), **kw)
+        else:
+            base = DriveProfile3(pump=PulseShape.sin2(9.0, 1.0, 0.2), stokes=PulseShape.sin2(9.0, 1.0), grid_points=64)
+            peaked = lambda peak, **kw: replace(base, pump=PulseShape.sin2(peak, 1.0, 0.2), **kw)
+        rows = [
+            [peaked(3.0), peaked(5.0), peaked(1e300, window=(-1.0, 3.0))],
+            [peaked(7.0), peaked(1e305), peaked(1e302)],
+        ]
+        failed = {}
+        for r, i in ((0, 2), (1, 1), (1, 2)):
+            with pytest.raises(StepPhaseError) as direct:
+                propagate_profile(rows[r][i])
+            failed[r, i] = direct.value
+        assert str(failed[0, 2]) != str(failed[1, 2])
+        checks, stacks = propagate_passes(rows, dimension)
+        assert stacks.shape == (2, 3, dimension, dimension) and stacks.dtype == complex
+        assert checks.errors[0] is None
+        for point, row in ((1, 1), (2, 0)):
+            error = checks.errors[point]
+            assert type(error) is StepPhaseError and str(error) == str(failed[row, point])
+        for r in range(2):
+            for i in range(3):
+                expected = np.eye(dimension) if (r, i) in failed else propagate_profile(rows[r][i])
+                assert np.array_equal(stacks[r, i], expected)
+
     def test_interleaved_passes_keep_their_input_order(self, monkeypatch):
         """2- and 3-state passes on two windows at 128 and 4000 steps, given
-        interleaved, with one failing pass in the middle of a batch: each
-        slot holds what ``propagate_profile`` gives its own pass."""
+        interleaved, with one failing pass in the middle of a batch, and
+        propagated in one call per dimension: each pass but the failing
+        one is what ``propagate_profile`` gives it alone."""
         gen = rng(56)
         two = [replace(p, grid_points=128, window=(-1.0, 1.5)) for p in two_state_family(gen, None)]
         other_window = [replace(p, window=(-2.0, 2.0)) for p in two[:2]]
@@ -1133,7 +1181,7 @@ class TestPropagatePasses:
         calls3 = kernel_spy(monkeypatch, "_su3_tails")
         finishes = finish_spy(monkeypatch, "_ck_finish")
         finishes3 = finish_spy(monkeypatch, "_su3_finish")
-        results = propagate_passes(passes)
+        results = propagated(passes)
         # groups in the order of their first pass; the failing pass leaves
         # its batch of four 128-step passes, a 4000-step pass is paired
         # down alone, and each group's tails are finished in one call
@@ -1142,17 +1190,17 @@ class TestPropagatePasses:
         assert [shapes[1:] for shapes in finishes] == [[(3, 64)] * 2, [(2, 63)] * 2, [(2, 64)] * 2]
         assert [shapes[1] for shapes in finishes3] == [(3, 3, 4, 64)]
         assert len(results) == len(passes)
-        for profile, result in zip(passes, results):
+        for profile, (error, u) in zip(passes, results):
             if profile is failing:
                 with pytest.raises(StepPhaseError) as direct:
                     propagate_profile(profile)
-                assert type(result) is StepPhaseError and str(result) == str(direct.value)
+                assert type(error) is StepPhaseError and str(error) == str(direct.value)
             else:
-                assert np.array_equal(result, propagate_profile(profile))
+                assert error is None and np.array_equal(u, propagate_profile(profile))
 
     def test_non_profile_rejected(self):
         with pytest.raises(TypeError, match="unsupported profile type"):
-            propagate_passes([object()])
+            propagate_passes([[object()]], 2)
 
     @pytest.mark.parametrize("steps", [128, 4000])
     @pytest.mark.parametrize("dimension", [2, 3])
@@ -1167,11 +1215,11 @@ class TestPropagatePasses:
             base = replace(random_general_three_state_profile(gen), grid_points=steps)
             group = [replace(base, pump=replace(base.pump, peak=p)) for p in gen.uniform(0.5, 20.0, 40)]
         finishes = finish_spy(monkeypatch, "_ck_finish" if dimension == 2 else "_su3_finish")
-        together = propagate_passes(group)
+        _, (together,) = propagate_passes([group], dimension)
         assert all(np.ndim(shapes[0]) == 1 for shapes in finishes)
         for profile, u in zip(group[::7], together[::7]):
             finishes.clear()
-            [alone] = propagate_passes([profile])
+            _, ((alone,),) = propagate_passes([[profile]], dimension)
             assert [shapes[0] for shapes in finishes] == [()]
             assert np.array_equal(alone, u)
             assert np.array_equal(propagate_profile(profile), u)
@@ -1184,7 +1232,7 @@ class TestPropagatePasses:
             profile = random_two_state_profile(gen)
         else:
             profile = random_general_three_state_profile(gen)
-        [expected] = propagate_passes([replace(profile, grid_points=grid_points)])
+        _, ((expected,),) = propagate_passes([[replace(profile, grid_points=grid_points)]], dimension)
         assert np.array_equal(propagate_profile(profile, grid_points=grid_points), expected)
 
     @pytest.mark.parametrize(
@@ -1196,12 +1244,12 @@ class TestPropagatePasses:
         ],
         ids=["two-state", "three-state", "overflowing-phase"],
     )
-    def test_single_pass_entry_raises_its_slots_error(self, profile):
-        [slot] = propagate_passes([profile])
+    def test_single_pass_entry_raises_its_points_error(self, profile):
+        [(error, _)] = propagated([profile])
         with pytest.raises(StepPhaseError) as raised:
             propagate_profile(profile)
-        assert type(raised.value) is type(slot) is StepPhaseError
-        assert str(raised.value) == str(slot)
+        assert type(raised.value) is type(error) is StepPhaseError
+        assert str(raised.value) == str(error)
 
     @pytest.mark.parametrize("grid_points", [1, MAX_GRID_POINTS + 1, 4.5])
     def test_single_pass_entry_raises_the_grid_error_of_the_replaced_profile(self, grid_points):
@@ -1246,10 +1294,10 @@ PEAKS = (0.0, 2.5, 7.0, 7.0, 19.75, 4.0)
 
 
 def assert_equal_to_single_passes(passes):
-    results = propagate_passes(passes)
+    results = propagated(passes)
     assert len(results) == len(passes)
-    for profile, u in zip(passes, results):
-        assert np.array_equal(u, propagate_profile(profile))
+    for profile, (error, u) in zip(passes, results):
+        assert error is None and np.array_equal(u, propagate_profile(profile))
 
 
 class TestEnvelopeReuse:
@@ -1321,7 +1369,7 @@ class TestEnvelopeReuse:
             DriveProfile2(rabi=replace(pulse, peak=peak), detuning=DetuningShape.linear_chirp(6.0), window=(-1.2, 0.8))
             for peak in PEAKS
         ]
-        propagate_passes(two)
+        propagate_passes([two], 2)
         assert calls == {"rabi": 1, "detuning": 1}
         three = [
             DriveProfile3(
@@ -1333,7 +1381,7 @@ class TestEnvelopeReuse:
             )
             for peak in PEAKS
         ]
-        propagate_passes(three)
+        propagate_passes([three], 3)
         assert calls == {"rabi": 1 + 2, "detuning": 1 + 1}
 
     def test_distinct_offsets_sample_every_pass(self, monkeypatch):
@@ -1350,7 +1398,7 @@ class TestEnvelopeReuse:
             )
             for offset in offsets
         ]
-        propagate_passes(passes)
+        propagate_passes([passes], 2)
         assert calls == {"rabi": len(offsets), "detuning": 1}
 
 
@@ -1384,7 +1432,7 @@ class TestFloatRange:
         profile = DriveProfile2(rabi=PulseShape.constant(1e300), window=(-24.8, 1e300), grid_points=64)
         with pytest.raises(StepPhaseError, match="not finite"):
             propagate_profile(profile)
-        [result] = propagate_passes([profile])
+        [(result, _)] = propagated([profile])
         assert isinstance(result, StepPhaseError)
 
     @pytest.mark.parametrize(
@@ -1397,7 +1445,7 @@ class TestFloatRange:
     def test_tails_overflow_to_zero(self, rabi):
         profile = DriveProfile2(rabi=rabi, window=(-200.0, 200.0), grid_points=64)
         u = propagate_profile(profile)
-        [batched] = propagate_passes([profile])
+        _, ((batched,),) = propagate_passes([[profile]], 2)
         assert np.array_equal(u, batched) and unitarity_defect(u) < 1e-12
 
     def test_chirp_samples_overflow_to_a_guard(self):
@@ -1408,7 +1456,7 @@ class TestFloatRange:
         )
         with pytest.raises(StepPhaseError, match="not finite"):
             propagate_profile(profile)
-        [result] = propagate_passes([profile])
+        [(result, _)] = propagated([profile])
         assert isinstance(result, StepPhaseError)
 
     @pytest.mark.parametrize("scale", [2.0**-600, 2.0**600], ids=["short", "long"])

@@ -64,9 +64,9 @@ class CountingPropagator:
         self.calls = 0
         inner = propagate_passes
 
-        def counted(profiles):
-            self.calls += len(profiles)
-            return inner(profiles)
+        def counted(rows, dimension):
+            self.calls += sum(map(len, rows))
+            return inner(rows, dimension)
 
         monkeypatch.setattr(harness, "propagate_passes", counted)
 
@@ -316,9 +316,9 @@ def test_second_pass_plan(monkeypatch, kind, profile, second_passes):
 
     simulated, seen = [], []
 
-    def recording(profiles):
-        simulated.extend(profiles)
-        return propagate_passes(profiles)
+    def recording(rows, dimension):
+        simulated.extend(profile for row in rows for profile in row)
+        return propagate_passes(rows, dimension)
 
     def recording_one(hamiltonian, *args, **kwargs):
         seen.append(hamiltonian.args[0])  # the profile of the partial
@@ -375,8 +375,8 @@ def outcome_kind(kind, point, slack):
     try:
         return run_protocol(kind, point, slack=slack).status
     except StepPhaseError:
-        [forward] = propagate_passes([point])
-        return "swap-guard" if isinstance(forward, np.ndarray) else "StepPhaseError"
+        checks, _ = propagate_passes([[point]], harness.PROTOCOLS[kind].dimension)
+        return "swap-guard" if checks.errors[0] is None else "StepPhaseError"
     except ValueError as exc:
         return type(exc).__name__
 
@@ -508,9 +508,9 @@ class TestBatchedSweep:
         calls = []
         counted = harness.propagate_passes
 
-        def recorded(profiles):
-            calls.append(len(profiles))
-            return counted(profiles)
+        def recorded(rows, dimension):
+            calls.append(sum(map(len, rows)))
+            return counted(rows, dimension)
 
         monkeypatch.setattr(harness, "propagate_passes", recorded)
         shapes = kernel_shapes(monkeypatch, "_ck_tails")
@@ -656,12 +656,12 @@ class TestSweep:
     def test_template_mismatch_recorded_others_ok(self, monkeypatch):
         propagate_passes = harness.propagate_passes
 
-        def failing_on_second_point(profiles):
+        def failing_on_second_point(rows, dimension):
             # the second forward propagator is NaNs, which cayley_klein
             # rejects as not unitary
-            results = propagate_passes(profiles)
-            results[1] = np.full((2, 2), np.nan)
-            return results
+            checks, stacks = propagate_passes(rows, dimension)
+            stacks[0, 1] = np.nan
+            return checks, stacks
 
         monkeypatch.setattr(harness, "propagate_passes", failing_on_second_point)
         spec = SweepSpec(
@@ -1028,10 +1028,10 @@ class TestStackedEvaluation:
         expected = _hex(SUITES["average-return"].evaluate(profiles))
         propagate_passes = harness.propagate_passes
 
-        def with_a_nan(passes):
-            results = propagate_passes(passes)
-            results[2] = np.full((2, 2), np.nan, dtype=complex)
-            return results
+        def with_a_nan(rows, dimension):
+            checks, stacks = propagate_passes(rows, dimension)
+            stacks[0, 2] = np.nan
+            return checks, stacks
 
         monkeypatch.setattr(harness, "propagate_passes", with_a_nan)
         residuals = _hex(SUITES["average-return"].evaluate(profiles))
@@ -1048,8 +1048,8 @@ class TestStackedEvaluation:
             two_photon_detuning=-3e15,
             window=(0.0, 1.0),
         )
-        [forward] = doublepass.evolve.propagate_passes([unresolvable])
-        assert isinstance(forward, np.ndarray)
+        checks, _ = doublepass.evolve.propagate_passes([[unresolvable]], 3)
+        assert checks.errors == [None]
         profiles = _draws("general-average", 4)
         expected = _hex(SUITES["general-average"].evaluate(profiles))
         residuals = _hex(SUITES["general-average"].evaluate(profiles[:1] + [unresolvable] + profiles[1:]))

@@ -363,6 +363,14 @@ class TestInvertDetuned:
         assert invert_detuned(q_bar, q, clamps=clamps) == pytest.approx(p, abs=1e-8)
         assert clamps == []
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a radicand of rounding size is clamped")
+    def test_round_trip_at_a_rounding_sized_radicand(self):
+        # an example of the round trip above whose radicand rounds to
+        # -1.1e-16: the inversion is right, but reports a clamp
+        clamps = []
+        assert invert_detuned(detuned_average_return(0.3, 0.4), 0.4, clamps=clamps) == pytest.approx(0.3, abs=1e-8)
+        assert clamps == []
+
     def test_inconsistent_inputs_raise(self):
         with pytest.raises(InversionRangeError):
             invert_detuned(0.2, 0.0, clamps=[])
@@ -407,6 +415,16 @@ class TestGeneralRelations:
         q_bar = general_average_return(p, q, r)
         clamps = []
         assert invert_general(q_bar, q, r, clamps=clamps) == pytest.approx(p, abs=1e-8)
+        assert clamps == []
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="a radicand of rounding size is clamped")
+    def test_round_trip_at_a_rounding_sized_radicand(self):
+        # an example of the round trip above whose radicand rounds to
+        # -5.9e-31: the inversion is right, but reports a clamp
+        eps = 2.220446049250313e-16
+        clamps = []
+        q_bar = general_average_return(0.5, eps, eps)
+        assert invert_general(q_bar, eps, eps, clamps=clamps) == pytest.approx(0.5, abs=1e-8)
         assert clamps == []
 
     def test_simulated_general_relation(self):
