@@ -20,18 +20,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import math
 import sys
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, TextIO, Tuple, Union
 
 from .drive import DetuningShape, DriveProfile2, DriveProfile3, PulseShape
 from .evolve import StepPhaseError, TemplateMismatchError
 from .harness import (
     MAX_VERIFY_DRAWS,
     PROTOCOLS,
-    MeasurementRecord,
     ProtocolKind,
     ProtocolPreconditionError,
     SweepSpec,
@@ -250,23 +248,17 @@ def _parse_config(path: str) -> Dict[str, object]:
     return config
 
 
-def _csv_text(records: List[MeasurementRecord]) -> str:
-    buffer = io.StringIO()
-    write_csv(records, buffer)
-    return buffer.getvalue()
-
-
-def _write_output(text: str, code: int, path: Optional[str] = None) -> int:
-    """Write ``text`` to the file ``path``, or write and flush it to
-    stdout, and return ``code``.  A failed write is reported here as one
-    stderr line and returns EX_IOERR, not raised at interpreter shutdown."""
+def _write_output(write: Callable[[TextIO], object], code: int, path: Optional[str] = None) -> int:
+    """Call ``write`` on the file ``path``, or on stdout and flush it, and
+    return ``code``.  A failed write is reported here as one stderr line
+    and returns EX_IOERR, not raised at interpreter shutdown."""
     try:
         if path is None:
-            sys.stdout.write(text)
+            write(sys.stdout)
             sys.stdout.flush()
         else:
             with open(path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                write(handle)
     except OSError as exc:
         target = "stdout" if path is None else path
         print(f"error: cannot write {target}: {exc}", file=sys.stderr)
@@ -284,7 +276,7 @@ def _cmd_simulate(args) -> int:
     if "sweep" in config:
         raise ConfigError("simulate does not accept a sweep block; use `sweep`")
     record = run_protocol(config["protocol"], config["profile"], **config.get("tolerances", {}))
-    return _write_output(_csv_text([record]), EX_OK)
+    return _write_output(lambda stream: write_csv([record], stream), EX_OK)
 
 
 def _cmd_sweep(args) -> int:
@@ -295,7 +287,7 @@ def _cmd_sweep(args) -> int:
     if not out_path:
         raise ConfigError("sweep needs an output path (--out or config 'output')")
     records = sweep(config["sweep"], **config.get("tolerances", {}))
-    return _write_output(_csv_text(records), EX_OK, out_path)
+    return _write_output(lambda stream: write_csv(records, stream), EX_OK, out_path)
 
 
 # relation -> (the protocol whose inversion it runs, the flags whose
@@ -326,7 +318,7 @@ def _cmd_invert(args) -> int:
     p = _estimate(plan, dict(zip(plan.reads, values)), args.slack, clamps)
     for message in clamps:
         print(f"clamped: {message}", file=sys.stderr)
-    return _write_output(format(p, ".17g") + "\n", EX_OK)
+    return _write_output(lambda stream: stream.write(format(p, ".17g") + "\n"), EX_OK)
 
 
 def _cmd_verify(args) -> int:
@@ -341,7 +333,7 @@ def _cmd_verify(args) -> int:
     report = verify(args.suite, args.draws, args.seed)
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     code = EX_OK if report["passed"] else EX_VERIFY_FAILED
-    return _write_output(payload, code, args.out or None)
+    return _write_output(lambda stream: stream.write(payload), code, args.out or None)
 
 
 def _build_parser() -> _Parser:
@@ -386,13 +378,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -45,6 +45,9 @@ DEFAULT_GRID_POINTS = 4000
 MAX_GRID_POINTS = 2**20
 
 ArrayLike = Union[float, np.ndarray]
+# The types of a window's ends: concrete, since isinstance of numbers.Real
+# goes through the ABC machinery, and a sweep checks a profile per point.
+_REALS = (int, float, np.integer, np.floating)
 
 
 def _check_finite(value: object, what: str, names: Tuple[str, ...]) -> None:
@@ -273,9 +276,7 @@ def sample_detuning(shape: DetuningShape, t: ArrayLike, midpoint: float) -> Arra
 
 def pulse_area(shape: PulseShape, window: Tuple[float, float]) -> float:
     """Integral of the envelope over ``window`` (closed form per kind)."""
-    t0, t1 = float(window[0]), float(window[1])
-    if not t1 > t0:
-        raise ValueError("window must have positive length")
+    t0, t1 = _check_window(window)
     if shape.kind == "zero":
         return 0.0
     if shape.kind == "constant":
@@ -335,23 +336,39 @@ def padded_window(*shapes: PulseShape) -> Tuple[float, float]:
 
 
 def _check_window(window: Tuple[float, float]) -> Tuple[float, float]:
-    lo, hi = float(window[0]), float(window[1])
+    """``window`` as two floats, or a ValueError: it must be two real
+    numbers, finite with positive length."""
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):  # not a pair
+        lo = hi = None
+    if not (isinstance(lo, _REALS) and isinstance(hi, _REALS)):
+        raise ValueError(f"window must be two real numbers, got {window!r}")
+    lo, hi = float(lo), float(hi)
     # a length that overflows would give every grid step an infinite time
     if not (math.isfinite(hi - lo) and hi > lo):
         raise ValueError(f"window must be finite with positive length, got {window}")
     return (lo, hi)
 
 
+def _check_integer(value: object, name: str, low: float, high: float) -> int:
+    """Return ``value`` as an int in [low, high], or raise ValueError; a
+    bool, or a float such as 4.5, is rejected, not truncated."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= number <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {number}")
+    return number
+
+
 def check_grid_points(grid_points: int) -> int:
     """Return ``grid_points`` as an int in [2, MAX_GRID_POINTS], or raise
-    ValueError; a float such as 4.5 is rejected, not truncated."""
-    try:
-        steps = operator.index(grid_points)
-    except TypeError:
-        raise ValueError(f"grid_points must be an integer, got {grid_points!r}") from None
-    if not 2 <= steps <= MAX_GRID_POINTS:
-        raise ValueError(f"grid_points must be in [2, {MAX_GRID_POINTS}], got {grid_points}")
-    return steps
+    ValueError."""
+    return _check_integer(grid_points, "grid_points", 2, MAX_GRID_POINTS)
 
 
 def _check_sign(sign: int, name: str) -> int:
@@ -361,8 +378,24 @@ def _check_sign(sign: int, name: str) -> int:
     return sign
 
 
+class _Pass:
+    """The window and grid that a two- and a three-state pass share."""
+
+    def _check_grid(self, *pulses: PulseShape) -> None:
+        """Store the checked grid and window; ``window=None`` selects the
+        padded window around the support of ``pulses``."""
+        object.__setattr__(self, "grid_points", check_grid_points(self.grid_points))
+        window = padded_window(*pulses) if self.window is None else self.window
+        object.__setattr__(self, "window", _check_window(window))
+
+    @property
+    def midpoint(self) -> float:
+        # halved first, so that the sum cannot overflow
+        return 0.5 * self.window[0] + 0.5 * self.window[1]
+
+
 @dataclass(frozen=True)
-class DriveProfile2:
+class DriveProfile2(_Pass):
     """One two-state interaction pass: coupling, detuning, window, grid.
 
     ``rabi_sign`` and ``detuning_sign`` carry the overall signs so that a
@@ -381,14 +414,7 @@ class DriveProfile2:
     def __post_init__(self) -> None:
         _check_sign(self.rabi_sign, "rabi_sign")
         _check_sign(self.detuning_sign, "detuning_sign")
-        check_grid_points(self.grid_points)
-        window = padded_window(self.rabi) if self.window is None else self.window
-        object.__setattr__(self, "window", _check_window(window))
-
-    @property
-    def midpoint(self) -> float:
-        # halved first, so that the sum cannot overflow
-        return 0.5 * self.window[0] + 0.5 * self.window[1]
+        self._check_grid(self.rabi)
 
     # -- parity predicates (preconditions of the symmetry-restricted
     #    inversion formulas) --------------------------------------------
@@ -419,7 +445,7 @@ def backward_profile_2(
 
 
 @dataclass(frozen=True)
-class DriveProfile3:
+class DriveProfile3(_Pass):
     """One three-state (lambda linkage) interaction pass.
 
     ``pump`` couples states 1-2 and ``stokes`` couples 2-3; the phases
@@ -438,19 +464,10 @@ class DriveProfile3:
     grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self) -> None:
-        check_grid_points(self.grid_points)
+        self._check_grid(self.pump, self.stokes)
         _check_finite(self, "drive", ("pump_phase", "stokes_phase", "two_photon_detuning"))
         object.__setattr__(self, "pump_phase", _reduce_phase(self.pump_phase))
         object.__setattr__(self, "stokes_phase", _reduce_phase(self.stokes_phase))
-        window = (
-            padded_window(self.pump, self.stokes) if self.window is None else self.window
-        )
-        object.__setattr__(self, "window", _check_window(window))
-
-    @property
-    def midpoint(self) -> float:
-        # halved first, so that the sum cannot overflow
-        return 0.5 * self.window[0] + 0.5 * self.window[1]
 
     def symmetric_pair(self) -> bool:
         """True iff pump and Stokes share shape, peak and width and differ

@@ -818,7 +818,7 @@ def propagate_passes(rows: Sequence[Sequence[Profile]], dimension: int) -> Tuple
     # the step-phase guard rejects an infinite sample
     with np.errstate(over="ignore"):
         for ((_, coefficients_of, tails_of, finish), window, steps), members in groups.items():
-            ts, dt = _grid(window, check_grid_points(steps))
+            ts, dt = _grid(window, steps)
             samples = _Envelopes(ts)
             size = max(1, BATCH_ROWS // len(ts))
             kept: List[tuple] = []  # (passes, tails) of the passes not yet finished

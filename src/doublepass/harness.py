@@ -44,9 +44,10 @@ drives and produces a deterministic report.  Every suite is one
 evaluation of a list of them that does not touch it, so the draws
 replay alone, without propagating a pass, and the report's worst draw
 is evaluated again on its own, as a list of one, to the same bits.
-Every suite but ``composition`` propagates the profiles of all its
-draws in one ``propagate_passes`` call, and reads the checks and the
-stacks it returns; ``_forward`` makes one call per dimension, since its
+Every suite but ``composition`` and ``degradation`` (which draws no
+drive) propagates the profiles of all its draws in one
+``propagate_passes`` call, and reads the checks and the stacks it
+returns; ``_forward`` makes one call per dimension, since its
 ``unitarity`` suite alternates two- and three-state draws.  The nine
 closed-form suites read the record fields that ``run_protocol``
 writes, as columns from ``_derive``; a draw that fails a pass or a
@@ -58,7 +59,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
@@ -71,6 +71,7 @@ from .drive import (
     DriveProfile2,
     DriveProfile3,
     PulseShape,
+    _check_integer,
     backward_profile_2,
     backward_profile_3,
     pulse_area,
@@ -541,12 +542,7 @@ class SweepSpec:
                 f"unknown sweep parameter {self.parameter!r}; "
                 f"expected one of {SWEEP_PARAMETERS}"
             )
-        try:
-            points = operator.index(self.points)
-        except TypeError:
-            raise ValueError(f"points must be an integer, got {self.points!r}") from None
-        if not 2 <= points <= MAX_SWEEP_POINTS:
-            raise ValueError(f"points must be in [2, {MAX_SWEEP_POINTS}], got {points}")
+        points = _check_integer(self.points, "points", 2, MAX_SWEEP_POINTS)
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("sweep range must be finite")
         if not math.isfinite(self.stop - self.start):
@@ -1008,13 +1004,8 @@ def verify(suite: str, draws: int, seed: int) -> Dict[str, object]:
         raise KeyError(
             f"unknown suite {suite!r}; registered: {', '.join(sorted(SUITES))}"
         )
-    for name, value in (("draws", draws), ("seed", seed)):
-        # a bool is an int, and a float would fail only inside range()
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    draws, seed = int(draws), int(seed)
-    if not 1 <= draws <= MAX_VERIFY_DRAWS:
-        raise ValueError(f"draws must be in [1, {MAX_VERIFY_DRAWS}], got {draws}")
+    draws = _check_integer(draws, "draws", 1, MAX_VERIFY_DRAWS)
+    seed = _check_integer(seed, "seed", -math.inf, math.inf)  # its sign has a message of its own
     if seed < 0:
         raise ValueError("seed must be >= 0")
     definition = SUITES[suite]

@@ -148,6 +148,13 @@ def invert_p_general(
     return 0.5 * (1.0 + root)
 
 
+def _upper_root(q, name: str, label: str, slack: float, clamps: Clamps) -> float:
+    """p = (1 + sqrt(Q)) / 2 of the return probability ``q`` named
+    ``name``, by the inversion that clamps under ``label``."""
+    q = checked_probability(q, name, slack, clamps)
+    return 0.5 * (1.0 + clamped_sqrt(q, slack, label, clamps))
+
+
 def invert_p_rap(
     q_same: float,
     *,
@@ -160,9 +167,7 @@ def invert_p_rap(
     Callers are expected to have asserted the parity preconditions via
     the drive predicates; the formula is silently wrong without them.
     """
-    q_same = checked_probability(q_same, "q_same", slack, clamps)
-    root = clamped_sqrt(q_same, slack, "chirp-symmetric inversion", clamps)
-    return 0.5 * (1.0 + root)
+    return _upper_root(q_same, "q_same", "chirp-symmetric inversion", slack, clamps)
 
 
 def invert_p_const_detuning(
@@ -174,6 +179,4 @@ def invert_p_const_detuning(
     """p = (1 + sqrt(Q_flip_detuning)) / 2 for drives with an even coupling
     and an even detuning about the window midpoint (e.g. constant
     detuning), where the second pass flips the detuning sign."""
-    q_flip = checked_probability(q_flip_detuning, "q_flip_detuning", slack, clamps)
-    root = clamped_sqrt(q_flip, slack, "even-detuning inversion", clamps)
-    return 0.5 * (1.0 + root)
+    return _upper_root(q_flip_detuning, "q_flip_detuning", "even-detuning inversion", slack, clamps)

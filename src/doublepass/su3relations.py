@@ -26,6 +26,7 @@ from .su2relations import (
     Clamps,
     InversionRangeError,  # raised by the inverters below; re-exported
     Variant,
+    _upper_root,
     checked_probability,
     clamped_sqrt,
 )
@@ -226,9 +227,7 @@ def invert_case2(
 
     Q and p are linked directly here, and the result always exceeds the
     interference-blind estimate sqrt(Q)."""
-    q_return = checked_probability(q_return, "q_return", slack, clamps)
-    root = clamped_sqrt(q_return, slack, "resonant case-2 inversion", clamps)
-    return 0.5 * (1.0 + root)
+    return _upper_root(q_return, "q_return", "resonant case-2 inversion", slack, clamps)
 
 
 def four_phase_average(q_set: Sequence[float]) -> float:

@@ -1,6 +1,7 @@
 """Tests for pulse shapes, detuning shapes and drive profiles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,7 +219,7 @@ class TestDriveProfile2:
         assert h[1, 1] == pytest.approx(0.5 * -3.0)
 
 
-@pytest.mark.parametrize(
+each_profile = pytest.mark.parametrize(
     "make",
     [
         lambda n: DriveProfile2(rabi=PulseShape.sin2(1.0, 1.0), grid_points=n),
@@ -228,6 +229,9 @@ class TestDriveProfile2:
     ],
     ids=["two-state", "three-state"],
 )
+
+
+@each_profile
 def test_grid_points_capped_at_construction(make):
     assert MAX_GRID_POINTS == 2**20
     assert make(MAX_GRID_POINTS).grid_points == MAX_GRID_POINTS
@@ -245,10 +249,45 @@ def test_profiles_default_to_the_one_default_grid():
     assert DriveProfile3(pump=pulse, stokes=pulse).grid_points == DEFAULT_GRID_POINTS
 
 
-@pytest.mark.parametrize("grid_points", [4.5, 4000.0, "4000"])
+@each_profile
+def test_grid_points_stored_as_an_int(make):
+    # the profile keeps the checked grid, not the numpy integer it was given
+    profile = replace(make(128), grid_points=np.int64(129))
+    assert type(profile.grid_points) is int and profile.grid_points == 129
+
+
+@pytest.mark.parametrize("grid_points", [4.5, 4000.0, "4000", True, False])
 def test_non_integer_grid_points_rejected(grid_points):
     with pytest.raises(ValueError, match="integer"):
         DriveProfile2(rabi=PulseShape.sin2(1.0, 1.0), grid_points=grid_points)
+
+
+# every consumer of a window, each checking it with the one window rule
+WINDOW_CONSUMERS = {
+    "DriveProfile2": lambda window: DriveProfile2(rabi=PulseShape.constant(1.0), window=window),
+    "DriveProfile3": lambda window: DriveProfile3(
+        pump=PulseShape.sin2(1.0, 1.0), stokes=PulseShape.sin2(1.0, 1.0), window=window
+    ),
+    "propagate": lambda window: evolve.propagate(lambda ts: np.zeros((len(ts), 2, 2)), window, 16),
+    "pulse_area": lambda window: pulse_area(PulseShape.constant(1.0), window),
+}
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ((0.0,), "two real numbers"),
+        ((0.0, 1.0, 2.0), "two real numbers"),
+        ((0, 1j), "two real numbers"),
+        ((0.0, math.inf), "finite with positive length"),
+        ((1.0, 1.0), "finite with positive length"),
+    ],
+    ids=["one-end", "three-ends", "complex-end", "infinite-end", "empty"],
+)
+@pytest.mark.parametrize("consumer", sorted(WINDOW_CONSUMERS))
+def test_window_rule_shared_by_every_consumer(consumer, window, message):
+    with pytest.raises(ValueError, match=f"^window must be {message}"):
+        WINDOW_CONSUMERS[consumer](window)
 
 
 class TestBackwardProfile2:

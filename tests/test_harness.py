@@ -680,6 +680,8 @@ class TestSweep:
             self.spec(points=1)
         with pytest.raises(ValueError, match=r"points must be an integer, got 2\.5"):
             self.spec(points=2.5)
+        with pytest.raises(ValueError, match=r"points must be an integer, got True"):
+            self.spec(points=True)
         with pytest.raises(ValueError, match=r"points must be in \[2, 1048576\], got 10{15}$"):
             self.spec(points=10**15)
         with pytest.raises(ValueError, match="points must be in"):
