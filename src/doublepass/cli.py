@@ -28,12 +28,10 @@ from typing import Callable, Dict, List, Optional, TextIO, Tuple, Union
 from .drive import DetuningShape, DriveProfile2, DriveProfile3, PulseShape
 from .evolve import StepPhaseError, TemplateMismatchError
 from .harness import (
-    MAX_VERIFY_DRAWS,
     PROTOCOLS,
     ProtocolKind,
     ProtocolPreconditionError,
     SweepSpec,
-    SUITES,
     _estimate,
     run_protocol,
     sweep,
@@ -290,16 +288,22 @@ def _cmd_sweep(args) -> int:
     return _write_output(lambda stream: write_csv(records, stream), EX_OK, out_path)
 
 
-# relation -> (the protocol whose inversion it runs, the flags whose
-# values fill the record fields that inversion reads, in order)
+# The flag whose value fills each record field an inversion reads: a Q
+# column is --q-return, and every other field has a flag of its own name.
+_FIELD_FLAGS = dict.fromkeys(("q00", "qpi0", "q0pi"), "q_return")
+# relation -> (the protocol whose inversion it runs, the flags of the
+# record fields that inversion reads, in order)
 _INVERT_RELATIONS = {
-    "two-state-general": (ProtocolKind.TWO_STATE_GENERAL, ("q_bar",)),
-    "two-state-rap": (ProtocolKind.TWO_STATE_RAP, ("q_return",)),
-    "two-state-const-detuning": (ProtocolKind.TWO_STATE_CONST_DETUNING, ("q_return",)),
-    "stirap-case1": (ProtocolKind.STIRAP_RESONANT_CASE1, ("q_return", "q")),
-    "stirap-case2": (ProtocolKind.STIRAP_RESONANT_CASE2, ("q_return",)),
-    "stirap-detuned": (ProtocolKind.STIRAP_DETUNED, ("q_bar", "q")),
-    "three-state-general": (ProtocolKind.THREE_STATE_GENERAL, ("q_bar", "q", "r")),
+    relation: (kind, tuple(_FIELD_FLAGS.get(name, name) for name in PROTOCOLS[kind].reads))
+    for relation, kind in {
+        "two-state-general": ProtocolKind.TWO_STATE_GENERAL,
+        "two-state-rap": ProtocolKind.TWO_STATE_RAP,
+        "two-state-const-detuning": ProtocolKind.TWO_STATE_CONST_DETUNING,
+        "stirap-case1": ProtocolKind.STIRAP_RESONANT_CASE1,
+        "stirap-case2": ProtocolKind.STIRAP_RESONANT_CASE2,
+        "stirap-detuned": ProtocolKind.STIRAP_DETUNED,
+        "three-state-general": ProtocolKind.THREE_STATE_GENERAL,
+    }.items()
 }
 
 
@@ -322,15 +326,10 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        raise _UsageError(f"unknown suite {args.suite!r}; registered: {', '.join(sorted(SUITES))}")
-    if args.draws < 1:
-        raise _UsageError(f"--draws must be >= 1, got {args.draws}")
-    if args.draws > MAX_VERIFY_DRAWS:
-        raise _UsageError(f"--draws must be <= {MAX_VERIFY_DRAWS}, got {args.draws}")
-    if args.seed < 0:
-        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
-    report = verify(args.suite, args.draws, args.seed)
+    try:
+        report = verify(args.suite, args.draws, args.seed)
+    except (KeyError, ValueError) as exc:  # verify raises only for its arguments
+        raise _UsageError(exc.args[0]) from None
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     code = EX_OK if report["passed"] else EX_VERIFY_FAILED
     return _write_output(lambda stream: stream.write(payload), code, args.out or None)

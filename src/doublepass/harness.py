@@ -275,25 +275,27 @@ class Protocol:
     """One measurement protocol as data.
 
     ``preconditions`` are (predicate, message) pairs checked in order
-    before any pass is simulated; ``check`` is the structural check of
-    the forward propagator, and of a two-state entry it is
-    ``cayley_klein``, whose pair (a, b) gives the second passes of the
-    ``variants``.  The second passes of a three-state entry are
-    ``backward_propagator`` of the forward propagator at the variants'
-    phases.  ``inverter`` receives the record fields named by ``reads``;
-    the classical estimate is the square root of the first.  The
-    averaged return Q_bar and the role-swapped return r (read from the
-    (0, 0) second pass) are recorded only where ``reads`` names them.
-    Functions are named, not held, and looked up in this module at run
-    time, so a wrapper installed at the module attribute sees each call.
+    before any pass is simulated.  The structural check of a two-state
+    forward propagator is always ``cayley_klein``, whose pair (a, b)
+    gives the second passes of the ``variants``.  The second passes of a
+    three-state entry are ``backward_propagator`` of the forward
+    propagator at the variants' phases, and an entry with ``template``
+    set also fits each forward propagator to the resonant real-triple
+    template (``extract_resonant_ck``).  ``inverter`` receives the record
+    fields named by ``reads``; the classical estimate is the square root
+    of the first.  The averaged return Q_bar and the role-swapped return
+    r (read from the (0, 0) second pass) are recorded only where
+    ``reads`` names them.  The inverter is named, not held, and looked
+    up in this module at run time, so a wrapper installed at the module
+    attribute sees each call, as it does for the two checks.
     """
 
     dimension: int
     preconditions: Tuple[Precondition, ...]
-    check: Optional[str]
     variants: Tuple[Variant, ...]
     inverter: str
     reads: Tuple[str, ...]
+    template: bool = False
 
 
 _PROFILE_TYPES = {2: (DriveProfile2, "two-state"), 3: (DriveProfile3, "three-state")}
@@ -348,29 +350,15 @@ _SWAPPABLE_DETUNINGS = (
     ),
 )
 
-# Protocol(dimension, preconditions, check, variants, inverter, reads)
+# Protocol(dimension, preconditions, variants, inverter, reads[, template])
 PROTOCOLS: Dict[ProtocolKind, Protocol] = {
-    ProtocolKind.TWO_STATE_GENERAL: Protocol(
-        2, (), "cayley_klein", (V00, VPI0), "invert_p_general", ("q_bar",)
-    ),
-    ProtocolKind.TWO_STATE_RAP: Protocol(
-        2, (_CROSSING,), "cayley_klein", (V00,), "invert_p_rap", ("q00",)
-    ),
-    ProtocolKind.TWO_STATE_CONST_DETUNING: Protocol(
-        2, (_EVEN_DETUNING,), "cayley_klein", (V0PI,), "invert_p_const_detuning", ("q0pi",)
-    ),
-    ProtocolKind.STIRAP_RESONANT_CASE1: Protocol(
-        3, _RESONANT, "extract_resonant_ck", (V00,), "invert_case1", ("q00", "q")
-    ),
-    ProtocolKind.STIRAP_RESONANT_CASE2: Protocol(
-        3, _RESONANT, "extract_resonant_ck", (VPI0,), "invert_case2", ("qpi0",)
-    ),
-    ProtocolKind.STIRAP_DETUNED: Protocol(
-        3, _SYMMETRIC_PAIR, None, FOUR_VARIANTS, "invert_detuned", ("q_bar", "q")
-    ),
-    ProtocolKind.THREE_STATE_GENERAL: Protocol(
-        3, _SWAPPABLE_DETUNINGS, None, FOUR_VARIANTS, "invert_general", ("q_bar", "q", "r")
-    ),
+    ProtocolKind.TWO_STATE_GENERAL: Protocol(2, (), (V00, VPI0), "invert_p_general", ("q_bar",)),
+    ProtocolKind.TWO_STATE_RAP: Protocol(2, (_CROSSING,), (V00,), "invert_p_rap", ("q00",)),
+    ProtocolKind.TWO_STATE_CONST_DETUNING: Protocol(2, (_EVEN_DETUNING,), (V0PI,), "invert_p_const_detuning", ("q0pi",)),
+    ProtocolKind.STIRAP_RESONANT_CASE1: Protocol(3, _RESONANT, (V00,), "invert_case1", ("q00", "q"), template=True),
+    ProtocolKind.STIRAP_RESONANT_CASE2: Protocol(3, _RESONANT, (VPI0,), "invert_case2", ("qpi0",), template=True),
+    ProtocolKind.STIRAP_DETUNED: Protocol(3, _SYMMETRIC_PAIR, FOUR_VARIANTS, "invert_detuned", ("q_bar", "q")),
+    ProtocolKind.THREE_STATE_GENERAL: Protocol(3, _SWAPPABLE_DETUNINGS, FOUR_VARIANTS, "invert_general", ("q_bar", "q", "r")),
 }
 
 
@@ -411,15 +399,14 @@ def _derive(plan: Protocol, profiles: Sequence[Profile]) -> Tuple[PointChecks, n
     """
     checks, (u,) = propagate_passes([profiles], plan.dimension)
     _check_swap(profiles, checks)
-    check = globals()[plan.check] if plan.check is not None else None
     if plan.dimension == 2:
-        pairs = check(u, checks)
+        pairs = cayley_klein(u, checks)
         backs = [sign_flip_transform(pairs, *v) for v in plan.variants]
     else:
-        if check is not None:  # the resonant template, point by point
+        if plan.template:
             for i, point in enumerate(u):
                 try:
-                    check(point)
+                    extract_resonant_ck(point)
                 except ValueError as error:
                     fail(checks, i, error)
         backs = [backward_propagator(u, phases(v)) for v in plan.variants]
@@ -998,16 +985,16 @@ def verify(suite: str, draws: int, seed: int) -> Dict[str, object]:
     Failures are report content, not exceptions: a draw that raises a
     ValueError is not evaluated, and it, like a draw whose evaluation
     fails (an inversion out of range, say), counts as a NaN residual,
-    which fails.
+    which fails.  Only the arguments raise, before anything is drawn: an
+    unknown suite a KeyError, draws or a seed that are not integers in
+    range a ValueError.
     """
     if suite not in SUITES:
         raise KeyError(
             f"unknown suite {suite!r}; registered: {', '.join(sorted(SUITES))}"
         )
     draws = _check_integer(draws, "draws", 1, MAX_VERIFY_DRAWS)
-    seed = _check_integer(seed, "seed", -math.inf, math.inf)  # its sign has a message of its own
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    seed = _check_integer(seed, "seed", 0, math.inf)
     definition = SUITES[suite]
     rng = _rng(seed)
     residuals = np.full(draws, math.nan)

@@ -891,24 +891,29 @@ class TestVerify:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "flag, value, bound",
+        "flag, value, message",
         [
-            ("--draws", "0", ">= 1"),
-            ("--draws", "-3", ">= 1"),
-            ("--draws", "1048577", "<= 1048576"),
-            ("--draws", "10000000000000", "<= 1048576"),
-            ("--seed", "-1", ">= 0"),
+            ("--draws", "0", "draws must be in [1, 1048576], got 0"),
+            ("--draws", "-3", "draws must be in [1, 1048576], got -3"),
+            ("--draws", "1048577", "draws must be in [1, 1048576], got 1048577"),
+            ("--draws", "10000000000000", "draws must be in [1, 1048576], got 10000000000000"),
+            ("--seed", "-1", "seed must be in [0, inf], got -1"),
+            ("--suite", "nonsense", "unknown suite 'nonsense'; registered: " + ", ".join(sorted(harness.SUITES))),
         ],
+        ids=["draws=0", "draws=-3", "draws=1048577", "draws=10^13", "seed=-1", "suite=nonsense"],
     )
-    def test_draws_or_seed_out_of_range_is_a_usage_error(self, monkeypatch, capsys, flag, value, bound):
+    def test_draws_or_seed_out_of_range_is_a_usage_error(self, monkeypatch, capsys, flag, value, message):
         # exit 1 means "verify failed" and nothing else; 10^13 draws ended
         # in a traceback from a 72.8 TiB allocation
         monkeypatch.setattr(harness, "_rng", lambda seed: pytest.fail("drew out of range"))
-        flags = {"--draws": "1", flag: value}
-        argv = ["verify", "--suite", "unitarity"] + [arg for pair in flags.items() for arg in pair]
+        given = {"--suite": "unitarity", "--draws": "1", "--seed": "0", flag: value}
+        with pytest.raises((KeyError, ValueError)) as raised:
+            harness.verify(given["--suite"], int(given["--draws"]), int(given["--seed"]))
+        assert raised.value.args == (message,)
+        argv = ["verify"] + [arg for pair in given.items() for arg in pair]
         assert main(argv) == EX_USAGE
         captured = capsys.readouterr()
-        assert captured.err == f"usage error: {flag} must be {bound}, got {value}\n"
+        assert captured.err == f"usage error: {message}\n"
         assert captured.out == ""
 
 

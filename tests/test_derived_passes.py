@@ -176,8 +176,11 @@ def direct_record(kind, profile, *, slack=DEFAULT_SLACK):
     ``double_pass``, not derived: the reference for ``run_protocol``."""
     plan = harness._prepare(kind, profile)  # its preconditions
     u, backs, returns = double_pass(profile, plan.variants)
-    if plan.check is not None:
-        getattr(harness, plan.check)(u)
+    # the structural checks of the entry, which raise for their point
+    if plan.dimension == 2:
+        harness.cayley_klein(u)
+    elif plan.template:
+        harness.extract_resonant_ck(u)
     fields = {"p_direct": float(abs(u[plan.dimension - 1, 0]) ** 2), "q": float(abs(u[0, 0]) ** 2)}
     fields.update(zip((harness.VARIANT_COLUMNS[v] for v in plan.variants), returns))
     if "q_bar" in plan.reads:
