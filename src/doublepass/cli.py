@@ -4,10 +4,11 @@ Configs are JSON documents (schema documented in the README); outputs
 are CSV rows/files and JSON reports.  Identical configs, and verify runs
 with identical seeds, produce byte-identical outputs.  Each config object is read by one walker from a
 key table, which each pulse shape, detuning shape and profile kind has of
-its own: a key its table lacks is rejected, every key present is parsed,
-and an absent key is left to the default of the drive class it fills,
-which also checks the values.  ``invert`` runs the inversion of the
-protocol its relation names, by the call that finishes every record.
+its own: a key its table lacks is rejected, and an absent key is left to
+the default of the class it fills.  Values are passed on as they are, for
+the library class that takes them to check, whose ValueError is the
+config error.  ``invert`` runs the inversion of the protocol its relation
+names, by the call that finishes every record.
 
 Exit codes: 0 success, 1 verification failure, 2 protocol precondition
 violation (including a propagator that does not match the template its
@@ -25,7 +26,7 @@ import math
 import sys
 from typing import Callable, Dict, List, Optional, TextIO, Tuple, Union
 
-from .drive import DetuningShape, DriveProfile2, DriveProfile3, PulseShape
+from .drive import DetuningShape, DriveProfile2, DriveProfile3, PulseShape, _check_integer
 from .evolve import StepPhaseError, TemplateMismatchError
 from .harness import (
     PROTOCOLS,
@@ -116,30 +117,6 @@ def _as_is(value: object, where: str) -> object:
     return value
 
 
-def _number(value: object, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        return math.inf if value > 0 else -math.inf
-
-
-def _window(value: object, where: str) -> Tuple[float, float]:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError(f"{where} must be [t_start, t_end]")
-    return tuple(_number(end, f"{where}[{i}]") for i, end in enumerate(value))
-
-
-def _slack(value: object, where: str, error: type = ConfigError) -> float:
-    """The noise slack of an inversion: a number ``check_slack`` accepts."""
-    value = _number(value, where)
-    try:
-        return check_slack(value, where)
-    except ValueError as exc:
-        raise error(str(exc)) from None
-
-
 def _drive_profile(kind: object, **fields) -> Union[DriveProfile2, DriveProfile3]:
     if kind == "two-state":
         return DriveProfile2(**fields)
@@ -149,21 +126,21 @@ def _drive_profile(kind: object, **fields) -> Union[DriveProfile2, DriveProfile3
 
 
 # the key tables of each pulse shape, detuning shape and profile kind
-_PEAKED = ({"peak": _number, "width": _number, "offset": _number}, ("peak",))
+_PEAKED = ({"peak": _as_is, "width": _as_is, "offset": _as_is}, ("peak",))
 _PULSE_TABLES = {
     "zero": ({}, ()),
-    "constant": ({"peak": _number}, ("peak",)),
+    "constant": ({"peak": _as_is}, ("peak",)),
     **dict.fromkeys(("sin2", "gaussian", "sech"), _PEAKED),
 }
 _DETUNING_TABLES = {
     "zero": ({}, ()),
-    "constant": ({"magnitude": _number}, ("magnitude",)),
-    "linear-chirp": ({"rate": ("rate_or_width", _number)}, ("rate",)),
-    "tanh-chirp": ({"magnitude": _number, "width": ("rate_or_width", _number)}, ("magnitude",)),
+    "constant": ({"magnitude": _as_is}, ("magnitude",)),
+    "linear-chirp": ({"rate": ("rate_or_width", _as_is)}, ("rate",)),
+    "tanh-chirp": ({"magnitude": _as_is, "width": ("rate_or_width", _as_is)}, ("magnitude",)),
 }
 _PULSE = _kinds("shape", PulseShape, _PULSE_TABLES)
 _DETUNING = _kinds("shape", DetuningShape, _DETUNING_TABLES)
-_GRID = {"window": _window, "grid_points": _as_is}
+_GRID = {"window": _as_is, "grid_points": _as_is}
 _PROFILE_TABLES = {
     "two-state": (
         {"rabi": _PULSE, "detuning": _DETUNING,
@@ -171,9 +148,9 @@ _PROFILE_TABLES = {
         ("rabi",),
     ),
     "three-state": (
-        {"pump": _PULSE, "stokes": _PULSE, "pump_phase": _number, "stokes_phase": _number,
+        {"pump": _PULSE, "stokes": _PULSE, "pump_phase": _as_is, "stokes_phase": _as_is,
          "detuning": ("single_photon_detuning", _DETUNING),
-         "two_photon_detuning": _number, **_GRID},
+         "two_photon_detuning": _as_is, **_GRID},
         ("pump", "stokes"),
     ),
 }
@@ -191,7 +168,7 @@ def _protocol(value: object, where: str) -> ProtocolKind:
 def _profile(value: object, where: str) -> Union[DriveProfile2, DriveProfile3]:
     try:
         return _PROFILE(value, where)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid profile: {exc}") from exc
 
 
@@ -201,23 +178,17 @@ def _output(value: object, where: str) -> Optional[str]:
     return value
 
 
-def _seed(value: object, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer")
-    return value
-
-
 _SWEEP: Table = (
-    {"parameter": _as_is, "start": _number, "stop": _number, "points": _as_is},
+    {"parameter": _as_is, "start": _as_is, "stop": _as_is, "points": _as_is},
     ("parameter", "start", "stop"),
 )
 _CONFIG: Table = (
     {
         "protocol": _protocol,
         "profile": _profile,
-        "tolerances": lambda value, where: _walk(value, where, ({"slack": _slack}, ())),
+        "tolerances": lambda value, where: _walk(value, where, ({"slack": check_slack}, ())),
         "output": _output,
-        "seed": _seed,  # accepted and unused: runs are deterministic
+        "seed": lambda value, where: _check_integer(value, where, -math.inf, math.inf),  # unused
         "sweep": lambda value, where: _walk(value, where, _SWEEP),
     },
     ("protocol", "profile"),
@@ -236,12 +207,15 @@ def _parse_config(path: str) -> Dict[str, object]:
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         # not UTF-8, or nested deeper than the parser recurses
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    config = _walk(raw, "", _CONFIG)
+    try:
+        config = _walk(raw, "", _CONFIG)
+    except ValueError as exc:  # a library check of a value, such as the seed's
+        raise ConfigError(str(exc)) from None
     if "sweep" in config:
         fields = {"points": 2, **config["sweep"]}  # a block without points runs two
         try:
             config["sweep"] = SweepSpec(config["profile"], protocol=config["protocol"], **fields)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid sweep block: {exc}") from exc
     return config
 
@@ -309,7 +283,10 @@ _INVERT_RELATIONS = {
 
 def _cmd_invert(args) -> int:
     kind, names = _INVERT_RELATIONS[args.relation]
-    _slack(args.slack, "--slack", _UsageError)
+    try:
+        check_slack(args.slack, "--slack")
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     # every value flag is given exactly where the relation reads it
     for name in ("q_bar", "q_return", "q", "r"):
         given = getattr(args, name) is not None

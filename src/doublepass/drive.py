@@ -8,6 +8,12 @@ A drive profile bundles the time-dependent couplings with the sign/phase
 bookkeeping and the integration window and grid consumed by
 :mod:`doublepass.evolve`.  All types are immutable values; they can be
 shared freely between threads or processes.
+
+The drive classes check every value, store each number as a float and
+raise ValueError such as "pulse peak must be a real number, got True" or
+"window must be two real numbers, got (0.0, '1')".  A number is an int or
+a float but never a bool, and ``10**400`` is inf ("must be finite"): the
+one rule ``_check_real``, which ``SweepSpec`` and ``check_slack`` use too.
 """
 
 from __future__ import annotations
@@ -45,22 +51,37 @@ DEFAULT_GRID_POINTS = 4000
 MAX_GRID_POINTS = 2**20
 
 ArrayLike = Union[float, np.ndarray]
-# The types of a window's ends: concrete, since isinstance of numbers.Real
-# goes through the ABC machinery, and a sweep checks a profile per point.
+# Concrete, as isinstance of numbers.Real goes through the ABCs (per point)
 _REALS = (int, float, np.integer, np.floating)
 
 
+def _check_real(value: object, name: str) -> float:
+    """``value`` as a float, +-inf for an int beyond the float range, or a
+    ValueError naming ``name`` if it is a bool or no int or float."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, _REALS):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _check_finite(value: object, what: str, names: Tuple[str, ...]) -> None:
-    """Reject NaN and infinite fields, which no later check would catch."""
+    """Store each named field as a float, or reject it: no real number, NaN or inf."""
     for name in names:
-        field_value = getattr(value, name)
-        if not math.isfinite(field_value):
-            raise ValueError(f"{what} {name} must be finite, got {field_value}")
+        number = getattr(value, name)
+        if type(number) is not float:
+            number = _check_real(number, f"{what} {name}")
+            object.__setattr__(value, name, number)
+        if not math.isfinite(number):
+            raise ValueError(f"{what} {name} must be finite, got {number}")
 
 
 def _reduce_phase(phi: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
-    phi = math.fmod(float(phi), TWO_PI)
+    phi = math.fmod(phi, TWO_PI)
     if phi < 0.0:
         phi += TWO_PI
     return 0.0 if phi == TWO_PI else phi
@@ -201,17 +222,17 @@ class DetuningShape:
         return cls("zero")
 
     def is_zero(self) -> bool:
-        if self.kind == "zero":
-            return True
-        if self.kind == "constant":
-            return self.magnitude == 0.0
         if self.kind == "linear-chirp":
             return self.rate_or_width == 0.0
-        return self.magnitude == 0.0
+        return self.kind == "zero" or self.magnitude == 0.0
+
+    def is_constant(self) -> bool:
+        """Constant by its kind: the detunings a role swap can exchange."""
+        return self.kind in ("constant", "zero")
 
     def is_even(self) -> bool:
         """Even function of time about the window midpoint."""
-        return self.kind in ("constant", "zero") or self.is_zero()
+        return self.is_constant() or self.is_zero()
 
     def is_odd(self) -> bool:
         """Odd function of time about the window midpoint."""
@@ -340,14 +361,12 @@ def _check_window(window: Tuple[float, float]) -> Tuple[float, float]:
     numbers, finite with positive length."""
     try:
         lo, hi = window
-    except (TypeError, ValueError):  # not a pair
-        lo = hi = None
-    if not (isinstance(lo, _REALS) and isinstance(hi, _REALS)):
-        raise ValueError(f"window must be two real numbers, got {window!r}")
-    lo, hi = float(lo), float(hi)
+        lo, hi = _check_real(lo, "window start"), _check_real(hi, "window end")
+    except (TypeError, ValueError):  # not a pair, or an end no real number
+        raise ValueError(f"window must be two real numbers, got {window!r}") from None
     # a length that overflows would give every grid step an infinite time
     if not (math.isfinite(hi - lo) and hi > lo):
-        raise ValueError(f"window must be finite with positive length, got {window}")
+        raise ValueError(f"window must be finite with positive length, got {(lo, hi)}")
     return (lo, hi)
 
 
@@ -498,13 +517,13 @@ def swapped_detuning(profile: DriveProfile3) -> float:
     a two-photon-detuned drive, which may overflow to +-inf.  Only a
     constant (or zero) single-photon detuning has one; any other raises."""
     single = profile.single_photon_detuning
-    if single.kind == "zero":
-        return -profile.two_photon_detuning
-    if single.kind != "constant":
+    if not single.is_constant():
         raise ValueError(
             "role-swapped pass with nonzero two-photon detuning requires a "
             "constant single-photon detuning"
         )
+    if single.kind == "zero":
+        return -profile.two_photon_detuning
     return single.magnitude - profile.two_photon_detuning
 
 

@@ -72,6 +72,7 @@ from .drive import (
     DriveProfile3,
     PulseShape,
     _check_integer,
+    _check_real,
     backward_profile_2,
     backward_profile_3,
     pulse_area,
@@ -82,6 +83,8 @@ from .evolve import (
     cayley_klein,
     check_step_phase,
     fail,
+    hamiltonian2,
+    propagate,
     propagate_passes,
     sign_flip_transform,
     squared_modulus,
@@ -114,6 +117,7 @@ from .su3relations import (
     invert_detuned,
     invert_general,
     phases,
+    resonant_propagator,
 )
 
 Profile = Union[DriveProfile2, DriveProfile3]
@@ -343,8 +347,7 @@ _SYMMETRIC_PAIR = (
 _SWAPPABLE_DETUNINGS = (
     _ZERO_PHASES,
     (
-        lambda f: f.two_photon_detuning == 0.0
-        or f.single_photon_detuning.kind in ("zero", "constant"),
+        lambda f: f.two_photon_detuning == 0.0 or f.single_photon_detuning.is_constant(),
         "general protocol with a two-photon detuning requires a constant "
         "single-photon detuning (the role swap exchanges the detunings)",
     ),
@@ -489,7 +492,7 @@ def run_protocol(
     ``sweep``, as a stack of one point, and the first error it records is
     raised.
     """
-    check_slack(slack)
+    slack = check_slack(slack)
     plan = _prepare(kind, profile)
     [outcome] = _finish(plan, [profile], slack, [None])
     if isinstance(outcome, ValueError):
@@ -530,14 +533,14 @@ class SweepSpec:
                 f"expected one of {SWEEP_PARAMETERS}"
             )
         points = _check_integer(self.points, "points", 2, MAX_SWEEP_POINTS)
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+        start, stop = _check_real(self.start, "start"), _check_real(self.stop, "stop")
+        if not (math.isfinite(start) and math.isfinite(stop)):
             raise ValueError("sweep range must be finite")
-        if not math.isfinite(self.stop - self.start):
-            raise ValueError(
-                f"sweep range from {self.start} to {self.stop} is too wide: stop - start overflows"
-            )
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "protocol", ProtocolKind(self.protocol))
+        if not math.isfinite(stop - start):
+            raise ValueError(f"sweep range from {start} to {stop} is too wide: stop - start overflows")
+        checked = {"start": start, "stop": stop, "points": points, "protocol": ProtocolKind(self.protocol)}
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 def _with_area(shape: PulseShape, unit: float, area: float) -> PulseShape:
@@ -608,9 +611,9 @@ def sweep(spec: SweepSpec, *, slack: float = su2relations.DEFAULT_SLACK) -> List
     on its point alone.  A slack that ``check_slack`` rejects raises
     ValueError before any point is prepared.
     """
-    check_slack(slack)
+    slack = check_slack(slack)
     if spec.start == spec.stop:
-        values = [float(spec.start)]
+        values = [spec.start]
     else:
         values = [float(value) for value in np.linspace(spec.start, spec.stop, spec.points)]
     at = _profile_at(spec.profile, spec.parameter)
@@ -826,8 +829,6 @@ def _second_passes(profiles: Sequence[Profile], variants: Sequence[Variant]) -> 
 
 
 def _composition(profile: DriveProfile2) -> float:
-    from .evolve import hamiltonian2, propagate
-
     t0, t2 = profile.window
     t1 = 0.5 * (t0 + t2)
     h = lambda ts: hamiltonian2(profile, ts)
@@ -856,8 +857,6 @@ def _degradation(eps: float) -> float:
 
 
 def _resonant_template(u: np.ndarray) -> float:
-    from .su3relations import resonant_propagator
-
     ck3 = extract_resonant_ck(u)
     fit = np.abs(u - resonant_propagator(ck3)).max()
     return max(

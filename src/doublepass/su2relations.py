@@ -18,10 +18,12 @@ inconsistent point then fails on its own, and the others go on.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
+from .drive import _check_real
 from .evolve import CayleyKlein, PointChecks, reject, sign_flip_transform
 
 # A second-pass variant is a (flip, flip) pair: the coupling and detuning
@@ -75,8 +77,10 @@ def clamped_sqrt(radicand, slack: float, label: str, clamps: Clamps) -> float:
 
 
 def check_slack(slack: float, name: str = "slack") -> float:
-    """``slack`` if it is finite and >= 0, else a ValueError naming ``name``."""
-    if not (np.isfinite(slack) and slack >= 0):
+    """``slack`` as a float if it is a real number, finite and >= 0, else a
+    ValueError naming ``name``."""
+    slack = _check_real(slack, name)
+    if not (math.isfinite(slack) and slack >= 0.0):
         raise ValueError(f"{name} must be finite and >= 0, got {slack}")
     return slack
 

@@ -278,6 +278,11 @@ def test_key_the_shape_does_not_read_is_rejected(tmp_path, capsys, field, value,
     assert captured.out == ""
 
 
+def _three_state(**fields):
+    """The three-state profile of ``case2_config`` with ``fields`` set."""
+    return {**case2_config()["profile"], **fields}
+
+
 @pytest.mark.parametrize(
     "field, value, stderr",
     [
@@ -288,17 +293,17 @@ def test_key_the_shape_does_not_read_is_rejected(tmp_path, capsys, field, value,
             {"rabi": {"shape": "sin2", "peak": 8.0}},
             "invalid profile: profile: missing required key 'kind'",
         ),
-        ("profile.rabi.peak", "8", "invalid profile: profile.rabi.peak must be a number, got '8'"),
-        ("profile.window", [0.0], "invalid profile: profile.window must be [t_start, t_end]"),
-        ("profile.window", "0 1", "invalid profile: profile.window must be [t_start, t_end]"),
+        ("profile.rabi.peak", "8", "invalid profile: pulse peak must be a real number, got '8'"),
+        ("profile.window", [0.0], "invalid profile: window must be two real numbers, got [0.0]"),
+        ("profile.window", "0 1", "invalid profile: window must be two real numbers, got '0 1'"),
         (
             "profile.kind",
             "four-state",
             "invalid profile: profile.kind must be 'two-state' or 'three-state', got 'four-state'",
         ),
         ("output", 5, "output must be a path string"),
-        ("seed", 1.5, "seed must be an integer"),
-        ("seed", True, "seed must be an integer"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
         # guards of the drive classes and of SweepSpec, reached from a config
         (
             "profile.detuning",
@@ -315,6 +320,36 @@ def test_key_the_shape_does_not_read_is_rejected(tmp_path, capsys, field, value,
             {"parameter": "pulse-area", "start": float("nan"), "stop": 1.0},
             "invalid sweep block: sweep range must be finite",
         ),
+        # a number field holding a bool, a null or a list, rejected by the
+        # class that takes it
+        *[
+            case
+            for bad in [True, None, [1.0]]
+            for case in [
+                ("profile.rabi.peak", bad, f"invalid profile: pulse peak must be a real number, got {bad!r}"),
+                (
+                    "profile.window",
+                    [bad, 1.1],
+                    f"invalid profile: window must be two real numbers, got [{bad!r}, 1.1]",
+                ),
+                (
+                    "profile",
+                    _three_state(pump_phase=bad),
+                    f"invalid profile: drive pump_phase must be a real number, got {bad!r}",
+                ),
+                (
+                    "profile",
+                    _three_state(two_photon_detuning=bad),
+                    f"invalid profile: drive two_photon_detuning must be a real number, got {bad!r}",
+                ),
+                (
+                    "sweep",
+                    {"parameter": "pulse-area", "start": bad, "stop": 1.0},
+                    f"invalid sweep block: start must be a real number, got {bad!r}",
+                ),
+                ("tolerances", {"slack": bad}, f"tolerances.slack must be a real number, got {bad!r}"),
+            ]
+        ],
     ],
 )
 def test_malformed_config_is_one_config_error_line(tmp_path, capsys, field, value, stderr):

@@ -23,6 +23,8 @@ from doublepass.drive import (
     sample_rabi,
 )
 from doublepass.evolve import hamiltonian2
+from doublepass.harness import SweepSpec
+from doublepass.su2relations import check_slack
 
 
 def composite_quadrature(fn, lo, hi, n=200_001):
@@ -279,15 +281,77 @@ WINDOW_CONSUMERS = {
         ((0.0,), "two real numbers"),
         ((0.0, 1.0, 2.0), "two real numbers"),
         ((0, 1j), "two real numbers"),
+        ((False, True), "two real numbers"),
         ((0.0, math.inf), "finite with positive length"),
         ((1.0, 1.0), "finite with positive length"),
     ],
-    ids=["one-end", "three-ends", "complex-end", "infinite-end", "empty"],
+    ids=["one-end", "three-ends", "complex-end", "bool-ends", "infinite-end", "empty"],
 )
 @pytest.mark.parametrize("consumer", sorted(WINDOW_CONSUMERS))
 def test_window_rule_shared_by_every_consumer(consumer, window, message):
     with pytest.raises(ValueError, match=f"^window must be {message}"):
         WINDOW_CONSUMERS[consumer](window)
+
+
+HUGE = 10**400  # an int beyond the float range
+
+
+def _pair(**fields):
+    return DriveProfile3(pump=PulseShape.sin2(1.0, 1.0), stokes=PulseShape.sin2(1.0, 1.0), **fields)
+
+
+def _constant_drive(window):
+    return DriveProfile2(rabi=PulseShape.constant(1.0), window=window)
+
+
+def _swept(start, stop):
+    return SweepSpec(_constant_drive((0.0, 1.0)), "detuning", start, stop, 3, "two-state-general")
+
+
+# every number field of the library: the name its ValueError gives it, and
+# the call that fills it with a value
+NUMBER_FIELDS = {
+    "pulse-peak": ("pulse peak", lambda x: PulseShape("sin2", x)),
+    "pulse-width": ("pulse width", lambda x: PulseShape("sin2", 1.0, x)),
+    "pulse-offset": ("pulse offset", lambda x: PulseShape("sin2", 1.0, 1.0, x)),
+    "detuning-magnitude": ("detuning magnitude", lambda x: DetuningShape("constant", x)),
+    "detuning-rate_or_width": ("detuning rate_or_width", lambda x: DetuningShape("tanh-chirp", 1.0, x)),
+    "pump_phase": ("drive pump_phase", lambda x: _pair(pump_phase=x)),
+    "stokes_phase": ("drive stokes_phase", lambda x: _pair(stokes_phase=x)),
+    "two_photon_detuning": ("drive two_photon_detuning", lambda x: _pair(two_photon_detuning=x)),
+    "window-start": ("window", lambda x: _constant_drive((x, 1.0))),
+    "window-end": ("window", lambda x: _constant_drive((0.0, x))),
+    "sweep-start": ("start", lambda x: _swept(x, 1.0)),
+    "sweep-stop": ("stop", lambda x: _swept(0.0, x)),
+    "slack": ("slack", check_slack),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [True, np.True_, "1", None, [1.0], HUGE], ids=["bool", "numpy-bool", "string", "none", "list", "huge"]
+)
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_every_number_field_takes_only_a_real_number(field, bad):
+    name, fill = NUMBER_FIELDS[field]
+    with pytest.raises(ValueError) as caught:
+        fill(bad)
+    assert caught.type is ValueError
+    message = str(caught.value)
+    if bad is HUGE:  # +inf, which the finiteness check rejects
+        assert "must be finite" in message, message
+    else:
+        assert message.startswith(f"{name} must be ") and "real number" in message, message
+
+
+def test_number_fields_store_floats():
+    # an int or a numpy scalar is stored as the float it stands for
+    shape = PulseShape("sin2", 8, np.float32(0.5), np.int64(-1))
+    drive = _pair(pump_phase=np.int8(1), two_photon_detuning=2)
+    spec = _swept(np.float64(1.0), 3)
+    stored = [shape.peak, shape.width, shape.offset, drive.pump_phase, drive.two_photon_detuning,
+              spec.start, spec.stop, check_slack(0), DetuningShape.constant(np.int64(4)).magnitude]
+    assert stored == [8.0, 0.5, -1.0, 1.0, 2.0, 1.0, 3.0, 0.0, 4.0]
+    assert all(type(value) is float for value in stored)
 
 
 class TestBackwardProfile2:
